@@ -381,27 +381,6 @@ def parse_descriptor(text: str) -> CompositionAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# free-function aliases (thin wrappers over the element methods)
-# ---------------------------------------------------------------------------
-
-
-def ca_mul(u: CAElement, v: CAElement) -> CAElement:
-    return u * v
-
-
-def conj(u: CAElement) -> CAElement:
-    return u.conj()
-
-
-def trace(u: CAElement) -> Fraction:
-    return u.trace()
-
-
-def norm(u: CAElement) -> Fraction:
-    return u.norm()
-
-
-# ---------------------------------------------------------------------------
 # JSON encoding
 # ---------------------------------------------------------------------------
 

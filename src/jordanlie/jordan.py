@@ -22,6 +22,12 @@ Elements are stored as coefficient vectors over a fixed basis: the r
 diagonal matrix units first, then for each pair i < j (in lexicographic
 order) the d elements {b E_ij + conj(b) E_ji} for b running over the basis
 of D; the quadratic family uses (e1, e2, V-basis).
+
+Products go through a sparse multiplication table of basis products.  The
+hermitian table is formed from sparse matrix units multiplied through D's
+own table; ``HermitianJordan.symmetrized_product``, the same product by
+genuine matrix multiplication over D, is kept as the reference the tests
+compare the table against.
 """
 
 from __future__ import annotations
@@ -206,18 +212,36 @@ class HermitianJordan(JordanAlgebra):
         return self.vector_of(sym)
 
     def _build_mul_table(self):
+        """Basis products (xy + yx)/2 of sparse matrix units, multiplied
+        through the coefficient algebra's own table, under the checks of
+        :meth:`vector_of`: a scalar diagonal and a hermitian result."""
+        D = self.coeff_algebra
+        conj = [{k: c for k, c in enumerate(b.conj().coeffs) if c} for b in D.basis()]
+        # basis elements as lists of nonzero entries (row, col, {D-index: coeff})
+        units = [[(i, i, {0: Q(1)})] for i in range(self.r)]
+        for i, j in self.pairs:
+            units += [[(i, j, {a: Q(1)}), (j, i, conj[a])] for a in range(D.dim)]
         table = [[None] * self.dim for _ in range(self.dim)]
-        basis_vecs = []
-        for k in range(self.dim):
-            v = [Q(0)] * self.dim
-            v[k] = Q(1)
-            basis_vecs.append(tuple(v))
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                prod = self.symmetrized_product(basis_vecs[i], basis_vecs[j])
-                entry = {k: c for k, c in enumerate(prod) if c}
-                table[i][j] = entry
-                table[j][i] = entry
+        for s in range(self.dim):
+            for t in range(s, self.dim):
+                mat: dict = {}
+                _matrix_unit_product(mat, D.mul_table, units[s], units[t])
+                _matrix_unit_product(mat, D.mul_table, units[t], units[s])
+                mat = {pos: {k: HALF * c for k, c in e.items() if c} for pos, e in mat.items()}
+                entry = {}
+                for i in range(self.r):
+                    diag = mat.get((i, i), {})
+                    if diag.keys() - {0}:
+                        raise ConstructionError("diagonal entry is not scalar")
+                    if diag:
+                        entry[i] = diag[0]
+                for (i, j), off in self._pair_offset.items():
+                    upper = mat.get((i, j), {})
+                    lower = linalg.add_combination({}, conj, upper.items())
+                    if mat.get((j, i), {}) != {k: c for k, c in lower.items() if c}:
+                        raise ConstructionError("matrix is not hermitian")
+                    entry.update((off + k, c) for k, c in upper.items())
+                table[s][t] = table[t][s] = dict(sorted(entry.items()))
         return table
 
     def _identity_vec(self) -> Vec:
@@ -247,6 +271,23 @@ class HermitianJordan(JordanAlgebra):
             for k, c in enumerate(entry.coeffs):
                 out[off + k] = c
         return self.element(out)
+
+
+def _matrix_unit_product(acc: dict, ca_table, a: list, b: list) -> None:
+    """acc += a b for matrices over D listed by their nonzero entries
+    (row, col, {D-index: coeff}); ca_table is D's multiplication table."""
+    for r, m, u in a:
+        for m2, c, v in b:
+            if m != m2:
+                continue
+            entry = acc.setdefault((r, c), {})
+            for p, cp in u.items():
+                row = ca_table[p]
+                for q, cq in v.items():
+                    w = cp * cq
+                    for k, t in enumerate(row[q]):
+                        if t:
+                            entry[k] = entry.get(k, 0) + w * t
 
 
 class QuadraticJordan(JordanAlgebra):
@@ -401,10 +442,6 @@ class JordanElement:
 
     def __repr__(self):
         return f"JordanElement({[fmt(c) for c in self.vec]})"
-
-
-def jordan_mul(x: JordanElement, y: JordanElement) -> JordanElement:
-    return x * y
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .errors import ConstructionError, InvalidParameter
 from .jordan import JordanAlgebra, JordanElement
-from .linalg import EchelonBasis, vec_add
+from .linalg import EchelonBasis, add_combination, vec_add
 from .rationals import HALF, Q, fmt, parse
 
 SparseVec = dict
@@ -91,20 +91,24 @@ def structure_operator(J: JordanAlgebra, x: JordanElement, y: JordanElement) -> 
 
 
 def _vop_cols(J: JordanAlgebra, x, y) -> OpCols:
-    n = J.dim
-    xy = J.mul_vec(x, y)
+    """Columns of V_{x,y} = 2(L_y L_x - L_x L_y - L_{x o y}), read from the
+    sparse multiplication table: no dense vector is formed.
+
+    Column k is 2((x o b_k) o y - (b_k o y) o x - (x o y) o b_k); since the
+    table is symmetric, row k of it is the operator L_{b_k}.
+    """
+    table = J.mul_table
+    xs = [(i, c) for i, c in enumerate(x) if c]
+    ys = [(j, c) for j, c in enumerate(y) if c]
+    lx = [add_combination({}, table[k], xs) for k in range(J.dim)]  # x o b_k
+    ly = [add_combination({}, table[k], ys) for k in range(J.dim)]  # b_k o y
+    neg_xy = [(i, -c) for i, c in add_combination({}, ly, xs).items() if c]
     cols = []
-    for k in range(n):
-        z = tuple(Q(1) if i == k else Q(0) for i in range(n))
-        t1 = J.mul_vec(J.mul_vec(x, z), y)
-        t2 = J.mul_vec(J.mul_vec(z, y), x)
-        t3 = J.mul_vec(xy, z)
-        col = {
-            i: 2 * (t1[i] - t2[i] - t3[i])
-            for i in range(n)
-            if t1[i] - t2[i] - t3[i]
-        }
-        cols.append(col)
+    for k in range(J.dim):
+        acc = add_combination({}, ly, lx[k].items())
+        add_combination(acc, lx, [(i, -c) for i, c in ly[k].items()])
+        add_combination(acc, table[k], neg_xy)
+        cols.append({i: 2 * c for i, c in sorted(acc.items()) if c})
     return tuple(cols)
 
 
@@ -229,14 +233,6 @@ def _trace_product(a_cols: list, b_cols: list) -> Fraction:
             if w is not None:
                 total += w * c
     return total
-
-
-def killing_form(g: LieAlgebra) -> list[list[Fraction]]:
-    return g.killing_matrix()
-
-
-def bracket(g: LieAlgebra, x: SparseVec, y: SparseVec) -> SparseVec:
-    return g.bracket(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +466,18 @@ def _sparse_to_json(vec: SparseVec) -> list:
     return [[k, fmt(c)] for k, c in sorted(vec.items())]
 
 
-def _sparse_from_json(items) -> SparseVec:
-    return {int(k): parse(c) for k, c in items}
+def _sparse_from_json(items, dim: int) -> SparseVec:
+    if not isinstance(items, list):
+        raise InvalidParameter(f"sparse vector must be a list, got {items!r}")
+    out: SparseVec = {}
+    for entry in items:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise InvalidParameter(f"sparse entry must be [index, value], got {entry!r}")
+        k, c = entry
+        if type(k) is not int or not 0 <= k < dim or k in out:
+            raise InvalidParameter(f"bad or repeated basis index {k!r} for dimension {dim}")
+        out[k] = parse(c)
+    return out
 
 
 def to_json(g: LieAlgebra) -> dict:
@@ -495,23 +501,36 @@ def to_json(g: LieAlgebra) -> dict:
 
 
 def from_json(obj: dict) -> LieAlgebra:
+    """Inverse of :func:`to_json`; malformed input raises InvalidParameter."""
+    if not (
+        isinstance(obj, dict)
+        and isinstance(obj.get("basis"), list)
+        and isinstance(obj.get("brackets"), list)
+    ):
+        raise InvalidParameter("structure constants must be an object with basis and brackets lists")
     basis = obj["basis"]
+    if not all(isinstance(b, dict) and isinstance(b.get("label"), str) for b in basis):
+        raise InvalidParameter("every basis entry needs a string label")
     labels = tuple(b["label"] for b in basis)
     degrees = [b.get("degree") for b in basis]
-    grading = None if any(d is None for d in degrees) else tuple(int(d) for d in degrees)
+    if any(d is not None and type(d) is not int for d in degrees):
+        raise InvalidParameter("basis degrees must be integers or null")
+    grading = None if any(d is None for d in degrees) else tuple(degrees)
+    n = len(labels)
     brackets = {}
-    for i, j, items in obj["brackets"]:
-        if not (0 <= i < j < len(labels)):
-            raise InvalidParameter(f"bad bracket pair ({i}, {j})")
-        vec = _sparse_from_json(items)
+    for entry in obj["brackets"]:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise InvalidParameter(f"bracket must be [i, j, vector], got {entry!r}")
+        i, j, items = entry
+        if type(i) is not int or type(j) is not int or not 0 <= i < j < n or (i, j) in brackets:
+            raise InvalidParameter(f"bad or repeated bracket pair ({i!r}, {j!r})")
+        vec = _sparse_from_json(items, n)
         if vec:
-            brackets[(int(i), int(j))] = vec
+            brackets[(i, j)] = vec
     triple = None
     if obj.get("triple"):
         t = obj["triple"]
-        triple = (
-            _sparse_from_json(t["f"]),
-            _sparse_from_json(t["h"]),
-            _sparse_from_json(t["e"]),
-        )
+        if not (isinstance(t, dict) and all(key in t for key in "fhe")):
+            raise InvalidParameter("triple must be an object with f, h and e")
+        triple = tuple(_sparse_from_json(t[key], n) for key in "fhe")
     return LieAlgebra(labels=labels, brackets=brackets, grading=grading, triple=triple)

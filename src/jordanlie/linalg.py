@@ -27,6 +27,17 @@ def vec_add(a: SparseVec, b: SparseVec, scale: Fraction = Q(1)) -> SparseVec:
     return out
 
 
+def add_combination(acc: SparseVec, cols, coeffs) -> SparseVec:
+    """acc += sum of c * cols[p] over the (p, c) pairs in coeffs, in place.
+
+    Cancellations leave zero entries in acc; callers drop them on readout.
+    """
+    for p, c in coeffs:
+        for k, t in cols[p].items():
+            acc[k] = acc.get(k, 0) + c * t
+    return acc
+
+
 def vec_scale(a: SparseVec, c: Fraction) -> SparseVec:
     if not c:
         return {}

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvalidParameter
+
 Q = Fraction
 
 ZERO = Q(0)
@@ -25,8 +27,12 @@ def fmt(x: Fraction) -> str:
 
 def parse(s: str) -> Fraction:
     """Parse a "p/q" or "p" string (integers only, no decimal points)."""
+    if not isinstance(s, str):
+        raise InvalidParameter(f"rational must be a \"p/q\" string, got {s!r}")
     s = s.strip()
     if "/" in s:
         num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise InvalidParameter(f"zero denominator in {s!r}")
         return Q(int(num), int(den))
     return Q(int(s))

@@ -532,6 +532,18 @@ def parabolic(g: LieAlgebra, node: int) -> ParabolicDecomposition:
                         "orthogonal chain member is not strongly orthogonal"
                     )
         chain.append(best)
+    # tube type: the chain's coroots sum to the grading element, so every
+    # root of n pairs to 2 with the chain (the pairing is linear in a, so it
+    # is read off the simple roots' pairings)
+    simple = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
+    h = [sum(rs.pairing(s, b) for b in chain) for s in simple]
+    for a in n_roots:
+        d = sum(c * hk for c, hk in zip(a, h) if c)
+        if d != 2:
+            raise InvalidParameter(
+                f"node {node}: non-tube parabolic (root {a} has pairing sum {d} "
+                "against the strongly orthogonal chain)"
+            )
 
     npos = len(rs.positive_roots)
     f_idx = {a: i for i, a in enumerate(rs.positive_roots)}

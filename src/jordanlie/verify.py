@@ -362,11 +362,13 @@ def suite_cross_validate(type_label: str, rank: int, node: Optional[int], cfg: C
             cv.dim * (cv.dim - 1) // 2,
             witness=f"first mismatch at {cv.mismatches[0]}",
         )
+    # "E7" already names its rank; "A" with rank 3 reads "A3"
+    name = type_label if type_label[-1].isdigit() else f"{type_label}{rank}"
     return SuiteResult(
         "cross-validate",
         True,
         cv.dim * (cv.dim - 1) // 2,
-        note=f"{type_label}{rank} node {cv.node}, dim {cv.dim}",
+        note=f"{name} node {cv.node}, dim {cv.dim}",
     )
 
 

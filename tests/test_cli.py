@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as Q
 
@@ -91,6 +92,41 @@ def test_export_report(capsys):
     assert "(r, d) = (2, 3)" in out
 
 
+# SHA-256 of the `build` stdout for every table instance, along the matrix
+# road (jordan:) and the Chevalley road (root:, graded and plain); any
+# refactor of the construction must leave these unchanged
+GOLDEN_BUILD_SHA256 = {
+    "jordan:H2:field": "8d304389119ca704627e2bc7ef0a97f38245380b3bd04f6e19d2d4f2e95f553a",
+    "jordan:H3:field": "a0b17b806090fc18c7d977b0229780d7f56a448608a1898041ebde6ee69964c6",
+    "jordan:H2:split-complex": "f1f584e3c8dcf5eb1fd7a70d41f58742b3b040caad8ceb9cb40a0ebc65439bba",
+    "jordan:H3:split-complex": "24f7b7bb0656f6b49e7d533c065154964baf72443918e6cca280b5552d667561",
+    "jordan:J2:dim=3:gram=split": "1e998e061cb2d5e41fd8b01503143fe1450b24beb9a467275b23fb434586e75a",
+    "jordan:J2:dim=4:gram=split": "b8854ad8e8d7aefa477a0ab4d7ecd12b7ca0cd9add4496266e72099434a8e7b0",
+    "jordan:H3:octonion:split": "a21f97831146e88aa667c793bce1dac0c6d1ced479bf9a40441c1d658e4482c6",
+    "root:C:2:node=2": "e95add5dca6a0e47c8e5660f2e82c48a04841fe0b1a5bf6695abe8b1183e9d3d",
+    "root:C:3:node=3": "5719819b2be1bbd0f4dcb74904e309f7486232039acc22f084ed42411e32721f",
+    "root:A:3:node=2": "83e04e1005a8bd24d4114b5ec2f2cb5639f0a8004dacd215f712003cdae0e724",
+    "root:A:5:node=3": "384a534da5f77a72449cefd1ca33dde9086b65f5ebdc71b39c5ae3c751cea2b6",
+    "root:B:3:node=1": "3b371862a849a3aa48bb1e505f8fa65ac15d39ecc0f623bb1dc533d8ba0b951b",
+    "root:D:4:node=1": "d4237c15efb7a955af6bd133cb39f87372eb360d0241cf396401627e593f94fa",
+    "root:E7:7:node=7": "678ac984d22c84a498bf98aa0547d7894f2e32a593d45322528c7e6b203785ac",
+    "root:C:2": "969d61ecea7c39da0e83cbbde55d45e649f18754547b754bb437301a5972ee8e",
+    "root:C:3": "2ad7eeb97da51887d125e939902762ae7a7fb2e5a1fbdea37cf044776e1c4685",
+    "root:A:3": "5a31e079717cdf5322576d1123e1914cad3431b9680182a3e5743fc3489b46d4",
+    "root:A:5": "bd15257dd93bcda832767d5295e9bdb690b88ff8d3a6d72aa805b4425bf3d2da",
+    "root:B:3": "6b88d7840e114399bd5ab5d531c76b1d0edcdc1a76a4e7ac5146b7026ec75d76",
+    "root:D:4": "32001474bd88ee0a1c67ce1240801432b3de3b6f3f213645fe7fe89b907326d7",
+    "root:E7:7": "7ec1558e89222dbd71119fb12da933c38280891d5cac2227e29e6265ffd50c60",
+}
+
+
+@pytest.mark.parametrize("descriptor", list(GOLDEN_BUILD_SHA256))
+def test_build_golden_hashes(capsys, descriptor):
+    code, out, _ = run(capsys, "build", descriptor)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BUILD_SHA256[descriptor]
+
+
 def test_build_determinism(tmp_path, capsys):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["build", "jordan:J2:dim=3:gram=I", "--out", str(f1)]) == 0
@@ -143,7 +179,49 @@ def test_verify_root_with_cross_validation(capsys):
         capsys, "verify", "root:C:2", "--suites", "jacobi,killing,cross-validate"
     )
     assert code == 0
-    assert "cross-validate: PASS" in out
+    assert "cross-validate: PASS [45 checks] (C2 node 2, dim 10)" in out
+    code, out, _ = run(capsys, "verify", "root:E7:7", "--suites", "cross-validate")
+    assert code == 0
+    assert out == "cross-validate: PASS [8778 checks] (E7 node 7, dim 133)\n"
+
+
+def _assert_usage_error(code, out, err, needle):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
+def test_build_non_tube_parabolic(capsys):
+    code, out, err = run(capsys, "build", "root:A:2:node=1")
+    _assert_usage_error(code, out, err, "non-tube parabolic")
+
+
+TWO_BASIS = [{"label": "a", "degree": None}, {"label": "b", "degree": None}]
+
+
+@pytest.mark.parametrize(
+    "obj, needle",
+    [
+        ({"basis": TWO_BASIS, "brackets": [["0", "1", [[0, "1"]]]]}, "bracket pair"),
+        ([TWO_BASIS], "must be an object"),
+        ({"basis": TWO_BASIS, "brackets": [[0, 1, [[7, "1"]]]]}, "basis index 7"),
+        ({"basis": TWO_BASIS, "brackets": [[0, 1, [[1, 1]]]]}, "string"),
+        ({"basis": TWO_BASIS, "brackets": [[0, 1, [[1, "1/0"]]]]}, "zero denominator"),
+    ],
+    ids=[
+        "string-indices",
+        "top-level-array",
+        "target-out-of-range",
+        "number-coefficient",
+        "zero-denominator",
+    ],
+)
+def test_verify_malformed_json(tmp_path, capsys, obj, needle):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    _assert_usage_error(code, out, err, needle)
 
 
 def test_verify_seeded_sampling_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as Q
@@ -5,7 +6,12 @@ from fractions import Fraction as Q
 import pytest
 
 from jordanlie import jordan, linalg
-from jordanlie.errors import AlgebraMismatch, InvalidParameter, SingularElement
+from jordanlie.errors import (
+    AlgebraMismatch,
+    ConstructionError,
+    InvalidParameter,
+    SingularElement,
+)
 from jordanlie.jordan import (
     generic_min_poly,
     jordan_inverse,
@@ -56,6 +62,21 @@ def test_degenerate_gram_rejected():
         jordan.quadratic([[1, 0], [0, 0]])
     with pytest.raises(InvalidParameter):
         jordan.quadratic([[0, 1], [2, 0]])  # not symmetric
+
+
+def test_table_rejects_non_hermitian_products(split_complex):
+    # corrupt one cell of the coefficient table (no build-time checks run)
+    def broken(i, j, cell):
+        table = [list(row) for row in split_complex.mul_table]
+        table[i][j] = tuple(Q(c) for c in cell)
+        return dataclasses.replace(split_complex, mul_table=tuple(map(tuple, table)))
+
+    # i*i = 1 + i: (i E_12 + conj(i) E_21)^2 has a non-scalar diagonal
+    with pytest.raises(ConstructionError, match="diagonal entry is not scalar"):
+        jordan.hermitian(2, broken(1, 1, (1, 1)))
+    # 1*i = 1 + i but i*1 = i: E_11 o (i E_12 + conj(i) E_21) is not hermitian
+    with pytest.raises(ConstructionError, match="not hermitian"):
+        jordan.hermitian(2, broken(0, 1, (1, 1)))
 
 
 def test_unit_law(family_instances):
@@ -293,7 +314,16 @@ def test_cayley_hamilton(family_instances):
 
 
 def test_matrix_model_consistency(family_instances):
-    # bilinear table product equals the symmetrized matrix product
+    # bilinear table product equals the symmetrized matrix product: first
+    # every basis-pair table entry, then random pairs
+    for name in ("C2", "C3", "A3", "A5", "E7"):
+        alg = family_instances[name]
+        basis = [b.vec for b in alg.basis()]
+        for i in range(alg.dim):
+            for j in range(i, alg.dim):
+                want = alg.symmetrized_product(basis[i], basis[j])
+                assert alg.mul_table[i][j] == {k: c for k, c in enumerate(want) if c}
+                assert alg.mul_table[j][i] == alg.mul_table[i][j]
     rng = random.Random(11)
     for name in ("C3", "A5", "E7"):
         alg = family_instances[name]

@@ -220,6 +220,23 @@ def test_structure_operator_bracket_formula(kkt_builds, family_instances):
             assert op.apply({k: c for k, c in enumerate(zv.vec) if c}) == {
                 k: c for k, c in enumerate(jordan_side.vec) if c
             }
+    # every column of V_{b_i,b_j} and of its companion V_{b_j,b_i}, on every
+    # basis pair of the small families and a seeded sample of E7's
+    for name in ("C2", "A3", "B3", "E7"):
+        J = family_instances[name]
+        basis = J.basis()
+        pairs = list(itertools.product(range(J.dim), repeat=2))
+        if name == "E7":
+            pairs = rng.sample(pairs, 40)
+        for i, j in pairs:
+            op = structure_operator(J, basis[i], basis[j])
+            for cols, (x, y) in (
+                (op.cols, (basis[i], basis[j])),
+                (op.sharp_cols, (basis[j], basis[i])),
+            ):
+                for k, z in enumerate(basis):
+                    want = 2 * (((x * z) * y) - ((z * y) * x) - ((x * y) * z))
+                    assert cols[k] == {r: c for r, c in enumerate(want.vec) if c}
 
 
 def test_span_reports(kkt_builds):
