@@ -247,8 +247,8 @@ def cmd_classify(args) -> int:
             obj = json.load(fh)
     except OSError as exc:
         raise InvalidParameter(f"cannot read element file: {exc}")
-    if "algebra" not in obj or "element" not in obj:
-        raise InvalidParameter('element file needs {"algebra": ..., "element": ...}')
+    if not (isinstance(obj, dict) and isinstance(obj.get("algebra"), str) and "element" in obj):
+        raise InvalidParameter('element file needs {"algebra": "<descriptor>", "element": ...}')
     J = parse_jordan_descriptor(obj["algebra"])
     x = jordan.element_from_json(obj["element"], J)
     places = _parse_places(args.places)

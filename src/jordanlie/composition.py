@@ -16,6 +16,12 @@ construction time, so the convention is load-bearing only through that check.
 Algebras can also be assembled from an explicit multiplication table plus a
 norm Gram matrix (used when a composition algebra is carved out of a larger
 structure); the same build-time checks apply.
+
+The table is stored sparsely: cell mul_table[i][j] is the product of basis
+elements i and j as a dict {k: coeff} with zero coefficients absent, the
+cell format of every structure table in the package.  Products go through
+``linalg.table_product`` and the norm form N(u) = u^T G u through
+``linalg.gram_form``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AlgebraMismatch, InvalidParameter
+from .linalg import dense_product, det, gram_form, table_product, vec_add
 from .rationals import Q, fmt, parse
 
 Coeffs = tuple[Fraction, ...]
@@ -37,7 +44,7 @@ class CompositionAlgebra:
     dim: int
     gammas: tuple[Fraction, ...] | None
     basis_labels: tuple[str, ...]
-    mul_table: tuple[tuple[Coeffs, ...], ...]
+    mul_table: tuple[tuple[dict, ...], ...]  # cell [i][j]: e_i e_j as {k: coeff}
     norm_gram: tuple[Coeffs, ...]
     descriptor: str
 
@@ -69,42 +76,14 @@ class CompositionAlgebra:
     # -- bilinear data ------------------------------------------------------
 
     def mul_coeffs(self, u: Coeffs, v: Coeffs) -> Coeffs:
-        out = [Q(0)] * self.dim
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            row = self.mul_table[i]
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                c = ci * cj
-                for k, t in enumerate(row[j]):
-                    if t:
-                        out[k] += c * t
-        return tuple(out)
+        return dense_product(self.mul_table, u, v)
 
     def norm_coeffs(self, u: Coeffs) -> Fraction:
-        total = Q(0)
-        g = self.norm_gram
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(u):
-                if cj and g[i][j]:
-                    total += ci * cj * g[i][j]
-        return total
+        return gram_form(self.norm_gram, enumerate(u), enumerate(u))
 
     def norm_bilinear(self, u: Coeffs, v: Coeffs) -> Fraction:
         """Polarization B(u, v) = N(u+v) - N(u) - N(v) = 2 u^T G v."""
-        total = Q(0)
-        g = self.norm_gram
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if cj and g[i][j]:
-                    total += ci * cj * g[i][j]
-        return 2 * total
+        return 2 * gram_form(self.norm_gram, enumerate(u), enumerate(v))
 
 
 @dataclass(frozen=True)
@@ -184,44 +163,29 @@ _DIM_NAMES = {1: "field", 2: "complex", 4: "quaternion", 8: "octonion"}
 
 
 def _double(table, norms, gamma: Fraction):
-    """One Cayley-Dickson step on (mul table, basis norm list)."""
+    """One Cayley-Dickson step on (sparse mul table, basis norm list)."""
     n = len(norms)
-    m = 2 * n
-
-    def conj_vec(v):
-        return tuple(v[0] if k == 0 else -v[k] for k in range(n))
 
     def mul(u, v):
-        out = [Q(0)] * n
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if cj:
-                    c = ci * cj
-                    for k, t in enumerate(table[i][j]):
-                        if t:
-                            out[k] += c * t
-        return tuple(out)
+        return table_product({}, table, u.items(), v.items())
 
-    def pair(a, b):
-        return tuple(a) + tuple(b)
+    def conj(v):
+        return {k: c if k == 0 else -c for k, c in v.items()}
 
-    zero = (Q(0),) * n
-    new_table = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            a = tuple(Q(1) if k == i else Q(0) for k in range(n)) if i < n else zero
-            b = tuple(Q(1) if k == i - n else Q(0) for k in range(n)) if i >= n else zero
-            c = tuple(Q(1) if k == j else Q(0) for k in range(n)) if j < n else zero
-            d = tuple(Q(1) if k == j - n else Q(0) for k in range(n)) if j >= n else zero
-            first = tuple(
-                x + gamma * y for x, y in zip(mul(a, c), mul(conj_vec(d), b))
-            )
-            second = tuple(x + y for x, y in zip(mul(d, a), mul(b, conj_vec(c))))
-            new_table[i][j] = pair(first, second)
+    def halves(i):
+        """Basis element i of the double as its pair (a, b)."""
+        unit = {i % n: Q(1)}
+        return (unit, {}) if i < n else ({}, unit)
+
+    def cell(i, j):
+        (a, b), (c, d) = halves(i), halves(j)
+        first = vec_add(mul(a, c), mul(conj(d), b), gamma)
+        second = vec_add(mul(d, a), mul(b, conj(c)))
+        return {**first, **{n + k: x for k, x in second.items()}}
+
+    new_table = tuple(tuple(cell(i, j) for j in range(2 * n)) for i in range(2 * n))
     new_norms = list(norms) + [-gamma * x for x in norms]
-    return [tuple(row) for row in new_table], new_norms
+    return new_table, new_norms
 
 
 def _verify_composition_law(alg: CompositionAlgebra):
@@ -262,10 +226,14 @@ def _verify_unit_and_conj(alg: CompositionAlgebra):
                 raise InvalidParameter(f"u*conj(u) != N(u)*1 at basis pair {(i, j)}")
 
 
-def _gram_det(gram) -> Fraction:
-    from .linalg import det
-
-    return det([list(row) for row in gram])
+def _checked(alg: CompositionAlgebra) -> CompositionAlgebra:
+    """alg, once the unit, conjugation and composition laws hold and the norm
+    is nondegenerate."""
+    _verify_unit_and_conj(alg)
+    _verify_composition_law(alg)
+    if det([list(row) for row in alg.norm_gram]) == 0:
+        raise InvalidParameter("norm form is degenerate")
+    return alg
 
 
 def build_composition(dim: int, gammas: Sequence) -> CompositionAlgebra:
@@ -279,7 +247,7 @@ def build_composition(dim: int, gammas: Sequence) -> CompositionAlgebra:
     if any(g == 0 for g in gs):
         raise InvalidParameter("doubling parameters must be nonzero")
 
-    table = [[(Q(1),)]]
+    table = (({0: Q(1)},),)
     norms = [Q(1)]
     for g in gs:
         table, norms = _double(table, norms, g)
@@ -292,19 +260,16 @@ def build_composition(dim: int, gammas: Sequence) -> CompositionAlgebra:
         dim=dim,
         gammas=gs,
         basis_labels=labels,
-        mul_table=tuple(tuple(row) for row in table),
+        mul_table=table,
         norm_gram=gram,
         descriptor=_descriptor(dim, gs),
     )
-    _verify_unit_and_conj(alg)
-    _verify_composition_law(alg)
-    if _gram_det(alg.norm_gram) == 0:
-        raise InvalidParameter("norm form is degenerate")
-    return alg
+    return _checked(alg)
 
 
 def algebra_from_table(mul_table, norm_gram, labels=None) -> CompositionAlgebra:
-    """Wrap an explicit multiplication table as a composition algebra.
+    """Wrap an explicit multiplication table, dense cells of length dim, as a
+    composition algebra.
 
     The unit must sit at basis index 0.  All build-time checks of
     ``build_composition`` are applied; the result has no doubling parameters
@@ -314,7 +279,7 @@ def algebra_from_table(mul_table, norm_gram, labels=None) -> CompositionAlgebra:
     if dim not in (1, 2, 4, 8):
         raise InvalidParameter(f"dimension must be 1, 2, 4 or 8, not {dim}")
     table = tuple(
-        tuple(tuple(Q(x) for x in cell) for cell in row) for row in mul_table
+        tuple({k: Q(x) for k, x in enumerate(cell) if x} for cell in row) for row in mul_table
     )
     gram = tuple(tuple(Q(x) for x in row) for row in norm_gram)
     if labels is None:
@@ -327,11 +292,7 @@ def algebra_from_table(mul_table, norm_gram, labels=None) -> CompositionAlgebra:
         norm_gram=gram,
         descriptor=f"table:{dim}",
     )
-    _verify_unit_and_conj(alg)
-    _verify_composition_law(alg)
-    if _gram_det(alg.norm_gram) == 0:
-        raise InvalidParameter("norm form is degenerate")
-    return alg
+    return _checked(alg)
 
 
 def _basis_labels(dim: int) -> tuple[str, ...]:
@@ -393,6 +354,8 @@ def element_to_json(u: CAElement) -> dict:
 
 
 def element_from_json(obj: dict, algebra: CompositionAlgebra | None = None) -> CAElement:
+    if not (isinstance(obj, dict) and isinstance(obj.get("coeffs"), list)):
+        raise InvalidParameter(f'element must be an object with a "coeffs" list, got {obj!r}')
     if algebra is None:
         algebra = parse_descriptor(obj["algebra"])
     return algebra.element([parse(c) for c in obj["coeffs"]])

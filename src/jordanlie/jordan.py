@@ -23,15 +23,19 @@ diagonal matrix units first, then for each pair i < j (in lexicographic
 order) the d elements {b E_ij + conj(b) E_ji} for b running over the basis
 of D; the quadratic family uses (e1, e2, V-basis).
 
-Products go through a sparse multiplication table of basis products.  The
+Products go through a multiplication table of basis products in the
+package's one cell format: mul_table[i][j] is b_i o b_j as a dict
+{k: coeff} with zeros absent, evaluated by ``linalg.table_product``.  The
 hermitian table is formed from sparse matrix units multiplied through D's
-own table; ``HermitianJordan.symmetrized_product``, the same product by
-genuine matrix multiplication over D, is kept as the reference the tests
-compare the table against.
+own table by the same kernel; ``HermitianJordan.symmetrized_product``, the
+same product by genuine matrix multiplication over D, is kept as the
+reference the tests compare the table against.  The quadratic family's
+form Q(v) = v^T G v is evaluated by ``linalg.gram_form``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -98,19 +102,7 @@ class JordanAlgebra:
     # -- product -------------------------------------------------------------
 
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
-        out = [Q(0)] * self.dim
-        table = self.mul_table
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            row = table[i]
-            for j, cj in enumerate(y):
-                if not cj:
-                    continue
-                c = ci * cj
-                for k, t in row[j].items():
-                    out[k] += c * t
-        return tuple(out)
+        return linalg.dense_product(self.mul_table, x, y)
 
     def lmul_matrix(self, x: Vec) -> list[list[Fraction]]:
         """Matrix of z -> x o z in the algebra basis (columns are x o b_j)."""
@@ -278,16 +270,9 @@ def _matrix_unit_product(acc: dict, ca_table, a: list, b: list) -> None:
     (row, col, {D-index: coeff}); ca_table is D's multiplication table."""
     for r, m, u in a:
         for m2, c, v in b:
-            if m != m2:
-                continue
-            entry = acc.setdefault((r, c), {})
-            for p, cp in u.items():
-                row = ca_table[p]
-                for q, cq in v.items():
-                    w = cp * cq
-                    for k, t in enumerate(row[q]):
-                        if t:
-                            entry[k] = entry.get(k, 0) + w * t
+            if m == m2:
+                entry = acc.setdefault((r, c), {})
+                linalg.table_product(entry, ca_table, u.items(), v.items())
 
 
 class QuadraticJordan(JordanAlgebra):
@@ -312,25 +297,11 @@ class QuadraticJordan(JordanAlgebra):
         return f"JordanAlgebra(J2(V{self.v_dim}))"
 
     def qform(self, v: Sequence[Fraction]) -> Fraction:
-        total = Q(0)
-        for i, ci in enumerate(v):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if cj and self.gram[i][j]:
-                    total += ci * cj * self.gram[i][j]
-        return total
+        return linalg.gram_form(self.gram, enumerate(v), enumerate(v))
 
     def bform(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         """B(u, v) = Q(u+v) - Q(u) - Q(v)."""
-        total = Q(0)
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if cj and self.gram[i][j]:
-                    total += ci * cj * self.gram[i][j]
-        return 2 * total
+        return 2 * linalg.gram_form(self.gram, enumerate(u), enumerate(v))
 
     def parts(self, vec: Vec):
         return vec[0], vec[1], vec[2:]
@@ -343,15 +314,7 @@ class QuadraticJordan(JordanAlgebra):
     def _mul_parts(self, x: Vec, y: Vec) -> Vec:
         a1, b1, v1 = self.parts(x)
         a2, b2, v2 = self.parts(y)
-        cross = sum(
-            (
-                v1[i] * v2[j] * self.gram[i][j]
-                for i in range(self.v_dim)
-                for j in range(self.v_dim)
-                if v1[i] and v2[j] and self.gram[i][j]
-            ),
-            Q(0),
-        )
+        cross = linalg.gram_form(self.gram, enumerate(v1), enumerate(v2))
         s1, s2 = a1 + b1, a2 + b2
         vv = tuple(HALF * (s1 * v2[k] + s2 * v1[k]) for k in range(self.v_dim))
         return (a1 * a2 + cross, b1 * b2 + cross) + vv
@@ -661,14 +624,32 @@ def element_to_json(x: JordanElement) -> dict:
 
 
 def element_from_json(obj: dict, alg: JordanAlgebra) -> JordanElement:
+    """Inverse of :func:`element_to_json`; malformed input raises
+    InvalidParameter naming the offending key."""
+    if not isinstance(obj, dict):
+        raise InvalidParameter(f"element must be an object, got {obj!r}")
     if alg.variant == "hermitian":
-        diag = [parse(c) for c in obj["diag"]]
-        if len(diag) != alg.r:
-            raise InvalidParameter("wrong diagonal length")
-        upper = {}
-        for key, entry in obj.get("upper", {}).items():
-            i, j = (int(p) for p in key.split(","))
-            upper[(i - 1, j - 1)] = ca_element_from_json(entry, alg.coeff_algebra)
-        return alg.from_entries(diag, upper)
-    v = [parse(c) for c in obj["v"]]
+        diag = _rational_list(obj, "diag", alg.r)
+        upper = obj.get("upper", {})
+        if not isinstance(upper, dict):
+            raise InvalidParameter(f'"upper" must be an object, got {upper!r}')
+        entries = {}
+        for key, entry in upper.items():
+            m = re.fullmatch(r"(\d+),(\d+)", key)
+            if not (m and 1 <= int(m[1]) < int(m[2]) <= alg.r):
+                raise InvalidParameter(f'upper key {key!r}: need "i,j" with 1 <= i < j <= {alg.r}')
+            try:
+                entry = ca_element_from_json(entry, alg.coeff_algebra)
+            except InvalidParameter as exc:
+                raise InvalidParameter(f"upper entry {key!r}: {exc}") from None
+            entries[(int(m[1]) - 1, int(m[2]) - 1)] = entry
+        return alg.from_entries(diag, entries)
+    v = _rational_list(obj, "v", alg.v_dim)
     return alg.from_parts(parse(obj["a"]), parse(obj["b"]), v)
+
+
+def _rational_list(obj: dict, key: str, n: int) -> list[Fraction]:
+    items = obj.get(key)
+    if not (isinstance(items, list) and len(items) == n):
+        raise InvalidParameter(f'"{key}" must be a list of {n} rationals, got {items!r}')
+    return [parse(c) for c in items]

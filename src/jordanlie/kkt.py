@@ -52,10 +52,6 @@ def _apply_op(cols: Sequence[dict], v: SparseVec) -> SparseVec:
     return out
 
 
-def _op_entry(cols: Sequence[dict], row: int, col: int) -> Fraction:
-    return cols[col].get(row, Q(0))
-
-
 def _flatten(cols: Sequence[dict], n: int) -> SparseVec:
     flat: SparseVec = {}
     for k, col in enumerate(cols):
@@ -132,6 +128,8 @@ class LieAlgebra:
     norm_pair: Optional[tuple[SparseVec, SparseVec]] = None  # (f1, e1)
     jordan: Optional[JordanAlgebra] = None
     m_operators: Optional[list] = None
+    # rootdata.RootSystem of a Chevalley build; derived data, not compared
+    root_system: Optional[object] = field(default=None, compare=False, repr=False)
     _killing: Optional[list] = field(default=None, repr=False)
     _ad_cache: Optional[list] = field(default=None, repr=False)
 
@@ -216,12 +214,7 @@ class LieAlgebra:
         return self._killing
 
     def killing(self, x: SparseVec, y: SparseVec) -> Fraction:
-        mat = self.killing_matrix()
-        total = Q(0)
-        for i, ci in x.items():
-            for j, cj in y.items():
-                total += ci * cj * mat[i][j]
-        return total
+        return linalg.gram_form(self.killing_matrix(), x.items(), y.items())
 
 
 def _trace_product(a_cols: list, b_cols: list) -> Fraction:
@@ -342,9 +335,7 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
                 {idx_m(k): c for k, c in enumerate(vals) if c},
             )
 
-    g = LieAlgebra(labels=labels, brackets=brackets, grading=grading)
-    g.jordan = J
-    g.m_operators = m_ops
+    g = LieAlgebra(labels=labels, brackets=brackets, grading=grading, jordan=J, m_operators=m_ops)
 
     e_vec = {idx_n(k): c for k, c in enumerate(J.identity.vec) if c}
     f_vec = {idx_nbar(k): -c for k, c in enumerate(J.identity.vec) if c}

@@ -38,21 +38,38 @@ def add_combination(acc: SparseVec, cols, coeffs) -> SparseVec:
     return acc
 
 
-def vec_scale(a: SparseVec, c: Fraction) -> SparseVec:
-    if not c:
-        return {}
-    return {k: c * v for k, v in a.items()}
+def table_product(acc: SparseVec, table, xs, ys) -> SparseVec:
+    """acc += sum of cx * cy * table[i][j] over the (i, cx) pairs in xs and the
+    (j, cy) pairs in ys, in place; table cells are sparse {k: coeff}.
+
+    Zero coefficients are skipped; cancellations leave zero entries in acc.
+    """
+    ys = [(j, cy) for j, cy in ys if cy]
+    for i, cx in xs:
+        if cx:
+            add_combination(acc, table[i], [(j, cx * cy) for j, cy in ys])
+    return acc
 
 
-def vec_dot(a: SparseVec, b: SparseVec) -> Fraction:
-    if len(b) < len(a):
-        a, b = b, a
+def gram_form(gram, xs, ys) -> Fraction:
+    """x^T G y over the (i, cx) pairs in xs and the (j, cy) pairs in ys."""
+    ys = [(j, cy) for j, cy in ys if cy]
     total = Q(0)
-    for k, v in a.items():
-        w = b.get(k)
-        if w is not None:
-            total += v * w
+    for i, cx in xs:
+        if cx:
+            row = gram[i]
+            for j, cy in ys:
+                if row[j]:
+                    total += cx * cy * row[j]
     return total
+
+
+def dense_product(table, x, y) -> tuple:
+    """The product of dense coefficient vectors x and y through a square
+    table, as a dense tuple."""
+    prod = table_product({}, table, enumerate(x), enumerate(y))
+    zero = Q(0)
+    return tuple([prod.get(k, zero) for k in range(len(table))])
 
 
 class EchelonBasis:

@@ -14,7 +14,7 @@ cross-validation entry point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -98,26 +98,29 @@ _EXPECTED_POSITIVE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass
 class RootSystem:
+    """Positive roots with their Chevalley basis index: the basis runs
+    f-block (one f_a per positive root, in order), Cartan, e-block."""
+
     type_label: str
     rank: int
     gram: tuple[tuple[Fraction, ...], ...]
     positive_roots: tuple[Root, ...]  # sorted by (height, coordinates)
+    f_idx: dict[Root, int] = field(init=False, repr=False)  # positive root -> f_a
+    e_idx: dict[Root, int] = field(init=False, repr=False)  # positive root -> e_a
 
     def __post_init__(self):
-        object.__setattr__(self, "_root_set", frozenset(self.positive_roots))
+        npos = len(self.positive_roots)
+        self.f_idx = {a: i for i, a in enumerate(self.positive_roots)}
+        self.e_idx = {a: npos + self.rank + i for i, a in enumerate(self.positive_roots)}
+
+    def h_idx(self, i: int) -> int:
+        """Basis index of the i-th (0-based) simple coroot."""
+        return len(self.positive_roots) + i
 
     def inner(self, a: Root, b: Root) -> Fraction:
-        total = Q(0)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = self.gram[i]
-            for j, bj in enumerate(b):
-                if bj and row[j]:
-                    total += ai * bj * row[j]
-        return total
+        return linalg.gram_form(self.gram, enumerate(a), enumerate(b))
 
     def pairing(self, a: Root, b: Root) -> Fraction:
         """<a, b-dual> = 2 (a, b) / (b, b)."""
@@ -125,13 +128,13 @@ class RootSystem:
 
     def is_root(self, a: Root) -> bool:
         if all(c >= 0 for c in a):
-            return a in self._root_set
+            return a in self.f_idx
         if all(c <= 0 for c in a):
-            return tuple(-c for c in a) in self._root_set
+            return tuple(-c for c in a) in self.f_idx
         return False
 
     def is_positive(self, a: Root) -> bool:
-        return a in self._root_set
+        return a in self.f_idx
 
     def string_down(self, a: Root, b: Root) -> int:
         """Largest p >= 0 with b - p*a a root."""
@@ -190,15 +193,6 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
     ]
     roots = set(simple)
-
-    def inner(a, b):
-        return sum(
-            a[i] * b[j] * gram[i][j]
-            for i in range(rank)
-            for j in range(rank)
-            if a[i] and b[j] and gram[i][j]
-        )
-
     frontier = list(simple)
     while frontier:
         nxt = []
@@ -209,7 +203,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
                 while any(cur) and (cur in roots or tuple(-c for c in cur) in roots):
                     p += 1
                     cur = tuple(x - y for x, y in zip(cur, s))
-                pairing = 2 * inner(alpha, s) / gram[i][i]
+                pairing = 2 * linalg.gram_form(gram, enumerate(alpha), enumerate(s)) / gram[i][i]
                 if p - pairing >= 1:
                     new = tuple(x + y for x, y in zip(alpha, s))
                     if new not in roots:
@@ -335,12 +329,7 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
     rs = build_root_system(type_label, rank)
     nc = ChevalleyConstants(rs)
     pos = rs.positive_roots
-    npos = len(pos)
-    dim = 2 * npos + rank
-
-    f_idx = {a: i for i, a in enumerate(pos)}
-    h_idx = lambda i: npos + i
-    e_idx = {a: npos + rank + i for i, a in enumerate(pos)}
+    f_idx, h_idx, e_idx = rs.f_idx, rs.h_idx, rs.e_idx
 
     def vec_of(root: Root, coeff: Fraction) -> dict:
         if rs.is_positive(root):
@@ -400,30 +389,29 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
         ib = e_idx[b] if sb > 0 else f_idx[b]
         put(ia, ib, vec_of(s, n))
 
-    g = LieAlgebra(labels=labels, brackets=brackets)
-    g.root_system = rs
-    g.constants = nc
     hi = rs.highest_root
-    g.norm_pair = ({f_idx[hi]: Q(1)}, {e_idx[hi]: Q(1)})
-    _attach_killing(g, rs, f_idx, h_idx, e_idx)
+    norm_pair = ({f_idx[hi]: Q(1)}, {e_idx[hi]: Q(1)})
+    g = LieAlgebra(labels=labels, brackets=brackets, norm_pair=norm_pair, root_system=rs)
+    _attach_killing(g, rs)
     _build_cache[key] = g
     return g
 
 
-def _attach_killing(g: LieAlgebra, rs: RootSystem, f_idx, h_idx, e_idx):
+def _attach_killing(g: LieAlgebra, rs: RootSystem):
     """Killing matrix using weight bookkeeping: ad(x)ad(y) is traceless
     unless the weights of x and y cancel."""
     n = g.dim
     ads = g._ads()
     mat = [[Q(0)] * n for _ in range(n)]
-    for a, i in e_idx.items():
-        j = f_idx[a]
+    for a, i in rs.e_idx.items():
+        j = rs.f_idx[a]
         v = kkt_mod._trace_product(ads[i], ads[j])
         mat[i][j] = mat[j][i] = v
+    h = [rs.h_idx(i) for i in range(rs.rank)]
     for i in range(rs.rank):
         for j in range(i, rs.rank):
-            v = kkt_mod._trace_product(ads[h_idx(i)], ads[h_idx(j)])
-            mat[h_idx(i)][h_idx(j)] = mat[h_idx(j)][h_idx(i)] = v
+            v = kkt_mod._trace_product(ads[h[i]], ads[h[j]])
+            mat[h[i]][h[j]] = mat[h[j]][h[i]] = v
     s = g.killing_scale()
     g._killing = [[s * v for v in row] for row in mat]
 
@@ -545,18 +533,15 @@ def parabolic(g: LieAlgebra, node: int) -> ParabolicDecomposition:
                 "against the strongly orthogonal chain)"
             )
 
-    npos = len(rs.positive_roots)
-    f_idx = {a: i for i, a in enumerate(rs.positive_roots)}
-    e_idx = {a: npos + rs.rank + i for i, a in enumerate(rs.positive_roots)}
     triples = []
     for beta in chain:
         co = rs.coroot_coeffs(beta)
         triples.append(
             Sl2Triple(
                 root=beta,
-                f={f_idx[beta]: Q(1)},
-                h={npos + i: Q(c) for i, c in enumerate(co) if c},
-                e={e_idx[beta]: Q(1)},
+                f={rs.f_idx[beta]: Q(1)},
+                h={rs.h_idx(i): Q(c) for i, c in enumerate(co) if c},
+                e={rs.e_idx[beta]: Q(1)},
             )
         )
     return ParabolicDecomposition(
@@ -574,32 +559,28 @@ def graded_algebra(p: ParabolicDecomposition) -> LieAlgebra:
     distinguished triple and the Killing normalization pair."""
     g = p.algebra
     rs: RootSystem = g.root_system
-    npos = len(rs.positive_roots)
     S = p.strongly_orthogonal
     degree = [0] * g.dim
-    for i, a in enumerate(rs.positive_roots):
+    for a in rs.positive_roots:
         d = sum(rs.pairing(a, b) for b in S)
         if d.denominator != 1 or int(d) not in (0, 2):
             raise ConstructionError(f"root {a} has pairing sum {d} against the chain")
         expected_n = a[p.node - 1] > 0
         if (int(d) == 2) != expected_n:
             raise ConstructionError(f"grading of {a} disagrees with the partition")
-        degree[npos + rs.rank + i] = int(d)
-        degree[i] = -int(d)
+        degree[rs.e_idx[a]] = int(d)
+        degree[rs.f_idx[a]] = -int(d)
     f = p.f_vec
     e = p.e_vec
     h: dict = {}
     for t in p.triples:
         h = vec_add(h, t.h)
-    out = replace(
+    return replace(
         g,
         grading=tuple(degree),
         triple=(f, h, e),
         norm_pair=(p.triples[0].f, p.triples[0].e),
     )
-    out.root_system = rs
-    out.constants = g.constants
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -621,18 +602,7 @@ class RootJordan:
     dim: int
 
     def mul_vec(self, x, y):
-        out = [Q(0)] * self.dim
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            row = self.table[i]
-            for j, cj in enumerate(y):
-                if not cj:
-                    continue
-                c = ci * cj
-                for k, t in row[j].items():
-                    out[k] += c * t
-        return tuple(out)
+        return linalg.dense_product(self.table, x, y)
 
     def frame_scale(self, i: int) -> Fraction:
         """Coefficient of the i-th frame idempotent on its root vector
@@ -659,9 +629,7 @@ class RootJordan:
 
 def jordan_from_roots(p: ParabolicDecomposition) -> RootJordan:
     g = p.algebra
-    rs: RootSystem = g.root_system
-    npos = len(rs.positive_roots)
-    e_idx = {a: npos + rs.rank + i for i, a in enumerate(rs.positive_roots)}
+    e_idx = g.root_system.e_idx
     basis = p.n_roots
     pos_of = {e_idx[a]: k for k, a in enumerate(basis)}
     f = p.f_vec
@@ -696,33 +664,17 @@ class PierceForm:
     gram: tuple[tuple[Fraction, ...], ...]
 
     def value(self, x: Sequence[Fraction]) -> Fraction:
-        total = Q(0)
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            for j, cj in enumerate(x):
-                if cj and self.gram[i][j]:
-                    total += ci * cj * self.gram[i][j]
-        return total
+        return linalg.gram_form(self.gram, enumerate(x), enumerate(x))
 
     def bilinear(self, x, y) -> Fraction:
-        total = Q(0)
-        for i, ci in enumerate(x):
-            if not ci:
-                continue
-            for j, cj in enumerate(y):
-                if cj and self.gram[i][j]:
-                    total += ci * cj * self.gram[i][j]
-        return 2 * total
+        return 2 * linalg.gram_form(self.gram, enumerate(x), enumerate(y))
 
 
 def q_forms(p: ParabolicDecomposition) -> dict[tuple[int, int], PierceForm]:
     """Q_ij(x) = kappa([f_i, x], [f_j, x]) / 2 on each off-diagonal
     component, with kappa normalized on the chain's sl2 pairs."""
     g = p.algebra
-    rs: RootSystem = g.root_system
-    npos = len(rs.positive_roots)
-    e_idx = {a: npos + rs.rank + i for i, a in enumerate(rs.positive_roots)}
+    e_idx = g.root_system.e_idx
     r = p.degree
     out = {}
     for i in range(1, r + 1):
@@ -756,14 +708,10 @@ def witt_hyperbolic_planes(gram) -> int:
     basis = [[Q(1) if j == i else Q(0) for j in range(n)] for i in range(n)]
 
     def qval(v):
-        return sum(
-            v[i] * v[j] * g[i][j] for i in range(n) for j in range(n) if v[i] and v[j]
-        )
+        return linalg.gram_form(g, enumerate(v), enumerate(v))
 
     def bval(u, v):
-        return 2 * sum(
-            u[i] * v[j] * g[i][j] for i in range(n) for j in range(n) if u[i] and v[j]
-        )
+        return 2 * linalg.gram_form(g, enumerate(u), enumerate(v))
 
     planes = 0
     while len(basis) >= 2:
@@ -947,12 +895,8 @@ def _coordinatize_hermitian(p2, rj, units):
         for i in range(d)
     ]
     # Gram of the norm in the chosen d-basis: entries are (1/2) B(b_a, b_b)
-    gram = [[Q(0)] * d for _ in range(d)]
-    for a in range(d):
-        for b in range(d):
-            gram[a][b] = HALF * d_form.bilinear(
-                [d_basis[a][s] for s in d_pos], [d_basis[b][s] for s in d_pos]
-            )
+    local = [[b[s] for s in d_pos] for b in d_basis]
+    gram = [[HALF * d_form.bilinear(x, y) for y in local] for x in local]
     D = algebra_from_table(mul_table, gram)
     model = jordan_mod.hermitian(r, D)
 
@@ -1016,15 +960,12 @@ def cross_validate(type_label: str, rank: int, node: Optional[int] = None) -> Cr
     J = coord.model
     g2 = kkt_mod.build_kkt(J)
 
-    rs = g.root_system
-    npos = len(rs.positive_roots)
+    e_idx = g.root_system.e_idx
     dim = g.dim
     nJ = J.dim
 
-    n_map = {}  # chevalley basis index -> position in rj basis
-    e_idx = {a: npos + rs.rank + i for i, a in enumerate(rs.positive_roots)}
-    for k, a in enumerate(rj.basis_roots):
-        n_map[e_idx[a]] = k
+    # chevalley basis index -> position in rj basis
+    n_map = {e_idx[a]: k for k, a in enumerate(rj.basis_roots)}
 
     # image vectors of every chevalley basis element inside the kkt build
     phi = coord.matrix

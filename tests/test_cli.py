@@ -92,9 +92,9 @@ def test_export_report(capsys):
     assert "(r, d) = (2, 3)" in out
 
 
-# SHA-256 of the `build` stdout for every table instance, along the matrix
-# road (jordan:) and the Chevalley road (root:, graded and plain); any
-# refactor of the construction must leave these unchanged
+# SHA-256 of the `build` and `verify` stdout for every table instance, along
+# the matrix road (jordan:) and the Chevalley road (root:, graded and plain);
+# any refactor of the construction or the suites must leave these unchanged
 GOLDEN_BUILD_SHA256 = {
     "jordan:H2:field": "8d304389119ca704627e2bc7ef0a97f38245380b3bd04f6e19d2d4f2e95f553a",
     "jordan:H3:field": "a0b17b806090fc18c7d977b0229780d7f56a448608a1898041ebde6ee69964c6",
@@ -118,13 +118,44 @@ GOLDEN_BUILD_SHA256 = {
     "root:D:4": "32001474bd88ee0a1c67ce1240801432b3de3b6f3f213645fe7fe89b907326d7",
     "root:E7:7": "7ec1558e89222dbd71119fb12da933c38280891d5cac2227e29e6265ffd50c60",
 }
+GOLDEN_VERIFY_SHA256 = {
+    "jordan:H2:field": "269c0cb7d8bf17c1e8a33893c342355d61cd8287f9576de05f79f90661121d2d",
+    "jordan:H3:field": "0584ef0be06809cc7a6e1e9642b93871194904528ca396d37f73f1162ec7f340",
+    "jordan:H2:split-complex": "fd2c58f2dc7963b2e2f92d526e0e40a0d5b31c8b8186375ffaa7fd99fc0cd7b8",
+    "jordan:H3:split-complex": "bd3d24a7ed0319e2bb7e52e9ed27c0638e27c82bbf79de938f5a2b7563b7e54b",
+    "jordan:J2:dim=3:gram=split": "2fdb4342fdd3521d726adc9e1ce3807e41169b636f3fda33907902c23317ef38",
+    "jordan:J2:dim=4:gram=split": "96d7977288a01775b18a27143d8ae00da303df7d629d8c67b98539a6a14147ab",
+    "jordan:H3:octonion:split": "ddb77e065ac01393d63a5dfd451c13dc61854182dabc75efde33190743e79ea2",
+    "root:C:2:node=2": "e42042f5a6bfe51a87f7b230f5610aa1d973412913846d6b94364d449b7fce79",
+    "root:C:3:node=3": "817b948247acd55e5579fb6190b49ced932c4bbb46a2ef51bac1ea6fa2e4f3db",
+    "root:A:3:node=2": "5b01402898cb8b48a351769cf754f1cd66710b6f961df3d01eb05574efb6ab8c",
+    "root:A:5:node=3": "fc381a6c91c30c88268c8ee25e98aef5448e75e6a87952d703ab54513b9fbf63",
+    "root:B:3:node=1": "88d8006bce0cb762faa3075d59a0690926776d89f6fbf5c7ea445a385d854989",
+    "root:D:4:node=1": "73e896ccb5c757eb9c53b5ed1c0690bd401f1816da890045e2bc5330ea7cd60e",
+    "root:E7:7:node=7": "9750f668f2610269bc5aacfc2597327862ca944bf307ca78ef901aed5a20262b",
+    "root:C:2": "74cb7575d0e294616af5e7cfab87313bb8969a7ce3c1ee456f9df2b9b5786ce5",
+    "root:C:3": "5a588914bc5bee47a42d68711568a735dae17cde1494e911d331655acb5b1b4f",
+    "root:A:3": "7815a97e58664d0df263053d35973b38bea245912d28804f2e6e4bc8347f636a",
+    "root:A:5": "6671168f8729ff928da5bb73be8461a4f545922558acdcf3066ae90943dd7b20",
+    "root:B:3": "685b971290c249874275a2508f436814c17c918f58051e37f3e9efe1fa61ae20",
+    "root:D:4": "a56e8669c43b39fc2206170f027663bfffa0e8494f3277d8f924cc1c8fbff13c",
+    "root:E7:7": "919061d1071ccc0ed7a479eebbbb146dcc02e736897c3d64fa898423196fe5cf",
+}
+# H3(O) runs 100 jordan-identity samples, not the default 1000 that dominate its time
+GOLDEN_VERIFY_ARGS = {"jordan:H3:octonion:split": ["--samples", "100"]}
 
 
-@pytest.mark.parametrize("descriptor", list(GOLDEN_BUILD_SHA256))
-def test_build_golden_hashes(capsys, descriptor):
-    code, out, _ = run(capsys, "build", descriptor)
+@pytest.mark.parametrize(
+    "command, descriptor",
+    [pytest.param("build", d, id=d) for d in GOLDEN_BUILD_SHA256]
+    + [pytest.param("verify", d, id=f"verify:{d}") for d in GOLDEN_VERIFY_SHA256],
+)
+def test_build_golden_hashes(capsys, command, descriptor):
+    golden = GOLDEN_BUILD_SHA256 if command == "build" else GOLDEN_VERIFY_SHA256
+    extra = GOLDEN_VERIFY_ARGS.get(descriptor, []) if command == "verify" else []
+    code, out, _ = run(capsys, command, descriptor, *extra)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_BUILD_SHA256[descriptor]
+    assert hashlib.sha256(out.encode()).hexdigest() == golden[descriptor]
 
 
 def test_build_determinism(tmp_path, capsys):
@@ -306,3 +337,37 @@ def test_classify_malformed(tmp_path, capsys):
     path.write_text(json.dumps({"oops": 1}))
     code, _, err = run(capsys, "classify", str(path))
     assert code == 2
+
+
+def _h3_upper(upper):
+    return {"algebra": "jordan:H3:field", "element": {"diag": ["1", "1", "1"], "upper": upper}}
+
+
+@pytest.mark.parametrize(
+    "doc, needle",
+    [
+        pytest.param(5, '"algebra"', id="document-number"),
+        pytest.param(
+            {"algebra": "jordan:H3:field", "element": {"diag": 5}}, '"diag"', id="diag-number"
+        ),
+        pytest.param(_h3_upper({"1,2": 5}), "upper entry '1,2'", id="upper-entry-number"),
+        pytest.param(
+            {"algebra": "jordan:J2:dim=2", "element": {"a": "1", "b": "1", "v": "12"}},
+            '"v"',
+            id="v-string",
+        ),
+    ]
+    + [
+        pytest.param(
+            _h3_upper({key: {"coeffs": ["1"]}}),
+            f"upper key '{key}': need \"i,j\" with 1 <= i < j <= 3",
+            id=f"upper-key-{key}",
+        )
+        for key in ("2,1", "0,2", "1,4")
+    ],
+)
+def test_classify_malformed_element(tmp_path, capsys, doc, needle):
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "classify", str(path))
+    _assert_usage_error(code, out, err, needle)

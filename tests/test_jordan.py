@@ -65,10 +65,11 @@ def test_degenerate_gram_rejected():
 
 
 def test_table_rejects_non_hermitian_products(split_complex):
-    # corrupt one cell of the coefficient table (no build-time checks run)
+    # corrupt one sparse cell {k: coeff} of the coefficient table (no
+    # build-time checks run)
     def broken(i, j, cell):
         table = [list(row) for row in split_complex.mul_table]
-        table[i][j] = tuple(Q(c) for c in cell)
+        table[i][j] = {k: Q(c) for k, c in enumerate(cell) if c}
         return dataclasses.replace(split_complex, mul_table=tuple(map(tuple, table)))
 
     # i*i = 1 + i: (i E_12 + conj(i) E_21)^2 has a non-scalar diagonal
