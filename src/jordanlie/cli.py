@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -43,7 +44,16 @@ class Target:
     kind: str  # "jordan" | "root" | "lie-json"
     jordan_algebra: Optional[jordan.JordanAlgebra] = None
     lie: Optional[kkt.LieAlgebra] = None
-    root_instance: Optional[tuple] = None  # (type, rank, node or None)
+    split: Optional[kkt.LieAlgebra] = None  # Chevalley build of a root: target
+    node: Optional[int] = None  # its node=, if given
+    parabolic: Optional[rootdata.ParabolicDecomposition] = None
+
+
+def _parse_int(value: str, name: str, text: str) -> int:
+    # plain ASCII digits only: int() would also take "1_0", " 3" or "+3"
+    if not re.fullmatch(r"-?[0-9]+", value):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r} in {text!r}")
+    return int(value)
 
 
 def parse_jordan_descriptor(text: str) -> jordan.JordanAlgebra:
@@ -52,10 +62,7 @@ def parse_jordan_descriptor(text: str) -> jordan.JordanAlgebra:
         raise InvalidParameter(f"not a jordan descriptor: {text!r}")
     head = parts[1]
     if head.startswith("H"):
-        try:
-            r = int(head[1:])
-        except ValueError:
-            raise InvalidParameter(f"bad hermitian degree in {text!r}")
+        r = _parse_int(head[1:], "hermitian degree", text)
         coeff = ":".join(parts[2:])
         if not coeff:
             raise InvalidParameter(f"descriptor {text!r} is missing a coefficient algebra")
@@ -65,7 +72,7 @@ def parse_jordan_descriptor(text: str) -> jordan.JordanAlgebra:
         gram_spec = "I"
         for opt in parts[2:]:
             if opt.startswith("dim="):
-                dim = int(opt[4:])
+                dim = _parse_int(opt[4:], "dim", text)
             elif opt.startswith("gram="):
                 gram_spec = opt[5:]
             else:
@@ -103,11 +110,11 @@ def parse_root_descriptor(text: str) -> tuple:
     type_label = parts[1]
     if type_label not in rootdata.SUPPORTED_TYPES:
         raise InvalidParameter(f"unsupported type {type_label!r}")
-    rank = int(parts[2])
+    rank = _parse_int(parts[2], "rank", text)
     node = None
     for opt in parts[3:]:
         if opt.startswith("node="):
-            node = int(opt[5:])
+            node = _parse_int(opt[5:], "node", text)
         else:
             raise InvalidParameter(f"unknown option {opt!r} in {text!r}")
     return (type_label, rank, node)
@@ -118,7 +125,9 @@ def resolve_target(text: str) -> Target:
         J = parse_jordan_descriptor(text)
         return Target(kind="jordan", jordan_algebra=J)
     if text.startswith("root:"):
-        return Target(kind="root", root_instance=parse_root_descriptor(text))
+        type_label, rank, node = parse_root_descriptor(text)
+        split = rootdata.build_split_lie(type_label, rank)
+        return Target(kind="root", lie=split if node is None else None, split=split, node=node)
     # otherwise: a structure-constant JSON file
     try:
         with open(text) as fh:
@@ -129,17 +138,25 @@ def resolve_target(text: str) -> Target:
 
 
 def target_lie_algebra(t: Target) -> kkt.LieAlgebra:
-    if t.lie is not None:
-        return t.lie
-    if t.kind == "jordan":
-        t.lie = kkt.build_kkt(t.jordan_algebra)
-        return t.lie
-    type_label, rank, node = t.root_instance
-    g = rootdata.build_split_lie(type_label, rank)
-    if node is not None:
-        g = rootdata.graded_algebra(rootdata.parabolic(g, node))
-    t.lie = g
-    return g
+    """The algebra a target names: the split build of a plain root: target,
+    the graded one of a root: target with node=."""
+    if t.lie is None:
+        if t.kind == "jordan":
+            t.lie = kkt.build_kkt(t.jordan_algebra)
+        else:
+            t.lie = rootdata.graded_algebra(target_parabolic(t))
+    return t.lie
+
+
+def target_parabolic(t: Target) -> rootdata.ParabolicDecomposition:
+    """Parabolic of a root: target at its node=, or else at the canonical node."""
+    if t.parabolic is None:
+        node = t.node
+        if node is None:
+            rs = t.split.root_system
+            node = rootdata.canonical_node(rs.type_label, rs.rank)
+        t.parabolic = rootdata.parabolic(t.split, node)
+    return t.parabolic
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +222,11 @@ def run_suite(name: str, target: Target, cfg: verify.Config) -> verify.SuiteResu
     if name == "q-composition":
         if target.kind != "root":
             raise InvalidParameter("q-composition needs a root: target")
-        return verify.suite_q_composition(*target.root_instance, cfg)
+        return verify.suite_q_composition(target_parabolic(target), cfg)
     if name == "cross-validate":
         if target.kind != "root":
             raise InvalidParameter("cross-validate needs a root: target")
-        return verify.suite_cross_validate(*target.root_instance, cfg)
+        return verify.suite_cross_validate(target_parabolic(target), cfg)
     raise InvalidParameter(f"unknown suite {name!r}")
 
 
@@ -266,7 +283,7 @@ def _parse_places(text: str):
         if part in ("inf", "oo"):
             out.append("inf")
         else:
-            out.append(int(part))
+            out.append(_parse_int(part, "place", text))
     return tuple(out)
 
 
@@ -276,8 +293,7 @@ def cmd_export(args) -> int:
     target = resolve_target(args.descriptor)
     if target.kind != "root":
         raise InvalidParameter("report format is defined for root: descriptors")
-    type_label, rank, node = target.root_instance
-    _emit(rootdata.instance_report(type_label, rank, node) + "\n", args.out)
+    _emit(rootdata.instance_report(target_parabolic(target)) + "\n", args.out)
     return 0
 
 

@@ -644,12 +644,23 @@ def element_from_json(obj: dict, alg: JordanAlgebra) -> JordanElement:
                 raise InvalidParameter(f"upper entry {key!r}: {exc}") from None
             entries[(int(m[1]) - 1, int(m[2]) - 1)] = entry
         return alg.from_entries(diag, entries)
+    for key in ("a", "b"):
+        if key not in obj:
+            raise InvalidParameter(f'quadratic element is missing "{key}"')
     v = _rational_list(obj, "v", alg.v_dim)
-    return alg.from_parts(parse(obj["a"]), parse(obj["b"]), v)
+    return alg.from_parts(_parse_at(obj["a"], '"a"'), _parse_at(obj["b"], '"b"'), v)
 
 
 def _rational_list(obj: dict, key: str, n: int) -> list[Fraction]:
     items = obj.get(key)
     if not (isinstance(items, list) and len(items) == n):
         raise InvalidParameter(f'"{key}" must be a list of {n} rationals, got {items!r}')
-    return [parse(c) for c in items]
+    return [_parse_at(c, f'"{key}"[{i}]') for i, c in enumerate(items)]
+
+
+def _parse_at(value, where: str) -> Fraction:
+    """parse(value), with a failure naming the key it was read from."""
+    try:
+        return parse(value)
+    except (InvalidParameter, ValueError) as exc:
+        raise InvalidParameter(f"{where}: {exc}") from None

@@ -130,8 +130,9 @@ class LieAlgebra:
     m_operators: Optional[list] = None
     # rootdata.RootSystem of a Chevalley build; derived data, not compared
     root_system: Optional[object] = field(default=None, compare=False, repr=False)
-    _killing: Optional[list] = field(default=None, repr=False)
-    _ad_cache: Optional[list] = field(default=None, repr=False)
+    # memoized derived data: never passed, copied by replace() or compared
+    _killing: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    _ad_cache: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -185,31 +186,34 @@ class LieAlgebra:
                 total += ci * cj * _trace_product(ads[i], ads[j])
         return total
 
-    def killing_scale(self) -> Fraction:
-        """Scalar s with kappa = s * ad-trace form, fixed by the norm pair."""
-        if self.norm_pair is None:
-            raise InvalidParameter("algebra carries no normalization pair")
-        f1, e1 = self.norm_pair
-        raw = self.killing_raw(f1, e1)
-        if raw == 0:
-            raise ConstructionError("ad-trace pairing of the normalization pair vanishes")
-        return Q(1) / raw
-
     def killing_matrix(self) -> list[list[Fraction]]:
-        """Full normalized Killing Gram matrix on the basis."""
+        """Full Killing Gram matrix on the basis, scaled so that the norm pair
+        pairs to 1.  ad(x) ad(y) shifts weights by w(x) + w(y), so only pairs
+        whose weights cancel are traced.  The weight is the root in a
+        Chevalley build, else the grading degree; with neither, every pair is
+        traced."""
         if self._killing is None:
+            if self.root_system is not None:
+                weights = self.root_system.weights
+            elif self.grading is not None:
+                weights = [(d,) for d in self.grading]
+            else:
+                weights = [()] * self.dim
+            by_weight: dict = {}
+            for i, w in enumerate(weights):
+                by_weight.setdefault(w, []).append(i)
+            s = Q(1)
+            if self.norm_pair is not None:
+                raw = self.killing_raw(*self.norm_pair)
+                if raw == 0:
+                    raise ConstructionError("ad-trace pairing of the normalization pair vanishes")
+                s = 1 / raw
             ads = self._ads()
-            n = self.dim
-            mat = [[Q(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    if self.grading is not None and self.grading[i] + self.grading[j] != 0:
-                        continue  # weight-shifting composites are traceless
-                    v = _trace_product(ads[i], ads[j])
-                    mat[i][j] = mat[j][i] = v
-            s = self.killing_scale() if self.norm_pair is not None else Q(1)
-            if s != 1:
-                mat = [[s * v for v in row] for row in mat]
+            mat = [[Q(0)] * self.dim for _ in range(self.dim)]
+            for i, w in enumerate(weights):
+                for j in by_weight.get(tuple(-c for c in w), ()):
+                    if j >= i:
+                        mat[i][j] = mat[j][i] = s * _trace_product(ads[i], ads[j])
             self._killing = mat
         return self._killing
 

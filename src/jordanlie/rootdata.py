@@ -9,6 +9,10 @@ the Jordan product x o y = [x, [f, y]]/2, extracts the Pierce quadratic
 forms, and coordinatizes the result back onto a matrix model.  Agreement of
 the two roads, structure constant by structure constant, is the
 cross-validation entry point.
+
+Nothing is cached at module level: each :func:`build_split_lie` call returns
+a fresh algebra, and the entry points past it take the
+:class:`ParabolicDecomposition`, so a caller builds once and passes it on.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import jordan as jordan_mod
 from . import kkt as kkt_mod
@@ -182,6 +186,13 @@ class RootSystem:
     def highest_root(self) -> Root:
         return self.positive_roots[-1]
 
+    @property
+    def weights(self) -> list[Root]:
+        """Weight of every Chevalley basis vector: -a for f_a, 0 for h_i,
+        a for e_a."""
+        pos = self.positive_roots
+        return [_neg(a) for a in pos] + [(0,) * self.rank] * self.rank + list(pos)
+
 
 def _order_key(root: Root) -> tuple:
     return (sum(root), root)
@@ -318,14 +329,10 @@ def _root_label(a: Root) -> str:
 # split Lie algebra assembly
 # ---------------------------------------------------------------------------
 
-_build_cache: dict[tuple[str, int], LieAlgebra] = {}
-
 
 def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
-    """Chevalley-basis Lie algebra; basis order f-block, Cartan, e-block."""
-    key = (type_label, rank)
-    if key in _build_cache:
-        return _build_cache[key]
+    """Chevalley-basis Lie algebra; basis order f-block, Cartan, e-block.
+    Every call returns a fresh algebra."""
     rs = build_root_system(type_label, rank)
     nc = ChevalleyConstants(rs)
     pos = rs.positive_roots
@@ -391,29 +398,7 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
 
     hi = rs.highest_root
     norm_pair = ({f_idx[hi]: Q(1)}, {e_idx[hi]: Q(1)})
-    g = LieAlgebra(labels=labels, brackets=brackets, norm_pair=norm_pair, root_system=rs)
-    _attach_killing(g, rs)
-    _build_cache[key] = g
-    return g
-
-
-def _attach_killing(g: LieAlgebra, rs: RootSystem):
-    """Killing matrix using weight bookkeeping: ad(x)ad(y) is traceless
-    unless the weights of x and y cancel."""
-    n = g.dim
-    ads = g._ads()
-    mat = [[Q(0)] * n for _ in range(n)]
-    for a, i in rs.e_idx.items():
-        j = rs.f_idx[a]
-        v = kkt_mod._trace_product(ads[i], ads[j])
-        mat[i][j] = mat[j][i] = v
-    h = [rs.h_idx(i) for i in range(rs.rank)]
-    for i in range(rs.rank):
-        for j in range(i, rs.rank):
-            v = kkt_mod._trace_product(ads[h[i]], ads[h[j]])
-            mat[h[i]][h[j]] = mat[h[j]][h[i]] = v
-    s = g.killing_scale()
-    g._killing = [[s * v for v in row] for row in mat]
+    return LieAlgebra(labels=labels, brackets=brackets, norm_pair=norm_pair, root_system=rs)
 
 
 def canonical_node(type_label: str, rank: int) -> int:
@@ -556,7 +541,8 @@ def parabolic(g: LieAlgebra, node: int) -> ParabolicDecomposition:
 
 def graded_algebra(p: ParabolicDecomposition) -> LieAlgebra:
     """The parabolic's algebra re-equipped with the -2/0/+2 grading, the
-    distinguished triple and the Killing normalization pair."""
+    distinguished triple and the Killing normalization pair of the chain's
+    first sl2 triple; the copy computes its own Killing matrix."""
     g = p.algebra
     rs: RootSystem = g.root_system
     S = p.strongly_orthogonal
@@ -935,9 +921,6 @@ def _coordinatize_hermitian(p2, rj, units):
 
 @dataclass
 class CrossValidation:
-    type_label: str
-    rank: int
-    node: int
     dim: int
     mismatches: list
 
@@ -946,13 +929,10 @@ class CrossValidation:
         return not self.mismatches
 
 
-def cross_validate(type_label: str, rank: int, node: Optional[int] = None) -> CrossValidation:
+def cross_validate(p: ParabolicDecomposition) -> CrossValidation:
     """Transport the Chevalley build onto the matrix-model build through the
     coordinatization and compare every structure constant."""
-    if node is None:
-        node = canonical_node(type_label, rank)
-    g = build_split_lie(type_label, rank)
-    p = parabolic(g, node)
+    g = p.algebra
     coord = coordinatize(p)
     p2 = coord.parabolic
     g1 = graded_algebra(p2)
@@ -974,7 +954,6 @@ def cross_validate(type_label: str, rank: int, node: Optional[int] = None) -> Cr
     n_idx1 = g1.degree_indices(2)
     nbar_idx1 = g1.degree_indices(-2)
     m_idx1 = g1.degree_indices(0)
-    pos_in_n1 = {b: a for a, b in enumerate(n_idx1)}
     pos_in_nbar1 = {b: a for a, b in enumerate(nbar_idx1)}
 
     # target block index helpers (kkt layout: nbar, m, n)
@@ -984,21 +963,18 @@ def cross_validate(type_label: str, rank: int, node: Optional[int] = None) -> Cr
     # echelon of flattened m-operators on the kkt side; re-inserting the
     # already-reduced basis rows reproduces the same pivots and ordering
     span2 = EchelonBasis()
-    m_ops2 = g2.m_operators
-    for a, op in enumerate(m_ops2):
+    for op in g2.m_operators:
         span2.insert(kkt_mod._flatten(op.cols, nJ))
     # column echelon coordinates: rebuild transport of m through operators
     phi_inv = linalg.invert(phi)
 
     images: dict[int, dict] = {}
     # +2 block
-    local_n = {}
     for i in n_idx1:
         k = n_map[i]
         src = tuple(Q(1) if t == k else Q(0) for t in range(nJ))
         coords = linalg.mat_vec(phi, list(src))
         images[i] = to_n2(coords)
-        local_n[i] = src
     # -2 block: w-conjugated transport
     for i in nbar_idx1:
         col = [Q(0)] * len(nbar_idx1)
@@ -1058,13 +1034,7 @@ def cross_validate(type_label: str, rank: int, node: Optional[int] = None) -> Cr
             got = vec_add(got, images[t], c)
         if got != want:
             mismatches.append((f"triple:{name}", ""))
-    return CrossValidation(
-        type_label=type_label,
-        rank=rank,
-        node=node,
-        dim=dim,
-        mismatches=mismatches,
-    )
+    return CrossValidation(dim=dim, mismatches=mismatches)
 
 
 # ---------------------------------------------------------------------------
@@ -1072,18 +1042,16 @@ def cross_validate(type_label: str, rank: int, node: Optional[int] = None) -> Cr
 # ---------------------------------------------------------------------------
 
 
-def instance_report(type_label: str, rank: int, node: Optional[int] = None) -> str:
-    if node is None:
-        node = canonical_node(type_label, rank)
-    g = build_split_lie(type_label, rank)
-    p = parabolic(g, node)
+def instance_report(p: ParabolicDecomposition) -> str:
+    g = p.algebra
+    rs = g.root_system
     r = p.degree
     dims = sorted(
         {len(p.pierce_roots(i, j)) for i in range(1, r + 1) for j in range(i + 1, r + 1)}
     )
     d = dims[0] if len(dims) == 1 else dims
     lines = [
-        f"type {type_label} rank {rank} node {node}",
+        f"type {rs.type_label} rank {rs.rank} node {p.node}",
         f"dim g = {g.dim}, dim n = {len(p.n_roots)}",
         f"degree r = {r}",
         "strongly orthogonal chain: "

@@ -28,7 +28,6 @@ EXHAUSTIVE_DIM = 36
 class Config:
     seed: int = 0
     sample_count: int = 1000
-    places: tuple = ("inf", 2, 3, 5, 7, 11)
     jobs: int = 1
 
     def __post_init__(self):
@@ -304,10 +303,7 @@ def suite_pierce(J: jordan_mod.JordanAlgebra, cfg: Config) -> SuiteResult:
     )
 
 
-def suite_q_composition(type_label: str, rank: int, node: Optional[int], cfg: Config) -> SuiteResult:
-    g = rootdata.build_split_lie(type_label, rank)
-    node = node or rootdata.canonical_node(type_label, rank)
-    p = rootdata.parabolic(g, node)
+def suite_q_composition(p: rootdata.ParabolicDecomposition, cfg: Config) -> SuiteResult:
     rj = rootdata.jordan_from_roots(p)
     forms = rootdata.q_forms(p)
     r = p.degree
@@ -353,8 +349,8 @@ def suite_q_composition(type_label: str, rank: int, node: Optional[int], cfg: Co
     return SuiteResult("q-composition", True, cfg.sample_count, note=f"seed {cfg.seed}")
 
 
-def suite_cross_validate(type_label: str, rank: int, node: Optional[int], cfg: Config) -> SuiteResult:
-    cv = rootdata.cross_validate(type_label, rank, node)
+def suite_cross_validate(p: rootdata.ParabolicDecomposition, cfg: Config) -> SuiteResult:
+    cv = rootdata.cross_validate(p)
     if not cv.ok:
         return SuiteResult(
             "cross-validate",
@@ -363,12 +359,13 @@ def suite_cross_validate(type_label: str, rank: int, node: Optional[int], cfg: C
             witness=f"first mismatch at {cv.mismatches[0]}",
         )
     # "E7" already names its rank; "A" with rank 3 reads "A3"
-    name = type_label if type_label[-1].isdigit() else f"{type_label}{rank}"
+    rs = p.algebra.root_system
+    name = rs.type_label if rs.type_label[-1].isdigit() else f"{rs.type_label}{rs.rank}"
     return SuiteResult(
         "cross-validate",
         True,
         cv.dim * (cv.dim - 1) // 2,
-        note=f"{name} node {cv.node}, dim {cv.dim}",
+        note=f"{name} node {p.node}, dim {cv.dim}",
     )
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from jordanlie import jordan, kkt
+from jordanlie import jordan, kkt, rootdata
 from jordanlie.composition import build_composition
 
 
@@ -61,5 +61,22 @@ def kkt_builds(family_instances):
         if name not in _kkt_cache:
             _kkt_cache[name] = kkt.build_kkt(family_instances[name])
         return _kkt_cache[name]
+
+    return get
+
+
+_split_cache = {}
+
+
+@pytest.fixture(scope="session")
+def split_builds():
+    """Chevalley builds shared across the session (build_split_lie itself
+    returns a fresh algebra on every call); tests must not mutate them."""
+
+    def get(type_label, rank):
+        key = (type_label, rank)
+        if key not in _split_cache:
+            _split_cache[key] = rootdata.build_split_lie(type_label, rank)
+        return _split_cache[key]
 
     return get

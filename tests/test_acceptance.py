@@ -45,10 +45,13 @@ def jordan_side_triple(J):
     return (J.dim, J.degree, pierce(J).off_diagonal_dim)
 
 
-def root_side_triple(name):
+def root_side_parabolic(split_builds, name):
     tl, rk, node, _ = INSTANCES[name]
-    g = rootdata.build_split_lie(tl, rk)
-    p = rootdata.parabolic(g, node)
+    return rootdata.parabolic(split_builds(tl, rk), node)
+
+
+def root_side_triple(split_builds, name):
+    p = root_side_parabolic(split_builds, name)
     r = p.degree
     dims = {
         len(p.pierce_roots(i, j))
@@ -59,7 +62,7 @@ def root_side_triple(name):
     return (len(p.n_roots), r, dims.pop())
 
 
-def test_ac1_table_reproduction():
+def test_ac1_table_reproduction(split_builds):
     t0 = time.monotonic()
     for name in ("C2", "C3", "A3", "A5", "B3", "D4"):
         expected = INSTANCES[name][3]
@@ -67,7 +70,7 @@ def test_ac1_table_reproduction():
         g = kkt.build_kkt(J)
         _kkt_cache.setdefault(name, g)
         assert jordan_side_triple(J) == expected, name
-        assert root_side_triple(name) == expected, name
+        assert root_side_triple(split_builds, name) == expected, name
     small = time.monotonic() - t0
     assert small < 10, f"non-E7 table reproduction took {small:.1f}s"
     t1 = time.monotonic()
@@ -76,7 +79,7 @@ def test_ac1_table_reproduction():
     _kkt_cache.setdefault("E7", g7)
     e7_build = time.monotonic() - t1
     assert jordan_side_triple(J7) == (27, 3, 8)
-    assert root_side_triple("E7") == (27, 3, 8)
+    assert root_side_triple(split_builds, "E7") == (27, 3, 8)
     assert e7_build < 300, f"E7 build took {e7_build:.1f}s"
     print(
         f"\nAC1 table reproduction ((dim n, r, d) both paths, "
@@ -84,18 +87,18 @@ def test_ac1_table_reproduction():
     )
 
 
-def test_ac2_jacobi(kkt_builds):
+def test_ac2_jacobi(kkt_builds, split_builds):
     cfg_small = verify.Config(seed=0, sample_count=1)
     checked = []
     for name in ("C2", "C3", "A3", "A5", "B3", "D4"):
-        for g in (kkt_builds(name), rootdata.build_split_lie(*INSTANCES[name][:2])):
+        for g in (kkt_builds(name), split_builds(*INSTANCES[name][:2])):
             assert g.dim <= 36
             res = verify.suite_jacobi(g, cfg_small)
             assert res.passed and res.note == "exhaustive", (name, res.line())
             checked.append(res.checked)
     t0 = time.monotonic()
     cfg_big = verify.Config(seed=42, sample_count=100000)
-    for g in (kkt_builds("E7"), rootdata.build_split_lie("E7", 7)):
+    for g in (kkt_builds("E7"), split_builds("E7", 7)):
         assert g.dim == 133
         res = verify.suite_jacobi(g, cfg_big)
         assert res.passed, res.line()
@@ -108,21 +111,20 @@ def test_ac2_jacobi(kkt_builds):
     )
 
 
-def test_ac3_cross_validation():
+def test_ac3_cross_validation(split_builds):
     t0 = time.monotonic()
     for name in ("C2", "C3", "A3", "B3"):
-        tl, rk, node, _ = INSTANCES[name]
-        cv = rootdata.cross_validate(tl, rk, node)
+        cv = rootdata.cross_validate(root_side_parabolic(split_builds, name))
         assert cv.ok, (name, cv.mismatches[:3])
     took = time.monotonic() - t0
     assert took < 60, f"cross-validation took {took:.1f}s"
     print(f"\nAC3 cross-validation (C2, C3, A3, B3 exact transport, {took:.1f}s): PASS")
 
 
-def test_ac4_pierce_form_suite():
+def test_ac4_pierce_form_suite(split_builds):
     # (a) squares rule, exhaustive bilinearly on every Pierce basis
-    for name, (tl, rk, node, expected) in INSTANCES.items():
-        p = rootdata.parabolic(rootdata.build_split_lie(tl, rk), node)
+    for name in INSTANCES:
+        p = root_side_parabolic(split_builds, name)
         rj = rootdata.jordan_from_roots(p)
         forms = rootdata.q_forms(p)
         for (i, j), form in forms.items():
@@ -151,9 +153,8 @@ def test_ac4_pierce_form_suite():
     # (c) composition identity, 1000 seeded samples per named instance
     notes = []
     for name in ("A5", "C3", "D4"):
-        tl, rk, node, _ = INSTANCES[name]
         res = verify.suite_q_composition(
-            tl, rk, node, verify.Config(seed=4, sample_count=1000)
+            root_side_parabolic(split_builds, name), verify.Config(seed=4, sample_count=1000)
         )
         assert res.passed, res.line()
         notes.append(f"{name}:{res.checked}")

@@ -228,6 +228,32 @@ def test_build_non_tube_parabolic(capsys):
     _assert_usage_error(code, out, err, "non-tube parabolic")
 
 
+def test_build_root_without_canonical_node(capsys):
+    # A2 has no canonical node; the plain build never asks for a parabolic
+    code, out, _ = run(capsys, "build", "root:A:2")
+    assert code == 0
+    assert len(json.loads(out)["basis"]) == 8
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["build", "jordan:J2:dim=x"], "dim must be an integer, got 'x' in 'jordan:J2:dim=x'"),
+        (["build", "jordan:J2:dim=1_0"], "dim must be an integer, got '1_0'"),
+        (["build", "root:A:x"], "rank must be an integer, got 'x' in 'root:A:x'"),
+        (["build", "root:A:3:node=x"], "node must be an integer, got 'x' in 'root:A:3:node=x'"),
+        (["classify", "ELEMENT", "--places", "inf,x"], "place must be an integer, got 'x' in 'inf,x'"),
+    ],
+    ids=["dim", "dim-underscore", "rank", "node", "places"],
+)
+def test_integer_fields_name_themselves(tmp_path, capsys, argv, needle):
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps({"algebra": "jordan:H2:field", "element": {"diag": ["1", "1"]}}))
+    argv = [str(path) if a == "ELEMENT" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    _assert_usage_error(code, out, err, needle)
+
+
 TWO_BASIS = [{"label": "a", "degree": None}, {"label": "b", "degree": None}]
 
 
@@ -355,6 +381,21 @@ def _h3_upper(upper):
             {"algebra": "jordan:J2:dim=2", "element": {"a": "1", "b": "1", "v": "12"}},
             '"v"',
             id="v-string",
+        ),
+        pytest.param(
+            {"algebra": "jordan:H3:field", "element": {"diag": ["1", 5, "1"]}},
+            '"diag"[1]: rational must be a "p/q" string, got 5',
+            id="diag-entry-number",
+        ),
+        pytest.param(
+            {"algebra": "jordan:J2:dim=2", "element": {"b": "1", "v": ["1", "1"]}},
+            'quadratic element is missing "a"',
+            id="missing-a",
+        ),
+        pytest.param(
+            {"algebra": "jordan:J2:dim=2", "element": {"a": "1", "v": ["1", "1"]}},
+            'quadratic element is missing "b"',
+            id="missing-b",
         ),
     ]
     + [

@@ -92,7 +92,17 @@ def test_killing_suite(kkt_builds):
         assert res.passed, res.line()
 
 
-def test_killing_normalization_and_oracle(kkt_builds):
+def assert_killing_matches_oracle(g):
+    """Every basis pair of the weight-skipping Killing matrix against the raw
+    ad-trace recomputation, rescaled by the norm pair."""
+    scale = g.killing_raw(*g.norm_pair)
+    mat = g.killing_matrix()
+    for i in range(g.dim):
+        for j in range(g.dim):
+            assert mat[i][j] == g.killing_raw({i: Q(1)}, {j: Q(1)}) / scale, (i, j)
+
+
+def test_killing_normalization_and_oracle(kkt_builds, split_builds):
     g = kkt_builds("C2")
     f, h, e = g.triple
     # raw ad-trace recomputation as the oracle for the normalized values
@@ -100,6 +110,8 @@ def test_killing_normalization_and_oracle(kkt_builds):
     scale = g.killing_raw(f1, e1)
     assert g.killing(f1, e1) == 1
     assert g.killing_raw(h, h) / scale == g.killing(h, h)
+    for alg in (g, split_builds("C", 3), split_builds("A", 3)):
+        assert_killing_matches_oracle(alg)
     # kappa(h, h) = 2r under the chosen normalization
     assert g.killing(h, h) == 4
     g3 = kkt_builds("C3")

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -64,27 +65,47 @@ def test_structure_constants_match_string_lengths():
             assert abs(val) == p + 1
 
 
-def test_dimensions():
-    assert build_split_lie("C", 2).dim == 10
-    assert build_split_lie("A", 3).dim == 15
-    assert build_split_lie("E7", 7).dim == 133
+def test_dimensions(split_builds):
+    assert split_builds("C", 2).dim == 10
+    assert split_builds("A", 3).dim == 15
+    assert split_builds("E7", 7).dim == 133
 
 
-def test_jacobi_exhaustive_small():
+def test_build_split_lie_returns_fresh_algebras():
+    a = build_split_lie("C", 3)
+    b = build_split_lie("C", 3)
+    assert a is not b and a == b
+    a.brackets.clear()
+    a.norm_pair = None
+    assert b.brackets and b.norm_pair is not None
+    assert b == build_split_lie("C", 3)
+
+
+def test_replace_recomputes_killing_from_its_own_norm_pair():
+    g = build_split_lie("C", 3)
+    f1, e1 = g.norm_pair
+    assert g.killing(f1, e1) == 1
+    f2 = {k: 2 * c for k, c in f1.items()}
+    g2 = replace(g, norm_pair=(f2, e1))
+    assert g2.killing(f2, e1) == 1
+    assert g.killing(f2, e1) == 2
+
+
+def test_jacobi_exhaustive_small(split_builds):
     for tl, rk in (("A", 2), ("C", 2), ("B", 2), ("C", 3), ("B", 3), ("A", 3), ("D", 4), ("A", 5)):
-        g = build_split_lie(tl, rk)
+        g = split_builds(tl, rk)
         res = verify.suite_jacobi(g, CFG)
         assert res.passed, f"{tl}{rk}: {res.line()}"
 
 
-def test_jacobi_sampled_e7():
-    g = build_split_lie("E7", 7)
+def test_jacobi_sampled_e7(split_builds):
+    g = split_builds("E7", 7)
     res = verify.suite_jacobi(g, verify.Config(seed=23, sample_count=20000))
     assert res.passed, res.line()
 
 
-def test_jacobi_d6():
-    g = build_split_lie("D", 6)
+def test_jacobi_d6(split_builds):
+    g = split_builds("D", 6)
     res = verify.suite_jacobi(g, verify.Config(seed=24, sample_count=40000))
     assert res.passed, res.line()
 
@@ -100,10 +121,10 @@ def test_cartan_matrix_and_simple_roots():
 
 
 @pytest.mark.parametrize("key", list(TABLE))
-def test_parabolic_table(key):
+def test_parabolic_table(key, split_builds):
     tl, rk, node = key
     dim_g, dim_n, r, d = TABLE[key]
-    g = build_split_lie(tl, rk)
+    g = split_builds(tl, rk)
     assert g.dim == dim_g
     p = parabolic(g, node)
     assert len(p.n_roots) == dim_n
@@ -131,16 +152,16 @@ def test_canonical_nodes():
         canonical_node("A", 4)
 
 
-def test_non_abelian_node_rejected():
-    g = build_split_lie("C", 3)
+def test_non_abelian_node_rejected(split_builds):
+    g = split_builds("C", 3)
     with pytest.raises(InvalidParameter):
         parabolic(g, 1)  # long-root coefficient 2
 
 
-def test_chain_is_strongly_orthogonal_and_maximal():
+def test_chain_is_strongly_orthogonal_and_maximal(split_builds):
     for key in TABLE:
         tl, rk, node = key
-        g = build_split_lie(tl, rk)
+        g = split_builds(tl, rk)
         p = parabolic(g, node)
         rs = g.root_system
         S = p.strongly_orthogonal
@@ -154,20 +175,20 @@ def test_chain_is_strongly_orthogonal_and_maximal():
             assert any(rs.inner(a, b) != 0 for b in S), "chain is not maximal"
 
 
-def test_graded_algebra_structure():
+def test_graded_algebra_structure(split_builds):
     for key in (("C", 2, 2), ("B", 3, 1), ("E7", 7, 7)):
         tl, rk, node = key
-        g1 = graded_algebra(parabolic(build_split_lie(tl, rk), node))
+        g1 = graded_algebra(parabolic(split_builds(tl, rk), node))
         res = verify.suite_grading(g1, CFG)
         assert res.passed, res.line()
         rep = kkt.verify_span(g1)
         assert rep.ok, rep
 
 
-def test_root_jordan_unit_and_idempotents():
+def test_root_jordan_unit_and_idempotents(split_builds):
     for key in (("C", 3, 3), ("A", 5, 3), ("D", 4, 1), ("E7", 7, 7)):
         tl, rk, node = key
-        p = parabolic(build_split_lie(tl, rk), node)
+        p = parabolic(split_builds(tl, rk), node)
         rj = jordan_from_roots(p)
         e = rj.identity_vec
         for k in range(rj.dim):
@@ -181,11 +202,11 @@ def test_root_jordan_unit_and_idempotents():
                 assert not any(rj.mul_vec(ei, rj.frame_vec(j)))
 
 
-def test_root_jordan_identity_property():
+def test_root_jordan_identity_property(split_builds):
     rng = random.Random(17)
     for key in (("C", 3, 3), ("B", 3, 1)):
         tl, rk, node = key
-        p = parabolic(build_split_lie(tl, rk), node)
+        p = parabolic(split_builds(tl, rk), node)
         rj = jordan_from_roots(p)
         for _ in range(100):
             x = tuple(Q(rng.randint(-5, 5)) for _ in range(rj.dim))
@@ -196,11 +217,11 @@ def test_root_jordan_identity_property():
             )
 
 
-def test_pierce_squares_rule_exhaustive():
+def test_pierce_squares_rule_exhaustive(split_builds):
     # x o x = Q_ij(x) (e_i + e_j) checked bilinearly on each Pierce basis
     for key in TABLE:
         tl, rk, node = key
-        p = parabolic(build_split_lie(tl, rk), node)
+        p = parabolic(split_builds(tl, rk), node)
         rj = jordan_from_roots(p)
         forms = q_forms(p)
         for (i, j), form in forms.items():
@@ -227,10 +248,10 @@ def test_pierce_squares_rule_exhaustive():
                 assert list(sq) == want, (key, (i, j))
 
 
-def test_q_forms_nondegenerate_and_split():
+def test_q_forms_nondegenerate_and_split(split_builds):
     for key in TABLE:
         tl, rk, node = key
-        p = parabolic(build_split_lie(tl, rk), node)
+        p = parabolic(split_builds(tl, rk), node)
         for (i, j), form in q_forms(p).items():
             gram = [list(row) for row in form.gram]
             assert linalg.det(gram) != 0
@@ -243,9 +264,9 @@ def test_q_forms_nondegenerate_and_split():
                            for k in range(d)) or d == 1
 
 
-def test_q_composition_identity_selects_doubled_product():
+def test_q_composition_identity_selects_doubled_product(split_builds):
     # the identity holds for {x, y} = 2(x o y) and fails for x o y
-    p = parabolic(build_split_lie("C", 3), 3)
+    p = parabolic(split_builds("C", 3), 3)
     rj = jordan_from_roots(p)
     forms = q_forms(p)
     rng = random.Random(18)
@@ -273,31 +294,32 @@ def test_q_composition_identity_selects_doubled_product():
     assert saw_single_fail
 
 
-def test_q_composition_suite():
+def test_q_composition_suite(split_builds):
     # coefficient dimensions 2, 1, 4 and 8 in turn
     for tl, rk in (("A", 5), ("C", 3), ("D", 6), ("E7", 7)):
-        res = verify.suite_q_composition(tl, rk, None, verify.Config(seed=5, sample_count=300))
+        p = parabolic(split_builds(tl, rk), canonical_node(tl, rk))
+        res = verify.suite_q_composition(p, verify.Config(seed=5, sample_count=300))
         assert res.passed, res.line()
 
 
-def test_coordinatize_c2_reproduces_rank_two_matrix_table(rationals_algebra):
-    co = coordinatize(parabolic(build_split_lie("C", 2), 2))
+def test_coordinatize_c2_reproduces_rank_two_matrix_table(rationals_algebra, split_builds):
+    co = coordinatize(parabolic(split_builds("C", 2), 2))
     h2 = jordan.hermitian(2, rationals_algebra)
     assert co.model.variant == "quadratic"
     assert co.model.gram == ((Q(1),),)
     assert co.model.mul_table == h2.mul_table
 
 
-def test_coordinatize_c3_reproduces_h3_table(rationals_algebra):
-    co = coordinatize(parabolic(build_split_lie("C", 3), 3))
+def test_coordinatize_c3_reproduces_h3_table(rationals_algebra, split_builds):
+    co = coordinatize(parabolic(split_builds("C", 3), 3))
     h3 = jordan.hermitian(3, rationals_algebra)
     assert co.model.variant == "hermitian"
     assert co.model.coeff_algebra.dim == 1
     assert co.model.mul_table == h3.mul_table
 
 
-def test_coordinatize_a5_split_coefficients():
-    co = coordinatize(parabolic(build_split_lie("A", 5), 3))
+def test_coordinatize_a5_split_coefficients(split_builds):
+    co = coordinatize(parabolic(split_builds("A", 5), 3))
     D = co.model.coeff_algebra
     assert D.dim == 2
     vals = [Q(-2), Q(-1), Q(0), Q(1), Q(2)]
@@ -308,8 +330,8 @@ def test_coordinatize_a5_split_coefficients():
     )
 
 
-def test_coordinatize_d4_routes_to_quadratic():
-    co = coordinatize(parabolic(build_split_lie("D", 4), 1))
+def test_coordinatize_d4_routes_to_quadratic(split_builds):
+    co = coordinatize(parabolic(split_builds("D", 4), 1))
     assert co.model.variant == "quadratic"
     assert co.model.v_dim == 4
 
@@ -327,34 +349,34 @@ def transport_products(co):
 
 @pytest.mark.parametrize("key", [("C", 2, 2), ("C", 3, 3), ("A", 3, 2), ("A", 5, 3),
                                  ("B", 3, 1), ("D", 4, 1), ("D", 6, 6), ("E7", 7, 7)])
-def test_coordinatize_transports_products(key):
+def test_coordinatize_transports_products(key, split_builds):
     tl, rk, node = key
-    co = coordinatize(parabolic(build_split_lie(tl, rk), node))
+    co = coordinatize(parabolic(split_builds(tl, rk), node))
     assert transport_products(co) is None
     # identity maps to identity
     assert co.apply(co.root_jordan.identity_vec) == co.model.identity
 
 
 @pytest.mark.parametrize("key", [("C", 2), ("C", 3), ("A", 3), ("B", 3)])
-def test_cross_validation(key):
+def test_cross_validation(key, split_builds):
     tl, rk = key
-    cv = cross_validate(tl, rk)
+    cv = cross_validate(parabolic(split_builds(tl, rk), canonical_node(tl, rk)))
     assert cv.ok, cv.mismatches[:5]
 
 
-def test_cross_validation_quaternionic():
-    cv = cross_validate("D", 6, 6)
+def test_cross_validation_quaternionic(split_builds):
+    cv = cross_validate(parabolic(split_builds("D", 6), 6))
     assert cv.ok, cv.mismatches[:5]
 
 
-def test_cross_validation_octonionic():
-    cv = cross_validate("E7", 7)
+def test_cross_validation_octonionic(split_builds):
+    cv = cross_validate(parabolic(split_builds("E7", 7), 7))
     assert cv.ok, cv.mismatches[:5]
     assert cv.dim == 133
 
 
-def test_instance_report_format():
-    text = instance_report("C", 3)
+def test_instance_report_format(split_builds):
+    text = instance_report(parabolic(split_builds("C", 3), 3))
     assert "degree r = 3" in text
     assert "(r, d) = (3, 1)" in text
     assert "strongly orthogonal" in text
