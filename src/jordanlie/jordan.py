@@ -11,12 +11,17 @@ Two families are supported:
   product is obtained by polarization.
 
 Every element satisfies a monic polynomial of degree <= r (r the degree of
-the algebra: r for hermitian, 2 for quadratic).  The degree-r characteristic
-coefficients are computed by a uniform linear-dependency algorithm; its
-extreme coefficients are the trace and the determinant-like norm.  Sign
-convention for the quadratic family: N(a, b, v) = ab - Q(v), which is the
-unique constant term making x^2 - T(x) x + N(x) e = 0 hold with the square
-rule above.
+the algebra: r for hermitian, 2 for quadratic).  The powers e, x, ..., x^r
+are formed once (r - 1 products) and the matrix whose columns they are is
+row-reduced once: its first non-pivot column m gives the minimal
+polynomial, and when m = r that is the degree-r characteristic polynomial.
+Otherwise the characteristic coefficients are interpolated along a line
+x + t*g, one power sequence and one row reduction per sample.  Their
+extreme coefficients are the trace and the determinant-like norm, and
+``jordan_trace``, ``jordan_norm`` and ``jordan_inverse`` all read them from
+that one computation.  Sign convention for the quadratic family:
+N(a, b, v) = ab - Q(v), which is the unique constant term making
+x^2 - T(x) x + N(x) e = 0 hold with the square rule above.
 
 Elements are stored as coefficient vectors over a fixed basis: the r
 diagonal matrix units first, then for each pair i < j (in lexicographic
@@ -35,6 +40,7 @@ form Q(v) = v^T G v is evaluated by ``linalg.gram_form``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -426,10 +432,6 @@ class MinPoly:
     char_coeffs: tuple[Fraction, ...]
 
     @property
-    def min_degree(self) -> int:
-        return len(self.min_coeffs) - 1
-
-    @property
     def a_coeffs(self) -> tuple[Fraction, ...]:
         """(a_0, ..., a_{r-1}) with char(t) = t^r - a_{r-1} t^{r-1} + ... + (-1)^r a_0."""
         r = len(self.char_coeffs) - 1
@@ -447,52 +449,42 @@ class MinPoly:
         return (-1) ** r * self.char_coeffs[0]
 
 
-def _power_vectors(x: JordanElement, m: int) -> list[Vec]:
-    out = [x.algebra.identity.vec]
-    cur = x.algebra.identity
-    for _ in range(m):
-        cur = cur * x
-        out.append(cur.vec)
+def _powers(x: JordanElement) -> list[Vec]:
+    """e, x, ..., x^r as vectors, in r - 1 products."""
+    alg = x.algebra
+    out = [alg.identity.vec, x.vec]
+    for _ in range(alg.degree - 1):
+        out.append(alg.mul_vec(out[-1], x.vec))
     return out
 
 
-def _monic_dependency(powers: list[Vec]) -> Optional[tuple[Fraction, ...]]:
-    """Coefficients (c_0..c_{m-1}, 1) with sum c_k x^k + x^m = 0, if the
-    first m vectors are independent and x^m lies in their span."""
-    m = len(powers) - 1
-    mat = [list(p) for p in powers[:m]]
-    if linalg.rank(mat) != m:
-        return None
-    sol = linalg.solve(linalg.transpose(mat), [-c for c in powers[m]])
-    if sol is None:
-        return None
-    return tuple(sol) + (Q(1),)
+def _min_coeffs(powers: list[Vec]) -> tuple[Fraction, ...]:
+    """Ascending monic coefficients of the least m with x^m in the span of
+    e, ..., x^{m-1}, from one row reduction of the matrix whose columns are
+    the powers: m is the first non-pivot column, and its entries in the
+    pivot rows give x^m = sum_{i<m} rows[i][m] x^i."""
+    rows, pivots = linalg.rref([list(col) for col in zip(*powers)])
+    m = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+    if m == len(powers):
+        raise ConstructionError("element satisfies no monic polynomial of degree <= r")
+    return tuple(-rows[i][m] for i in range(m)) + (Q(1),)
 
 
-def _min_poly(x: JordanElement) -> tuple[Fraction, ...]:
-    r = x.algebra.degree
-    powers = _power_vectors(x, r)
-    for m in range(1, r + 1):
-        dep = _monic_dependency(powers[: m + 1])
-        if dep is not None:
-            return dep
-    raise ConstructionError("element satisfies no monic polynomial of degree <= r")
+def _polys(x: JordanElement) -> tuple[list[Vec], tuple, tuple]:
+    """The powers e..x^r, the minimal and the characteristic coefficients.
 
-
-def _char_poly(x: JordanElement) -> tuple[Fraction, ...]:
-    """Ascending monic degree-r characteristic coefficients.
-
-    Generic elements (powers e..x^{r-1} independent) are solved directly.
-    Otherwise the element is moved along the line x + t*g through a fixed
-    generic element g; the characteristic coefficients are polynomials of
-    degree <= r in t, so r+1 generic sample points determine them, and the
-    value at t = 0 is read off by Lagrange interpolation.
+    When the minimal polynomial has degree r it is the characteristic
+    polynomial.  Otherwise the element is moved along the line x + t*g
+    through a fixed generic element g; the characteristic coefficients are
+    polynomials of degree <= r in t, so r+1 generic sample points determine
+    them, and the value at t = 0 is read off by Lagrange interpolation.
     """
     alg = x.algebra
     r = alg.degree
-    direct = _monic_dependency(_power_vectors(x, r))
-    if direct is not None:
-        return direct
+    powers = _powers(x)
+    min_coeffs = _min_coeffs(powers)
+    if len(min_coeffs) == r + 1:
+        return powers, min_coeffs, min_coeffs
     probe = alg.element(alg._generic_probe)
     nodes: list[Fraction] = []
     samples: list[tuple[Fraction, ...]] = []
@@ -501,50 +493,44 @@ def _char_poly(x: JordanElement) -> tuple[Fraction, ...]:
         t += 1
         if t > 20 * (r + 1):
             raise ConstructionError("could not find enough generic sample points")
-        y = x + t * probe
-        dep = _monic_dependency(_power_vectors(y, r))
-        if dep is None:
+        dep = _min_coeffs(_powers(x + t * probe))
+        if len(dep) != r + 1:
             continue
         nodes.append(Q(t))
         samples.append(dep)
-    coeffs = []
-    for k in range(r):
-        val = Q(0)
-        for i in range(r + 1):
-            w = samples[i][k]
-            for j in range(r + 1):
-                if j != i:
-                    w *= nodes[j] / (nodes[j] - nodes[i])
-            val += w
-        coeffs.append(val)
-    return tuple(coeffs) + (Q(1),)
+    # Lagrange weights of the value at t = 0
+    weights = [
+        math.prod((tj / (tj - ti) for tj in nodes if tj != ti), start=Q(1)) for ti in nodes
+    ]
+    coeffs = tuple(sum((w * s[k] for w, s in zip(weights, samples)), Q(0)) for k in range(r))
+    return powers, min_coeffs, coeffs + (Q(1),)
 
 
 def generic_min_poly(x: JordanElement) -> MinPoly:
-    return MinPoly(min_coeffs=_min_poly(x), char_coeffs=_char_poly(x))
+    _, min_coeffs, char_coeffs = _polys(x)
+    return MinPoly(min_coeffs=min_coeffs, char_coeffs=char_coeffs)
 
 
 def jordan_trace(x: JordanElement) -> Fraction:
-    return -_char_poly(x)[-2]
+    return generic_min_poly(x).trace
 
 
 def jordan_norm(x: JordanElement) -> Fraction:
-    c = _char_poly(x)
-    r = len(c) - 1
-    return (-1) ** r * c[0]
+    return generic_min_poly(x).norm
 
 
 def jordan_inverse(x: JordanElement) -> JordanElement:
     """Inverse inside the (associative) subalgebra generated by x and e."""
-    c = _char_poly(x)
+    alg = x.algebra
+    powers, _, c = _polys(x)
     if c[0] == 0:
         raise SingularElement("element has norm 0")
-    acc = x.algebra.zero()
+    acc = alg.zero()
     for k in range(1, len(c)):
         if c[k]:
-            acc = acc + c[k] * x.power(k - 1)
+            acc = acc + c[k] * JordanElement(alg, powers[k - 1])
     inv = (-1 / c[0]) * acc
-    if not (x * inv == x.algebra.identity and (x * x) * inv == x):
+    if not (x * inv == alg.identity and JordanElement(alg, powers[2]) * inv == x):
         raise ConstructionError("inverse postcondition failed")
     return inv
 
@@ -662,5 +648,5 @@ def _parse_at(value, where: str) -> Fraction:
     """parse(value), with a failure naming the key it was read from."""
     try:
         return parse(value)
-    except (InvalidParameter, ValueError) as exc:
+    except InvalidParameter as exc:
         raise InvalidParameter(f"{where}: {exc}") from None

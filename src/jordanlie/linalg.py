@@ -265,6 +265,3 @@ def solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fract
         x[pc] = rows[r][ncols]
     return x
 
-
-def transpose(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    return [list(col) for col in zip(*mat)]

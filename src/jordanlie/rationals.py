@@ -7,6 +7,7 @@ never produced or accepted.  JSON carries rationals as ``"p/q"`` strings
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InvalidParameter
@@ -26,13 +27,15 @@ def fmt(x: Fraction) -> str:
 
 
 def parse(s: str) -> Fraction:
-    """Parse a "p/q" or "p" string (integers only, no decimal points)."""
+    """Parse a "p/q" or "p" string: ASCII digits with an optional leading
+    minus on p, and a nonzero q.  Blanks, underscores, a plus sign and
+    decimal points are rejected."""
     if not isinstance(s, str):
         raise InvalidParameter(f"rational must be a \"p/q\" string, got {s!r}")
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        if int(den) == 0:
-            raise InvalidParameter(f"zero denominator in {s!r}")
-        return Q(int(num), int(den))
-    return Q(int(s))
+    m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s)
+    if not m:
+        raise InvalidParameter(f"rational must be \"p\" or \"p/q\" in plain digits, got {s!r}")
+    den = int(m[2] or 1)
+    if den == 0:
+        raise InvalidParameter(f"zero denominator in {s!r}")
+    return Q(int(m[1]), den)

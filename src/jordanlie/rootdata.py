@@ -793,6 +793,8 @@ def _rescaled_parabolic(p: ParabolicDecomposition, scales: list[Fraction]):
 
 def coordinatize(p: ParabolicDecomposition) -> Coordinatization:
     r = p.degree
+    if r < 2:
+        raise InvalidParameter(f"cross-validate needs degree r >= 2, but node {p.node} has r = {r}")
     forms = q_forms(p)
     scales = [Q(1)] * r
     units = {}

@@ -19,7 +19,7 @@ from . import linalg, rootdata
 from .errors import InvalidParameter
 from .kkt import LieAlgebra
 from .linalg import vec_add
-from .rationals import Q
+from .rationals import Q, fmt
 
 EXHAUSTIVE_DIM = 36
 
@@ -33,6 +33,8 @@ class Config:
     def __post_init__(self):
         if self.sample_count < 1:
             raise InvalidParameter("sample_count must be >= 1")
+        if self.jobs < 1:
+            raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass
@@ -77,36 +79,36 @@ def suite_jacobi(g: LieAlgebra, cfg: Config) -> SuiteResult:
             for _ in range(cfg.sample_count)
         ]
         note = f"sampled, seed {cfg.seed}"
-    chunks = [triples] if cfg.jobs <= 1 else _split(triples, cfg.jobs)
-    witness = None
-    if cfg.jobs <= 1 or len(chunks) == 1:
-        for (i, j, k) in triples:
-            if jacobi_residual(g, i, j, k):
-                witness = (i, j, k)
-                break
+    chunks = _split(triples, cfg.jobs)
+    if len(chunks) <= 1:
+        hits = [_jacobi_chunk((g, ch)) for ch in chunks]
     else:
         import multiprocessing
 
         lite = LieAlgebra(labels=g.labels, brackets=g.brackets, grading=g.grading)
-        with multiprocessing.Pool(cfg.jobs) as pool:
+        with multiprocessing.Pool(min(cfg.jobs, len(chunks))) as pool:
             hits = pool.map(_jacobi_chunk, [(lite, ch) for ch in chunks])
-        found = sorted(h for h in hits if h is not None)
-        witness = found[0] if found else None
+    # chunks are consecutive runs of triples, so the first hit in chunk
+    # order is the first failing triple whatever the number of jobs
+    witness = next((h for h in hits if h is not None), None)
     if witness is not None:
         i, j, k = witness
+        residual = ", ".join(
+            f"{g.labels[t]}: {fmt(c)}" for t, c in sorted(jacobi_residual(g, i, j, k).items())
+        )
         return SuiteResult(
             "jacobi",
             False,
             len(triples),
-            witness=f"({g.labels[i]}, {g.labels[j]}, {g.labels[k]}) residual "
-            f"{sorted(jacobi_residual(g, i, j, k).items())}",
+            witness=f"({g.labels[i]}, {g.labels[j]}, {g.labels[k]}) residual {{{residual}}}",
             note=note,
         )
     return SuiteResult("jacobi", True, len(triples), note=note)
 
 
 def _split(items, parts):
-    size = (len(items) + parts - 1) // parts
+    """items cut into at most parts consecutive chunks, none empty."""
+    size = max(1, -(-len(items) // parts))
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from jordanlie import kkt, rootdata, verify
 from jordanlie.cli import main, parse_jordan_descriptor, parse_root_descriptor
 from jordanlie.errors import InvalidParameter
 
@@ -243,8 +244,9 @@ def test_build_root_without_canonical_node(capsys):
         (["build", "root:A:x"], "rank must be an integer, got 'x' in 'root:A:x'"),
         (["build", "root:A:3:node=x"], "node must be an integer, got 'x' in 'root:A:3:node=x'"),
         (["classify", "ELEMENT", "--places", "inf,x"], "place must be an integer, got 'x' in 'inf,x'"),
+        (["verify", "root:C:2", "--suites", "jacobi", "--jobs", "0"], "jobs must be >= 1, got 0"),
     ],
-    ids=["dim", "dim-underscore", "rank", "node", "places"],
+    ids=["dim", "dim-underscore", "rank", "node", "places", "jobs-zero"],
 )
 def test_integer_fields_name_themselves(tmp_path, capsys, argv, needle):
     path = tmp_path / "el.json"
@@ -296,6 +298,47 @@ def test_verify_jobs_parallel_matches_serial(tmp_path):
     assert main(base + ["--jobs", "1", "--out", str(a)]) == 0
     assert main(base + ["--jobs", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # a failing target: both runs name the first failing sample as witness
+    bad = tmp_path / "bad.json"
+    g = verify.corrupted_copy(rootdata.build_split_lie("A", 6), 0, 47, 3, 1)
+    bad.write_text(json.dumps(kkt.to_json(g)))
+    base = ["verify", str(bad), "--suites", "jacobi", "--samples", "20000"]
+    assert main(base + ["--jobs", "1", "--out", str(a)]) == 1
+    assert main(base + ["--jobs", "2", "--out", str(b)]) == 1
+    assert a.read_text() == b.read_text() == (
+        "jacobi: FAIL [20000 checks] (sampled, seed 0) witness: "
+        "(e:0,0,1,1,1,1, f:0,0,0,0,0,1, e:1,1,1,1,1,1) residual {e:0,0,0,1,1,1: -1}\n"
+    )
+
+
+def test_verify_degree_one_parabolic(capsys):
+    code, out, err = run(capsys, "verify", "root:A:1")
+    _assert_usage_error(code, out, err, "cross-validate needs degree r >= 2, but node 1 has r = 1")
+    code, out, _ = run(capsys, "verify", "root:A:1", "--suites", "jacobi,killing")
+    assert code == 0
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "descriptor, needle",
+    [
+        pytest.param("jordan:H2:quaternion:1_0, -1", "got '1_0'", id="underscore"),
+        pytest.param("jordan:H2:quaternion:1, -1", "got ' -1'", id="blank"),
+    ],
+)
+def test_gram_rationals_take_plain_digits_only(capsys, descriptor, needle):
+    code, out, err = run(capsys, "build", descriptor)
+    _assert_usage_error(code, out, err, needle)
+
+
+def test_rationals_with_minus_and_denominator(tmp_path, capsys):
+    path = tmp_path / "el.json"
+    doc = {"algebra": "jordan:H2:field", "element": {"diag": ["-3/4", "2"], "upper": {}}}
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "classify", str(path))
+    assert code == 0
+    assert json.loads(out)["rank"] == 2
+    assert parse_jordan_descriptor("jordan:J2:dim=2:gram=-3/4,1").gram[0][0] == Q(-3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +429,20 @@ def _h3_upper(upper):
             {"algebra": "jordan:H3:field", "element": {"diag": ["1", 5, "1"]}},
             '"diag"[1]: rational must be a "p/q" string, got 5',
             id="diag-entry-number",
+        ),
+        *(
+            pytest.param(
+                {"algebra": "jordan:H2:field", "element": {"diag": [entry, "1"]}},
+                f'"diag"[0]: rational must be "p" or "p/q" in plain digits, got {entry!r}',
+                id=f"diag-entry-{name}",
+            )
+            for name, entry in (
+                ("underscore", "1_0"),
+                ("blanks", " 2 "),
+                ("plus", "+3"),
+                ("negative-denominator", "3/-4"),
+                ("non-ascii-digit", "\u0663"),
+            )
         ),
         pytest.param(
             {"algebra": "jordan:J2:dim=2", "element": {"b": "1", "v": ["1", "1"]}},

@@ -267,6 +267,115 @@ def test_singular_inverse_raises(family_instances):
 
 
 # ---------------------------------------------------------------------------
+# minimal and characteristic polynomials as properties
+# ---------------------------------------------------------------------------
+
+
+def _evaluate(coeffs, x):
+    """sum c_k x^k for ascending coefficients."""
+    alg = x.algebra
+    acc, power = alg.zero(), alg.identity
+    for c in coeffs:
+        acc = acc + c * power
+        power = power * x
+    return acc
+
+
+def _remainder(num, den):
+    """Remainder of ascending-coefficient polynomials, den monic."""
+    num = list(num)
+    for top in range(len(num) - 1, len(den) - 2, -1):
+        c = num[top]
+        for k, d in enumerate(den):
+            num[top - len(den) + 1 + k] -= c * d
+    return num[: len(den) - 1]
+
+
+def _nilpotents(alg):
+    """Nonzero elements b_i or b_i +- b_j whose square is zero."""
+    basis = alg.basis()
+    found = []
+    for i, j in itertools.combinations_with_replacement(range(alg.dim), 2):
+        for x in {basis[i], basis[i] + basis[j], basis[i] - basis[j]}:
+            if not x.is_zero() and (x * x).is_zero() and x not in found:
+                found.append(x)
+        if len(found) >= 2:
+            break
+    return found
+
+
+def _degenerate_elements(alg):
+    frames = alg.frames
+    sums = [
+        sum(subset[1:], subset[0])
+        for k in range(2, alg.degree + 1)
+        for subset in itertools.combinations(frames, k)
+    ]
+    nil = _nilpotents(alg)
+    mixed = [frames[0] + n for n in nil] + [2 * frames[0] - 3 * frames[-1]]
+    return [alg.zero(), *frames, *sums, *nil, *mixed]
+
+
+def test_min_and_char_poly_properties(family_instances):
+    # split coefficient algebras and split forms have nilpotents; the
+    # rational families have none
+    rng = random.Random(13)
+    for name, alg in family_instances.items():
+        assert bool(_nilpotents(alg)) == (name not in ("C2", "C3"))
+        r = alg.degree
+        elements = _degenerate_elements(alg) + [rand_element(rng, alg, span=3) for _ in range(8)]
+        for x in elements:
+            mp = generic_min_poly(x)
+            m = len(mp.min_coeffs) - 1
+            assert mp.min_coeffs[-1] == 1 and len(mp.char_coeffs) == r + 1
+            powers = [list(x.power(k).vec) for k in range(r + 1)]
+            assert m == linalg.rank(powers), (name, x)
+            assert _evaluate(mp.min_coeffs, x).is_zero(), (name, x)
+            assert _evaluate(mp.char_coeffs, x).is_zero(), (name, x)
+            assert not any(_remainder(mp.char_coeffs, mp.min_coeffs)), (name, x)
+            assert jordan_trace(x) == mp.trace and jordan_norm(x) == mp.norm
+            # the two polynomials share their roots, so both constant terms
+            # vanish together; the inverse read off the minimal polynomial
+            # is the one jordan_inverse reads off the characteristic one
+            assert (mp.norm == 0) == (mp.min_coeffs[0] == 0)
+            if mp.norm == 0:
+                with pytest.raises(SingularElement):
+                    jordan_inverse(x)
+                continue
+            c = mp.min_coeffs
+            acc = alg.zero()
+            for k in range(1, m + 1):
+                acc = acc + c[k] * x.power(k - 1)
+            assert jordan_inverse(x) == (-1 / c[0]) * acc, (name, x)
+
+
+def test_one_row_reduction_per_power_sequence(family_instances, monkeypatch):
+    # a generic E7 element: e, x, x^2, x^3 cost two products and one rref,
+    # and the inverse reuses that power sequence
+    alg = family_instances["E7"]
+    x = rand_element(random.Random(14), alg, span=4)
+    counts = {"rref": 0, "products": 0}
+    rref, mul_vec = linalg.rref, jordan.JordanAlgebra.mul_vec
+
+    def counting_rref(mat):
+        counts["rref"] += 1
+        return rref(mat)
+
+    def counting_mul_vec(self, a, b):
+        counts["products"] += 1
+        return mul_vec(self, a, b)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(jordan.JordanAlgebra, "mul_vec", counting_mul_vec)
+    mp = generic_min_poly(x)
+    assert len(mp.min_coeffs) == 4 and mp.norm != 0
+    assert counts == {"rref": 1, "products": 2}
+    counts.update(rref=0, products=0)
+    jordan_inverse(x)
+    assert counts["rref"] == 1 and counts["products"] <= 4
+
+
+# ---------------------------------------------------------------------------
 # axioms as seeded property tests
 # ---------------------------------------------------------------------------
 
