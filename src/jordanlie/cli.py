@@ -15,7 +15,8 @@ Algebra descriptors:
 * ``jordan:J2:dim=<n>[:gram=I|split|g1,g2,...]``
 * ``root:<A|B|C|D|E7>:<rank>[:node=<j>]``
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage, parse or
+construction error.
 All rationals cross the boundary as "p/q" strings; identical invocations
 with identical seeds produce byte-identical output.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import composition, jordan, kkt, orbits, rootdata, verify
-from .errors import InvalidParameter
+from .errors import ConstructionError, InvalidParameter
 from .rationals import Q, parse as parse_rational
 
 USAGE_ERROR = 2
@@ -349,7 +350,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except (InvalidParameter, ValueError, KeyError) as exc:
+    except (InvalidParameter, ConstructionError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

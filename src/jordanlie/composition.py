@@ -20,18 +20,19 @@ structure); the same build-time checks apply.
 The table is stored sparsely: cell mul_table[i][j] is the product of basis
 elements i and j as a dict {k: coeff} with zero coefficients absent, the
 cell format of every structure table in the package.  Products go through
-``linalg.table_product`` and the norm form N(u) = u^T G u through
-``linalg.gram_form``.
+``linalg.table_product``: ``mul_coeffs`` on the table scaled to integers,
+held as ``scaled`` and derived from mul_table at construction.  The norm
+form N(u) = u^T G u goes through ``linalg.gram_form``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import AlgebraMismatch, InvalidParameter
-from .linalg import dense_product, det, gram_form, table_product, vec_add
+from .linalg import ScaledTable, dense_product, det, gram_form, scale_table, table_product, vec_add
 from .rationals import Q, fmt, parse
 
 Coeffs = tuple[Fraction, ...]
@@ -47,6 +48,10 @@ class CompositionAlgebra:
     mul_table: tuple[tuple[dict, ...], ...]  # cell [i][j]: e_i e_j as {k: coeff}
     norm_gram: tuple[Coeffs, ...]
     descriptor: str
+    scaled: ScaledTable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "scaled", scale_table(self.mul_table))
 
     def __repr__(self):
         return f"CompositionAlgebra({self.descriptor})"
@@ -76,7 +81,7 @@ class CompositionAlgebra:
     # -- bilinear data ------------------------------------------------------
 
     def mul_coeffs(self, u: Coeffs, v: Coeffs) -> Coeffs:
-        return dense_product(self.mul_table, u, v)
+        return dense_product(self.scaled, u, v)
 
     def norm_coeffs(self, u: Coeffs) -> Fraction:
         return gram_form(self.norm_gram, enumerate(u), enumerate(u))

@@ -30,7 +30,9 @@ of D; the quadratic family uses (e1, e2, V-basis).
 
 Products go through a multiplication table of basis products in the
 package's one cell format: mul_table[i][j] is b_i o b_j as a dict
-{k: coeff} with zeros absent, evaluated by ``linalg.table_product``.  The
+{k: coeff} with zeros absent.  ``mul_vec`` reads the same table scaled to
+integers over its common denominator (``linalg.scale_table``) through
+``linalg.dense_product``, which runs ``linalg.table_product`` on ints.  The
 hermitian table is formed from sparse matrix units multiplied through D's
 own table by the same kernel; ``HermitianJordan.symmetrized_product``, the
 same product by genuine matrix multiplication over D, is kept as the
@@ -63,6 +65,8 @@ class JordanAlgebra:
     variant: str  # "hermitian" | "quadratic"
     dim: int
     degree: int
+    mul_table: list[list[dict]]
+    scaled: linalg.ScaledTable  # mul_table over its common denominator
 
     def __init__(self):
         raise TypeError("use jordan.hermitian(...) or jordan.quadratic(...)")
@@ -70,7 +74,8 @@ class JordanAlgebra:
     # -- common setup, called by the factories ------------------------------
 
     def _finish_init(self):
-        self.mul_table: list[list[dict]] = self._build_mul_table()
+        self.mul_table = self._build_mul_table()
+        self.scaled = linalg.scale_table(self.mul_table)
         self.identity = self.element(self._identity_vec())
         self.frames = [self.element(v) for v in self._frame_vecs()]
         # fixed element with r distinct "eigenvalues"; used to steer the
@@ -108,7 +113,7 @@ class JordanAlgebra:
     # -- product -------------------------------------------------------------
 
     def mul_vec(self, x: Vec, y: Vec) -> Vec:
-        return linalg.dense_product(self.mul_table, x, y)
+        return linalg.dense_product(self.scaled, x, y)
 
     def lmul_matrix(self, x: Vec) -> list[list[Fraction]]:
         """Matrix of z -> x o z in the algebra basis (columns are x o b_j)."""

@@ -1,12 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Vectors are dicts {index: Fraction} with zero entries absent; small dense
-problems use lists of lists.  Everything here is deterministic: pivoting
-follows first-nonzero order, never magnitude.
+Vectors are dicts {index: coeff} with zero entries absent; small dense
+problems use lists of lists.  Coefficients are Fractions, except inside
+``dense_product``, which scales its table and inputs to Python ints, runs
+the one table kernel on them and divides each entry back once.  Everything
+here is deterministic: pivoting follows first-nonzero order, never
+magnitude.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -64,12 +69,40 @@ def gram_form(gram, xs, ys) -> Fraction:
     return total
 
 
-def dense_product(table, x, y) -> tuple:
-    """The product of dense coefficient vectors x and y through a square
-    table, as a dense tuple."""
-    prod = table_product({}, table, enumerate(x), enumerate(y))
+@dataclass(frozen=True)
+class ScaledTable:
+    """A table of sparse cells times den, the least common denominator of its
+    coefficients: the same {k: coeff} cells, holding ints."""
+
+    cells: tuple
+    den: int
+
+
+def scale_table(table) -> ScaledTable:
+    den = math.lcm(*(c.denominator for row in table for cell in row for c in cell.values()))
+    cells = tuple(
+        tuple({k: c.numerator * (den // c.denominator) for k, c in cell.items()} for cell in row)
+        for row in table
+    )
+    return ScaledTable(cells, den)
+
+
+def _scaled(vec) -> tuple[list, int]:
+    """The nonzero entries of vec as (i, int) pairs over their lcm d, and d."""
+    d = math.lcm(*(c.denominator for c in vec if c))
+    return [(i, c.numerator * (d // c.denominator)) for i, c in enumerate(vec) if c], d
+
+
+def dense_product(scaled: ScaledTable, x, y) -> tuple:
+    """The product of dense coefficient vectors x and y through a scaled
+    table, as a dense tuple of Fractions: the inputs are scaled once to
+    ints, ``table_product`` runs on ints and each entry is divided once."""
+    xs, dx = _scaled(x)
+    ys, dy = _scaled(y)
+    prod = table_product({}, scaled.cells, xs, ys)
+    den = dx * dy * scaled.den
     zero = Q(0)
-    return tuple([prod.get(k, zero) for k in range(len(table))])
+    return tuple([Q(n, den) if (n := prod.get(k)) else zero for k in range(len(scaled.cells))])
 
 
 class EchelonBasis:

@@ -586,9 +586,13 @@ class RootJordan:
     basis_roots: tuple[Root, ...]
     table: list[list[dict]]
     dim: int
+    scaled: linalg.ScaledTable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.scaled = linalg.scale_table(self.table)
 
     def mul_vec(self, x, y):
-        return linalg.dense_product(self.table, x, y)
+        return linalg.dense_product(self.scaled, x, y)
 
     def frame_scale(self, i: int) -> Fraction:
         """Coefficient of the i-th frame idempotent on its root vector
@@ -1051,14 +1055,17 @@ def instance_report(p: ParabolicDecomposition) -> str:
     dims = sorted(
         {len(p.pierce_roots(i, j)) for i in range(1, r + 1) for j in range(i + 1, r + 1)}
     )
-    d = dims[0] if len(dims) == 1 else dims
+    if len(dims) > 1:
+        raise ConstructionError(f"off-diagonal Pierce dimensions differ: {dims}")
     lines = [
         f"type {rs.type_label} rank {rs.rank} node {p.node}",
         f"dim g = {g.dim}, dim n = {len(p.n_roots)}",
         f"degree r = {r}",
         "strongly orthogonal chain: "
         + "; ".join(_root_label(a) for a in p.strongly_orthogonal),
-        f"off-diagonal Pierce dimension d = {d}",
-        f"(r, d) = ({r}, {d})",
     ]
+    if dims:
+        lines += [f"off-diagonal Pierce dimension d = {dims[0]}", f"(r, d) = ({r}, {dims[0]})"]
+    else:
+        lines.append("no off-diagonal Pierce space: degree r = 1 has no pairs i < j")
     return "\n".join(lines)

@@ -6,7 +6,7 @@ import pytest
 
 from jordanlie import kkt, rootdata, verify
 from jordanlie.cli import main, parse_jordan_descriptor, parse_root_descriptor
-from jordanlie.errors import InvalidParameter
+from jordanlie.errors import ConstructionError, InvalidParameter
 
 
 def run(capsys, *argv):
@@ -93,9 +93,29 @@ def test_export_report(capsys):
     assert "(r, d) = (2, 3)" in out
 
 
+def test_export_report_degree_one(capsys):
+    code, out, err = run(capsys, "export", "root:A:1", "--format", "report")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-2:] == [
+        "strongly orthogonal chain: 1",
+        "no off-diagonal Pierce space: degree r = 1 has no pairs i < j",
+    ]
+
+
+def test_construction_error_exits_2(capsys, monkeypatch):
+    def fail(_):
+        raise ConstructionError("Jordan product left the nilradical")
+
+    monkeypatch.setattr(rootdata, "instance_report", fail)
+    code, out, err = run(capsys, "export", "root:B:3", "--format", "report")
+    assert (code, out, err) == (2, "", "error: Jordan product left the nilradical\n")
+
+
 # SHA-256 of the `build` and `verify` stdout for every table instance, along
-# the matrix road (jordan:) and the Chevalley road (root:, graded and plain);
-# any refactor of the construction or the suites must leave these unchanged
+# the matrix road (jordan:) and the Chevalley road (root:, graded and plain),
+# plus three jordan: tables whose common denominators are 42, 10 and 8 (all
+# the others are dyadic); any refactor of the construction or the suites
+# must leave these unchanged
 GOLDEN_BUILD_SHA256 = {
     "jordan:H2:field": "8d304389119ca704627e2bc7ef0a97f38245380b3bd04f6e19d2d4f2e95f553a",
     "jordan:H3:field": "a0b17b806090fc18c7d977b0229780d7f56a448608a1898041ebde6ee69964c6",
@@ -104,6 +124,9 @@ GOLDEN_BUILD_SHA256 = {
     "jordan:J2:dim=3:gram=split": "1e998e061cb2d5e41fd8b01503143fe1450b24beb9a467275b23fb434586e75a",
     "jordan:J2:dim=4:gram=split": "b8854ad8e8d7aefa477a0ab4d7ecd12b7ca0cd9add4496266e72099434a8e7b0",
     "jordan:H3:octonion:split": "a21f97831146e88aa667c793bce1dac0c6d1ced479bf9a40441c1d658e4482c6",
+    "jordan:H2:quaternion:1/3,-5/7": "a6d465288ad2549c39f990128b66fb135aad2e670c28cd4984e8469e9ddaa114",
+    "jordan:J2:dim=2:gram=1/2,3/5": "c33cdfc389db11c2f4b2dd914ce05f2d50926cd6e0f19186674d42e1b9a1f2a6",
+    "jordan:H3:complex:-7/4": "91f9e7172037eedab4e82355302c19a54ba33bb8b6f79461af92cdbbf1236269",
     "root:C:2:node=2": "e95add5dca6a0e47c8e5660f2e82c48a04841fe0b1a5bf6695abe8b1183e9d3d",
     "root:C:3:node=3": "5719819b2be1bbd0f4dcb74904e309f7486232039acc22f084ed42411e32721f",
     "root:A:3:node=2": "83e04e1005a8bd24d4114b5ec2f2cb5639f0a8004dacd215f712003cdae0e724",
@@ -127,6 +150,9 @@ GOLDEN_VERIFY_SHA256 = {
     "jordan:J2:dim=3:gram=split": "2fdb4342fdd3521d726adc9e1ce3807e41169b636f3fda33907902c23317ef38",
     "jordan:J2:dim=4:gram=split": "96d7977288a01775b18a27143d8ae00da303df7d629d8c67b98539a6a14147ab",
     "jordan:H3:octonion:split": "ddb77e065ac01393d63a5dfd451c13dc61854182dabc75efde33190743e79ea2",
+    "jordan:H2:quaternion:1/3,-5/7": "a35264d2f44efe8460423d36f8dad7ad8d89e239794737539d17066ea8de4e92",
+    "jordan:J2:dim=2:gram=1/2,3/5": "ce0ec137daec4160cf8d48fc741062937c8ab8ec440dd9b6bfb6f0756c553196",
+    "jordan:H3:complex:-7/4": "bd3d24a7ed0319e2bb7e52e9ed27c0638e27c82bbf79de938f5a2b7563b7e54b",
     "root:C:2:node=2": "e42042f5a6bfe51a87f7b230f5610aa1d973412913846d6b94364d449b7fce79",
     "root:C:3:node=3": "817b948247acd55e5579fb6190b49ced932c4bbb46a2ef51bac1ea6fa2e4f3db",
     "root:A:3:node=2": "5b01402898cb8b48a351769cf754f1cd66710b6f961df3d01eb05574efb6ab8c",

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from jordanlie import jordan, kkt, linalg, verify
-from jordanlie.errors import InvalidParameter
+from jordanlie.errors import ConstructionError, InvalidParameter
 from jordanlie.rootdata import (
     ChevalleyConstants,
     build_root_system,
@@ -380,3 +380,10 @@ def test_instance_report_format(split_builds):
     assert "degree r = 3" in text
     assert "(r, d) = (3, 1)" in text
     assert "strongly orthogonal" in text
+
+
+def test_instance_report_rejects_unequal_pierce_dimensions(split_builds, monkeypatch):
+    p = parabolic(split_builds("C", 3), 3)
+    monkeypatch.setattr(type(p), "pierce_roots", lambda self, i, j: p.n_roots[: i + j])
+    with pytest.raises(ConstructionError, match=r"Pierce dimensions differ: \[3, 4, 5\]"):
+        instance_report(p)
