@@ -19,8 +19,13 @@ Brackets:
     [T, T']              = T T' - T' T
 
 where T# is the adjoint of T with respect to the trace bilinear form
-T_J(x o y); on generators V_{x,y}# = V_{y,x}.  The distinguished sl2-triple
-is e = identity of J inside n, f = -(identity) inside nbar, h = [e, f].
+T_J(x o y); on generators V_{x,y}# = V_{y,x}.  Operators on n are held in
+linalg's column-sparse format; the m basis is the fully reduced echelon of
+the flattened V_{b_i,b_j}, T# = G^{-1} T^t G is composed sparsely from the
+trace-form Gram matrix G, and [m_a, m_b] is read off the commutator's pivot
+entries, formed only on the operator columns that hold a pivot.  The
+distinguished sl2-triple is e = identity of J inside n, f = -(identity)
+inside nbar, h = [e, f].
 
 The Killing form is the ad-trace form rescaled so that it takes the value 1
 on the pair (f_1, e_1) built from the first frame idempotent.
@@ -31,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import linalg
 from .errors import ConstructionError, InvalidParameter
@@ -40,32 +45,7 @@ from .linalg import EchelonBasis, add_combination, vec_add
 from .rationals import HALF, Q, fmt, parse
 
 SparseVec = dict
-OpCols = tuple  # tuple of sparse column dicts: cols[k] = image of basis k
-
-
-def _apply_op(cols: Sequence[dict], v: SparseVec) -> SparseVec:
-    out: SparseVec = {}
-    for k, c in v.items():
-        col = cols[k]
-        if col:
-            out = vec_add(out, col, c)
-    return out
-
-
-def _flatten(cols: Sequence[dict], n: int) -> SparseVec:
-    flat: SparseVec = {}
-    for k, col in enumerate(cols):
-        base = k * n
-        for row, c in col.items():
-            flat[base + row] = c
-    return flat
-
-
-def _unflatten(flat: SparseVec, n: int) -> OpCols:
-    cols = [dict() for _ in range(n)]
-    for pos, c in flat.items():
-        cols[pos // n][pos % n] = c
-    return tuple(cols)
+OpCols = tuple  # column-sparse operator of linalg: cols[k] = image of basis k
 
 
 @dataclass
@@ -73,17 +53,16 @@ class StructureOperator:
     """m-component element: its action on n and the companion action whose
     negative-bar gives the bracket with nbar."""
 
-    jordan: JordanAlgebra
     cols: OpCols
     sharp_cols: OpCols
 
     def apply(self, v: SparseVec) -> SparseVec:
-        return _apply_op(self.cols, v)
+        return linalg.op_apply(self.cols, v)
 
 
 def structure_operator(J: JordanAlgebra, x: JordanElement, y: JordanElement) -> StructureOperator:
     """V_{x,y} together with its companion V_{y,x}."""
-    return StructureOperator(J, _vop_cols(J, x.vec, y.vec), _vop_cols(J, y.vec, x.vec))
+    return StructureOperator(_vop_cols(J, x.vec, y.vec), _vop_cols(J, y.vec, x.vec))
 
 
 def _vop_cols(J: JordanAlgebra, x, y) -> OpCols:
@@ -126,8 +105,6 @@ class LieAlgebra:
     grading: Optional[tuple[int, ...]] = None
     triple: Optional[tuple[SparseVec, SparseVec, SparseVec]] = None  # (f, h, e)
     norm_pair: Optional[tuple[SparseVec, SparseVec]] = None  # (f1, e1)
-    jordan: Optional[JordanAlgebra] = None
-    m_operators: Optional[list] = None
     # rootdata.RootSystem of a Chevalley build; derived data, not compared
     root_system: Optional[object] = field(default=None, compare=False, repr=False)
     # memoized derived data: never passed, copied by replace() or compared
@@ -183,7 +160,7 @@ class LieAlgebra:
         total = Q(0)
         for i, ci in x.items():
             for j, cj in y.items():
-                total += ci * cj * _trace_product(ads[i], ads[j])
+                total += ci * cj * linalg.op_trace_product(ads[i], ads[j])
         return total
 
     def killing_matrix(self) -> list[list[Fraction]]:
@@ -213,7 +190,7 @@ class LieAlgebra:
             for i, w in enumerate(weights):
                 for j in by_weight.get(tuple(-c for c in w), ()):
                     if j >= i:
-                        mat[i][j] = mat[j][i] = s * _trace_product(ads[i], ads[j])
+                        mat[i][j] = mat[j][i] = s * linalg.op_trace_product(ads[i], ads[j])
             self._killing = mat
         return self._killing
 
@@ -221,15 +198,17 @@ class LieAlgebra:
         return linalg.gram_form(self.killing_matrix(), x.items(), y.items())
 
 
-def _trace_product(a_cols: list, b_cols: list) -> Fraction:
-    """trace(A B) for column-sparse operators."""
-    total = Q(0)
-    for l, bcol in enumerate(b_cols):
-        for k, c in bcol.items():
-            w = a_cols[k].get(l)
-            if w is not None:
-                total += w * c
-    return total
+def put_bracket(brackets: dict, i: int, j: int, vec: SparseVec) -> None:
+    """Store [b_i, b_j] = vec under the ordered pair; zero brackets are not
+    stored, and each pair is stored once."""
+    if not vec:
+        return
+    if i > j:
+        i, j = j, i
+        vec = {k: -c for k, c in vec.items()}
+    elif i == j:
+        raise ConstructionError("diagonal bracket must vanish")
+    brackets[(i, j)] = vec
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +225,19 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     vop_flat = {}
     for i in range(n):
         for j in range(n):
-            flat = _flatten(_vop_cols(J, basis_vecs[i], basis_vecs[j]), n)
+            flat = linalg.op_flatten(_vop_cols(J, basis_vecs[i], basis_vecs[j]), n)
             vop_flat[(i, j)] = flat
             span.insert(flat)
     m_dim = len(span)
-    m_flat = span.sorted_basis()
-    m_cols = [_unflatten(fl, n) for fl in m_flat]
+    m_cols = [linalg.op_unflatten(fl, n) for fl in span.sorted_basis()]
 
-    # trace-form adjoint gives the companion operator of every m element
+    # trace-form adjoint T# = G^{-1} T^t G gives the companion of every m element
     gram = J.trace_form_gram()
-    gram_inv = linalg.invert(gram)
-    m_sharp = [_sharp_cols(cols, gram, gram_inv, n) for cols in m_cols]
-    m_ops = [
-        StructureOperator(J, cols, sharp) for cols, sharp in zip(m_cols, m_sharp)
+    g_op = linalg.op_from_dense(gram)
+    g_inv = linalg.op_from_dense(linalg.invert(gram))
+    m_sharp = [
+        linalg.op_compose(g_inv, linalg.op_compose(linalg.op_transpose(cols, n), g_op))
+        for cols in m_cols
     ]
 
     # closure and membership checks (sampled when the flat problem is large)
@@ -276,70 +255,43 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     grading = (-2,) * n + (0,) * m_dim + (2,) * n
     brackets: dict = {}
 
-    def put(i: int, j: int, vec: SparseVec):
-        if not vec:
-            return
-        if i > j:
-            i, j = j, i
-            vec = {k: -c for k, c in vec.items()}
-        elif i == j:
-            raise ConstructionError("diagonal bracket must vanish")
-        brackets[(i, j)] = vec
-
     # [n_i, nbar_j] = V_{b_i, b_j} in m; the operator was inserted into the
     # span, so the pivot readout is exact
     for i in range(n):
         for j in range(n):
             coords = span.coordinates_unchecked(vop_flat[(i, j)])
-            put(
-                idx_n(i),
-                idx_nbar(j),
-                {idx_m(a): c for a, c in enumerate(coords) if c},
+            put_bracket(
+                brackets, idx_n(i), idx_nbar(j), {idx_m(a): c for a, c in enumerate(coords) if c}
             )
 
     # [m_a, n_k] = T_a(b_k);  [m_a, nbar_k] = -(T_a#(b_k))bar
-    for a, op in enumerate(m_ops):
+    for a in range(m_dim):
         for k in range(n):
-            col = op.cols[k]
-            put(idx_m(a), idx_n(k), {idx_n(r): c for r, c in col.items()})
-            scol = op.sharp_cols[k]
-            put(idx_m(a), idx_nbar(k), {idx_nbar(r): -c for r, c in scol.items()})
+            put_bracket(brackets, idx_m(a), idx_n(k), {idx_n(r): c for r, c in m_cols[a][k].items()})
+            put_bracket(
+                brackets, idx_m(a), idx_nbar(k), {idx_nbar(r): -c for r, c in m_sharp[a][k].items()}
+            )
 
-    # [m_a, m_b] = operator commutator; closure in the span is a theorem, so
-    # the constants come from pivot positions of the commutator, with full
-    # reduction re-checked exhaustively on small algebras and sampled on
-    # large ones
-    pivot_pos = sorted(span.pivots)
+    # [m_a, m_b] = operator commutator.  The m basis is fully reduced, so the
+    # constants are the commutator's entries at the pivots, and only the
+    # operator columns holding a pivot are formed.  Closure in the span is a
+    # theorem; a checked pair forms all n columns and reduces them
+    # (exhaustively on small algebras, a 5% sample on large ones).
+    pivot_cols = {p // n for p in span.pivots}
     for a in range(m_dim):
         for b in range(a + 1, m_dim):
-            A, B = m_cols[a], m_cols[b]
-            vals = []
-            for p in pivot_pos:
-                col, row = divmod(p, n)
-                v = Q(0)
-                for c, t in B[col].items():
-                    w = A[c].get(row)
-                    if w is not None:
-                        v += w * t
-                for c, t in A[col].items():
-                    w = B[c].get(row)
-                    if w is not None:
-                        v -= w * t
-                vals.append(v)
             if full_check or rng.random() < 0.05:
-                comm_flat = _flatten(_commutator_cols(A, B, n), n)
-                coords = span.coordinates(comm_flat)
-                if coords is None or coords != vals:
+                vals = span.coordinates(linalg.op_commutator(m_cols[a], m_cols[b], n, range(n)))
+                if vals is None:
                     raise ConstructionError(
                         "operator commutator escaped the structure-operator span"
                     )
-            put(
-                idx_m(a),
-                idx_m(b),
-                {idx_m(k): c for k, c in enumerate(vals) if c},
-            )
+            else:
+                comm = linalg.op_commutator(m_cols[a], m_cols[b], n, pivot_cols)
+                vals = span.coordinates_unchecked(comm)
+            put_bracket(brackets, idx_m(a), idx_m(b), {idx_m(k): c for k, c in enumerate(vals) if c})
 
-    g = LieAlgebra(labels=labels, brackets=brackets, grading=grading, jordan=J, m_operators=m_ops)
+    g = LieAlgebra(labels=labels, brackets=brackets, grading=grading)
 
     e_vec = {idx_n(k): c for k, c in enumerate(J.identity.vec) if c}
     f_vec = {idx_nbar(k): -c for k, c in enumerate(J.identity.vec) if c}
@@ -352,35 +304,6 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     f1 = {idx_nbar(k): -c for k, c in enumerate(J.frame(1).vec) if c}
     g.norm_pair = (f1, e1)
     return g
-
-
-def _sharp_cols(cols: OpCols, gram, gram_inv, n: int) -> OpCols:
-    # T# = G^{-1} T^t G  (adjoint for the trace form)
-    tg = [[Q(0)] * n for _ in range(n)]  # T^t G: row i = column i of T, paired with G
-    for i in range(n):
-        col = cols[i]
-        if not col:
-            continue
-        row = tg[i]
-        for k, c in col.items():
-            gk = gram[k]
-            for j in range(n):
-                if gk[j]:
-                    row[j] += c * gk[j]
-    full = linalg.mat_mul(gram_inv, tg)
-    out = []
-    for k in range(n):
-        out.append({r: full[r][k] for r in range(n) if full[r][k]})
-    return tuple(out)
-
-
-def _commutator_cols(a: OpCols, b: OpCols, n: int) -> OpCols:
-    cols = []
-    for k in range(n):
-        ab = _apply_op(a, b[k])
-        ba = _apply_op(b, a[k])
-        cols.append(vec_add(ab, ba, Q(-1)))
-    return tuple(cols)
 
 
 # ---------------------------------------------------------------------------

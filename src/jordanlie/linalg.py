@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Vectors are dicts {index: coeff} with zero entries absent; small dense
-problems use lists of lists.  Coefficients are Fractions, except inside
+problems use lists of lists.  Operators are column-sparse: a sequence whose
+entry k is the sparse image of basis vector k, flattened (for echelon work)
+with entry (row, k) at k * n + row.  Coefficients are Fractions, except inside
 ``dense_product``, which scales its table and inputs to Python ints, runs
 the one table kernel on them and divides each entry back once.  Everything
 here is deterministic: pivoting follows first-nonzero order, never
@@ -54,6 +56,68 @@ def table_product(acc: SparseVec, table, xs, ys) -> SparseVec:
         if cx:
             add_combination(acc, table[i], [(j, cx * cy) for j, cy in ys])
     return acc
+
+
+# ---------------------------------------------------------------------------
+# column-sparse operators: cols[k] is the sparse image of basis vector k, and
+# entry (row, k) of the flattened form sits at k * n + row
+# ---------------------------------------------------------------------------
+
+
+def op_apply(cols, v: SparseVec) -> SparseVec:
+    """A(v) for a column-sparse operator A."""
+    return {k: c for k, c in add_combination({}, cols, v.items()).items() if c}
+
+
+def op_compose(a, b) -> tuple:
+    """Columns of the product A B."""
+    return tuple(op_apply(a, col) for col in b)
+
+
+def op_transpose(cols, n: int) -> tuple:
+    out = tuple({} for _ in range(n))
+    for k, col in enumerate(cols):
+        for row, c in col.items():
+            out[row][k] = c
+    return out
+
+
+def op_trace_product(a, b) -> Fraction:
+    """trace(A B)."""
+    total = Q(0)
+    for l, bcol in enumerate(b):
+        for k, c in bcol.items():
+            w = a[k].get(l)
+            if w is not None:
+                total += w * c
+    return total
+
+
+def op_from_dense(mat) -> tuple:
+    """Columns of a dense square matrix given as a list of rows."""
+    n = len(mat)
+    return tuple({r: mat[r][k] for r in range(n) if mat[r][k]} for k in range(n))
+
+
+def op_flatten(cols, n: int) -> SparseVec:
+    return {k * n + row: c for k, col in enumerate(cols) for row, c in col.items()}
+
+
+def op_unflatten(flat: SparseVec, n: int) -> tuple:
+    cols = tuple({} for _ in range(n))
+    for pos, c in flat.items():
+        cols[pos // n][pos % n] = c
+    return cols
+
+
+def op_commutator(a, b, n: int, columns) -> SparseVec:
+    """AB - BA on the given columns only, flattened."""
+    flat: SparseVec = {}
+    for k in columns:
+        acc = add_combination({}, a, b[k].items())
+        add_combination(acc, b, [(i, -c) for i, c in a[k].items()])
+        flat.update((k * n + row, c) for row, c in acc.items() if c)
+    return flat
 
 
 def gram_form(gram, xs, ys) -> Fraction:
@@ -176,7 +240,8 @@ class EchelonBasis:
 
     def coordinates_unchecked(self, vec: SparseVec) -> list[Fraction]:
         """Pivot-position readout; caller must know vec lies in the span."""
-        return [vec.get(self.pivots[i], Q(0)) for i in self._sorted_order()]
+        zero = Q(0)
+        return [vec.get(self.pivots[i], zero) for i in self._sorted_order()]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from . import kkt as kkt_mod
 from . import linalg
 from .composition import algebra_from_table
 from .errors import ConstructionError, InvalidParameter
-from .kkt import LieAlgebra
+from .kkt import LieAlgebra, put_bracket
 from .linalg import EchelonBasis, vec_add
 from .rationals import HALF, Q
 
@@ -350,19 +350,6 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
     )
     brackets: dict = {}
 
-    def put(i, j, vec):
-        if not vec:
-            return
-        if i > j:
-            i, j = j, i
-            vec = {k: -c for k, c in vec.items()}
-        if (i, j) in brackets:
-            brackets[(i, j)] = vec_add(brackets[(i, j)], vec)
-            if not brackets[(i, j)]:
-                del brackets[(i, j)]
-        else:
-            brackets[(i, j)] = vec
-
     # Cartan action
     for a in pos:
         for i in range(rank):
@@ -371,13 +358,13 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
             if pairing.denominator != 1:
                 raise ConstructionError("non-integral Cartan eigenvalue")
             if pairing:
-                put(h_idx(i), e_idx[a], {e_idx[a]: pairing})
-                put(h_idx(i), f_idx[a], {f_idx[a]: -pairing})
+                put_bracket(brackets, h_idx(i), e_idx[a], {e_idx[a]: pairing})
+                put_bracket(brackets, h_idx(i), f_idx[a], {f_idx[a]: -pairing})
 
     # [e_a, f_a] = coroot in the Cartan
     for a in pos:
         co = rs.coroot_coeffs(a)
-        put(e_idx[a], f_idx[a], {h_idx(i): Q(c) for i, c in enumerate(co) if c})
+        put_bracket(brackets, e_idx[a], f_idx[a], {h_idx(i): Q(c) for i, c in enumerate(co) if c})
 
     # root-root brackets
     signed = [(a, 1) for a in pos] + [(a, -1) for a in pos]
@@ -394,7 +381,7 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
             raise ConstructionError("vanishing constant on a root sum")
         ia = e_idx[a] if sa > 0 else f_idx[a]
         ib = e_idx[b] if sb > 0 else f_idx[b]
-        put(ia, ib, vec_of(s, n))
+        put_bracket(brackets, ia, ib, vec_of(s, n))
 
     hi = rs.highest_root
     norm_pair = ({f_idx[hi]: Q(1)}, {e_idx[hi]: Q(1)})
@@ -945,78 +932,51 @@ def cross_validate(p: ParabolicDecomposition) -> CrossValidation:
     rj = coord.root_jordan
     J = coord.model
     g2 = kkt_mod.build_kkt(J)
-
-    e_idx = g.root_system.e_idx
     dim = g.dim
     nJ = J.dim
 
-    # chevalley basis index -> position in rj basis
-    n_map = {e_idx[a]: k for k, a in enumerate(rj.basis_roots)}
+    def levi_op(lie: LieAlgebra, i: int, n_basis: list) -> list:
+        """Column-sparse action of basis element i on the +2 block, in the
+        block basis n_basis, read from the brackets [b_i, n_basis[k]]."""
+        pos = {t: k for k, t in enumerate(n_basis)}
+        cols = []
+        for t in n_basis:
+            img = lie.bracket_basis(i, t)
+            if not img.keys() <= pos.keys():
+                raise ConstructionError("0-part action left the nilradical")
+            cols.append({pos[s]: c for s, c in img.items()})
+        return cols
+
+    n_chev = [g.root_system.e_idx[a] for a in rj.basis_roots]  # rj basis order
+    n_map = {t: k for k, t in enumerate(n_chev)}
+    n_kkt = g2.degree_indices(2)
+    # the kkt-side Levi span: re-inserting its fully reduced basis, in order,
+    # reproduces the same pivots and ordering
+    span2 = EchelonBasis()
+    for a in g2.degree_indices(0):
+        span2.insert(linalg.op_flatten(levi_op(g2, a, n_kkt), nJ))
 
     # image vectors of every chevalley basis element inside the kkt build
-    phi = coord.matrix
-    w1 = kkt_mod.w_matrix(g1)
-    w1_inv = linalg.invert(w1)
+    phi = linalg.op_from_dense(coord.matrix)
+    phi_inv = linalg.op_from_dense(linalg.invert(coord.matrix))
+    w1_inv = linalg.op_from_dense(linalg.invert(kkt_mod.w_matrix(g1)))
     n_idx1 = g1.degree_indices(2)
-    nbar_idx1 = g1.degree_indices(-2)
-    m_idx1 = g1.degree_indices(0)
-    pos_in_nbar1 = {b: a for a, b in enumerate(nbar_idx1)}
 
-    # target block index helpers (kkt layout: nbar, m, n)
-    def to_n2(coords):
-        return {nJ + len(g2.degree_indices(0)) + k: c for k, c in enumerate(coords) if c}
-
-    # echelon of flattened m-operators on the kkt side; re-inserting the
-    # already-reduced basis rows reproduces the same pivots and ordering
-    span2 = EchelonBasis()
-    for op in g2.m_operators:
-        span2.insert(kkt_mod._flatten(op.cols, nJ))
-    # column echelon coordinates: rebuild transport of m through operators
-    phi_inv = linalg.invert(phi)
+    def to_n2(vec: dict) -> dict:
+        return {n_kkt[k]: c for k, c in vec.items()}
 
     images: dict[int, dict] = {}
-    # +2 block
+    # +2 block: the columns of phi
     for i in n_idx1:
-        k = n_map[i]
-        src = tuple(Q(1) if t == k else Q(0) for t in range(nJ))
-        coords = linalg.mat_vec(phi, list(src))
-        images[i] = to_n2(coords)
-    # -2 block: w-conjugated transport
-    for i in nbar_idx1:
-        col = [Q(0)] * len(nbar_idx1)
-        col[pos_in_nbar1[i]] = Q(1)
-        back = linalg.mat_vec(w1_inv, col)  # n-block local coords
-        root_vec = [Q(0)] * nJ
-        for a, c in enumerate(back):
-            if c:
-                k = n_map[n_idx1[a]]
-                root_vec[k] += c
-        coords = linalg.mat_vec(phi, root_vec)
-        # apply the kkt-side w to the transported +2 vector
-        img_n = to_n2(coords)
-        images[i] = kkt_mod.w_map(g2, img_n)
-    # 0 block: transport of the adjoint action on the nilradical
-    for i in m_idx1:
-        op_cols = []
-        for k in range(nJ):
-            # action on rj basis vector k, conjugated by phi
-            src_chev = {e_idx[rj.basis_roots[k]]: Q(1)}
-            img = g1.bracket({i: Q(1)}, src_chev)
-            col_root = [Q(0)] * nJ
-            for t, c in img.items():
-                if t not in n_map:
-                    raise ConstructionError("0-part action left the nilradical")
-                col_root[n_map[t]] = c
-            op_cols.append(col_root)
-        # conjugate: model_op = phi @ op @ phi^{-1}
-        dense = [[op_cols[c][rw] for c in range(nJ)] for rw in range(nJ)]
-        conj = linalg.mat_mul(phi, linalg.mat_mul(dense, phi_inv))
-        flat = {}
-        for c in range(nJ):
-            for rw in range(nJ):
-                if conj[rw][c]:
-                    flat[c * nJ + rw] = conj[rw][c]
-        coords = span2.coordinates(flat)
+        images[i] = to_n2(phi[n_map[i]])
+    # -2 block: back through w1 to the +2 block, across phi, then the kkt-side w
+    for a, i in enumerate(g1.degree_indices(-2)):
+        root_vec = {n_map[n_idx1[b]]: c for b, c in w1_inv[a].items()}
+        images[i] = kkt_mod.w_map(g2, to_n2(linalg.op_apply(phi, root_vec)))
+    # 0 block: the action on the nilradical, conjugated to phi op phi^{-1}
+    for i in g1.degree_indices(0):
+        conj = linalg.op_compose(phi, linalg.op_compose(levi_op(g1, i, n_chev), phi_inv))
+        coords = span2.coordinates(linalg.op_flatten(conj, nJ))
         if coords is None:
             raise ConstructionError("transported 0-part operator escaped the span")
         images[i] = {nJ + a: c for a, c in enumerate(coords) if c}

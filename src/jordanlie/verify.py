@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -384,10 +384,4 @@ def corrupted_copy(g: LieAlgebra, i: int, j: int, k: int, delta: Fraction) -> Li
         del vec[k]
     if not vec:
         del brackets[(i, j)]
-    return LieAlgebra(
-        labels=g.labels,
-        brackets=brackets,
-        grading=g.grading,
-        triple=g.triple,
-        norm_pair=g.norm_pair,
-    )
+    return replace(g, brackets=brackets)

@@ -4,9 +4,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from jordanlie import linalg, verify
-from jordanlie.errors import InvalidParameter
+from jordanlie import jordan, linalg, verify
+from jordanlie.composition import build_composition
+from jordanlie.errors import ConstructionError, InvalidParameter
 from jordanlie.kkt import (
+    build_kkt,
     from_json,
     n_product,
     nbar_product,
@@ -295,3 +297,16 @@ def test_negative_control_corruption(kkt_builds):
     assert any(not r.passed for r in results)
     failing = next(r for r in results if not r.passed)
     assert failing.witness
+
+
+def test_closure_check_catches_a_shifted_table_cell():
+    # C3 has dimension 6 <= 9, so every commutator pair is reduced in full;
+    # b_0 o b_1 gains 1/3 b_0 on both sides of the symmetric table
+    J = jordan.hermitian(3, build_composition(1, []))
+    table = [[dict(cell) for cell in row] for row in J.mul_table]
+    for i, j in ((0, 1), (1, 0)):
+        table[i][j][0] = table[i][j].get(0, Q(0)) + Q(1, 3)
+    J.mul_table = table
+    J.scaled = linalg.scale_table(table)
+    with pytest.raises(ConstructionError, match="operator commutator escaped the structure-operator span"):
+        build_kkt(J)

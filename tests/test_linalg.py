@@ -89,3 +89,76 @@ def test_replace_rescales_a_corrupted_table():
     e1, e2 = bad.basis_element(1).coeffs, bad.basis_element(2).coeffs
     assert bad.mul_coeffs(e1, e2) == (Q(5, 11), Q(0), Q(0), Q(-1))
     assert D.mul_coeffs(e1, e2) != bad.mul_coeffs(e1, e2)
+
+
+# ---------------------------------------------------------------------------
+# column-sparse operators against dense oracles
+# ---------------------------------------------------------------------------
+
+
+def random_dense(rng, n):
+    return [
+        [Q(rng.randint(-5, 5), rng.choice((1, 2, 3, 7))) if rng.random() < 0.4 else Q(0) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def dense_of(cols, n):
+    return [[cols[k].get(r, Q(0)) for k in range(n)] for r in range(n)]
+
+
+def operator_pairs():
+    rng = random.Random(8)
+    for n in (1, 2, 5, 8):
+        for _ in range(6):
+            yield n, random_dense(rng, n), random_dense(rng, n)
+    yield 3, [[Q(0)] * 3 for _ in range(3)], linalg.identity(3)
+
+
+def no_zero_entries(cols):
+    return all(c for col in cols for c in col.values())
+
+
+def test_op_from_dense_apply_and_compose_match_dense_oracles():
+    rng = random.Random(9)
+    for n, A, B in operator_pairs():
+        a, b = linalg.op_from_dense(A), linalg.op_from_dense(B)
+        assert dense_of(a, n) == A and no_zero_entries(a)
+        ab = linalg.op_compose(a, b)
+        assert dense_of(ab, n) == linalg.mat_mul(A, B)
+        assert no_zero_entries(ab)
+        v = [Q(rng.randint(-3, 3), rng.choice((1, 4))) for _ in range(n)]
+        want = linalg.mat_vec(A, v)
+        assert linalg.op_apply(a, {k: c for k, c in enumerate(v) if c}) == {
+            k: c for k, c in enumerate(want) if c
+        }
+
+
+def test_op_transpose_and_trace_product():
+    for n, A, B in operator_pairs():
+        a, b = linalg.op_from_dense(A), linalg.op_from_dense(B)
+        assert dense_of(linalg.op_transpose(a, n), n) == [[A[c][r] for c in range(n)] for r in range(n)]
+        prod = linalg.mat_mul(A, B)
+        assert linalg.op_trace_product(a, b) == sum((prod[i][i] for i in range(n)), Q(0))
+
+
+def test_op_flatten_round_trip():
+    for n, A, _ in operator_pairs():
+        a = linalg.op_from_dense(A)
+        flat = linalg.op_flatten(a, n)
+        assert flat == {k * n + r: A[r][k] for r in range(n) for k in range(n) if A[r][k]}
+        assert linalg.op_unflatten(flat, n) == a
+
+
+def test_op_commutator_columns_are_those_of_the_full_commutator():
+    rng = random.Random(10)
+    for n, A, B in operator_pairs():
+        a, b = linalg.op_from_dense(A), linalg.op_from_dense(B)
+        ab, ba = linalg.mat_mul(A, B), linalg.mat_mul(B, A)
+        comm = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+        full = linalg.op_commutator(a, b, n, range(n))
+        assert full == linalg.op_flatten(linalg.op_from_dense(comm), n)
+        columns = {k for k in range(n) if rng.random() < 0.5}
+        assert linalg.op_commutator(a, b, n, columns) == {
+            p: c for p, c in full.items() if p // n in columns
+        }

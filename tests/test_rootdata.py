@@ -375,6 +375,30 @@ def test_cross_validation_octonionic(split_builds):
     assert cv.dim == 133
 
 
+def test_corrupted_copy_keeps_the_root_system(split_builds):
+    g = split_builds("C", 3)
+    bad = verify.corrupted_copy(g, 0, 1, 2, Q(1))
+    assert bad.root_system is g.root_system
+    assert bad.brackets[(0, 1)] == {**g.brackets.get((0, 1), {}), 2: Q(1)}
+    assert parabolic(bad, 3).strongly_orthogonal == parabolic(g, 3).strongly_orthogonal
+
+
+@pytest.mark.parametrize("tl, rk, count", [("C", 2, 30), ("A", 3, 64)])
+def test_cross_validate_catches_every_shifted_constant(tl, rk, count):
+    # negative control: each stored Chevalley constant shifted by 1 is either
+    # reported as a mismatch or stops the transport; none passes
+    g = build_split_lie(tl, rk)
+    cells = [(i, j, k) for (i, j), vec in sorted(g.brackets.items()) for k in sorted(vec)]
+    assert len(cells) == count
+    for i, j, k in cells:
+        bad = verify.corrupted_copy(g, i, j, k, Q(1))
+        try:
+            cv = cross_validate(parabolic(bad, canonical_node(tl, rk)))
+        except (ConstructionError, ValueError):
+            continue
+        assert not cv.ok, (i, j, k)
+
+
 def test_instance_report_format(split_builds):
     text = instance_report(parabolic(split_builds("C", 3), 3))
     assert "degree r = 3" in text
