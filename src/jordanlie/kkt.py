@@ -398,6 +398,21 @@ def _sparse_from_json(items, dim: int) -> SparseVec:
     return out
 
 
+def _vectors_to_json(vecs, names: str):
+    return None if vecs is None else {k: _sparse_to_json(v) for k, v in zip(names, vecs)}
+
+
+def _vectors_from_json(obj: dict, key: str, names: str, dim: int):
+    """The sparse vectors obj[key][name] in names order; None when absent."""
+    t = obj.get(key)
+    if t is None:
+        return None
+    if not (isinstance(t, dict) and all(name in t for name in names)):
+        listed = ", ".join(names[:-1]) + " and " + names[-1]
+        raise InvalidParameter(f"{key} must be an object with {listed}")
+    return tuple(_sparse_from_json(t[name], dim) for name in names)
+
+
 def to_json(g: LieAlgebra) -> dict:
     basis = [
         {"label": lbl, "degree": (g.grading[i] if g.grading is not None else None)}
@@ -407,15 +422,12 @@ def to_json(g: LieAlgebra) -> dict:
         [i, j, _sparse_to_json(vec)]
         for (i, j), vec in sorted(g.brackets.items())
     ]
-    triple = None
-    if g.triple is not None:
-        f, h, e = g.triple
-        triple = {
-            "f": _sparse_to_json(f),
-            "h": _sparse_to_json(h),
-            "e": _sparse_to_json(e),
-        }
-    return {"basis": basis, "brackets": brackets, "triple": triple}
+    return {
+        "basis": basis,
+        "brackets": brackets,
+        "triple": _vectors_to_json(g.triple, "fhe"),
+        "norm_pair": _vectors_to_json(g.norm_pair, "fe"),
+    }
 
 
 def from_json(obj: dict) -> LieAlgebra:
@@ -445,10 +457,10 @@ def from_json(obj: dict) -> LieAlgebra:
         vec = _sparse_from_json(items, n)
         if vec:
             brackets[(i, j)] = vec
-    triple = None
-    if obj.get("triple"):
-        t = obj["triple"]
-        if not (isinstance(t, dict) and all(key in t for key in "fhe")):
-            raise InvalidParameter("triple must be an object with f, h and e")
-        triple = tuple(_sparse_from_json(t[key], n) for key in "fhe")
-    return LieAlgebra(labels=labels, brackets=brackets, grading=grading, triple=triple)
+    return LieAlgebra(
+        labels=labels,
+        brackets=brackets,
+        grading=grading,
+        triple=_vectors_from_json(obj, "triple", "fhe", n),
+        norm_pair=_vectors_from_json(obj, "norm_pair", "fe", n),
+    )

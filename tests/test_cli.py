@@ -115,32 +115,34 @@ def test_construction_error_exits_2(capsys, monkeypatch):
 # the matrix road (jordan:) and the Chevalley road (root:, graded and plain),
 # plus three jordan: tables whose common denominators are 42, 10 and 8 (all
 # the others are dyadic); any refactor of the construction or the suites
-# must leave these unchanged
+# must leave these unchanged.  The build hashes were re-pinned once, when the
+# JSON gained the Killing normalization pair ("norm_pair"); deleting that key
+# from any of these outputs gives the earlier hash
 GOLDEN_BUILD_SHA256 = {
-    "jordan:H2:field": "8d304389119ca704627e2bc7ef0a97f38245380b3bd04f6e19d2d4f2e95f553a",
-    "jordan:H3:field": "a0b17b806090fc18c7d977b0229780d7f56a448608a1898041ebde6ee69964c6",
-    "jordan:H2:split-complex": "f1f584e3c8dcf5eb1fd7a70d41f58742b3b040caad8ceb9cb40a0ebc65439bba",
-    "jordan:H3:split-complex": "24f7b7bb0656f6b49e7d533c065154964baf72443918e6cca280b5552d667561",
-    "jordan:J2:dim=3:gram=split": "1e998e061cb2d5e41fd8b01503143fe1450b24beb9a467275b23fb434586e75a",
-    "jordan:J2:dim=4:gram=split": "b8854ad8e8d7aefa477a0ab4d7ecd12b7ca0cd9add4496266e72099434a8e7b0",
-    "jordan:H3:octonion:split": "a21f97831146e88aa667c793bce1dac0c6d1ced479bf9a40441c1d658e4482c6",
-    "jordan:H2:quaternion:1/3,-5/7": "a6d465288ad2549c39f990128b66fb135aad2e670c28cd4984e8469e9ddaa114",
-    "jordan:J2:dim=2:gram=1/2,3/5": "c33cdfc389db11c2f4b2dd914ce05f2d50926cd6e0f19186674d42e1b9a1f2a6",
-    "jordan:H3:complex:-7/4": "91f9e7172037eedab4e82355302c19a54ba33bb8b6f79461af92cdbbf1236269",
-    "root:C:2:node=2": "e95add5dca6a0e47c8e5660f2e82c48a04841fe0b1a5bf6695abe8b1183e9d3d",
-    "root:C:3:node=3": "5719819b2be1bbd0f4dcb74904e309f7486232039acc22f084ed42411e32721f",
-    "root:A:3:node=2": "83e04e1005a8bd24d4114b5ec2f2cb5639f0a8004dacd215f712003cdae0e724",
-    "root:A:5:node=3": "384a534da5f77a72449cefd1ca33dde9086b65f5ebdc71b39c5ae3c751cea2b6",
-    "root:B:3:node=1": "3b371862a849a3aa48bb1e505f8fa65ac15d39ecc0f623bb1dc533d8ba0b951b",
-    "root:D:4:node=1": "d4237c15efb7a955af6bd133cb39f87372eb360d0241cf396401627e593f94fa",
-    "root:E7:7:node=7": "678ac984d22c84a498bf98aa0547d7894f2e32a593d45322528c7e6b203785ac",
-    "root:C:2": "969d61ecea7c39da0e83cbbde55d45e649f18754547b754bb437301a5972ee8e",
-    "root:C:3": "2ad7eeb97da51887d125e939902762ae7a7fb2e5a1fbdea37cf044776e1c4685",
-    "root:A:3": "5a31e079717cdf5322576d1123e1914cad3431b9680182a3e5743fc3489b46d4",
-    "root:A:5": "bd15257dd93bcda832767d5295e9bdb690b88ff8d3a6d72aa805b4425bf3d2da",
-    "root:B:3": "6b88d7840e114399bd5ab5d531c76b1d0edcdc1a76a4e7ac5146b7026ec75d76",
-    "root:D:4": "32001474bd88ee0a1c67ce1240801432b3de3b6f3f213645fe7fe89b907326d7",
-    "root:E7:7": "7ec1558e89222dbd71119fb12da933c38280891d5cac2227e29e6265ffd50c60",
+    "jordan:H2:field": "73afe6c3eb34de83be03855e5cae64ecadd8466b296e898da6e368c1d8ae4b60",
+    "jordan:H3:field": "5fdb2b7fc5a977c898dfe99a81f263337512b8f1201e6e83790c2dc35353ff84",
+    "jordan:H2:split-complex": "88862b47242a9df4107701109dad00b4e61148b61f4d569e5040218002a2106b",
+    "jordan:H3:split-complex": "9cebf3739e57a1891ae4e6992c48214f627af2cce40a09d04ea8838ce4096320",
+    "jordan:J2:dim=3:gram=split": "4146ee9ba7023df32328aa9ef4eabe2f5a355e7da34ca83e37f182739357932b",
+    "jordan:J2:dim=4:gram=split": "dc31fe2687abadf8a76a4cfdeca36f71f4236d311ab16e78632289a363908698",
+    "jordan:H3:octonion:split": "153d336200b0953d9f90f27062302de1ffa247c3c616a94ffa50e44668080610",
+    "jordan:H2:quaternion:1/3,-5/7": "4fea5ee2a8b605f56288b54e1b4aa8db81ed01220a97ebae99cd40eb8a73d3f9",
+    "jordan:J2:dim=2:gram=1/2,3/5": "b6504857131bf5eeb1ad16480ccbdf2976a32b6731bb932a08b39df429707c66",
+    "jordan:H3:complex:-7/4": "ef29de8302836cec24e933ef3a0ffdab297bdc3366f1ca3bddf12df72e9bbafb",
+    "root:C:2:node=2": "79c9a124943f01e39f5a8e9e6dbfb7fc80479735ff92102184f219da8528d149",
+    "root:C:3:node=3": "9656c08c04aeab3223c9e79fcd58d918ff37711c2e9cbcfdc1d0c32cce9c6694",
+    "root:A:3:node=2": "55f60e07bf3fed6c1a59568dfab56b84dd708e42cd9b5fd4ac25ec777574a714",
+    "root:A:5:node=3": "796c5a3733d43b1d3dc8b21e6ef36e5cbbe42e1b1769dcac0ec9c5612e7462e8",
+    "root:B:3:node=1": "ca5e1bae20501d39c2901dd7649ca0f9da7fd84bc3652fa344b516a92a03ef01",
+    "root:D:4:node=1": "81c8435abe7703eb84aad5925f81bb1c2cabe78ee6a8c8d9789e6524bd6cd9a9",
+    "root:E7:7:node=7": "a453d0484dc1d73925983ded34cf275ba9f32e6efe5edb993957f498b0ce2212",
+    "root:C:2": "2740d89b72d34158777959dc9eacd897dc5a5215158562d05e71977a24e12349",
+    "root:C:3": "655ecc02417162a23e91eb1c69050ac9a50817776a803f5e5725d97a8e45d0a5",
+    "root:A:3": "11649faf466ed90d6b3218de59b2041c9bb9ec42a917defb9362c3df212052e8",
+    "root:A:5": "bf7f4a0032f356f194b555863ec7061a1956d6df58fa2720562face59f818a3a",
+    "root:B:3": "551cf6f6af1f06bb8d99a49f44d5aa169d796e04d7cbaa143b8224f89097d00c",
+    "root:D:4": "e026dfe5ed00677feea9c10cec06f967c39f91db5bf57bbafcc8eee845a8956e",
+    "root:E7:7": "1305b6ee9cb96373077134feea7b53de926166c34ca27f4ba7c5d91517a1c262",
 }
 GOLDEN_VERIFY_SHA256 = {
     "jordan:H2:field": "269c0cb7d8bf17c1e8a33893c342355d61cd8287f9576de05f79f90661121d2d",
@@ -293,6 +295,9 @@ TWO_BASIS = [{"label": "a", "degree": None}, {"label": "b", "degree": None}]
         ({"basis": TWO_BASIS, "brackets": [[0, 1, [[7, "1"]]]]}, "basis index 7"),
         ({"basis": TWO_BASIS, "brackets": [[0, 1, [[1, 1]]]]}, "string"),
         ({"basis": TWO_BASIS, "brackets": [[0, 1, [[1, "1/0"]]]]}, "zero denominator"),
+        ({"basis": TWO_BASIS, "brackets": [], "norm_pair": {"f": [[0, "1"]]}}, "norm_pair must be"),
+        ({"basis": TWO_BASIS, "brackets": [], "norm_pair": [[0, "1"]]}, "norm_pair must be"),
+        ({"basis": TWO_BASIS, "brackets": [], "norm_pair": {"f": [[5, "1"]], "e": []}}, "basis index 5"),
     ],
     ids=[
         "string-indices",
@@ -300,6 +305,9 @@ TWO_BASIS = [{"label": "a", "degree": None}, {"label": "b", "degree": None}]
         "target-out-of-range",
         "number-coefficient",
         "zero-denominator",
+        "norm-pair-missing-e",
+        "norm-pair-array",
+        "norm-pair-index-out-of-range",
     ],
 )
 def test_verify_malformed_json(tmp_path, capsys, obj, needle):
@@ -307,6 +315,15 @@ def test_verify_malformed_json(tmp_path, capsys, obj, needle):
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "verify", str(path))
     _assert_usage_error(code, out, err, needle)
+
+
+def test_json_keeps_the_killing_normalization(tmp_path, capsys):
+    path = tmp_path / "h2.json"
+    assert main(["build", "jordan:H2:field", "--out", str(path)]) == 0
+    capsys.readouterr()
+    for target in ("jordan:H2:field", str(path)):
+        code, out, _ = run(capsys, "verify", target, "--suites", "killing")
+        assert (code, out) == (0, "killing: PASS [1057 checks]\n")
 
 
 def test_verify_seeded_sampling_deterministic(tmp_path):

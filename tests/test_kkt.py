@@ -278,6 +278,7 @@ def test_json_round_trip(kkt_builds):
     assert g2.grading == g.grading
     assert g2.brackets == g.brackets
     assert g2.triple == g.triple
+    assert g2.norm_pair == g.norm_pair
     # serialized form is sorted and sparse: i < j only
     for i, j, entries in obj["brackets"]:
         assert i < j
