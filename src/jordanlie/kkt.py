@@ -200,7 +200,7 @@ class LieAlgebra:
 
 def put_bracket(brackets: dict, i: int, j: int, vec: SparseVec) -> None:
     """Store [b_i, b_j] = vec under the ordered pair; zero brackets are not
-    stored, and each pair is stored once."""
+    stored.  Callers store each pair once."""
     if not vec:
         return
     if i > j:
