@@ -16,7 +16,7 @@ Algebra descriptors:
 * ``root:<A|B|C|D|E7>:<rank>[:node=<j>]``
 
 Exit codes: 0 success, 1 verification failure, 2 usage, parse or
-construction error.
+construction error, or an ``--out`` path that cannot be written.
 All rationals cross the boundary as "p/q" strings; identical invocations
 with identical seeds produce byte-identical output.
 """
@@ -167,8 +167,11 @@ def target_parabolic(t: Target) -> rootdata.ParabolicDecomposition:
 
 def _emit(text: str, out: Optional[str]):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParameter(f"cannot write output {out!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 

@@ -27,6 +27,7 @@ form N(u) = u^T G u goes through ``linalg.gram_form``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -193,23 +194,20 @@ def _double(table, norms, gamma: Fraction):
     return new_table, new_norms
 
 
-def _verify_composition_law(alg: CompositionAlgebra):
-    """N(uv) = N(u)N(v) holds identically iff its full polarization holds on
-    basis 4-tuples:  B(ei*ej, ek*el) + B(ek*ej, ei*el) = B(ei,ek) B(ej,el)."""
+def composition_law_failure(alg: CompositionAlgebra) -> tuple[int, int, int, int] | None:
+    """The first basis 4-tuple, in lexicographic order, at which the full
+    polarization of N(uv) = N(u)N(v) fails, or None; the law holds
+    identically iff  B(ei*ej, ek*el) + B(ek*ej, ei*el) = B(ei,ek) B(ej,el)
+    on every basis 4-tuple."""
     n = alg.dim
     basis = [tuple(Q(1) if k == i else Q(0) for k in range(n)) for i in range(n)]
     prod = [[alg.mul_coeffs(basis[i], basis[j]) for j in range(n)] for i in range(n)]
     B = alg.norm_bilinear
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    lhs = B(prod[i][j], prod[k][l]) + B(prod[k][j], prod[i][l])
-                    rhs = B(basis[i], basis[k]) * B(basis[j], basis[l])
-                    if lhs != rhs:
-                        raise InvalidParameter(
-                            f"norm is not multiplicative at basis tuple {(i, j, k, l)}"
-                        )
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        lhs = B(prod[i][j], prod[k][l]) + B(prod[k][j], prod[i][l])
+        if lhs != B(basis[i], basis[k]) * B(basis[j], basis[l]):
+            return (i, j, k, l)
+    return None
 
 
 def _verify_unit_and_conj(alg: CompositionAlgebra):
@@ -235,7 +233,9 @@ def _checked(alg: CompositionAlgebra) -> CompositionAlgebra:
     """alg, once the unit, conjugation and composition laws hold and the norm
     is nondegenerate."""
     _verify_unit_and_conj(alg)
-    _verify_composition_law(alg)
+    bad = composition_law_failure(alg)
+    if bad is not None:
+        raise InvalidParameter(f"norm is not multiplicative at basis tuple {bad}")
     if det([list(row) for row in alg.norm_gram]) == 0:
         raise InvalidParameter("norm form is degenerate")
     return alg

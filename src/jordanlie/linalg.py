@@ -5,9 +5,11 @@ problems use lists of lists.  Operators are column-sparse: a sequence whose
 entry k is the sparse image of basis vector k, flattened (for echelon work)
 with entry (row, k) at k * n + row.  Coefficients are Fractions, except inside
 ``dense_product``, which scales its table and inputs to Python ints, runs
-the one table kernel on them and divides each entry back once.  Everything
-here is deterministic: pivoting follows first-nonzero order, never
-magnitude.
+the one table kernel on them and divides each entry back once.  There is one
+row reduction, ``EchelonBasis``: the dense helpers (``rref`` and through it
+``rank``, ``nullspace``, ``invert`` and ``solve``, and ``det``) insert their
+rows into one and read the result back as dense rows.  Everything here is
+deterministic: pivoting follows first-nonzero order, never magnitude.
 """
 
 from __future__ import annotations
@@ -229,14 +231,7 @@ class EchelonBasis:
 
     def coordinates(self, vec: SparseVec) -> Optional[list[Fraction]]:
         """Coordinates of vec in sorted_basis() order, or None if outside."""
-        coords = self.coordinates_unchecked(vec)
-        rem = dict(vec)
-        for c, i in zip(coords, self._sorted_order()):
-            if c:
-                rem = vec_add(rem, self.rows[i], -c)
-        if rem:
-            return None
-        return coords
+        return None if self.reduce(vec) else self.coordinates_unchecked(vec)
 
     def coordinates_unchecked(self, vec: SparseVec) -> list[Fraction]:
         """Pivot-position readout; caller must know vec lies in the span."""
@@ -273,29 +268,24 @@ def identity(n: int) -> list[list[Fraction]]:
     return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
 
 
+def _sparse(row) -> SparseVec:
+    return {k: c for k, c in enumerate(row) if c}
+
+
 def rref(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    m = [row[:] for row in mat]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = Q(1) / m[r][c]
-        m[r] = [inv * x for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    The rows go into one EchelonBasis, whose fully reduced basis in pivot
+    order, padded with zero rows, is the unique reduced form.
+    """
+    basis = EchelonBasis()
+    for row in mat:
+        basis.insert(_sparse(row))
+    ncols = len(mat[0]) if mat else 0
+    zero = Q(0)
+    rows = [[r.get(k, zero) for k in range(ncols)] for r in basis.sorted_basis()]
+    rows += [[zero] * ncols for _ in range(len(mat) - len(rows))]
+    return rows, sorted(basis.pivots)
 
 
 def rank(mat: list[list[Fraction]]) -> int:
@@ -321,24 +311,25 @@ def nullspace(mat: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def det(mat: list[list[Fraction]]) -> Fraction:
-    n = len(mat)
-    m = [row[:] for row in mat]
-    sign = Q(1)
+    """Determinant of a square matrix.
+
+    Inserting the rows in order subtracts from each a combination of the
+    rows before it, which keeps the determinant.  The remainders, with
+    their pivot columns put in row order, form a triangular matrix, so the
+    determinant is the product of the remainders' pivot entries, negated
+    when the pivot columns have an odd number of inversions.
+    """
+    basis = EchelonBasis()
     d = Q(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c]), None)
-        if pr is None:
+    for row in mat:
+        rem = basis.reduce(_sparse(row))
+        if not rem:
             return Q(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        d *= m[c][c]
-        inv = Q(1) / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * d
+        d *= rem[min(rem)]
+        basis.insert(rem)
+    p = basis.pivots
+    inversions = sum(a > b for i, a in enumerate(p) for b in p[i + 1 :])
+    return -d if inversions % 2 else d
 
 
 def invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:

@@ -565,8 +565,9 @@ def graded_algebra(p: ParabolicDecomposition) -> LieAlgebra:
 class RootJordan:
     """Jordan product table carried by the abelian nilradical.
 
-    basis_roots fixes the coordinate order; products are x o y = [x,[f,y]]/2
-    evaluated through the ambient structure constants.
+    basis_roots fixes the coordinate order, and position maps each root to
+    its coordinate; products are x o y = [x,[f,y]]/2 evaluated through the
+    ambient structure constants.
     """
 
     parabolic: ParabolicDecomposition
@@ -574,9 +575,22 @@ class RootJordan:
     table: list[list[dict]]
     dim: int
     scaled: linalg.ScaledTable = field(init=False, compare=False, repr=False)
+    position: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.scaled = linalg.scale_table(self.table)
+        self.position = {a: k for k, a in enumerate(self.basis_roots)}
+
+    def embed(self, roots, local) -> tuple:
+        """The coordinate vector with local[k] on roots[k] and 0 elsewhere."""
+        out = [Q(0)] * self.dim
+        for c, a in zip(local, roots):
+            out[self.position[a]] = c
+        return tuple(out)
+
+    def restrict(self, roots, full) -> list:
+        """The coordinates of full on the given roots."""
+        return [full[self.position[a]] for a in roots]
 
     def mul_vec(self, x, y):
         return linalg.dense_product(self.scaled, x, y)
@@ -589,19 +603,11 @@ class RootJordan:
 
     @property
     def identity_vec(self):
-        out = [Q(0)] * self.dim
-        for i in range(1, len(self.parabolic.triples) + 1):
-            out[self.basis_roots.index(self.parabolic.strongly_orthogonal[i - 1])] = (
-                self.frame_scale(i)
-            )
-        return tuple(out)
+        chain = self.parabolic.strongly_orthogonal
+        return self.embed(chain, [self.frame_scale(i) for i in range(1, len(chain) + 1)])
 
     def frame_vec(self, i: int):
-        out = [Q(0)] * self.dim
-        out[self.basis_roots.index(self.parabolic.strongly_orthogonal[i - 1])] = (
-            self.frame_scale(i)
-        )
-        return tuple(out)
+        return self.embed(self.parabolic.strongly_orthogonal[i - 1 : i], [self.frame_scale(i)])
 
 
 def jordan_from_roots(p: ParabolicDecomposition) -> RootJordan:
@@ -800,20 +806,15 @@ def coordinatize(p: ParabolicDecomposition) -> Coordinatization:
     return _coordinatize_hermitian(p2, rj, units)
 
 
-def _root_positions(rj: RootJordan, roots) -> list[int]:
-    return [rj.basis_roots.index(a) for a in roots]
-
-
 def _coordinatize_quadratic(p2, rj):
     form = q_forms(p2)[(1, 2)]
-    pos = _root_positions(rj, form.roots)
+    pos = [rj.position[a] for a in form.roots]
     d = len(pos)
     model = jordan_mod.quadratic([list(row) for row in form.gram])
     n = rj.dim
     mat = [[Q(0)] * n for _ in range(2 + d)]
     for i in (1, 2):
-        src = rj.basis_roots.index(p2.strongly_orthogonal[i - 1])
-        mat[i - 1][src] = 1 / rj.frame_scale(i)
+        mat[i - 1][rj.position[p2.strongly_orthogonal[i - 1]]] = 1 / rj.frame_scale(i)
     for k, src in enumerate(pos):
         mat[2 + k][src] = Q(1)
     return Coordinatization(parabolic=p2, root_jordan=rj, model=model, matrix=mat)
@@ -828,15 +829,9 @@ def _coordinatize_hermitian(p2, rj, units):
         prod = rj.mul_vec(x_vec, y_vec)
         return tuple(2 * c for c in prod)
 
-    def embed(form: PierceForm, local):
-        out = [Q(0)] * rj.dim
-        for c, src in zip(local, _root_positions(rj, form.roots)):
-            out[src] = c
-        return tuple(out)
-
     u = {}
     for i in range(2, r + 1):
-        u[(1, i)] = embed(forms[(1, i)], units[(1, i)])
+        u[(1, i)] = rj.embed(forms[(1, i)].roots, units[(1, i)])
         if forms[(1, i)].value(units[(1, i)]) != 1:
             raise ConstructionError("rescaling failed to normalize the unit vector")
     for i in range(2, r + 1):
@@ -845,14 +840,14 @@ def _coordinatize_hermitian(p2, rj, units):
 
     # the coefficient algebra lives on the (1,2) component
     d_form = forms[(1, 2)]
-    d_pos = _root_positions(rj, d_form.roots)
+    d_pos = [rj.position[a] for a in d_form.roots]
     d = len(d_pos)
     span = EchelonBasis()
     d_basis = [u[(1, 2)]]
     span.insert({k: c for k, c in enumerate(u[(1, 2)]) if c})
-    for src in d_pos:
-        cand = tuple(Q(1) if k == src else Q(0) for k in range(rj.dim))
-        if span.insert({k: c for k, c in enumerate(cand) if c}):
+    for a in d_form.roots:
+        cand = rj.embed((a,), (Q(1),))
+        if span.insert({rj.position[a]: Q(1)}):
             d_basis.append(cand)
     if len(d_basis) != d:
         raise ConstructionError("could not complete a basis of the coefficient algebra")
@@ -883,8 +878,7 @@ def _coordinatize_hermitian(p2, rj, units):
     # through the psi maps into off-diagonal D-coordinates
     mat = [[Q(0)] * rj.dim for _ in range(model.dim)]
     for i in range(1, r + 1):
-        src = rj.basis_roots.index(p2.strongly_orthogonal[i - 1])
-        mat[i - 1][src] = 1 / rj.frame_scale(i)
+        mat[i - 1][rj.position[p2.strongly_orthogonal[i - 1]]] = 1 / rj.frame_scale(i)
 
     def psi_1j(x_vec, j):
         if j == 2:
@@ -896,8 +890,8 @@ def _coordinatize_hermitian(p2, rj, units):
             form = forms[(i, j)]
             block = model._pair_offset[(i - 1, j - 1)]
             for a in form.roots:
-                src = rj.basis_roots.index(a)
-                x_vec = tuple(Q(1) if k == src else Q(0) for k in range(rj.dim))
+                src = rj.position[a]
+                x_vec = rj.embed((a,), (Q(1),))
                 if i == 1:
                     coords = psi_1j(x_vec, j)
                 else:

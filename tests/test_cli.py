@@ -111,6 +111,22 @@ def test_construction_error_exits_2(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: Jordan product left the nilradical\n")
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", ["build", "classify"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing directory" else tmp_path
+    if command == "build":
+        argv = ["build", "jordan:H2:field"]
+    else:
+        el = tmp_path / "el.json"
+        el.write_text(json.dumps({"algebra": "jordan:H2:field", "element": {"diag": ["1", "2"]}}))
+        argv = ["classify", str(el)]
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write output {str(out)!r}: ")
+    assert err.count("\n") == 1
+
+
 # SHA-256 of the `build` and `verify` stdout for every table instance, along
 # the matrix road (jordan:) and the Chevalley road (root:, graded and plain),
 # plus three jordan: tables whose common denominators are 42, 10 and 8 (all

@@ -1,11 +1,14 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from jordanlie import verify
 from jordanlie.composition import (
     build_composition,
+    composition_law_failure,
     element_from_json,
     element_to_json,
     parse_descriptor,
@@ -196,3 +199,19 @@ def test_element_json_round_trip():
     v = element_from_json(obj)
     assert v.coeffs == u.coeffs
     assert v.algebra.descriptor == alg.descriptor
+
+
+def test_composition_law_suite_names_the_first_failing_tuple():
+    # split quaternions have norm Gram diag(1, -1, -1, 1) and e1 e1 = e0;
+    # with G[1][1] = -2 the polarized law first fails at (0, 0, 1, 1):
+    # B(e0, e0) + B(e1, e1) = 2 - 4, against B(e0, e1)^2 = 0
+    good = build_composition(4, [1, 1])
+    gram = [list(row) for row in good.norm_gram]
+    gram[1][1] = Q(-2)
+    bad = dataclasses.replace(good, norm_gram=tuple(tuple(row) for row in gram))
+    assert composition_law_failure(good) is None
+    assert composition_law_failure(bad) == (0, 0, 1, 1)
+    res = verify.suite_composition_law(bad, verify.Config(sample_count=5))
+    assert res.line() == "composition-law: FAIL [6 checks] witness: basis tuple (0, 0, 1, 1)"
+    ok = verify.suite_composition_law(good, verify.Config(sample_count=5))
+    assert ok.line() == "composition-law: PASS [261 checks] (seed 0)"

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -162,3 +163,126 @@ def test_op_commutator_columns_are_those_of_the_full_commutator():
         assert linalg.op_commutator(a, b, n, columns) == {
             p: c for p, c in full.items() if p // n in columns
         }
+
+
+# ---------------------------------------------------------------------------
+# the dense helpers against oracles that use no elimination: the Leibniz sum
+# for det, and rank as the size of the largest nonzero minor
+# ---------------------------------------------------------------------------
+
+
+def leibniz(mat):
+    n = len(mat)
+    total = Q(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Q(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
+
+
+def minor_rank(mat):
+    if not mat:
+        return 0
+    rows, cols = range(len(mat)), range(len(mat[0]))
+    for k in range(min(len(rows), len(cols)), 0, -1):
+        for rs in itertools.combinations(rows, k):
+            for cs in itertools.combinations(cols, k):
+                if leibniz([[mat[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+def elimination_cases():
+    """Seeded matrices with zero rows, repeated rows, dependent rows, wide and
+    tall shapes, and rows whose leading columns come out of order."""
+    rng = random.Random(9)
+
+    def entry():
+        return Q(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) if rng.random() < 0.7 else Q(0)
+
+    cases = [
+        [[Q(0), Q(0), Q(2)], [Q(0), Q(3), Q(1)], [Q(5), Q(1), Q(0)]],
+        [[Q(0), Q(1)], [Q(1), Q(0)]],
+        [[Q(1), Q(2), Q(3)], [Q(0), Q(0), Q(0)], [Q(1), Q(2), Q(3)]],
+    ]
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        kind = rng.randrange(4)
+        if kind == 0 and nrows > 1:
+            mat[rng.randrange(nrows)] = [Q(0)] * ncols
+        elif kind == 1 and nrows > 1:
+            mat[rng.randrange(nrows)] = list(mat[rng.randrange(nrows)])
+        elif kind == 2 and nrows > 2:
+            a, b = Q(rng.randint(-3, 3)), Q(rng.randint(1, 3), 2)
+            mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[1])]
+        else:
+            for row in mat:
+                lead = rng.randrange(ncols)
+                row[:lead] = [Q(0)] * lead
+            rng.shuffle(mat)
+        cases.append(mat)
+    return cases
+
+
+def test_det_equals_the_leibniz_sum():
+    square = [m for m in elimination_cases() if len(m) == len(m[0])]
+    assert len(square) > 10 and any(leibniz(m) == 0 for m in square)
+    for mat in square:
+        assert linalg.det(mat) == leibniz(mat), mat
+
+
+def test_rref_rows_are_reduced_and_rebuild_the_input():
+    for mat in elimination_cases():
+        rows, pivots = linalg.rref(mat)
+        ncols = len(mat[0])
+        assert len(rows) == len(mat) and all(len(row) == ncols for row in rows)
+        assert len(pivots) == minor_rank(mat), mat
+        assert pivots == sorted(set(pivots))
+        for k, row in enumerate(rows):
+            if k >= len(pivots):
+                assert not any(row)
+                continue
+            assert not any(row[: pivots[k]]) and row[pivots[k]] == 1
+            assert all(rows[t][pivots[k]] == 0 for t in range(len(pivots)) if t != k)
+        # row i of the input is the combination of the reduced rows with its
+        # own entries at the pivot columns as coefficients
+        for row in mat:
+            rebuilt = [Q(0)] * ncols
+            for k, p in enumerate(pivots):
+                rebuilt = [x + row[p] * y for x, y in zip(rebuilt, rows[k])]
+            assert rebuilt == row, mat
+
+
+def test_invert_and_solve_against_mat_mul():
+    for mat in elimination_cases():
+        n, ncols = len(mat), len(mat[0])
+        full_rank = minor_rank(mat)
+        if n == ncols:
+            if full_rank == n:
+                assert linalg.mat_mul(linalg.invert(mat), mat) == linalg.identity(n)
+            else:
+                with pytest.raises(ValueError):
+                    linalg.invert(mat)
+        rhs = linalg.mat_vec(mat, [Q(j + 1, 2) for j in range(ncols)])
+        x = linalg.solve(mat, rhs)
+        assert x is not None and linalg.mat_vec(mat, x) == rhs
+        off = rhs[:-1] + [rhs[-1] + 1]
+        consistent = minor_rank([row + [c] for row, c in zip(mat, off)]) == full_rank
+        x = linalg.solve(mat, off)
+        assert (x is not None) == consistent, mat
+        if consistent:
+            assert linalg.mat_vec(mat, x) == off
+
+
+def test_nullspace_is_annihilated_and_complete():
+    for mat in elimination_cases():
+        basis = linalg.nullspace(mat)
+        assert len(basis) == len(mat[0]) - minor_rank(mat), mat
+        assert minor_rank(basis) == len(basis)
+        for v in basis:
+            assert not any(linalg.mat_vec(mat, v))
+        assert linalg.rank(mat) == minor_rank(mat)
