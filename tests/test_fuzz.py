@@ -108,13 +108,13 @@ OUTS = st.sampled_from([None, "missing directory", "directory"])
 
 
 @pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
+def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def check(argv, out, scratch):
+def check(argv, out, workdir):
     if out is not None:
-        path = scratch / "missing" / "x.json" if out == "missing directory" else scratch
+        path = workdir / "missing" / "x.json" if out == "missing directory" else workdir
         argv = argv + ["--out", str(path)]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -126,8 +126,8 @@ def check(argv, out, scratch):
         assert code == 2, argv
 
 
-def write(scratch, doc) -> str:
-    path = scratch / "doc.json"
+def write(workdir, doc) -> str:
+    path = workdir / "doc.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -144,13 +144,13 @@ def write(scratch, doc) -> str:
 )
 @example("build", "jordan:H2:field", 5, 1, None, False, "directory")
 @example("verify", "root:C:2", 5, 1, None, False, "missing directory")
-def test_descriptors(scratch, command, descriptor, samples, jobs, suites, report, out):
+def test_descriptors(workdir, command, descriptor, samples, jobs, suites, report, out):
     argv = [command, descriptor, "--samples", str(samples), "--jobs", str(jobs)]
     if command == "verify" and suites:
         argv += ["--suites", ",".join(suites)]
     if command == "export" and report:
         argv += ["--format", "report"]
-    check(argv, out, scratch)
+    check(argv, out, workdir)
 
 
 # [x, y] = x and [y, z] = y break the Jacobi identity on (x, y, z)
@@ -164,15 +164,15 @@ JACOBI_FAILS = {
 @given(doc=LIE_DOCS, samples=st.integers(1, 5), out=OUTS)
 @example(JACOBI_FAILS, 1, None)
 @example(JACOBI_FAILS, 1, "directory")
-def test_verify_documents(scratch, doc, samples, out):
-    check(["verify", write(scratch, doc), "--samples", str(samples)], out, scratch)
+def test_verify_documents(workdir, doc, samples, out):
+    check(["verify", write(workdir, doc), "--samples", str(samples)], out, workdir)
 
 
 @FUZZ
 @given(doc=ELEMENT_DOCS, places=st.none() | PLACES, out=OUTS)
 @example({"algebra": "jordan:H2:field", "element": {"diag": ["1", "2"]}}, None, "directory")
-def test_classify_documents(scratch, doc, places, out):
-    argv = ["classify", write(scratch, doc)]
+def test_classify_documents(workdir, doc, places, out):
+    argv = ["classify", write(workdir, doc)]
     if places is not None:
         argv += ["--places", places]
-    check(argv, out, scratch)
+    check(argv, out, workdir)
