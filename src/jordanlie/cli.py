@@ -27,7 +27,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import composition, jordan, kkt, orbits, rootdata, verify
@@ -145,18 +145,20 @@ def target_lie_algebra(t: Target) -> kkt.LieAlgebra:
         if t.kind == "jordan":
             t.lie = kkt.build_kkt(t.jordan_algebra)
         else:
-            t.lie = rootdata.graded_algebra(target_parabolic(t))
+            t.lie = target_parabolic(t).algebra
     return t.lie
 
 
 def target_parabolic(t: Target) -> rootdata.ParabolicDecomposition:
-    """Parabolic of a root: target at its node=, or else at the canonical node."""
+    """Parabolic of a root: target at its node=, or else at the canonical node;
+    with node= it holds the graded algebra, so all suites share its Killing matrix."""
     if t.parabolic is None:
         node = t.node
         if node is None:
             rs = t.split.root_system
             node = rootdata.canonical_node(rs.type_label, rs.rank)
-        t.parabolic = rootdata.parabolic(t.split, node)
+        p = rootdata.parabolic(t.split, node)
+        t.parabolic = p if t.node is None else replace(p, algebra=rootdata.graded_algebra(p))
     return t.parabolic
 
 

@@ -3,12 +3,13 @@
 Vectors are dicts {index: coeff} with zero entries absent; small dense
 problems use lists of lists.  Operators are column-sparse: a sequence whose
 entry k is the sparse image of basis vector k, flattened (for echelon work)
-with entry (row, k) at k * n + row.  Coefficients are Fractions, except inside
-``dense_product``, which scales its table and inputs to Python ints, runs
-the one table kernel on them and divides each entry back once.  There is one
-row reduction, ``EchelonBasis``: the dense helpers (``rref`` and through it
-``rank``, ``nullspace``, ``invert`` and ``solve``, and ``det``) insert their
-rows into one and read the result back as dense rows.  Everything here is
+with entry (row, k) at k * n + row.  Coefficients are Fractions, except in
+``gram_form`` on integer input (the root data) and inside ``dense_product``,
+which scales its table and inputs to Python ints, runs the one table kernel
+on them and divides each entry back once.  There is one row reduction,
+``EchelonBasis``: the dense helpers (``rref`` and through it ``rank``,
+``nullspace``, ``invert`` and ``solve``, and ``det``) insert their rows into
+one and read the result back as dense rows.  Everything here is
 deterministic: pivoting follows first-nonzero order, never magnitude.
 """
 
@@ -122,10 +123,11 @@ def op_commutator(a, b, n: int, columns) -> SparseVec:
     return flat
 
 
-def gram_form(gram, xs, ys) -> Fraction:
-    """x^T G y over the (i, cx) pairs in xs and the (j, cy) pairs in ys."""
+def gram_form(gram, xs, ys):
+    """x^T G y over the (i, cx) pairs in xs and the (j, cy) pairs in ys; an
+    int when every entry is an int, else a Fraction."""
     ys = [(j, cy) for j, cy in ys if cy]
-    total = Q(0)
+    total = 0
     for i, cx in xs:
         if cx:
             row = gram[i]
@@ -206,11 +208,12 @@ class EchelonBasis:
                 v = vec_add(v, self.rows[self._pivot_of[col]], -c)
         return v
 
-    def insert(self, vec: SparseVec) -> bool:
-        """Add vec to the span; returns True if the dimension grew."""
+    def insert(self, vec: SparseVec) -> Fraction:
+        """Add vec to the span; returns the remainder's pivot entry, or 0 if
+        the dimension did not grow."""
         rem = self.reduce(vec)
         if not rem:
-            return False
+            return Q(0)
         piv = min(rem)
         inv = Q(1) / rem[piv]
         row = {k: inv * v for k, v in rem.items()}
@@ -223,7 +226,7 @@ class EchelonBasis:
         self.pivots.append(piv)
         self._pivot_of[piv] = len(self.rows) - 1
         self._order = None
-        return True
+        return rem[piv]
 
     def sorted_basis(self) -> list[SparseVec]:
         """Basis rows ordered by pivot column (ascending)."""
@@ -316,17 +319,16 @@ def det(mat: list[list[Fraction]]) -> Fraction:
     Inserting the rows in order subtracts from each a combination of the
     rows before it, which keeps the determinant.  The remainders, with
     their pivot columns put in row order, form a triangular matrix, so the
-    determinant is the product of the remainders' pivot entries, negated
-    when the pivot columns have an odd number of inversions.
+    determinant is the product of the pivot entries ``insert`` returns,
+    negated when the pivot columns have an odd number of inversions.
     """
     basis = EchelonBasis()
     d = Q(1)
     for row in mat:
-        rem = basis.reduce(_sparse(row))
-        if not rem:
+        lead = basis.insert(_sparse(row))
+        if not lead:
             return Q(0)
-        d *= rem[min(rem)]
-        basis.insert(rem)
+        d *= lead
     p = basis.pivots
     inversions = sum(a > b for i, a in enumerate(p) for b in p[i + 1 :])
     return -d if inversions % 2 else d

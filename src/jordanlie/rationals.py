@@ -1,8 +1,9 @@
 """Exact rational scalars and their decimal-free string form.
 
-All arithmetic in this package runs over ``fractions.Fraction``; floats are
-never produced or accepted.  JSON carries rationals as ``"p/q"`` strings
-(or ``"p"`` when the denominator is 1).
+Rationals are ``fractions.Fraction`` at every API and JSON boundary;
+integral data (the scaled tables and the root data) is held in Python ints.
+Floats are never produced or accepted.  JSON carries rationals as ``"p/q"``
+strings (or ``"p"`` when the denominator is 1).
 """
 
 from __future__ import annotations

@@ -41,42 +41,42 @@ SUPPORTED_TYPES = ("A", "B", "C", "D", "E7")
 # ---------------------------------------------------------------------------
 
 
-def _simple_root_gram(type_label: str, rank: int) -> list[list[Fraction]]:
+def _simple_root_gram(type_label: str, rank: int) -> list[list[int]]:
     """Inner products (alpha_i, alpha_j) of the simple roots."""
-    g = [[Q(0)] * rank for _ in range(rank)]
+    g = [[0] * rank for _ in range(rank)]
 
-    def chain(i, j, val=Q(-1)):
+    def chain(i, j, val=-1):
         g[i][j] = g[j][i] = val
 
     if type_label == "A":
         if rank < 1:
             raise InvalidParameter("type A needs rank >= 1")
         for i in range(rank):
-            g[i][i] = Q(2)
+            g[i][i] = 2
         for i in range(rank - 1):
             chain(i, i + 1)
     elif type_label == "B":
         if rank < 2:
             raise InvalidParameter("type B needs rank >= 2")
         for i in range(rank - 1):
-            g[i][i] = Q(2)
-        g[rank - 1][rank - 1] = Q(1)
+            g[i][i] = 2
+        g[rank - 1][rank - 1] = 1
         for i in range(rank - 1):
             chain(i, i + 1)
     elif type_label == "C":
         if rank < 2:
             raise InvalidParameter("type C needs rank >= 2")
         for i in range(rank - 1):
-            g[i][i] = Q(2)
-        g[rank - 1][rank - 1] = Q(4)
+            g[i][i] = 2
+        g[rank - 1][rank - 1] = 4
         for i in range(rank - 2):
             chain(i, i + 1)
-        chain(rank - 2, rank - 1, Q(-2))
+        chain(rank - 2, rank - 1, -2)
     elif type_label == "D":
         if rank < 3:
             raise InvalidParameter("type D needs rank >= 3")
         for i in range(rank):
-            g[i][i] = Q(2)
+            g[i][i] = 2
         for i in range(rank - 2):
             chain(i, i + 1)
         chain(rank - 3, rank - 1)
@@ -84,7 +84,7 @@ def _simple_root_gram(type_label: str, rank: int) -> list[list[Fraction]]:
         if rank != 7:
             raise InvalidParameter("type E7 has rank 7")
         for i in range(7):
-            g[i][i] = Q(2)
+            g[i][i] = 2
         # Bourbaki numbering: chain 1-3-4-5-6-7 with 2 attached to 4
         for i, j in ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)):
             chain(i, j)
@@ -102,14 +102,28 @@ _EXPECTED_POSITIVE = {
 }
 
 
+def _simple_roots(rank: int) -> tuple[Root, ...]:
+    return tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
+
+
+def _pairing(gram, a: Root, b: Root) -> int:
+    """<a, b-dual> = 2 (a, b) / (b, b), an integer for roots; a remainder raises."""
+    ab, bb = (linalg.gram_form(gram, enumerate(x), enumerate(b)) for x in (a, b))
+    q, r = divmod(2 * ab, bb)
+    if r:
+        raise ConstructionError(f"non-integral pairing of {a} with the coroot of {b}")
+    return q
+
+
 @dataclass
 class RootSystem:
     """Positive roots with their Chevalley basis index: the basis runs
-    f-block (one f_a per positive root, in order), Cartan, e-block."""
+    f-block (one f_a per positive root, in order), Cartan, e-block.  The
+    Gram matrix, inner products, pairings and coroots are Python ints."""
 
     type_label: str
     rank: int
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]  # sorted by (height, coordinates)
     f_idx: dict[Root, int] = field(init=False, repr=False)  # positive root -> f_a
     e_idx: dict[Root, int] = field(init=False, repr=False)  # positive root -> e_a
@@ -123,12 +137,11 @@ class RootSystem:
         """Basis index of the i-th (0-based) simple coroot."""
         return len(self.positive_roots) + i
 
-    def inner(self, a: Root, b: Root) -> Fraction:
+    def inner(self, a: Root, b: Root) -> int:
         return linalg.gram_form(self.gram, enumerate(a), enumerate(b))
 
-    def pairing(self, a: Root, b: Root) -> Fraction:
-        """<a, b-dual> = 2 (a, b) / (b, b)."""
-        return 2 * self.inner(a, b) / self.inner(b, b)
+    def pairing(self, a: Root, b: Root) -> int:
+        return _pairing(self.gram, a, b)
 
     def is_root(self, a: Root) -> bool:
         if all(c >= 0 for c in a):
@@ -151,36 +164,21 @@ class RootSystem:
 
     @property
     def simple_roots(self) -> tuple[Root, ...]:
-        return tuple(
-            tuple(1 if j == i else 0 for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return _simple_roots(self.rank)
 
     @property
     def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
         """A[i][j] = <alpha_j, alpha_i-dual>."""
         simple = self.simple_roots
-        out = []
-        for i in range(self.rank):
-            row = []
-            for j in range(self.rank):
-                v = self.pairing(simple[j], simple[i])
-                if v.denominator != 1:
-                    raise ConstructionError("non-integral Cartan entry")
-                row.append(int(v))
-            out.append(tuple(row))
-        return tuple(out)
+        return tuple(tuple(self.pairing(b, a) for b in simple) for a in simple)
 
     def coroot_coeffs(self, a: Root) -> tuple[int, ...]:
         """a-dual as an integer combination of the simple coroots."""
         aa = self.inner(a, a)
-        out = []
-        for i, m in enumerate(a):
-            c = m * self.gram[i][i] / aa
-            if c.denominator != 1:
-                raise ConstructionError(f"non-integral coroot coefficient for {a}")
-            out.append(int(c))
-        return tuple(out)
+        out = [divmod(m * self.gram[i][i], aa) for i, m in enumerate(a)]
+        if any(r for _, r in out):
+            raise ConstructionError(f"non-integral coroot coefficient for {a}")
+        return tuple(c for c, _ in out)
 
     @property
     def highest_root(self) -> Root:
@@ -200,22 +198,19 @@ def _order_key(root: Root) -> tuple:
 
 def build_root_system(type_label: str, rank: int) -> RootSystem:
     gram = _simple_root_gram(type_label, rank)
-    simple = [
-        tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
-    ]
+    simple = _simple_roots(rank)
     roots = set(simple)
     frontier = list(simple)
     while frontier:
         nxt = []
         for alpha in frontier:
-            for i, s in enumerate(simple):
+            for s in simple:
                 p = 0
                 cur = tuple(x - y for x, y in zip(alpha, s))
                 while any(cur) and (cur in roots or tuple(-c for c in cur) in roots):
                     p += 1
                     cur = tuple(x - y for x, y in zip(cur, s))
-                pairing = 2 * linalg.gram_form(gram, enumerate(alpha), enumerate(s)) / gram[i][i]
-                if p - pairing >= 1:
+                if p - _pairing(gram, alpha, s) >= 1:
                     new = tuple(x + y for x, y in zip(alpha, s))
                     if new not in roots:
                         roots.add(new)
@@ -351,15 +346,13 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
     brackets: dict = {}
 
     # Cartan action
+    simple = rs.simple_roots
     for a in pos:
-        for i in range(rank):
-            simple = tuple(1 if j == i else 0 for j in range(rank))
-            pairing = rs.pairing(a, simple)
-            if pairing.denominator != 1:
-                raise ConstructionError("non-integral Cartan eigenvalue")
+        for i, s in enumerate(simple):
+            pairing = rs.pairing(a, s)
             if pairing:
-                put_bracket(brackets, h_idx(i), e_idx[a], {e_idx[a]: pairing})
-                put_bracket(brackets, h_idx(i), f_idx[a], {f_idx[a]: -pairing})
+                put_bracket(brackets, h_idx(i), e_idx[a], {e_idx[a]: Q(pairing)})
+                put_bracket(brackets, h_idx(i), f_idx[a], {f_idx[a]: Q(-pairing)})
 
     # [e_a, f_a] = coroot in the Cartan
     for a in pos:
@@ -493,12 +486,9 @@ def parabolic(g: LieAlgebra, node: int) -> ParabolicDecomposition:
                     )
         chain.append(best)
     # tube type: the chain's coroots sum to the grading element, so every
-    # root of n pairs to 2 with the chain (the pairing is linear in a, so it
-    # is read off the simple roots' pairings)
-    simple = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
-    h = [sum(rs.pairing(s, b) for b in chain) for s in simple]
+    # root of n pairs to 2 with the chain
     for a in n_roots:
-        d = sum(c * hk for c, hk in zip(a, h) if c)
+        d = sum(rs.pairing(a, b) for b in chain)
         if d != 2:
             raise InvalidParameter(
                 f"node {node}: non-tube parabolic (root {a} has pairing sum {d} "
@@ -536,13 +526,12 @@ def graded_algebra(p: ParabolicDecomposition) -> LieAlgebra:
     degree = [0] * g.dim
     for a in rs.positive_roots:
         d = sum(rs.pairing(a, b) for b in S)
-        if d.denominator != 1 or int(d) not in (0, 2):
+        if d not in (0, 2):
             raise ConstructionError(f"root {a} has pairing sum {d} against the chain")
-        expected_n = a[p.node - 1] > 0
-        if (int(d) == 2) != expected_n:
+        if (d == 2) != (a[p.node - 1] > 0):
             raise ConstructionError(f"grading of {a} disagrees with the partition")
-        degree[rs.e_idx[a]] = int(d)
-        degree[rs.f_idx[a]] = -int(d)
+        degree[rs.e_idx[a]] = d
+        degree[rs.f_idx[a]] = -d
     f = p.f_vec
     e = p.e_vec
     h: dict = {}

@@ -203,6 +203,82 @@ def test_build_golden_hashes(capsys, command, descriptor):
     assert hashlib.sha256(out.encode()).hexdigest() == golden[descriptor]
 
 
+# Full stdout of `export DESC --format report` for the root: instances; the
+# report is read off the root pairings alone (chain, Pierce components)
+GOLDEN_REPORTS = {
+    "root:A:3": (
+        "type A rank 3 node 2\n"
+        "dim g = 15, dim n = 4\n"
+        "degree r = 2\n"
+        "strongly orthogonal chain: 1,1,1; 0,1,0\n"
+        "off-diagonal Pierce dimension d = 2\n"
+        "(r, d) = (2, 2)\n"
+    ),
+    "root:A:5": (
+        "type A rank 5 node 3\n"
+        "dim g = 35, dim n = 9\n"
+        "degree r = 3\n"
+        "strongly orthogonal chain: 1,1,1,1,1; 0,1,1,1,0; 0,0,1,0,0\n"
+        "off-diagonal Pierce dimension d = 2\n"
+        "(r, d) = (3, 2)\n"
+    ),
+    "root:B:3": (
+        "type B rank 3 node 1\n"
+        "dim g = 21, dim n = 5\n"
+        "degree r = 2\n"
+        "strongly orthogonal chain: 1,2,2; 1,0,0\n"
+        "off-diagonal Pierce dimension d = 3\n"
+        "(r, d) = (2, 3)\n"
+    ),
+    "root:C:2": (
+        "type C rank 2 node 2\n"
+        "dim g = 10, dim n = 3\n"
+        "degree r = 2\n"
+        "strongly orthogonal chain: 2,1; 0,1\n"
+        "off-diagonal Pierce dimension d = 1\n"
+        "(r, d) = (2, 1)\n"
+    ),
+    "root:C:3": (
+        "type C rank 3 node 3\n"
+        "dim g = 21, dim n = 6\n"
+        "degree r = 3\n"
+        "strongly orthogonal chain: 2,2,1; 0,2,1; 0,0,1\n"
+        "off-diagonal Pierce dimension d = 1\n"
+        "(r, d) = (3, 1)\n"
+    ),
+    "root:D:4": (
+        "type D rank 4 node 1\n"
+        "dim g = 28, dim n = 6\n"
+        "degree r = 2\n"
+        "strongly orthogonal chain: 1,2,1,1; 1,0,0,0\n"
+        "off-diagonal Pierce dimension d = 4\n"
+        "(r, d) = (2, 4)\n"
+    ),
+    "root:D:4:node=4": (
+        "type D rank 4 node 4\n"
+        "dim g = 28, dim n = 6\n"
+        "degree r = 2\n"
+        "strongly orthogonal chain: 1,2,1,1; 0,0,0,1\n"
+        "off-diagonal Pierce dimension d = 4\n"
+        "(r, d) = (2, 4)\n"
+    ),
+    "root:E7:7": (
+        "type E7 rank 7 node 7\n"
+        "dim g = 133, dim n = 27\n"
+        "degree r = 3\n"
+        "strongly orthogonal chain: 2,2,3,4,3,2,1; 0,1,1,2,2,2,1; 0,0,0,0,0,0,1\n"
+        "off-diagonal Pierce dimension d = 8\n"
+        "(r, d) = (3, 8)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("descriptor", list(GOLDEN_REPORTS))
+def test_export_report_golden(capsys, descriptor):
+    code, out, err = run(capsys, "export", descriptor, "--format", "report")
+    assert (code, out, err) == (0, GOLDEN_REPORTS[descriptor], "")
+
+
 def test_build_determinism(tmp_path, capsys):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["build", "jordan:J2:dim=3:gram=I", "--out", str(f1)]) == 0
@@ -259,6 +335,28 @@ def test_verify_root_with_cross_validation(capsys):
     code, out, _ = run(capsys, "verify", "root:E7:7", "--suites", "cross-validate")
     assert code == 0
     assert out == "cross-validate: PASS [8778 checks] (E7 node 7, dim 133)\n"
+
+
+def test_one_killing_matrix_per_root_target(capsys, monkeypatch):
+    # counts first-time computations; the graded copy of a node= target and
+    # the parabolic the suites read share one algebra, hence one matrix
+    computed = []
+    killing_matrix = kkt.LieAlgebra.killing_matrix
+
+    def counting(self):
+        if self._killing is None:
+            computed.append(self.dim)
+        return killing_matrix(self)
+
+    monkeypatch.setattr(kkt.LieAlgebra, "killing_matrix", counting)
+    for command, descriptor, count in (
+        ("verify", "root:C:3:node=3", 1),
+        ("verify", "root:C:3", 1),
+        ("build", "root:C:3:node=3", 0),
+    ):
+        computed.clear()
+        code, _, _ = run(capsys, command, descriptor)
+        assert (code, computed) == (0, [21] * count), (command, descriptor)
 
 
 def _assert_usage_error(code, out, err, needle):

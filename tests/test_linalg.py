@@ -235,6 +235,26 @@ def test_det_equals_the_leibniz_sum():
         assert linalg.det(mat) == leibniz(mat), mat
 
 
+def test_det_reduces_each_row_once(monkeypatch):
+    calls = []
+    reduce = linalg.EchelonBasis.reduce
+
+    def counting_reduce(self, vec):
+        calls.append(len(vec))
+        return reduce(self, vec)
+
+    monkeypatch.setattr(linalg.EchelonBasis, "reduce", counting_reduce)
+    rng = random.Random(10)
+    dense = [[Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)] for _ in range(6)]
+    square = elimination_cases() + [dense]
+    nonsingular = [m for m in square if len(m) == len(m[0]) and leibniz(m)]
+    assert len(nonsingular[-1]) == 6
+    for mat in nonsingular:
+        calls.clear()
+        assert linalg.det(mat) == leibniz(mat)
+        assert len(calls) == len(mat), mat
+
+
 def test_rref_rows_are_reduced_and_rebuild_the_input():
     for mat in elimination_cases():
         rows, pivots = linalg.rref(mat)

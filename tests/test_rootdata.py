@@ -9,6 +9,7 @@ from jordanlie import jordan, kkt, linalg, verify
 from jordanlie.errors import ConstructionError, InvalidParameter
 from jordanlie.rootdata import (
     ChevalleyConstants,
+    RootSystem,
     build_root_system,
     build_split_lie,
     canonical_node,
@@ -118,6 +119,30 @@ def test_cartan_matrix_and_simple_roots():
     A = rs7.cartan_matrix
     assert all(A[i][i] == 2 for i in range(7))
     assert sum(A[i][j] for i in range(7) for j in range(7) if i != j) == -12
+
+
+@pytest.mark.parametrize("tl, rk", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("E7", 7)])
+def test_root_data_is_integral_and_brackets_are_fractions(tl, rk, split_builds):
+    g = split_builds(tl, rk)
+    rs = g.root_system
+    pos = rs.positive_roots
+    values = [rs.inner(a, b) for a in pos for b in pos]
+    values += [rs.pairing(a, b) for a in pos for b in pos]
+    values += [c for row in rs.cartan_matrix for c in row]
+    values += [c for a in pos for c in rs.coroot_coeffs(a)]
+    values += graded_algebra(parabolic(g, canonical_node(tl, rk))).grading
+    assert {type(v) for v in values} == {int}
+    coeffs = [c for vec in g.brackets.values() for c in vec.values()]
+    assert {type(c) for c in coeffs} == {Q}
+
+
+def test_non_integral_pairing_raises():
+    rs = RootSystem("A", 2, gram=((2, -1), (-1, 3)), positive_roots=((1, 0), (0, 1)))
+    assert rs.pairing((0, 1), (1, 0)) == -1
+    with pytest.raises(ConstructionError, match="non-integral pairing"):
+        rs.pairing((1, 0), (0, 1))
+    with pytest.raises(ConstructionError, match="non-integral pairing"):
+        rs.cartan_matrix
 
 
 @pytest.mark.parametrize("key", list(TABLE))
