@@ -167,10 +167,10 @@ def target_parabolic(t: Target) -> rootdata.ParabolicDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _emit(text: str, out: Optional[str]):
+def _emit(text: str, out: Optional[str], mode: str = "w"):
     if out:
         try:
-            with open(out, "w") as fh:
+            with open(out, mode) as fh:
                 fh.write(text)
         except OSError as exc:
             raise InvalidParameter(f"cannot write output {out!r}: {exc.strerror}")
@@ -305,11 +305,9 @@ def cmd_export(args) -> int:
 
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for sampled suites")
-    common.add_argument(
-        "--samples", type=int, default=1000, help="sample count for sampled suites"
-    )
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers for sampled suites")
+    common.add_argument("--seed", type=int, default=0, help="seed for the jacobi suite's samples")
+    common.add_argument("--samples", type=int, default=1000, help="jacobi suite sample count")
+    common.add_argument("--jobs", type=int, default=1, help="parallel workers for the jacobi suite")
     common.add_argument("--out", help="write output to a file instead of stdout")
 
     ap = argparse.ArgumentParser(
@@ -354,6 +352,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
+        if args.out:
+            # try the path before any work; append mode leaves an existing file as it is
+            _emit("", args.out, "a")
         return args.func(args)
     except (InvalidParameter, ConstructionError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

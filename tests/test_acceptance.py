@@ -150,7 +150,7 @@ def test_ac4_pierce_form_suite(split_builds):
             gram = [list(row) for row in form.gram]
             assert linalg.det(gram) != 0, (name, (i, j))
             assert rootdata.witt_hyperbolic_planes(gram) == d // 2, (name, (i, j))
-    # (c) composition identity, 1000 seeded samples per named instance
+    # (c) composition identity, certified on basis multisets per named instance
     notes = []
     for name in ("A5", "C3", "D4"):
         res = verify.suite_q_composition(

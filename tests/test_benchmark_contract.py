@@ -1,25 +1,31 @@
-"""The benchmark's span tracer wraps jordanlie names from outside; every
-name it lists must exist, or ``perfbench/run.py --trace 1`` breaks."""
+"""What the benchmark reads from jordanlie from outside.  The span tracer
+wraps jordanlie names: every name it lists must exist, or
+``perfbench/run.py --trace 1`` breaks.  Its checks count a suite line as
+sampled when the line says so: only Jacobi may."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+from test_cli import GOLDEN_VERIFY_ARGS, GOLDEN_VERIFY_SHA256
+
+from jordanlie.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _traced():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.TRACED
+    return mod
 
 
 def test_every_traced_name_resolves():
     # the lookup SpanRecorder.install makes: a module attribute, or a
     # method in the class's own __dict__
     missing = []
-    for mod_name, path in _traced():
+    for mod_name, path in _load("spans").TRACED:
         owner = importlib.import_module(f"jordanlie.{mod_name}")
         *outer, attr = path.split(".")
         for part in outer:
@@ -30,3 +36,18 @@ def test_every_traced_name_resolves():
         if not (found and callable(getattr(owner, attr))):
             missing.append(f"{mod_name}.{path}")
     assert missing == []
+
+
+def _verify_lines(capsys, *argv):
+    code = main(["verify", *argv])
+    assert code == 0, argv
+    return _load("checks").parse_suite_lines(capsys.readouterr().out)
+
+
+def test_only_jacobi_is_sampled(capsys):
+    suites = _verify_lines(capsys, "root:E7:7", "--suites", "jacobi,killing,q-composition")
+    got = [(s["suite"], s["sampled"]) for s in suites]
+    assert got == [("jacobi", True), ("killing", False), ("q-composition", False)]
+    for target in GOLDEN_VERIFY_SHA256:
+        for s in _verify_lines(capsys, target, *GOLDEN_VERIFY_ARGS.get(target, [])):
+            assert s["suite"] == "jacobi" or not (s["sampled"] or "seed" in s["line"]), s

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from jordanlie import kkt, rootdata, verify
+from jordanlie import cli, kkt, rootdata, verify
 from jordanlie.cli import main, parse_jordan_descriptor, parse_root_descriptor
 from jordanlie.errors import ConstructionError, InvalidParameter
 
@@ -127,13 +127,34 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
     assert err.count("\n") == 1
 
 
+def test_out_is_tried_before_the_work(tmp_path, capsys, monkeypatch):
+    def must_not_run(text):
+        pytest.fail(f"resolve_target ran for {text!r} before --out was tried")
+
+    monkeypatch.setattr(cli, "resolve_target", must_not_run)
+    out = tmp_path / "missing" / "x.txt"
+    code, stdout, err = run(capsys, "verify", "root:C:3", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot write output {str(out)!r}: No such file or directory\n"
+    monkeypatch.undo()
+    # a command that fails after the path was tried leaves the file as it was
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    code, _, err = run(capsys, "verify", "root:A:1", "--out", str(kept))
+    assert code == 2 and err.startswith("error: cross-validate needs degree r >= 2")
+    assert kept.read_text() == "earlier output\n"
+
+
 # SHA-256 of the `build` and `verify` stdout for every table instance, along
 # the matrix road (jordan:) and the Chevalley road (root:, graded and plain),
 # plus three jordan: tables whose common denominators are 42, 10 and 8 (all
 # the others are dyadic); any refactor of the construction or the suites
 # must leave these unchanged.  The build hashes were re-pinned once, when the
 # JSON gained the Killing normalization pair ("norm_pair"); deleting that key
-# from any of these outputs gives the earlier hash
+# from any of these outputs gives the earlier hash.  The verify hashes were
+# re-pinned once, when killing, jordan-identity, composition-law and
+# q-composition became exhaustive basis certificates: only check counts
+# changed, and the "(seed N)" notes of those suites were dropped
 GOLDEN_BUILD_SHA256 = {
     "jordan:H2:field": "73afe6c3eb34de83be03855e5cae64ecadd8466b296e898da6e368c1d8ae4b60",
     "jordan:H3:field": "5fdb2b7fc5a977c898dfe99a81f263337512b8f1201e6e83790c2dc35353ff84",
@@ -161,32 +182,33 @@ GOLDEN_BUILD_SHA256 = {
     "root:E7:7": "1305b6ee9cb96373077134feea7b53de926166c34ca27f4ba7c5d91517a1c262",
 }
 GOLDEN_VERIFY_SHA256 = {
-    "jordan:H2:field": "269c0cb7d8bf17c1e8a33893c342355d61cd8287f9576de05f79f90661121d2d",
-    "jordan:H3:field": "0584ef0be06809cc7a6e1e9642b93871194904528ca396d37f73f1162ec7f340",
-    "jordan:H2:split-complex": "fd2c58f2dc7963b2e2f92d526e0e40a0d5b31c8b8186375ffaa7fd99fc0cd7b8",
-    "jordan:H3:split-complex": "bd3d24a7ed0319e2bb7e52e9ed27c0638e27c82bbf79de938f5a2b7563b7e54b",
-    "jordan:J2:dim=3:gram=split": "2fdb4342fdd3521d726adc9e1ce3807e41169b636f3fda33907902c23317ef38",
-    "jordan:J2:dim=4:gram=split": "96d7977288a01775b18a27143d8ae00da303df7d629d8c67b98539a6a14147ab",
-    "jordan:H3:octonion:split": "ddb77e065ac01393d63a5dfd451c13dc61854182dabc75efde33190743e79ea2",
-    "jordan:H2:quaternion:1/3,-5/7": "a35264d2f44efe8460423d36f8dad7ad8d89e239794737539d17066ea8de4e92",
-    "jordan:J2:dim=2:gram=1/2,3/5": "ce0ec137daec4160cf8d48fc741062937c8ab8ec440dd9b6bfb6f0756c553196",
-    "jordan:H3:complex:-7/4": "bd3d24a7ed0319e2bb7e52e9ed27c0638e27c82bbf79de938f5a2b7563b7e54b",
+    "jordan:H2:field": "a19522a20e4cef98f7b6b0179204c3c800468079dbccb4b09792550d5b9d7b7d",
+    "jordan:H3:field": "bbf05d7fc776ee083f76afe5b87d0d4a005469368c9f12e3b0925cb384b503ea",
+    "jordan:H2:split-complex": "54a322854409774955de54e32ac6d8d59bb338e11c066a4539d1243dc0ac23d8",
+    "jordan:H3:split-complex": "e5e8a461e455096bc7e6769d1c9b8e701a5c7b3e7b35b6dc6a54b67aba9a640e",
+    "jordan:J2:dim=3:gram=split": "233ea37e9bf2a73d0711c8e7785ac585c1629162fcc0cdc92cdb9465a62f55b2",
+    "jordan:J2:dim=4:gram=split": "a57cf9b0db7183979bfbd4b49b8abbc4ce534dd52b74e66eef6b04cf5c7accf9",
+    "jordan:H3:octonion:split": "4c776877b31ade40b19d3286a10467cd1454936c8833e7df894842c6ad2d40ca",
+    "jordan:H2:quaternion:1/3,-5/7": "b89e0f31404d51a3b1854af047778c91a7d36067be431fc32c4427bf5f9b72af",
+    "jordan:J2:dim=2:gram=1/2,3/5": "99fba2cea44724c9be35242226292f7bb1228df59e36addf0e92c07c129783fe",
+    "jordan:H3:complex:-7/4": "e5e8a461e455096bc7e6769d1c9b8e701a5c7b3e7b35b6dc6a54b67aba9a640e",
     "root:C:2:node=2": "e42042f5a6bfe51a87f7b230f5610aa1d973412913846d6b94364d449b7fce79",
-    "root:C:3:node=3": "817b948247acd55e5579fb6190b49ced932c4bbb46a2ef51bac1ea6fa2e4f3db",
+    "root:C:3:node=3": "7a1bd41712cb171893e8eec556e8f09967c65ffb171fbeb4f0ee7f15ab6faab1",
     "root:A:3:node=2": "5b01402898cb8b48a351769cf754f1cd66710b6f961df3d01eb05574efb6ab8c",
-    "root:A:5:node=3": "fc381a6c91c30c88268c8ee25e98aef5448e75e6a87952d703ab54513b9fbf63",
+    "root:A:5:node=3": "bc317328ca86f727ce613c12e27b69944c11f318ca445f533e4e760032512985",
     "root:B:3:node=1": "88d8006bce0cb762faa3075d59a0690926776d89f6fbf5c7ea445a385d854989",
-    "root:D:4:node=1": "73e896ccb5c757eb9c53b5ed1c0690bd401f1816da890045e2bc5330ea7cd60e",
-    "root:E7:7:node=7": "9750f668f2610269bc5aacfc2597327862ca944bf307ca78ef901aed5a20262b",
+    "root:D:4:node=1": "af178a45f211af55996e5eb22147344db96c33d1377e278a95cd6a4324c7ca10",
+    "root:E7:7:node=7": "8caa07366db4489355c6e37486aae53118479d0d421db4b6790f256d2f20f318",
     "root:C:2": "74cb7575d0e294616af5e7cfab87313bb8969a7ce3c1ee456f9df2b9b5786ce5",
-    "root:C:3": "5a588914bc5bee47a42d68711568a735dae17cde1494e911d331655acb5b1b4f",
+    "root:C:3": "6c346dc6a7e2b25b6002555d361374c60c4362506d2619d1e1d0a8efc125e9ae",
     "root:A:3": "7815a97e58664d0df263053d35973b38bea245912d28804f2e6e4bc8347f636a",
-    "root:A:5": "6671168f8729ff928da5bb73be8461a4f545922558acdcf3066ae90943dd7b20",
+    "root:A:5": "af11ade7bf6c8258fc51a00d195bd7ee7e8a389c9da2f56997349a5d844554c0",
     "root:B:3": "685b971290c249874275a2508f436814c17c918f58051e37f3e9efe1fa61ae20",
-    "root:D:4": "a56e8669c43b39fc2206170f027663bfffa0e8494f3277d8f924cc1c8fbff13c",
-    "root:E7:7": "919061d1071ccc0ed7a479eebbbb146dcc02e736897c3d64fa898423196fe5cf",
+    "root:D:4": "86739c71bd2503cdf03bdbadc7d5ca0cf12ece7c3147280d5d556f323afe9a63",
+    "root:E7:7": "914f398a2a4dccb4f556477f6b986f62ac19ddf5f360674dea502dbe1b299f82",
 }
-# H3(O) runs 100 jordan-identity samples, not the default 1000 that dominate its time
+# H3(O) samples Jacobi 100 times instead of the default 1000; --samples steers
+# only the jacobi suite, which samples above dimension 36
 GOLDEN_VERIFY_ARGS = {"jordan:H3:octonion:split": ["--samples", "100"]}
 
 

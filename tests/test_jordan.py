@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import random
@@ -5,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from jordanlie import jordan, linalg
+from jordanlie import jordan, linalg, verify
 from jordanlie.errors import (
     AlgebraMismatch,
     ConstructionError,
@@ -512,3 +513,30 @@ def test_quadratic_json_round_trip(family_instances):
     assert obj["a"] == "1/2"
     y = jordan.element_from_json(obj, alg)
     assert y == x
+
+
+def _with_cells(J, cells):
+    """Shallow copy of J whose integer table has the given cells."""
+    bad = copy.copy(J)
+    bad.scaled = linalg.ScaledTable(tuple(tuple(row) for row in cells), J.scaled.den)
+    return bad
+
+
+def test_jordan_identity_certificate_names_basis_witnesses(family_instances):
+    J = family_instances["E7"]
+    cells = [list(row) for row in J.scaled.cells]
+    # b_1 o b_4 = b_4 o b_1 both gain b_0: still commutative, no longer Jordan
+    cell = dict(cells[1][4])
+    cell[0] = cell.get(0, 0) + J.scaled.den
+    cells[1][4] = cells[4][1] = cell
+    assert verify.suite_jordan_identity(_with_cells(J, cells), verify.Config()).line() == (
+        "jordan-identity: FAIL [382 checks] "
+        "witness: polarized identity fails at (a, b, c) = (0, 1, 4), y = 0"
+    )
+    cells[4][1] = J.scaled.cells[4][1]
+    assert verify.suite_jordan_identity(_with_cells(J, cells), verify.Config()).line() == (
+        "jordan-identity: FAIL [29 checks] witness: commutativity fails at (1, 4)"
+    )
+    res = verify.suite_jordan_identity(J, verify.Config())
+    # 27*26/2 basis pairs, then 27 y for each of the C(29, 3) multisets {a, b, c}
+    assert res.line() == "jordan-identity: PASS [99009 checks]"

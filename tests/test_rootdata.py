@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from jordanlie import jordan, kkt, linalg, verify
+from jordanlie import jordan, kkt, linalg, rootdata, verify
 from jordanlie.errors import ConstructionError, InvalidParameter
 from jordanlie.rootdata import (
     ChevalleyConstants,
@@ -109,6 +109,15 @@ def test_jacobi_d6(split_builds):
     g = split_builds("D", 6)
     res = verify.suite_jacobi(g, verify.Config(seed=24, sample_count=40000))
     assert res.passed, res.line()
+
+
+def test_killing_certificate_catches_what_jacobi_samples_miss(split_builds):
+    bad = verify.corrupted_copy(split_builds("E7", 7), 5, 81, 73, Q(1))
+    assert verify.suite_jacobi(bad, verify.Config()).passed
+    assert verify.suite_killing(bad, verify.Config()).line() == (
+        "killing: FAIL [36928 checks] witness: ad-invariance fails at "
+        "(f:0,0,0,0,1,0,0, f:0,1,0,1,0,0,0, e:0,1,0,1,1,0,0)"
+    )
 
 
 def test_cartan_matrix_and_simple_roots():
@@ -325,6 +334,23 @@ def test_q_composition_suite(split_builds):
         p = parabolic(split_builds(tl, rk), canonical_node(tl, rk))
         res = verify.suite_q_composition(p, verify.Config(seed=5, sample_count=300))
         assert res.passed, res.line()
+
+
+def test_q_composition_certificate_catches_a_shifted_pierce_form(split_builds, monkeypatch):
+    p = parabolic(split_builds("E7", 7), canonical_node("E7", 7))
+    forms = dict(q_forms(p))
+    res = verify.suite_q_composition(p, CFG)
+    # 6 ordered index triples, 36 multisets {a, a'} times 36 multisets {b, b'}
+    assert res.line() == "q-composition: PASS [7776 checks]"
+    gram = [list(row) for row in forms[(1, 2)].gram]
+    # the form's first nonzero off-diagonal entry, at (0, 7) and (7, 0), shifted by 1/2
+    gram[0][7] += Q(1, 2)
+    gram[7][0] += Q(1, 2)
+    forms[(1, 2)] = replace(forms[(1, 2)], gram=tuple(tuple(row) for row in gram))
+    monkeypatch.setattr(rootdata, "q_forms", lambda _: forms)
+    assert verify.suite_q_composition(p, CFG).line() == (
+        "q-composition: FAIL [260 checks] witness: indices (1,2,3) a, a' = 0, 7 b, b' = 0, 7"
+    )
 
 
 def test_coordinatize_c2_reproduces_rank_two_matrix_table(rationals_algebra, split_builds):
