@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -351,12 +352,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return USAGE_ERROR if exc.code not in (0,) else 0
+    fresh = bool(args.out) and not os.path.exists(args.out)
     try:
         if args.out:
-            # try the path before any work; append mode leaves an existing file as it is
+            # try the path before any work: append mode keeps an existing file
             _emit("", args.out, "a")
         return args.func(args)
     except (InvalidParameter, ConstructionError, ValueError, KeyError) as exc:
+        if fresh and os.path.exists(args.out):
+            os.remove(args.out)  # made by the probe above, and still empty
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AlgebraMismatch, InvalidParameter
-from .linalg import ScaledTable, dense_product, det, gram_form, scale_table, table_product, vec_add
+from .linalg import ScaledTable, dense_product, det, gram_form, scale_table, table_product
 from .rationals import Q, fmt, parse
 
 Coeffs = tuple[Fraction, ...]
@@ -172,8 +172,9 @@ def _double(table, norms, gamma: Fraction):
     """One Cayley-Dickson step on (sparse mul table, basis norm list)."""
     n = len(norms)
 
-    def mul(u, v):
-        return table_product({}, table, u.items(), v.items())
+    def mul(acc, u, v, s=1):
+        """acc += s * uv."""
+        return table_product(acc, table, u.items(), [(k, s * x) for k, x in v.items()])
 
     def conj(v):
         return {k: c if k == 0 else -c for k, c in v.items()}
@@ -185,9 +186,9 @@ def _double(table, norms, gamma: Fraction):
 
     def cell(i, j):
         (a, b), (c, d) = halves(i), halves(j)
-        first = vec_add(mul(a, c), mul(conj(d), b), gamma)
-        second = vec_add(mul(d, a), mul(b, conj(c)))
-        return {**first, **{n + k: x for k, x in second.items()}}
+        first = mul(mul({}, a, c), conj(d), b, gamma)
+        second = {n + k: x for k, x in mul(mul({}, d, a), b, conj(c)).items()}
+        return {k: x for k, x in {**first, **second}.items() if x}
 
     new_table = tuple(tuple(cell(i, j) for j in range(2 * n)) for i in range(2 * n))
     new_norms = list(norms) + [-gamma * x for x in norms]

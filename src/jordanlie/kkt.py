@@ -27,6 +27,10 @@ entries, formed only on the operator columns that hold a pivot.  The
 distinguished sl2-triple is e = identity of J inside n, f = -(identity)
 inside nbar, h = [e, f].
 
+A LieAlgebra stores each nonzero [b_i, b_j], i < j, once, and reads every
+bracket, ad operator and Killing trace from a table of all ordered pairs in
+the {k: coeff} cells of every structure table, through linalg.table_product.
+
 The Killing form is the ad-trace form rescaled so that it takes the value 1
 on the pair (f_1, e_1) built from the first frame idempotent.
 """
@@ -36,12 +40,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import linalg
 from .errors import ConstructionError, InvalidParameter
 from .jordan import JordanAlgebra, JordanElement
-from .linalg import EchelonBasis, add_combination, vec_add
+from .linalg import EchelonBasis, add_combination
 from .rationals import HALF, Q, fmt, parse
 
 SparseVec = dict
@@ -96,8 +101,8 @@ def _vop_cols(J: JordanAlgebra, x, y) -> OpCols:
 class LieAlgebra:
     """Basis-indexed sparse structure constants, optionally 3-graded.
 
-    brackets holds only pairs i < j; [b_j, b_i] is recovered by
-    antisymmetry and [b_i, b_i] = 0 structurally.
+    brackets holds only pairs i < j, zero brackets absent; it is the
+    constructor and JSON form.  Every bracket is read through ``table``.
     """
 
     labels: tuple[str, ...]
@@ -109,43 +114,33 @@ class LieAlgebra:
     root_system: Optional[object] = field(default=None, compare=False, repr=False)
     # memoized derived data: never passed, copied by replace() or compared
     _killing: Optional[list] = field(default=None, init=False, compare=False, repr=False)
-    _ad_cache: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def table(self) -> tuple:
+        """table[i][j] = [b_i, b_j] in linalg's sparse cell format, so row i
+        is ad(b_i) as a column-sparse operator: the brackets dicts above the
+        diagonal, their negations below, one shared empty dict for every zero
+        bracket; no cell may be written.  Built on first read, not by from_json."""
+        zero: SparseVec = {}
+        rows = [[zero] * self.dim for _ in range(self.dim)]
+        for (i, j), vec in self.brackets.items():
+            rows[i][j] = vec
+            rows[j][i] = {k: -c for k, c in vec.items()}
+        return tuple(map(tuple, rows))
+
     def bracket_basis(self, i: int, j: int) -> SparseVec:
-        if i == j:
-            return {}
-        if i < j:
-            return self.brackets.get((i, j), {})
-        b = self.brackets.get((j, i))
-        return {k: -c for k, c in b.items()} if b else {}
+        return self.table[i][j]
 
     def bracket(self, x: SparseVec, y: SparseVec) -> SparseVec:
         for v in (x, y):
             if any(k < 0 or k >= self.dim for k in v):
                 raise InvalidParameter("element index out of range for this algebra")
-        out: SparseVec = {}
-        for i, ci in x.items():
-            if not ci:
-                continue
-            for j, cj in y.items():
-                if not cj:
-                    continue
-                b = self.bracket_basis(i, j)
-                if b:
-                    out = vec_add(out, b, ci * cj)
-        return out
-
-    def ad_cols(self, i: int) -> list:
-        return [self.bracket_basis(i, j) for j in range(self.dim)]
-
-    def _ads(self) -> list:
-        if self._ad_cache is None:
-            self._ad_cache = [self.ad_cols(i) for i in range(self.dim)]
-        return self._ad_cache
+        out = linalg.table_product({}, self.table, x.items(), y.items())
+        return {k: c for k, c in out.items() if c}
 
     def degree_indices(self, deg: int) -> list[int]:
         if self.grading is None:
@@ -156,11 +151,10 @@ class LieAlgebra:
 
     def killing_raw(self, x: SparseVec, y: SparseVec) -> Fraction:
         """trace(ad x ad y), no normalization."""
-        ads = self._ads()
         total = Q(0)
         for i, ci in x.items():
             for j, cj in y.items():
-                total += ci * cj * linalg.op_trace_product(ads[i], ads[j])
+                total += ci * cj * linalg.op_trace_product(self.table[i], self.table[j])
         return total
 
     def killing_matrix(self) -> list[list[Fraction]]:
@@ -185,7 +179,7 @@ class LieAlgebra:
                 if raw == 0:
                     raise ConstructionError("ad-trace pairing of the normalization pair vanishes")
                 s = 1 / raw
-            ads = self._ads()
+            ads = self.table
             mat = [[Q(0)] * self.dim for _ in range(self.dim)]
             for i, w in enumerate(weights):
                 for j in by_weight.get(tuple(-c for c in w), ()):
@@ -218,6 +212,34 @@ def put_bracket(brackets: dict, i: int, j: int, vec: SparseVec) -> None:
 
 def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     n = J.dim
+    # the operators and the echelon live only inside _kkt_brackets, so they
+    # are freed before the first bracket read below builds the table
+    brackets, m_dim = _kkt_brackets(J)
+    labels = (
+        tuple(f"nbar:{k}" for k in range(n))
+        + tuple(f"m:{k}" for k in range(m_dim))
+        + tuple(f"n:{k}" for k in range(n))
+    )
+    grading = (-2,) * n + (0,) * m_dim + (2,) * n
+    g = LieAlgebra(labels=labels, brackets=brackets, grading=grading)
+
+    n0 = n + m_dim  # index of n:0
+    e_vec = {n0 + k: c for k, c in enumerate(J.identity.vec) if c}
+    f_vec = {k: -c for k, c in enumerate(J.identity.vec) if c}
+    h_vec = g.bracket(e_vec, f_vec)
+    if not all(n <= k < n0 for k in h_vec):
+        raise ConstructionError("grading element landed outside m")
+    g.triple = (f_vec, h_vec, e_vec)
+
+    e1 = {n0 + k: c for k, c in enumerate(J.frame(1).vec) if c}
+    f1 = {k: -c for k, c in enumerate(J.frame(1).vec) if c}
+    g.norm_pair = (f1, e1)
+    return g
+
+
+def _kkt_brackets(J: JordanAlgebra) -> tuple[dict, int]:
+    """The brackets of g on the basis nbar, m, n in that order, and dim m."""
+    n = J.dim
     basis_vecs = [tuple(Q(1) if i == k else Q(0) for i in range(n)) for k in range(n)]
 
     # span of all structure operators V_{b_i, b_j}, in first-pivot echelon order
@@ -247,12 +269,6 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     idx_m = lambda k: n + k
     idx_n = lambda k: n + m_dim + k
 
-    labels = (
-        tuple(f"nbar:{k}" for k in range(n))
-        + tuple(f"m:{k}" for k in range(m_dim))
-        + tuple(f"n:{k}" for k in range(n))
-    )
-    grading = (-2,) * n + (0,) * m_dim + (2,) * n
     brackets: dict = {}
 
     # [n_i, nbar_j] = V_{b_i, b_j} in m; the operator was inserted into the
@@ -291,19 +307,7 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
                 vals = span.coordinates_unchecked(comm)
             put_bracket(brackets, idx_m(a), idx_m(b), {idx_m(k): c for k, c in enumerate(vals) if c})
 
-    g = LieAlgebra(labels=labels, brackets=brackets, grading=grading)
-
-    e_vec = {idx_n(k): c for k, c in enumerate(J.identity.vec) if c}
-    f_vec = {idx_nbar(k): -c for k, c in enumerate(J.identity.vec) if c}
-    h_vec = g.bracket(e_vec, f_vec)
-    if not set(h_vec) <= {idx_m(a) for a in range(m_dim)}:
-        raise ConstructionError("grading element landed outside m")
-    g.triple = (f_vec, h_vec, e_vec)
-
-    e1 = {idx_n(k): c for k, c in enumerate(J.frame(1).vec) if c}
-    f1 = {idx_nbar(k): -c for k, c in enumerate(J.frame(1).vec) if c}
-    g.norm_pair = (f1, e1)
-    return g
+    return brackets, m_dim
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +373,7 @@ def verify_span(g: LieAlgebra) -> SpanReport:
     span = EchelonBasis()
     for i in n_idx:
         for j in nbar_idx:
-            b = g.bracket_basis(i, j)
-            if b:
-                span.insert(b)
+            span.insert(g.bracket_basis(i, j))
     return SpanReport(m_dim=m_count, span_dim=len(span))
 
 

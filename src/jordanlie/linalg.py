@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Vectors are dicts {index: coeff} with zero entries absent; small dense
-problems use lists of lists.  Operators are column-sparse: a sequence whose
-entry k is the sparse image of basis vector k, flattened (for echelon work)
-with entry (row, k) at k * n + row.  Coefficients are Fractions, except in
+problems use lists of lists.  ``add_combination`` is the only sparse add: it
+accumulates in place, and callers drop cancelled entries once on readout.
+``table_product`` is the one bilinear kernel: every structure table, the
+Lie bracket table included, holds sparse {k: coeff} cells and is multiplied
+through it.  Operators are column-sparse: a sequence whose entry k is the
+sparse image of basis vector k, flattened (for echelon work) with entry
+(row, k) at k * n + row.  Coefficients are Fractions, except in
 ``gram_form`` on integer input (the root data) and inside ``dense_product``,
 which scales its table and inputs to Python ints, runs the one table kernel
 on them and divides each entry back once.  There is one row reduction,
@@ -23,18 +27,6 @@ from typing import Optional
 Q = Fraction
 
 SparseVec = dict
-
-
-def vec_add(a: SparseVec, b: SparseVec, scale: Fraction = Q(1)) -> SparseVec:
-    """a + scale*b, dropping zeros."""
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, 0) + scale * v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
 
 
 def add_combination(acc: SparseVec, cols, coeffs) -> SparseVec:
@@ -198,15 +190,11 @@ class EchelonBasis:
     def reduce(self, vec: SparseVec) -> SparseVec:
         """Remainder of vec after subtracting its projection onto the span.
 
-        Rows are fully reduced, so subtracting a row never introduces entries
-        at other pivot columns; one pass over vec's pivot columns suffices.
+        Rows are fully reduced, so subtracting a row never changes vec at
+        another pivot column: each row's coefficient is vec's pivot entry.
         """
-        v = dict(vec)
-        for col in [c for c in vec if c in self._pivot_of]:
-            c = v.get(col)
-            if c:
-                v = vec_add(v, self.rows[self._pivot_of[col]], -c)
-        return v
+        coeffs = [(self._pivot_of[k], -c) for k, c in vec.items() if c and k in self._pivot_of]
+        return {k: c for k, c in add_combination(dict(vec), self.rows, coeffs).items() if c}
 
     def insert(self, vec: SparseVec) -> Fraction:
         """Add vec to the span; returns the remainder's pivot entry, or 0 if
@@ -221,7 +209,8 @@ class EchelonBasis:
         for i, r in enumerate(self.rows):
             c = r.get(piv)
             if c:
-                self.rows[i] = vec_add(r, row, -c)
+                acc = add_combination(dict(r), [row], [(0, -c)])
+                self.rows[i] = {k: v for k, v in acc.items() if v}
         self.rows.append(row)
         self.pivots.append(piv)
         self._pivot_of[piv] = len(self.rows) - 1

@@ -28,7 +28,7 @@ from . import linalg
 from .composition import algebra_from_table
 from .errors import ConstructionError, InvalidParameter
 from .kkt import LieAlgebra, put_bracket
-from .linalg import EchelonBasis, vec_add
+from .linalg import EchelonBasis, add_combination
 from .rationals import HALF, Q
 
 Root = tuple[int, ...]
@@ -422,19 +422,11 @@ class ParabolicDecomposition:
     def degree(self) -> int:
         return len(self.strongly_orthogonal)
 
-    @property
-    def f_vec(self) -> dict:
-        out: dict = {}
-        for t in self.triples:
-            out = vec_add(out, t.f)
-        return out
-
-    @property
-    def e_vec(self) -> dict:
-        out: dict = {}
-        for t in self.triples:
-            out = vec_add(out, t.e)
-        return out
+    def chain_sum(self, part: str) -> dict:
+        """The sum of member part ("f", "h" or "e") of the chain's sl2 triples."""
+        vecs = [getattr(t, part) for t in self.triples]
+        acc = add_combination({}, vecs, [(k, Q(1)) for k in range(len(vecs))])
+        return {k: c for k, c in acc.items() if c}
 
     def pierce_roots(self, i: int, j: int) -> tuple[Root, ...]:
         """Roots spanning the (i, j) Pierce component, 1-based indices."""
@@ -532,15 +524,10 @@ def graded_algebra(p: ParabolicDecomposition) -> LieAlgebra:
             raise ConstructionError(f"grading of {a} disagrees with the partition")
         degree[rs.e_idx[a]] = d
         degree[rs.f_idx[a]] = -d
-    f = p.f_vec
-    e = p.e_vec
-    h: dict = {}
-    for t in p.triples:
-        h = vec_add(h, t.h)
     return replace(
         g,
         grading=tuple(degree),
-        triple=(f, h, e),
+        triple=(p.chain_sum("f"), p.chain_sum("h"), p.chain_sum("e")),
         norm_pair=(p.triples[0].f, p.triples[0].e),
     )
 
@@ -604,7 +591,7 @@ def jordan_from_roots(p: ParabolicDecomposition) -> RootJordan:
     e_idx = g.root_system.e_idx
     basis = p.n_roots
     pos_of = {e_idx[a]: k for k, a in enumerate(basis)}
-    f = p.f_vec
+    f = p.chain_sum("f")
     dim = len(basis)
     table = [[None] * dim for _ in range(dim)]
     for i, a in enumerate(basis):
@@ -790,13 +777,19 @@ def coordinatize(p: ParabolicDecomposition) -> Coordinatization:
         units[(1, i)] = v
     p2 = _rescaled_parabolic(p, scales)
     rj = jordan_from_roots(p2)
+    # f_i -> f_i / s_i and the Killing form is bilinear, so the forms of p2
+    # are those of p divided by s_i s_j
+    forms2 = {}
+    for (i, j), f in forms.items():
+        s = scales[i - 1] * scales[j - 1]
+        forms2[(i, j)] = replace(f, gram=tuple(tuple(c / s for c in row) for row in f.gram))
     if r == 2:
-        return _coordinatize_quadratic(p2, rj)
-    return _coordinatize_hermitian(p2, rj, units)
+        return _coordinatize_quadratic(p2, rj, forms2)
+    return _coordinatize_hermitian(p2, rj, forms2, units)
 
 
-def _coordinatize_quadratic(p2, rj):
-    form = q_forms(p2)[(1, 2)]
+def _coordinatize_quadratic(p2, rj, forms):
+    form = forms[(1, 2)]
     pos = [rj.position[a] for a in form.roots]
     d = len(pos)
     model = jordan_mod.quadratic([list(row) for row in form.gram])
@@ -809,9 +802,8 @@ def _coordinatize_quadratic(p2, rj):
     return Coordinatization(parabolic=p2, root_jordan=rj, model=model, matrix=mat)
 
 
-def _coordinatize_hermitian(p2, rj, units):
+def _coordinatize_hermitian(p2, rj, forms, units):
     r = p2.degree
-    forms = q_forms(p2)
 
     def dbl(x_vec, y_vec):
         """{x, y} = 2 (x o y) on full nilradical coordinate vectors."""
@@ -967,21 +959,13 @@ def cross_validate(p: ParabolicDecomposition) -> CrossValidation:
     mismatches = []
     for i in range(dim):
         for j in range(i + 1, dim):
-            lhs = g2.bracket(images[i], images[j])
-            chev = g1.bracket_basis(i, j)
-            rhs: dict = {}
-            for t, c in chev.items():
-                rhs = vec_add(rhs, images[t], c)
-            if lhs != rhs:
+            # images, keyed by Chevalley index, is the transport as an operator
+            rhs = linalg.op_apply(images, g1.bracket_basis(i, j))
+            if g2.bracket(images[i], images[j]) != rhs:
                 mismatches.append((g1.labels[i], g1.labels[j]))
     # triple transport
-    f1, h1, e1 = g1.triple
-    f2, h2, e2 = g2.triple
-    for name, src, want in (("f", f1, f2), ("h", h1, h2), ("e", e1, e2)):
-        got: dict = {}
-        for t, c in src.items():
-            got = vec_add(got, images[t], c)
-        if got != want:
+    for name, src, want in zip("fhe", g1.triple, g2.triple):
+        if linalg.op_apply(images, src) != want:
             mismatches.append((f"triple:{name}", ""))
     return CrossValidation(dim=dim, mismatches=mismatches)
 

@@ -20,7 +20,6 @@ from . import jordan as jordan_mod
 from . import composition, linalg, rootdata
 from .errors import InvalidParameter
 from .kkt import LieAlgebra
-from .linalg import vec_add
 from .rationals import Q, fmt
 
 EXHAUSTIVE_DIM = 36
@@ -55,10 +54,12 @@ class SuiteResult:
 
 
 def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> dict:
-    r = g.bracket(g.bracket_basis(i, j), {k: Q(1)})
-    r = vec_add(r, g.bracket(g.bracket_basis(j, k), {i: Q(1)}))
-    r = vec_add(r, g.bracket(g.bracket_basis(k, i), {j: Q(1)}))
-    return r
+    """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]."""
+    t = g.table
+    acc: dict = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        linalg.table_product(acc, t, t[a][b].items(), [(c, Q(1))])
+    return {m: v for m, v in acc.items() if v}
 
 
 def _jacobi_chunk(args) -> Optional[tuple]:
@@ -165,7 +166,7 @@ def suite_killing(g: LieAlgebra, cfg: Config) -> SuiteResult:
     # M_i = K ad_i (column j of M_i is m[j]), so each M_i must be antisymmetric
     krows = [{t: c for t, c in enumerate(row) if c} for row in mat]
     for i in range(n):
-        m = [linalg.add_combination({}, krows, col.items()) for col in g.ad_cols(i)]
+        m = [linalg.add_combination({}, krows, col.items()) for col in g.table[i]]
         bad = [(j, k) for j, col in enumerate(m) for k, c in col.items() if c + m[k].get(j, 0)]
         if bad:
             # failures come in mirror pairs; the first triple in order has j <= k

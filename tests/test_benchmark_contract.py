@@ -9,6 +9,7 @@ from pathlib import Path
 
 from test_cli import GOLDEN_VERIFY_ARGS, GOLDEN_VERIFY_SHA256
 
+from jordanlie import kkt
 from jordanlie.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -51,3 +52,15 @@ def test_only_jacobi_is_sampled(capsys):
     for target in GOLDEN_VERIFY_SHA256:
         for s in _verify_lines(capsys, target, *GOLDEN_VERIFY_ARGS.get(target, [])):
             assert s["suite"] == "jacobi" or not (s["sampled"] or "seed" in s["line"]), s
+
+
+def test_from_json_leaves_the_bracket_table_unbuilt(kkt_builds, split_builds):
+    # perfbench runs every operation in a child of one parent process, and
+    # each child inherits that parent's RSS high-water mark.  The parent calls
+    # kkt.from_json on every build output, so what from_json holds sets the
+    # floor of peak_rss_mb: the bracket table is built on the first read.
+    for built in (kkt_builds("E7"), split_builds("E7", 7)):
+        g = kkt.from_json(kkt.to_json(built))
+        assert "table" not in vars(g)
+        g.bracket({0: 1}, {1: 1})
+        assert "table" in vars(g)

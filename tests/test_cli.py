@@ -137,12 +137,17 @@ def test_out_is_tried_before_the_work(tmp_path, capsys, monkeypatch):
     assert (code, stdout) == (2, "")
     assert err == f"error: cannot write output {str(out)!r}: No such file or directory\n"
     monkeypatch.undo()
-    # a command that fails after the path was tried leaves the file as it was
+    # a command that fails after the path was tried leaves the file as it was,
+    # and leaves no file where there was none
     kept = tmp_path / "kept.txt"
     kept.write_text("earlier output\n")
     code, _, err = run(capsys, "verify", "root:A:1", "--out", str(kept))
     assert code == 2 and err.startswith("error: cross-validate needs degree r >= 2")
     assert kept.read_text() == "earlier output\n"
+    fresh = tmp_path / "fresh.txt"
+    code, _, err = run(capsys, "verify", "root:A:1", "--out", str(fresh))
+    assert code == 2 and err.startswith("error: cross-validate needs degree r >= 2")
+    assert not fresh.exists()
 
 
 # SHA-256 of the `build` and `verify` stdout for every table instance, along

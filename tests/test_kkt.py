@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from jordanlie import jordan, linalg, verify
+from jordanlie import jordan, linalg, rootdata, verify
 from jordanlie.composition import build_composition
 from jordanlie.errors import ConstructionError, InvalidParameter
 from jordanlie.kkt import (
@@ -311,3 +311,95 @@ def test_closure_check_catches_a_shifted_table_cell():
     J.scaled = linalg.scale_table(table)
     with pytest.raises(ConstructionError, match="operator commutator escaped the structure-operator span"):
         build_kkt(J)
+
+
+# ---------------------------------------------------------------------------
+# the bracket table
+# ---------------------------------------------------------------------------
+
+
+def _table_algebras(kkt_builds, split_builds):
+    return [kkt_builds("C2"), kkt_builds("C3"), split_builds("A", 3), split_builds("C", 3)]
+
+
+def _bracket_oracle(g, x, y):
+    """Sum of c_i c_j [b_i, b_j], antisymmetry read straight from brackets."""
+    out = {}
+    for (i, ci), (j, cj) in itertools.product(x.items(), y.items()):
+        sign, key = (1, (i, j)) if i < j else (-1, (j, i))
+        for k, c in g.brackets.get(key, {}).items():
+            out[k] = out.get(k, 0) + sign * ci * cj * c
+    return {k: c for k, c in out.items() if c}
+
+
+def test_bracket_matches_the_stored_constants(kkt_builds, split_builds):
+    rng = random.Random(11)
+    for g in _table_algebras(kkt_builds, split_builds):
+        for _ in range(40):
+            x = rand_vec(rng, g, rng.sample(range(g.dim), 4))
+            y = rand_vec(rng, g, rng.sample(range(g.dim), 4))
+            assert g.bracket(x, y) == _bracket_oracle(g, x, y), (x, y)
+
+
+def test_bracket_table_is_antisymmetric(kkt_builds, split_builds):
+    for g in _table_algebras(kkt_builds, split_builds):
+        t = g.table
+        for i, j in itertools.product(range(g.dim), repeat=2):
+            assert t[i][j] == {k: -c for k, c in t[j][i].items()}, (i, j)
+
+
+def test_corrupted_copy_reads_its_own_table(split_builds):
+    g = split_builds("C", 3)
+    (i, j), vec = min(g.brackets.items())
+    k = next(k for k in range(g.dim) if k not in vec)
+    before = dict(g.table[i][j])
+    bad = verify.corrupted_copy(g, i, j, k, Q(1))
+    assert bad.table[i][j] == {**vec, k: 1}
+    assert bad.table[j][i] == {**{t: -c for t, c in vec.items()}, k: -1}
+    assert bad.bracket({i: Q(1)}, {j: Q(1)}) == {**vec, k: 1}
+    assert g.table[i][j] == before
+
+
+def test_lie_suites_leave_the_table_unwritten(kkt_builds, split_builds):
+    algebras = _table_algebras(kkt_builds, split_builds)
+    parabolics = [rootdata.parabolic(split_builds("A", 3), 2)]
+    parabolics.append(rootdata.parabolic(split_builds("C", 3), 3))
+    algebras += [rootdata.graded_algebra(p) for p in parabolics]
+    stored = [{key: dict(vec) for key, vec in g.brackets.items()} for g in algebras]
+    for g in algebras:
+        for suite in (verify.suite_jacobi, verify.suite_killing):
+            assert suite(g, CFG).passed
+        if g.grading is not None:
+            assert verify.suite_grading(g, CFG).passed
+    for p in parabolics:
+        assert verify.suite_q_composition(p, CFG).passed
+        assert verify.suite_cross_validate(p, CFG).passed
+    for g, before in zip(algebras, stored):
+        assert g.brackets == before
+        for i, j in itertools.product(range(g.dim), repeat=2):
+            if (min(i, j), max(i, j)) not in g.brackets:
+                assert g.table[i][j] == {}, (i, j)
+
+
+def _jacobi_oracle(g, i, j, k):
+    """[[b_i, b_j], b_k] + cyclic, as nested brackets of the stored constants."""
+    out = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        inner = _bracket_oracle(g, {a: Q(1)}, {b: Q(1)})
+        for m, v in _bracket_oracle(g, inner, {c: Q(1)}).items():
+            out[m] = out.get(m, 0) + v
+    return {m: v for m, v in out.items() if v}
+
+
+def test_jacobi_residual_matches_nested_brackets(kkt_builds, split_builds):
+    # the corrupted A6 of the parallel-jacobi CLI test, at its witness triple
+    bad = verify.corrupted_copy(split_builds("A", 6), 0, 47, 3, 1)
+    i, j, k = (bad.labels.index(s) for s in ("e:0,0,1,1,1,1", "f:0,0,0,0,0,1", "e:1,1,1,1,1,1"))
+    assert verify.jacobi_residual(bad, i, j, k) == _jacobi_oracle(bad, i, j, k) == {
+        bad.labels.index("e:0,0,0,1,1,1"): -1
+    }
+    rng = random.Random(3)
+    for g in [bad, *_table_algebras(kkt_builds, split_builds)]:
+        for _ in range(150):
+            i, j, k = (rng.randrange(g.dim) for _ in range(3))
+            assert verify.jacobi_residual(g, i, j, k) == _jacobi_oracle(g, i, j, k), (i, j, k)

@@ -426,6 +426,27 @@ def test_cross_validation_octonionic(split_builds):
     assert cv.dim == 133
 
 
+@pytest.mark.parametrize("tl, rk", [("E7", 7), ("C", 3), ("A", 5), ("B", 3)])
+def test_cross_validate_computes_the_pierce_forms_once(tl, rk, split_builds, monkeypatch):
+    # coordinatize rescales f_i by 1/s_i and passes the forms of p, divided
+    # by s_i s_j, down to the model builder instead of computing them again
+    real = rootdata.q_forms
+    calls, passed = [], []
+    monkeypatch.setattr(rootdata, "q_forms", lambda p: calls.append(p) or real(p))
+    for name in ("_coordinatize_quadratic", "_coordinatize_hermitian"):
+        fn = getattr(rootdata, name)
+
+        def spy(p2, rj, forms, *rest, fn=fn):
+            passed.append((p2, forms))
+            return fn(p2, rj, forms, *rest)
+
+        monkeypatch.setattr(rootdata, name, spy)
+    assert cross_validate(parabolic(split_builds(tl, rk), canonical_node(tl, rk))).ok
+    assert len(calls) == 1
+    [(p2, forms)] = passed
+    assert forms == real(p2)
+
+
 def test_corrupted_copy_keeps_the_root_system(split_builds):
     g = split_builds("C", 3)
     bad = verify.corrupted_copy(g, 0, 1, 2, Q(1))
