@@ -211,19 +211,10 @@ def put_bracket(brackets: dict, i: int, j: int, vec: SparseVec) -> None:
 
 
 def build_kkt(J: JordanAlgebra) -> LieAlgebra:
-    n = J.dim
-    # the operators and the echelon live only inside _kkt_brackets, so they
+    # the operators and the echelon live only inside _kkt_algebra, so they
     # are freed before the first bracket read below builds the table
-    brackets, m_dim = _kkt_brackets(J)
-    labels = (
-        tuple(f"nbar:{k}" for k in range(n))
-        + tuple(f"m:{k}" for k in range(m_dim))
-        + tuple(f"n:{k}" for k in range(n))
-    )
-    grading = (-2,) * n + (0,) * m_dim + (2,) * n
-    g = LieAlgebra(labels=labels, brackets=brackets, grading=grading)
-
-    n0 = n + m_dim  # index of n:0
+    g = _kkt_algebra(J)
+    n, n0 = J.dim, g.dim - J.dim  # n0 is the index of n:0
     e_vec = {n0 + k: c for k, c in enumerate(J.identity.vec) if c}
     f_vec = {k: -c for k, c in enumerate(J.identity.vec) if c}
     h_vec = g.bracket(e_vec, f_vec)
@@ -237,8 +228,8 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     return g
 
 
-def _kkt_brackets(J: JordanAlgebra) -> tuple[dict, int]:
-    """The brackets of g on the basis nbar, m, n in that order, and dim m."""
+def _kkt_algebra(J: JordanAlgebra) -> LieAlgebra:
+    """g = nbar (+) m (+) n and its brackets, without the triple or norm pair."""
     n = J.dim
     basis_vecs = [tuple(Q(1) if i == k else Q(0) for i in range(n)) for k in range(n)]
 
@@ -269,6 +260,12 @@ def _kkt_brackets(J: JordanAlgebra) -> tuple[dict, int]:
     idx_m = lambda k: n + k
     idx_n = lambda k: n + m_dim + k
 
+    labels = (
+        tuple(f"nbar:{k}" for k in range(n))
+        + tuple(f"m:{k}" for k in range(m_dim))
+        + tuple(f"n:{k}" for k in range(n))
+    )
+    grading = (-2,) * n + (0,) * m_dim + (2,) * n
     brackets: dict = {}
 
     # [n_i, nbar_j] = V_{b_i, b_j} in m; the operator was inserted into the
@@ -307,7 +304,7 @@ def _kkt_brackets(J: JordanAlgebra) -> tuple[dict, int]:
                 vals = span.coordinates_unchecked(comm)
             put_bracket(brackets, idx_m(a), idx_m(b), {idx_m(k): c for k, c in enumerate(vals) if c})
 
-    return brackets, m_dim
+    return LieAlgebra(labels=labels, brackets=brackets, grading=grading)
 
 
 # ---------------------------------------------------------------------------
