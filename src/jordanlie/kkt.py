@@ -22,8 +22,8 @@ where T# is the adjoint of T with respect to the trace bilinear form
 T_J(x o y); on generators V_{x,y}# = V_{y,x}.  Operators on n are held in
 linalg's column-sparse format; the m basis is the fully reduced echelon of
 the flattened V_{b_i,b_j}, T# = G^{-1} T^t G is composed sparsely from the
-trace-form Gram matrix G, and [m_a, m_b] is read off the commutator's pivot
-entries, formed only on the operator columns that hold a pivot.  The
+trace-form Gram matrix G, and every commutator [m_a, m_b] is reduced
+against the span, which checks closure and gives its coordinates.  The
 distinguished sl2-triple is e = identity of J inside n, f = -(identity)
 inside nbar, h = [e, f].
 
@@ -37,7 +37,6 @@ on the pair (f_1, e_1) built from the first frame idempotent.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -72,14 +71,17 @@ def structure_operator(J: JordanAlgebra, x: JordanElement, y: JordanElement) -> 
 
 def _vop_cols(J: JordanAlgebra, x, y) -> OpCols:
     """Columns of V_{x,y} = 2(L_y L_x - L_x L_y - L_{x o y}), read from the
-    sparse multiplication table: no dense vector is formed.
+    integer cells of J.scaled: no dense vector is formed.
 
     Column k is 2((x o b_k) o y - (b_k o y) o x - (x o y) o b_k); since the
-    table is symmetric, row k of it is the operator L_{b_k}.
+    table is symmetric, row k of it is the operator L_{b_k}.  x and y are
+    scaled to ints over dx and dy, every term is two table products, so each
+    entry is divided once, by dx dy den^2.
     """
-    table = J.mul_table
-    xs = [(i, c) for i, c in enumerate(x) if c]
-    ys = [(j, c) for j, c in enumerate(y) if c]
+    table = J.scaled.cells
+    xs, dx = linalg.scale_vec(x)
+    ys, dy = linalg.scale_vec(y)
+    den = dx * dy * J.scaled.den**2
     lx = [add_combination({}, table[k], xs) for k in range(J.dim)]  # x o b_k
     ly = [add_combination({}, table[k], ys) for k in range(J.dim)]  # b_k o y
     neg_xy = [(i, -c) for i, c in add_combination({}, ly, xs).items() if c]
@@ -88,7 +90,7 @@ def _vop_cols(J: JordanAlgebra, x, y) -> OpCols:
         acc = add_combination({}, ly, lx[k].items())
         add_combination(acc, lx, [(i, -c) for i, c in ly[k].items()])
         add_combination(acc, table[k], neg_xy)
-        cols.append({i: 2 * c for i, c in sorted(acc.items()) if c})
+        cols.append({i: Q(2 * c, den) for i, c in sorted(acc.items()) if c})
     return tuple(cols)
 
 
@@ -253,9 +255,6 @@ def _kkt_algebra(J: JordanAlgebra) -> LieAlgebra:
         for cols in m_cols
     ]
 
-    # closure and membership checks (sampled when the flat problem is large)
-    rng = random.Random(0)
-    full_check = n <= 9
     idx_nbar = lambda k: k
     idx_m = lambda k: n + k
     idx_n = lambda k: n + m_dim + k
@@ -285,23 +284,13 @@ def _kkt_algebra(J: JordanAlgebra) -> LieAlgebra:
                 brackets, idx_m(a), idx_nbar(k), {idx_nbar(r): -c for r, c in m_sharp[a][k].items()}
             )
 
-    # [m_a, m_b] = operator commutator.  The m basis is fully reduced, so the
-    # constants are the commutator's entries at the pivots, and only the
-    # operator columns holding a pivot are formed.  Closure in the span is a
-    # theorem; a checked pair forms all n columns and reduces them
-    # (exhaustively on small algebras, a 5% sample on large ones).
-    pivot_cols = {p // n for p in span.pivots}
+    # [m_a, m_b] = operator commutator.  Closure in the span is a theorem,
+    # checked on every pair: the whole commutator is reduced against the span
     for a in range(m_dim):
         for b in range(a + 1, m_dim):
-            if full_check or rng.random() < 0.05:
-                vals = span.coordinates(linalg.op_commutator(m_cols[a], m_cols[b], n, range(n)))
-                if vals is None:
-                    raise ConstructionError(
-                        "operator commutator escaped the structure-operator span"
-                    )
-            else:
-                comm = linalg.op_commutator(m_cols[a], m_cols[b], n, pivot_cols)
-                vals = span.coordinates_unchecked(comm)
+            vals = span.coordinates(linalg.op_commutator(m_cols[a], m_cols[b], n))
+            if vals is None:
+                raise ConstructionError("operator commutator escaped the structure-operator span")
             put_bracket(brackets, idx_m(a), idx_m(b), {idx_m(k): c for k, c in enumerate(vals) if c})
 
     return LieAlgebra(labels=labels, brackets=brackets, grading=grading)

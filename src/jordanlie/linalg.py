@@ -8,13 +8,13 @@ Lie bracket table included, holds sparse {k: coeff} cells and is multiplied
 through it.  Operators are column-sparse: a sequence whose entry k is the
 sparse image of basis vector k, flattened (for echelon work) with entry
 (row, k) at k * n + row.  Coefficients are Fractions, except in
-``gram_form`` on integer input (the root data) and inside ``dense_product``,
-which scales its table and inputs to Python ints, runs the one table kernel
-on them and divides each entry back once.  There is one row reduction,
-``EchelonBasis``: the dense helpers (``rref`` and through it ``rank``,
-``nullspace``, ``invert`` and ``solve``, and ``det``) insert their rows into
-one and read the result back as dense rows.  Everything here is
-deterministic: pivoting follows first-nonzero order, never magnitude.
+``gram_form`` on integer input (the root data), in ``dense_product`` and in
+kkt's structure operators, which scale table and inputs to Python ints
+(``scale_table``, ``scale_vec``) and divide each entry back once.  There is
+one row reduction, ``EchelonBasis``: the dense helpers (``rref`` and through
+it ``rank``, ``nullspace``, ``invert`` and ``solve``, and ``det``) insert
+their rows into one and read the result back as dense rows.  Everything
+here is deterministic: pivoting follows first-nonzero order, never magnitude.
 """
 
 from __future__ import annotations
@@ -105,13 +105,15 @@ def op_unflatten(flat: SparseVec, n: int) -> tuple:
     return cols
 
 
-def op_commutator(a, b, n: int, columns) -> SparseVec:
-    """AB - BA on the given columns only, flattened."""
+def op_commutator(a, b, n: int) -> SparseVec:
+    """AB - BA, flattened; column k is A(b_k) - B(a_k), so it is skipped
+    when a[k] and b[k] are both empty."""
     flat: SparseVec = {}
-    for k in columns:
-        acc = add_combination({}, a, b[k].items())
-        add_combination(acc, b, [(i, -c) for i, c in a[k].items()])
-        flat.update((k * n + row, c) for row, c in acc.items() if c)
+    for k in range(n):
+        if a[k] or b[k]:
+            acc = add_combination({}, a, b[k].items())
+            add_combination(acc, b, [(i, -c) for i, c in a[k].items()])
+            flat.update((k * n + row, c) for row, c in acc.items() if c)
     return flat
 
 
@@ -147,7 +149,7 @@ def scale_table(table) -> ScaledTable:
     return ScaledTable(cells, den)
 
 
-def _scaled(vec) -> tuple[list, int]:
+def scale_vec(vec) -> tuple[list, int]:
     """The nonzero entries of vec as (i, int) pairs over their lcm d, and d."""
     d = math.lcm(*(c.denominator for c in vec if c))
     return [(i, c.numerator * (d // c.denominator)) for i, c in enumerate(vec) if c], d
@@ -157,8 +159,8 @@ def dense_product(scaled: ScaledTable, x, y) -> tuple:
     """The product of dense coefficient vectors x and y through a scaled
     table, as a dense tuple of Fractions: the inputs are scaled once to
     ints, ``table_product`` runs on ints and each entry is divided once."""
-    xs, dx = _scaled(x)
-    ys, dy = _scaled(y)
+    xs, dx = scale_vec(x)
+    ys, dy = scale_vec(y)
     prod = table_product({}, scaled.cells, xs, ys)
     den = dx * dy * scaled.den
     zero = Q(0)

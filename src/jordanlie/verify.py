@@ -54,12 +54,13 @@ class SuiteResult:
 
 
 def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> dict:
-    """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]."""
+    """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j], each term
+    read as -ad(b_c)[b_a, b_b] from row c of the bracket table."""
     t = g.table
     acc: dict = {}
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        linalg.table_product(acc, t, t[a][b].items(), [(c, Q(1))])
-    return {m: v for m, v in acc.items() if v}
+        linalg.add_combination(acc, t[c], t[a][b].items())
+    return {m: -v for m, v in acc.items() if v}
 
 
 def _jacobi_chunk(args) -> Optional[tuple]:

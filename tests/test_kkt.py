@@ -1,9 +1,12 @@
 import itertools
+import pathlib
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
 
+import jordanlie
 from jordanlie import jordan, linalg, rootdata, verify
 from jordanlie.composition import build_composition
 from jordanlie.errors import ConstructionError, InvalidParameter
@@ -234,22 +237,30 @@ def test_structure_operator_bracket_formula(kkt_builds, family_instances):
             assert op.apply({k: c for k, c in enumerate(zv.vec) if c}) == {
                 k: c for k, c in enumerate(jordan_side.vec) if c
             }
-    # every column of V_{b_i,b_j} and of its companion V_{b_j,b_i}, on every
-    # basis pair of the small families and a seeded sample of E7's
-    for name in ("C2", "A3", "B3", "E7"):
-        J = family_instances[name]
+    # every column of V_{x,y} and of its companion V_{y,x}: on every basis
+    # pair of the small families and a seeded sample of E7's, and on x, y
+    # with non-unit denominators.  H2 over quaternion:1/3,-5/7 has table
+    # denominator 42, so each factor of the one division by dx dy den^2 shows
+    nondyadic = jordan.hermitian(2, build_composition(4, [Q(1, 3), Q(-5, 7)]))
+    assert nondyadic.scaled.den == 42
+    families = {name: family_instances[name] for name in ("C2", "A3", "B3", "E7")}
+    families["H2:quaternion:1/3,-5/7"] = nondyadic
+    for name, J in families.items():
         basis = J.basis()
-        pairs = list(itertools.product(range(J.dim), repeat=2))
+        pairs = [(basis[i], basis[j]) for i, j in itertools.product(range(J.dim), repeat=2)]
         if name == "E7":
             pairs = rng.sample(pairs, 40)
-        for i, j in pairs:
-            op = structure_operator(J, basis[i], basis[j])
-            for cols, (x, y) in (
-                (op.cols, (basis[i], basis[j])),
-                (op.sharp_cols, (basis[j], basis[i])),
-            ):
+        for _ in range(5):
+            x, y = (
+                J.element([Q(rng.randint(-3, 3), rng.choice((1, 2, 3, 7))) for _ in range(J.dim)])
+                for _ in range(2)
+            )
+            pairs.append((x, y))
+        for x, y in pairs:
+            op = structure_operator(J, x, y)
+            for cols, (u, v) in ((op.cols, (x, y)), (op.sharp_cols, (y, x))):
                 for k, z in enumerate(basis):
-                    want = 2 * (((x * z) * y) - ((z * y) * x) - ((x * y) * z))
+                    want = 2 * (((u * z) * v) - ((z * v) * u) - ((u * v) * z))
                     assert cols[k] == {r: c for r, c in enumerate(want.vec) if c}
 
 
@@ -301,16 +312,41 @@ def test_negative_control_corruption(kkt_builds):
 
 
 def test_closure_check_catches_a_shifted_table_cell():
-    # C3 has dimension 6 <= 9, so every commutator pair is reduced in full;
-    # b_0 o b_1 gains 1/3 b_0 on both sides of the symmetric table
-    J = jordan.hermitian(3, build_composition(1, []))
-    table = [[dict(cell) for cell in row] for row in J.mul_table]
-    for i, j in ((0, 1), (1, 0)):
-        table[i][j][0] = table[i][j].get(0, Q(0)) + Q(1, 3)
-    J.mul_table = table
-    J.scaled = linalg.scale_table(table)
-    with pytest.raises(ConstructionError, match="operator commutator escaped the structure-operator span"):
-        build_kkt(J)
+    # b_0 o b_1 gains 1/3 b_0 on both sides of the symmetric table, in C3
+    # (dimension 6) and in H3 over the split quaternions (dimension 15)
+    for coeff in (build_composition(1, []), build_composition(4, [1, 1])):
+        J = jordan.hermitian(3, coeff)
+        table = [[dict(cell) for cell in row] for row in J.mul_table]
+        for i, j in ((0, 1), (1, 0)):
+            table[i][j][0] = table[i][j].get(0, Q(0)) + Q(1, 3)
+        J.mul_table = table
+        J.scaled = linalg.scale_table(table)
+        with pytest.raises(ConstructionError, match="operator commutator escaped the structure-operator span"):
+            build_kkt(J)
+
+
+def test_closure_reduces_every_commutator_pair(monkeypatch):
+    # H3 over the split quaternions has dimension 15: each of the m(m-1)/2
+    # pairs [m_a, m_b] is reduced against the span once
+    J = jordan.hermitian(3, build_composition(4, [1, 1]))
+    calls = []
+    coordinates = linalg.EchelonBasis.coordinates
+    monkeypatch.setattr(
+        linalg.EchelonBasis, "coordinates", lambda self, vec: calls.append(1) or coordinates(self, vec)
+    )
+    m = len(build_kkt(J).degree_indices(0))
+    assert J.dim == 15 and m == 36
+    assert len(calls) == m * (m - 1) // 2
+
+
+def test_only_verify_imports_random():
+    # every check of the library is exhaustive except the sampled Jacobi suite
+    importers = {
+        path.stem
+        for path in pathlib.Path(jordanlie.__file__).parent.glob("*.py")
+        if re.search(r"^\s*(import|from) random\b", path.read_text(), re.M)
+    }
+    assert importers == {"verify"}
 
 
 # ---------------------------------------------------------------------------

@@ -151,18 +151,27 @@ def test_op_flatten_round_trip():
         assert linalg.op_unflatten(flat, n) == a
 
 
-def test_op_commutator_columns_are_those_of_the_full_commutator():
+def test_op_commutator_matches_the_dense_commutator():
+    # the seeded pairs, then pairs whose columns are emptied at random in
+    # both operators, in one, or in neither: a column empty in both is
+    # skipped, and the result must still be the whole commutator
+    def emptied(M, cols):
+        return [[Q(0) if k in cols else c for k, c in enumerate(row)] for row in M]
+
     rng = random.Random(10)
-    for n, A, B in operator_pairs():
+    pairs = list(operator_pairs())
+    for n, A, B in list(pairs):
+        both = {k for k in range(n) if rng.random() < 0.4}
+        only_a = {k for k in range(n) if rng.random() < 0.2}
+        pairs.append((n, emptied(A, both | only_a), emptied(B, both)))
+    skipped = 0
+    for n, A, B in pairs:
         a, b = linalg.op_from_dense(A), linalg.op_from_dense(B)
+        skipped += sum(not (a[k] or b[k]) for k in range(n))
         ab, ba = linalg.mat_mul(A, B), linalg.mat_mul(B, A)
         comm = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
-        full = linalg.op_commutator(a, b, n, range(n))
-        assert full == linalg.op_flatten(linalg.op_from_dense(comm), n)
-        columns = {k for k in range(n) if rng.random() < 0.5}
-        assert linalg.op_commutator(a, b, n, columns) == {
-            p: c for p, c in full.items() if p // n in columns
-        }
+        assert linalg.op_commutator(a, b, n) == linalg.op_flatten(linalg.op_from_dense(comm), n)
+    assert skipped
 
 
 # ---------------------------------------------------------------------------
