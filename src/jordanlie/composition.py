@@ -22,7 +22,8 @@ elements i and j as a dict {k: coeff} with zero coefficients absent, the
 cell format of every structure table in the package.  Products go through
 ``linalg.table_product``: ``mul_coeffs`` on the table scaled to integers,
 held as ``scaled`` and derived from mul_table at construction.  The norm
-form N(u) = u^T G u goes through ``linalg.gram_form``.
+form N(u) = u^T G u goes through ``linalg.gram_form``; the composition-law
+check reads ``scaled`` and G over its lcm denominator, in ints.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import AlgebraMismatch, InvalidParameter
-from .linalg import ScaledTable, dense_product, det, gram_form, scale_table, table_product
+from .linalg import ScaledTable, add_combination, dense_product, det, gram_form, op_from_dense
+from .linalg import scale_table, table_product
 from .rationals import Q, fmt, parse
 
 Coeffs = tuple[Fraction, ...]
@@ -199,14 +201,18 @@ def composition_law_failure(alg: CompositionAlgebra) -> tuple[int, int, int, int
     """The first basis 4-tuple, in lexicographic order, at which the full
     polarization of N(uv) = N(u)N(v) fails, or None; the law holds
     identically iff  B(ei*ej, ek*el) + B(ek*ej, ei*el) = B(ei,ek) B(ej,el)
-    on every basis 4-tuple."""
+    on every basis 4-tuple.  With B(u, v) = 2 u^T G v, the products as ints
+    over s (``scaled``) and G as ints over its lcm d_G, it is checked in ints
+    as  d_G (u^T G v + u'^T G v') = 2 s^2 G_ik G_jl."""
     n = alg.dim
-    basis = [tuple(Q(1) if k == i else Q(0) for k in range(n)) for i in range(n)]
-    prod = [[alg.mul_coeffs(basis[i], basis[j]) for j in range(n)] for i in range(n)]
-    B = alg.norm_bilinear
+    prod, s = alg.scaled.cells, alg.scaled.den
+    gram = scale_table((op_from_dense(alg.norm_gram),))
+    g, d = gram.cells[0], gram.den  # g[k][i] = d_G G_ik
+    gprod = [[add_combination({}, g, cell.items()) for cell in row] for row in prod]
+    form = lambda u, gv: sum(c * gv.get(r, 0) for r, c in u.items())
     for i, j, k, l in itertools.product(range(n), repeat=4):
-        lhs = B(prod[i][j], prod[k][l]) + B(prod[k][j], prod[i][l])
-        if lhs != B(basis[i], basis[k]) * B(basis[j], basis[l]):
+        lhs = form(prod[i][j], gprod[k][l]) + form(prod[k][j], gprod[i][l])
+        if d * lhs != 2 * s * s * g[k].get(i, 0) * g[l].get(j, 0):
             return (i, j, k, l)
     return None
 

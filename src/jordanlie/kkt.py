@@ -23,9 +23,9 @@ T_J(x o y); on generators V_{x,y}# = V_{y,x}.  Operators on n are held in
 linalg's column-sparse format; the m basis is the fully reduced echelon of
 the flattened V_{b_i,b_j}, T# = G^{-1} T^t G is composed sparsely from the
 trace-form Gram matrix G, and every commutator [m_a, m_b] is reduced
-against the span, which checks closure and gives its coordinates.  The
-distinguished sl2-triple is e = identity of J inside n, f = -(identity)
-inside nbar, h = [e, f].
+against the span in ints, which checks closure and gives its coordinates.
+The distinguished sl2-triple is e = identity of J inside n, f = -(identity)
+inside nbar, h = [e, f] = -V_{e,e}, read from the span: no bracket is read.
 
 A LieAlgebra stores each nonzero [b_i, b_j], i < j, once, and reads every
 bracket, ad operator and Killing trace from a table of all ordered pairs in
@@ -213,25 +213,8 @@ def put_bracket(brackets: dict, i: int, j: int, vec: SparseVec) -> None:
 
 
 def build_kkt(J: JordanAlgebra) -> LieAlgebra:
-    # the operators and the echelon live only inside _kkt_algebra, so they
-    # are freed before the first bracket read below builds the table
-    g = _kkt_algebra(J)
-    n, n0 = J.dim, g.dim - J.dim  # n0 is the index of n:0
-    e_vec = {n0 + k: c for k, c in enumerate(J.identity.vec) if c}
-    f_vec = {k: -c for k, c in enumerate(J.identity.vec) if c}
-    h_vec = g.bracket(e_vec, f_vec)
-    if not all(n <= k < n0 for k in h_vec):
-        raise ConstructionError("grading element landed outside m")
-    g.triple = (f_vec, h_vec, e_vec)
-
-    e1 = {n0 + k: c for k, c in enumerate(J.frame(1).vec) if c}
-    f1 = {k: -c for k, c in enumerate(J.frame(1).vec) if c}
-    g.norm_pair = (f1, e1)
-    return g
-
-
-def _kkt_algebra(J: JordanAlgebra) -> LieAlgebra:
-    """g = nbar (+) m (+) n and its brackets, without the triple or norm pair."""
+    """g = nbar (+) m (+) n with its brackets, sl2-triple and norm pair; the
+    bracket table is left unbuilt."""
     n = J.dim
     basis_vecs = [tuple(Q(1) if i == k else Q(0) for i in range(n)) for k in range(n)]
 
@@ -268,13 +251,12 @@ def _kkt_algebra(J: JordanAlgebra) -> LieAlgebra:
     brackets: dict = {}
 
     # [n_i, nbar_j] = V_{b_i, b_j} in m; the operator was inserted into the
-    # span, so the pivot readout is exact
-    for i in range(n):
-        for j in range(n):
-            coords = span.coordinates_unchecked(vop_flat[(i, j)])
-            put_bracket(
-                brackets, idx_n(i), idx_nbar(j), {idx_m(a): c for a, c in enumerate(coords) if c}
-            )
+    # span, so its coordinates are its entries at the pivot columns
+    pivots = list(enumerate(span.sorted_pivots()))
+    for (i, j), vop in vop_flat.items():
+        coords = {idx_m(a): vop[p] for a, p in pivots if p in vop}
+        put_bracket(brackets, idx_n(i), idx_nbar(j), coords)
+    del vop_flat  # freed before the closure's int copies of the m basis
 
     # [m_a, n_k] = T_a(b_k);  [m_a, nbar_k] = -(T_a#(b_k))bar
     for a in range(m_dim):
@@ -285,15 +267,31 @@ def _kkt_algebra(J: JordanAlgebra) -> LieAlgebra:
             )
 
     # [m_a, m_b] = operator commutator.  Closure in the span is a theorem,
-    # checked on every pair: the whole commutator is reduced against the span
+    # checked on every pair in ints: over the m basis' common denominator D,
+    # C = D^2 [m_a, m_b] and each row D R_i is D at its pivot p_i and 0 at
+    # the others, so D C - sum_i C[p_i] D R_i = 0 iff C is in the span
+    scaled = linalg.scale_table(m_cols)
+    d = scaled.den
+    rows = [linalg.op_flatten(cols, n) for cols in scaled.cells]
     for a in range(m_dim):
         for b in range(a + 1, m_dim):
-            vals = span.coordinates(linalg.op_commutator(m_cols[a], m_cols[b], n))
-            if vals is None:
+            comm = linalg.op_commutator(scaled.cells[a], scaled.cells[b], n)
+            consts = [(i, comm[p]) for i, p in pivots if p in comm]
+            rem = {k: d * c for k, c in comm.items()}
+            add_combination(rem, rows, [(i, -c) for i, c in consts])
+            if any(rem.values()):
                 raise ConstructionError("operator commutator escaped the structure-operator span")
-            put_bracket(brackets, idx_m(a), idx_m(b), {idx_m(k): c for k, c in enumerate(vals) if c})
+            put_bracket(brackets, idx_m(a), idx_m(b), {idx_m(i): Q(c, d * d) for i, c in consts})
 
-    return LieAlgebra(labels=labels, brackets=brackets, grading=grading)
+    # e = identity in n, f = -(identity) in nbar, h = [e, f] = -V_{e,e}
+    one, frame = J.identity.vec, J.frame(1).vec
+    h = span.coordinates(linalg.op_flatten(_vop_cols(J, one, one), n))
+    if h is None:
+        raise ConstructionError("grading element landed outside m")
+    embed = lambda vec, idx, sign: {idx(k): sign * c for k, c in enumerate(vec) if c}
+    triple = (embed(one, idx_nbar, -1), embed(h, idx_m, -1), embed(one, idx_n, 1))
+    norm_pair = (embed(frame, idx_nbar, -1), embed(frame, idx_n, 1))
+    return LieAlgebra(labels, brackets, grading, triple, norm_pair)
 
 
 # ---------------------------------------------------------------------------

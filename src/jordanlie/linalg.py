@@ -8,12 +8,13 @@ Lie bracket table included, holds sparse {k: coeff} cells and is multiplied
 through it.  Operators are column-sparse: a sequence whose entry k is the
 sparse image of basis vector k, flattened (for echelon work) with entry
 (row, k) at k * n + row.  Coefficients are Fractions, except in
-``gram_form`` on integer input (the root data), in ``dense_product`` and in
-kkt's structure operators, which scale table and inputs to Python ints
-(``scale_table``, ``scale_vec``) and divide each entry back once.  There is
-one row reduction, ``EchelonBasis``: the dense helpers (``rref`` and through
-it ``rank``, ``nullspace``, ``invert`` and ``solve``, and ``det``) insert
-their rows into one and read the result back as dense rows.  Everything
+``gram_form`` on integer input (the root data), in ``dense_product``, in
+kkt's structure operators and m closure and in the composition law, which
+scale to Python ints (``scale_table``, ``scale_vec``) and divide back once,
+if at all.  There is one row reduction, ``EchelonBasis``: the dense helpers
+(``rref`` and through it ``rank``, ``nullspace``, ``invert`` and ``solve``,
+and ``det``) insert their rows into one and read the result back as dense
+rows.  Everything
 here is deterministic: pivoting follows first-nonzero order, never magnitude.
 """
 
@@ -223,14 +224,17 @@ class EchelonBasis:
         """Basis rows ordered by pivot column (ascending)."""
         return [self.rows[i] for i in self._sorted_order()]
 
-    def coordinates(self, vec: SparseVec) -> Optional[list[Fraction]]:
-        """Coordinates of vec in sorted_basis() order, or None if outside."""
-        return None if self.reduce(vec) else self.coordinates_unchecked(vec)
+    def sorted_pivots(self) -> list[int]:
+        """Pivot columns in sorted_basis() order (ascending)."""
+        return [self.pivots[i] for i in self._sorted_order()]
 
-    def coordinates_unchecked(self, vec: SparseVec) -> list[Fraction]:
-        """Pivot-position readout; caller must know vec lies in the span."""
+    def coordinates(self, vec: SparseVec) -> Optional[list[Fraction]]:
+        """Coordinates of vec in sorted_basis() order, or None if outside:
+        its entries at the pivot columns."""
+        if self.reduce(vec):
+            return None
         zero = Q(0)
-        return [vec.get(self.pivots[i], zero) for i in self._sorted_order()]
+        return [vec.get(p, zero) for p in self.sorted_pivots()]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +283,7 @@ def rref(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     zero = Q(0)
     rows = [[r.get(k, zero) for k in range(ncols)] for r in basis.sorted_basis()]
     rows += [[zero] * ncols for _ in range(len(mat) - len(rows))]
-    return rows, sorted(basis.pivots)
+    return rows, basis.sorted_pivots()
 
 
 def rank(mat: list[list[Fraction]]) -> int:

@@ -216,3 +216,16 @@ def test_composition_law_suite_names_the_first_failing_tuple():
     ok = verify.suite_composition_law(good, verify.Config(sample_count=5))
     # 4^4 basis 4-tuples for the norm law, 4^2 basis pairs for conjugation
     assert ok.line() == "composition-law: PASS [272 checks]"
+
+
+def test_composition_law_on_a_non_dyadic_gram():
+    # quaternion:1/3,-5/7 has its table and norm Gram over 21, so the integer
+    # check's d_G and both factors of s show; halving N(e3) = -5/21 moves the
+    # Gram to d_G = 42 and breaks the law first at (0, 0, 3, 3)
+    good = build_composition(4, [Q(1, 3), Q(-5, 7)])
+    assert good.scaled.den == 21 and good.norm_gram[3][3] == Q(-5, 21)
+    gram = [list(row) for row in good.norm_gram]
+    gram[3][3] /= 2
+    bad = dataclasses.replace(good, norm_gram=tuple(tuple(row) for row in gram))
+    assert composition_law_failure(good) is None
+    assert composition_law_failure(bad) == (0, 0, 3, 3)

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 import jordanlie
-from jordanlie import jordan, linalg, rootdata, verify
+from jordanlie import cli, jordan, linalg, rootdata, verify
 from jordanlie.composition import build_composition
 from jordanlie.errors import ConstructionError, InvalidParameter
 from jordanlie.kkt import (
@@ -325,18 +325,84 @@ def test_closure_check_catches_a_shifted_table_cell():
             build_kkt(J)
 
 
+# descriptor, dim J, dim m and D, the common denominator of the m basis
+CLOSURE_CASES = [
+    ("jordan:H3:quaternion:split", 15, 36, 2),
+    ("jordan:H3:complex:-7/4", 9, 17, 4),
+    ("jordan:J2:dim=2:gram=1/2,3/5", 4, 7, 10),
+    ("jordan:H2:quaternion:1/3,-5/7", 6, 16, 42),
+]
+
+
 def test_closure_reduces_every_commutator_pair(monkeypatch):
-    # H3 over the split quaternions has dimension 15: each of the m(m-1)/2
-    # pairs [m_a, m_b] is reduced against the span once
-    J = jordan.hermitian(3, build_composition(4, [1, 1]))
-    calls = []
-    coordinates = linalg.EchelonBasis.coordinates
+    # each of the m(m-1)/2 pairs [m_a, m_b] is formed once, on the m basis
+    # scaled to ints over D, and its constants are those of the commutator
+    commutator, scale_table = linalg.op_commutator, linalg.scale_table
+    calls, dens = [], []
+
+    def scaled(table):
+        out = scale_table(table)
+        dens.append(out.den)
+        return out
+
     monkeypatch.setattr(
-        linalg.EchelonBasis, "coordinates", lambda self, vec: calls.append(1) or coordinates(self, vec)
+        linalg, "op_commutator", lambda a, b, n: calls.append((a, b)) or commutator(a, b, n)
     )
-    m = len(build_kkt(J).degree_indices(0))
-    assert J.dim == 15 and m == 36
-    assert len(calls) == m * (m - 1) // 2
+    monkeypatch.setattr(linalg, "scale_table", scaled)
+    for descriptor, dim, m, den in CLOSURE_CASES:
+        J = cli.parse_jordan_descriptor(descriptor)
+        calls.clear()
+        dens.clear()
+        g = build_kkt(J)
+        m_idx, n_idx = g.degree_indices(0), g.degree_indices(2)
+        assert (J.dim, len(m_idx), dens) == (dim, m, [den])
+        assert len(calls) == m * (m - 1) // 2
+        assert all(type(c) is int for op in calls[0] for col in op for c in col.values())
+        # T_a(b_k) = [m_a, n_k]; [T_a, T_b] must be the stored combination of the T_c
+        ops = [
+            [{r - n_idx[0]: c for r, c in g.bracket_basis(a, k).items()} for k in n_idx]
+            for a in m_idx
+        ]
+        flat = [linalg.op_flatten(op, dim) for op in ops]
+        for a, b in itertools.combinations(range(m), 2):
+            consts = [(c - m_idx[0], v) for c, v in g.bracket_basis(m_idx[a], m_idx[b]).items()]
+            got = linalg.add_combination({}, flat, consts)
+            assert {k: v for k, v in got.items() if v} == commutator(ops[a], ops[b], dim)
+
+
+@pytest.mark.parametrize("descriptor", [case[0] for case in CLOSURE_CASES])
+def test_closure_check_catches_a_shifted_cell_at_every_denominator(descriptor):
+    J = cli.parse_jordan_descriptor(descriptor)
+    table = [[dict(cell) for cell in row] for row in J.mul_table]
+    for i, j in ((0, 1), (1, 0)):
+        table[i][j][0] = table[i][j].get(0, Q(0)) + Q(1, 3)
+    J.mul_table = table
+    J.scaled = linalg.scale_table(table)
+    with pytest.raises(ConstructionError, match="operator commutator escaped the structure-operator span"):
+        build_kkt(J)
+
+
+@pytest.mark.parametrize("descriptor", [case[0] for case in CLOSURE_CASES])
+def test_closure_check_catches_a_dropped_commutator_term(monkeypatch, descriptor):
+    # the last entry of the first nonzero commutator is lost
+    commutator = linalg.op_commutator
+    dropped = []
+
+    def lossy(a, b, n):
+        out = commutator(a, b, n)
+        if out and not dropped:
+            dropped.append(out.pop(max(out)))
+        return out
+
+    monkeypatch.setattr(linalg, "op_commutator", lossy)
+    with pytest.raises(ConstructionError, match="operator commutator escaped the structure-operator span"):
+        build_kkt(cli.parse_jordan_descriptor(descriptor))
+    assert dropped
+
+
+def test_build_leaves_the_bracket_table_unbuilt(family_instances):
+    # h = [e, f] is read from the span; test_sl2_relations checks it
+    assert "table" not in build_kkt(family_instances["A3"]).__dict__
 
 
 def test_only_verify_imports_random():

@@ -286,6 +286,18 @@ def test_rref_rows_are_reduced_and_rebuild_the_input():
             assert rebuilt == row, mat
 
 
+def test_sorted_pivots_are_those_of_the_sorted_basis():
+    # leading columns that come out of order leave the rows out of pivot order
+    for mat in elimination_cases():
+        basis = linalg.EchelonBasis()
+        for row in mat:
+            basis.insert({k: c for k, c in enumerate(row) if c})
+        pivots = basis.sorted_pivots()
+        assert len(pivots) == len(basis)
+        for p, row in zip(pivots, basis.sorted_basis()):
+            assert min(row) == p and row[p] == 1
+
+
 def test_invert_and_solve_against_mat_mul():
     for mat in elimination_cases():
         n, ncols = len(mat), len(mat[0])
