@@ -46,7 +46,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
 from .composition import CAElement, CompositionAlgebra
@@ -85,7 +85,6 @@ class JordanAlgebra:
             for k, c in enumerate(f):
                 g0[k] += (i + 1) * c
         self._generic_probe = tuple(g0)
-        self._trace_covector: Optional[list[Fraction]] = None
 
     # -- elements ------------------------------------------------------------
 
@@ -119,23 +118,6 @@ class JordanAlgebra:
         """Matrix of z -> x o z in the algebra basis (columns are x o b_j)."""
         cols = [self.mul_vec(x, tuple(b.vec)) for b in self.basis()]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
-    def trace_covector(self) -> list[Fraction]:
-        if self._trace_covector is None:
-            self._trace_covector = [jordan_trace(b) for b in self.basis()]
-        return self._trace_covector
-
-    def trace_form_gram(self) -> list[list[Fraction]]:
-        """Gram matrix of the associative bilinear form (x, y) -> T(x o y)."""
-        tau = self.trace_covector()
-        g = [[Q(0)] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                val = sum(
-                    (c * tau[k] for k, c in self.mul_table[i][j].items()), Q(0)
-                )
-                g[i][j] = g[j][i] = val
-        return g
 
 
 class HermitianJordan(JordanAlgebra):

@@ -7,9 +7,11 @@ From a Jordan algebra J this module builds the 3-graded Lie algebra
 with n and nbar two copies of J.  The middle piece m is realized concretely
 as the span of the structure operators
 
-    V_{x,y} : z  |->  2((x o z) o y - (z o y) o x - (x o y) o z)
+    V_{x,y} : z  |->  2((x o z) o y - (z o y) o x - (x o y) o z),
+    V_{x,y}  =  2([L_y, L_x] - L_{x o y})      (L_x : z |-> x o z)
 
-acting on n; it always contains the grading element h = 2*Id (h = -V_{e,e}).
+acting on n; since J o J = J this span is L_J + [L_J, L_J], spanned by the
+n operators L_k = L_{b_k} and the n(n-1)/2 commutators [L_i, L_j].
 Brackets:
 
     [n, n] = [nbar, nbar] = 0
@@ -18,14 +20,15 @@ Brackets:
     [T, zbar]            = -(T#(z))bar    in nbar
     [T, T']              = T T' - T' T
 
-where T# is the adjoint of T with respect to the trace bilinear form
-T_J(x o y); on generators V_{x,y}# = V_{y,x}.  Operators on n are held in
-linalg's column-sparse format; the m basis is the fully reduced echelon of
-the flattened V_{b_i,b_j}, T# = G^{-1} T^t G is composed sparsely from the
-trace-form Gram matrix G, and every commutator [m_a, m_b] is reduced
-against the span in ints, which checks closure and gives its coordinates.
-The distinguished sl2-triple is e = identity of J inside n, f = -(identity)
-inside nbar, h = [e, f] = -V_{e,e}, read from the span: no bracket is read.
+where T# = 2 L_{T(e)} - T: it is linear in T and V_{x,y}# = V_{y,x}, so it is
+the adjoint of T under the trace form T_J(x o y).  Operators on n are held
+in linalg's column-sparse format.  Row k of the symmetric table J.scaled is
+den L_k in ints, so the L_k and their commutators are inserted in ints; the
+m basis is their fully reduced echelon, and every [x, ybar] on basis
+elements, every commutator [m_a, m_b] (reduced against the span in ints,
+which checks closure) and h are read off at its pivots.  The distinguished
+sl2-triple is e = identity of J inside n, f = -(identity) inside nbar,
+h = [e, f] = -V_{e,e} = 2 L_e: no bracket is read.
 
 A LieAlgebra stores each nonzero [b_i, b_j], i < j, once, and reads every
 bracket, ad operator and Killing trace from a table of all ordered pairs in
@@ -37,6 +40,7 @@ on the pair (f_1, e_1) built from the first frame idempotent.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -69,29 +73,26 @@ def structure_operator(J: JordanAlgebra, x: JordanElement, y: JordanElement) -> 
     return StructureOperator(_vop_cols(J, x.vec, y.vec), _vop_cols(J, y.vec, x.vec))
 
 
-def _vop_cols(J: JordanAlgebra, x, y) -> OpCols:
-    """Columns of V_{x,y} = 2(L_y L_x - L_x L_y - L_{x o y}), read from the
-    integer cells of J.scaled: no dense vector is formed.
+def _lmul_cols(table, xs) -> OpCols:
+    """L_x : z |-> x o z as columns, x given by a re-iterable of its (k, c)
+    pairs: the table is symmetric, so column m, x o b_m, is row m of the
+    table combined by xs."""
+    return tuple(add_combination({}, row, xs) for row in table)
 
-    Column k is 2((x o b_k) o y - (b_k o y) o x - (x o y) o b_k); since the
-    table is symmetric, row k of it is the operator L_{b_k}.  x and y are
-    scaled to ints over dx and dy, every term is two table products, so each
-    entry is divided once, by dx dy den^2.
-    """
-    table = J.scaled.cells
+
+def _vop_cols(J: JordanAlgebra, x, y) -> OpCols:
+    """Columns of V_{x,y} = 2([L_y, L_x] - L_{x o y}), formed on the integer
+    cells of J.scaled: x and y are scaled to ints over dx and dy, so L_x and
+    L_y hold ints over dx den and dy den, L_{x o y} over dx dy den^2, and each
+    entry is divided once."""
+    cells, n = J.scaled.cells, J.dim
     xs, dx = linalg.scale_vec(x)
     ys, dy = linalg.scale_vec(y)
+    xy = linalg.table_product({}, cells, xs, ys)  # dx dy den (x o y)
+    flat = linalg.op_commutator(_lmul_cols(cells, ys), _lmul_cols(cells, xs), n)
+    add_combination(flat, [linalg.op_flatten(_lmul_cols(cells, xy.items()), n)], [(0, -1)])
     den = dx * dy * J.scaled.den**2
-    lx = [add_combination({}, table[k], xs) for k in range(J.dim)]  # x o b_k
-    ly = [add_combination({}, table[k], ys) for k in range(J.dim)]  # b_k o y
-    neg_xy = [(i, -c) for i, c in add_combination({}, ly, xs).items() if c]
-    cols = []
-    for k in range(J.dim):
-        acc = add_combination({}, ly, lx[k].items())
-        add_combination(acc, lx, [(i, -c) for i, c in ly[k].items()])
-        add_combination(acc, table[k], neg_xy)
-        cols.append({i: Q(2 * c, den) for i, c in sorted(acc.items()) if c})
-    return tuple(cols)
+    return linalg.op_unflatten({p: Q(2 * c, den) for p, c in sorted(flat.items()) if c}, n)
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +138,13 @@ class LieAlgebra:
     def bracket_basis(self, i: int, j: int) -> SparseVec:
         return self.table[i][j]
 
-    def bracket(self, x: SparseVec, y: SparseVec) -> SparseVec:
-        for v in (x, y):
+    def _check_indices(self, *vecs: SparseVec) -> None:
+        for v in vecs:
             if any(k < 0 or k >= self.dim for k in v):
                 raise InvalidParameter("element index out of range for this algebra")
+
+    def bracket(self, x: SparseVec, y: SparseVec) -> SparseVec:
+        self._check_indices(x, y)
         out = linalg.table_product({}, self.table, x.items(), y.items())
         return {k: c for k, c in out.items() if c}
 
@@ -153,6 +157,7 @@ class LieAlgebra:
 
     def killing_raw(self, x: SparseVec, y: SparseVec) -> Fraction:
         """trace(ad x ad y), no normalization."""
+        self._check_indices(x, y)
         total = Q(0)
         for i, ci in x.items():
             for j, cj in y.items():
@@ -191,6 +196,7 @@ class LieAlgebra:
         return self._killing
 
     def killing(self, x: SparseVec, y: SparseVec) -> Fraction:
+        self._check_indices(x, y)
         return linalg.gram_form(self.killing_matrix(), x.items(), y.items())
 
 
@@ -216,27 +222,24 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     """g = nbar (+) m (+) n with its brackets, sl2-triple and norm pair; the
     bracket table is left unbuilt."""
     n = J.dim
-    basis_vecs = [tuple(Q(1) if i == k else Q(0) for i in range(n)) for k in range(n)]
+    cells, den = J.scaled.cells, J.scaled.den
 
-    # span of all structure operators V_{b_i, b_j}, in first-pivot echelon order
+    # m = L_J + [L_J, L_J], the span of every V_{b_i, b_j}: row k of the
+    # symmetric table is den L_k, so the n operators den L_k and the
+    # n(n-1)/2 commutators den^2 [L_i, L_j] are ints
+    pairs = list(itertools.combinations(range(n), 2))
+    ops = [linalg.op_flatten(row, n) for row in cells]
+    ops += [linalg.op_commutator(cells[i], cells[j], n) for i, j in pairs]
     span = EchelonBasis()
-    vop_flat = {}
-    for i in range(n):
-        for j in range(n):
-            flat = linalg.op_flatten(_vop_cols(J, basis_vecs[i], basis_vecs[j]), n)
-            vop_flat[(i, j)] = flat
-            span.insert(flat)
+    for op in ops:
+        span.insert(op)
     m_dim = len(span)
     m_cols = [linalg.op_unflatten(fl, n) for fl in span.sorted_basis()]
-
-    # trace-form adjoint T# = G^{-1} T^t G gives the companion of every m element
-    gram = J.trace_form_gram()
-    g_op = linalg.op_from_dense(gram)
-    g_inv = linalg.op_from_dense(linalg.invert(gram))
-    m_sharp = [
-        linalg.op_compose(g_inv, linalg.op_compose(linalg.op_transpose(cols, n), g_op))
-        for cols in m_cols
-    ]
+    # the reduced rows are 1 at their own pivot and 0 at the others', so the
+    # coordinates of an element of the span are its pivot entries
+    pivots = list(enumerate(span.sorted_pivots()))
+    coords = [{a: op[p] for a, p in pivots if p in op} for op in ops]
+    del ops  # freed before the closure's int copies of the m basis
 
     idx_nbar = lambda k: k
     idx_m = lambda k: n + k
@@ -250,21 +253,30 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     grading = (-2,) * n + (0,) * m_dim + (2,) * n
     brackets: dict = {}
 
-    # [n_i, nbar_j] = V_{b_i, b_j} in m; the operator was inserted into the
-    # span, so its coordinates are its entries at the pivot columns
-    pivots = list(enumerate(span.sorted_pivots()))
-    for (i, j), vop in vop_flat.items():
-        coords = {idx_m(a): vop[p] for a, p in pivots if p in vop}
-        put_bracket(brackets, idx_n(i), idx_nbar(j), coords)
-    del vop_flat  # freed before the closure's int copies of the m basis
-
-    # [m_a, n_k] = T_a(b_k);  [m_a, nbar_k] = -(T_a#(b_k))bar
-    for a in range(m_dim):
-        for k in range(n):
-            put_bracket(brackets, idx_m(a), idx_n(k), {idx_n(r): c for r, c in m_cols[a][k].items()})
+    # [n_i, nbar_j] = V_{b_i, b_j} = 2([L_j, L_i] - L_{b_i o b_j}); over
+    # b_i o b_j = sum_k c_k b_k / den its den^2 multiple is
+    # 2(den^2 [L_j, L_i] - sum_k c_k den L_k), so each constant is one division
+    comm_at = {pair: n + t for t, pair in enumerate(pairs)}
+    for i in range(n):
+        for j in range(n):
+            terms = [(k, -2 * c) for k, c in cells[i][j].items()]
+            if i != j:
+                terms.append((comm_at[min(i, j), max(i, j)], 2 if i > j else -2))
+            vop = add_combination({}, coords, terms).items()
             put_bracket(
-                brackets, idx_m(a), idx_nbar(k), {idx_nbar(r): -c for r, c in m_sharp[a][k].items()}
+                brackets, idx_n(i), idx_nbar(j), {idx_m(a): Q(c, den * den) for a, c in vop if c}
             )
+
+    # [m_a, n_k] = T_a(b_k);  [m_a, nbar_k] = -(T_a#(b_k))bar with the
+    # companion T# = 2 L_{T(e)} - T, linear in T and V_{y,x} on V_{x,y}
+    one = J.identity.vec
+    e = {k: c for k, c in enumerate(one) if c}
+    for a, cols in enumerate(m_cols):
+        lte = _lmul_cols(J.mul_table, linalg.op_apply(cols, e).items())  # L_{T(e)}
+        for k in range(n):
+            neg_sharp = add_combination(dict(cols[k]), lte, [(k, -2)]).items()
+            put_bracket(brackets, idx_m(a), idx_n(k), {idx_n(r): c for r, c in cols[k].items()})
+            put_bracket(brackets, idx_m(a), idx_nbar(k), {idx_nbar(r): c for r, c in neg_sharp if c})
 
     # [m_a, m_b] = operator commutator.  Closure in the span is a theorem,
     # checked on every pair in ints: over the m basis' common denominator D,
@@ -283,13 +295,11 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
                 raise ConstructionError("operator commutator escaped the structure-operator span")
             put_bracket(brackets, idx_m(a), idx_m(b), {idx_m(i): Q(c, d * d) for i, c in consts})
 
-    # e = identity in n, f = -(identity) in nbar, h = [e, f] = -V_{e,e}
-    one, frame = J.identity.vec, J.frame(1).vec
-    h = span.coordinates(linalg.op_flatten(_vop_cols(J, one, one), n))
-    if h is None:
-        raise ConstructionError("grading element landed outside m")
+    # e = identity in n, f = -(identity) in nbar, h = [e, f] = -V_{e,e} = 2 L_e
+    h = {idx_m(a): 2 * c / den for a, c in add_combination({}, coords, e.items()).items() if c}
     embed = lambda vec, idx, sign: {idx(k): sign * c for k, c in enumerate(vec) if c}
-    triple = (embed(one, idx_nbar, -1), embed(h, idx_m, -1), embed(one, idx_n, 1))
+    frame = J.frame(1).vec
+    triple = (embed(one, idx_nbar, -1), h, embed(one, idx_n, 1))
     norm_pair = (embed(frame, idx_nbar, -1), embed(frame, idx_n, 1))
     return LieAlgebra(labels, brackets, grading, triple, norm_pair)
 
@@ -299,14 +309,19 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def w_map(g: LieAlgebra, x: SparseVec) -> SparseVec:
-    """w(x) = [f, [f, x]]/2, a linear bijection n -> nbar."""
+def _triple(g: LieAlgebra) -> tuple[SparseVec, SparseVec, SparseVec]:
+    """(f, h, e) of g; an algebra without one raises InvalidParameter."""
     if g.triple is None:
         raise InvalidParameter("algebra carries no sl2 triple")
+    return g.triple
+
+
+def w_map(g: LieAlgebra, x: SparseVec) -> SparseVec:
+    """w(x) = [f, [f, x]]/2, a linear bijection n -> nbar."""
+    f, _, _ = _triple(g)
     n_idx = set(g.degree_indices(2))
     if not set(x) <= n_idx:
         raise InvalidParameter("w expects an element supported in the +2 part")
-    f, _, _ = g.triple
     out = g.bracket(f, g.bracket(f, x))
     return {k: HALF * c for k, c in out.items()}
 
@@ -326,14 +341,14 @@ def w_matrix(g: LieAlgebra) -> list[list[Fraction]]:
 
 def n_product(g: LieAlgebra, x: SparseVec, y: SparseVec) -> SparseVec:
     """Jordan product on the +2 block: x o y = [x, [f, y]]/2."""
-    f, _, _ = g.triple
+    f, _, _ = _triple(g)
     out = g.bracket(x, g.bracket(f, y))
     return {k: HALF * c for k, c in out.items()}
 
 
 def nbar_product(g: LieAlgebra, x: SparseVec, y: SparseVec) -> SparseVec:
     """Jordan product on the -2 block: x o y = [x, [-e, y]]/2."""
-    _, _, e = g.triple
+    _, _, e = _triple(g)
     neg_e = {k: -c for k, c in e.items()}
     out = g.bracket(x, g.bracket(neg_e, y))
     return {k: HALF * c for k, c in out.items()}

@@ -9,12 +9,12 @@ through it.  Operators are column-sparse: a sequence whose entry k is the
 sparse image of basis vector k, flattened (for echelon work) with entry
 (row, k) at k * n + row.  Coefficients are Fractions, except in
 ``gram_form`` on integer input (the root data), in ``dense_product``, in
-kkt's structure operators and m closure and in the composition law, which
-scale to Python ints (``scale_table``, ``scale_vec``) and divide back once,
-if at all.  There is one row reduction, ``EchelonBasis``: the dense helpers
-(``rref`` and through it ``rank``, ``nullspace``, ``invert`` and ``solve``,
-and ``det``) insert their rows into one and read the result back as dense
-rows.  Everything
+kkt's structure operators, its span of m and [x, ybar] readout and its m
+closure, and in the composition law, which scale to Python ints
+(``scale_table``, ``scale_vec``) and divide back once, if at all.  There is
+one row reduction, ``EchelonBasis``: the dense helpers (``rref`` and through
+it ``rank``, ``nullspace``, ``invert`` and ``solve``, and ``det``) insert
+their rows into one and read the result back as dense rows.  Everything
 here is deterministic: pivoting follows first-nonzero order, never magnitude.
 """
 
@@ -68,14 +68,6 @@ def op_apply(cols, v: SparseVec) -> SparseVec:
 def op_compose(a, b) -> tuple:
     """Columns of the product A B."""
     return tuple(op_apply(a, col) for col in b)
-
-
-def op_transpose(cols, n: int) -> tuple:
-    out = tuple({} for _ in range(n))
-    for k, col in enumerate(cols):
-        for row, c in col.items():
-            out[row][k] = c
-    return out
 
 
 def op_trace_product(a, b) -> Fraction:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from test_cli import GOLDEN_VERIFY_ARGS, GOLDEN_VERIFY_SHA256
 
-from jordanlie import kkt
+from jordanlie import jordan, kkt, linalg
 from jordanlie.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -64,3 +64,28 @@ def test_from_json_leaves_the_bracket_table_unbuilt(kkt_builds, split_builds):
         assert "table" not in vars(g)
         g.bracket({0: 1}, {1: 1})
         assert "table" in vars(g)
+
+
+def test_build_kkt_spans_m_without_the_trace_form(monkeypatch, family_instances):
+    # m of H3(O) is spanned by the 27 L_k and the 351 [L_i, L_j]: n(n+1)/2
+    # inserts, and no characteristic polynomial is interpolated.  perfbench
+    # reports both counts as jordan.generic_min_poly.calls and
+    # linalg.EchelonBasis.insert.calls.
+    traced = set(_load("spans").TRACED)
+    assert {("jordan", "generic_min_poly"), ("linalg", "EchelonBasis.insert")} <= traced
+    J = family_instances["E7"]
+    calls = {"generic_min_poly": 0, "insert": 0}
+    min_poly, insert = jordan.generic_min_poly, linalg.EchelonBasis.insert
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(jordan, "generic_min_poly", counted("generic_min_poly", min_poly))
+    monkeypatch.setattr(linalg.EchelonBasis, "insert", counted("insert", insert))
+    kkt.build_kkt(J)
+    assert J.dim * (J.dim + 1) // 2 == 378
+    assert calls == {"generic_min_poly": 0, "insert": 378}

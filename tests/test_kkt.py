@@ -165,6 +165,29 @@ def test_bracket_dimension_mismatch(kkt_builds):
         g.bracket({g.dim + 3: Q(1)}, {0: Q(1)})
 
 
+def test_killing_index_out_of_range(kkt_builds, split_builds):
+    for g in (kkt_builds("C2"), split_builds("A", 1)):
+        for killing in (g.killing, g.killing_raw):
+            with pytest.raises(InvalidParameter, match="element index out of range"):
+                killing({g.dim + 2: Q(1)}, {0: Q(1)})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: n_product(g, {0: Q(1)}, {1: Q(1)}),
+        lambda g: nbar_product(g, {0: Q(1)}, {1: Q(1)}),
+        lambda g: w_map(g, {0: Q(1)}),
+    ],
+    ids=["n_product", "nbar_product", "w_map"],
+)
+def test_sl2_helpers_need_a_triple(split_builds, call):
+    g = split_builds("A", 1)
+    assert g.triple is None
+    with pytest.raises(InvalidParameter, match="algebra carries no sl2 triple"):
+        call(g)
+
+
 def test_w_map_basics(kkt_builds):
     for name in EXPECTED_BLOCKS:
         g = kkt_builds(name)
@@ -264,6 +287,66 @@ def test_structure_operator_bracket_formula(kkt_builds, family_instances):
                     assert cols[k] == {r: c for r, c in enumerate(want.vec) if c}
 
 
+# the construction oracles run on four table families and two non-dyadic
+# descriptors, table denominators 42 and 10
+ORACLE_DESCRIPTORS = ("jordan:H2:quaternion:1/3,-5/7", "jordan:J2:dim=2:gram=1/2,3/5")
+
+
+def _oracle_builds(names, family_instances, kkt_builds):
+    out = [(name, family_instances[name], kkt_builds(name)) for name in names]
+    for descriptor in ORACLE_DESCRIPTORS:
+        J = cli.parse_jordan_descriptor(descriptor)
+        out.append((descriptor, J, build_kkt(J)))
+    return out
+
+
+def _m_operators(g):
+    """Each T_a as a column-sparse operator, read back from [m_a, n_k] = T_a(b_k)."""
+    m_idx, n_idx = g.degree_indices(0), g.degree_indices(2)
+    return [
+        [{r - n_idx[0]: c for r, c in g.bracket_basis(a, k).items()} for k in n_idx] for a in m_idx
+    ]
+
+
+def test_m_is_the_reduced_span_of_every_structure_operator(family_instances, kkt_builds):
+    # the m basis is the reduced echelon basis of all n^2 flattened
+    # V_{b_i, b_j}, and [n_i, nbar_j] holds V_{b_i, b_j}'s coordinates in it
+    for name, J, g in _oracle_builds(("C2", "A3", "B3", "D4"), family_instances, kkt_builds):
+        n, basis = J.dim, J.basis()
+        span = linalg.EchelonBasis()
+        vops = {}
+        for i, j in itertools.product(range(n), repeat=2):
+            vops[i, j] = linalg.op_flatten(structure_operator(J, basis[i], basis[j]).cols, n)
+            span.insert(vops[i, j])
+        flat_m = [linalg.op_flatten(op, n) for op in _m_operators(g)]
+        assert flat_m == span.sorted_basis(), name
+        m_idx, n_idx, nbar_idx = g.degree_indices(0), g.degree_indices(2), g.degree_indices(-2)
+        for (i, j), flat in vops.items():
+            coords = {m_idx[a]: c for a, c in enumerate(span.coordinates(flat)) if c}
+            assert g.bracket_basis(n_idx[i], nbar_idx[j]) == coords, (name, i, j)
+
+
+def test_companion_is_the_trace_form_adjoint(family_instances, kkt_builds):
+    # [m_a, nbar_k] = -(T_a#(b_k))bar, where T# = G^-1 T^t G is the adjoint
+    # under the trace form (x, y) |-> T(x o y) with Gram matrix G
+    names = ("C2", "A3", "B3", "D4", "E7")
+    for name, J, g in _oracle_builds(names, family_instances, kkt_builds):
+        n, nbar_idx = J.dim, g.degree_indices(-2)
+        tau = [jordan.jordan_trace(b) for b in J.basis()]
+        gram = [
+            [sum((c * tau[k] for k, c in J.mul_table[i][j].items()), Q(0)) for j in range(n)]
+            for i in range(n)
+        ]
+        g_op, g_inv = linalg.op_from_dense(gram), linalg.op_from_dense(linalg.invert(gram))
+        for a, op in zip(g.degree_indices(0), _m_operators(g)):
+            dense = [[op[k].get(r, Q(0)) for k in range(n)] for r in range(n)]
+            transpose = linalg.op_from_dense([list(row) for row in zip(*dense)])
+            sharp = linalg.op_compose(g_inv, linalg.op_compose(transpose, g_op))
+            for k in range(n):
+                want = {nbar_idx[r]: -c for r, c in sharp[k].items()}
+                assert g.bracket_basis(a, nbar_idx[k]) == want, (name, a, k)
+
+
 def test_span_reports(kkt_builds):
     for name, want in (("C2", 4), ("A3", 7), ("E7", 79)):
         rep = verify_span(kkt_builds(name))
@@ -335,8 +418,9 @@ CLOSURE_CASES = [
 
 
 def test_closure_reduces_every_commutator_pair(monkeypatch):
-    # each of the m(m-1)/2 pairs [m_a, m_b] is formed once, on the m basis
-    # scaled to ints over D, and its constants are those of the commutator
+    # the n(n-1)/2 commutators [L_i, L_j] that span m with the L_k, then each
+    # of the m(m-1)/2 pairs [m_a, m_b] once, on the m basis scaled to ints
+    # over D, whose constants are those of the commutator
     commutator, scale_table = linalg.op_commutator, linalg.scale_table
     calls, dens = [], []
 
@@ -356,8 +440,8 @@ def test_closure_reduces_every_commutator_pair(monkeypatch):
         g = build_kkt(J)
         m_idx, n_idx = g.degree_indices(0), g.degree_indices(2)
         assert (J.dim, len(m_idx), dens) == (dim, m, [den])
-        assert len(calls) == m * (m - 1) // 2
-        assert all(type(c) is int for op in calls[0] for col in op for c in col.values())
+        assert len(calls) == dim * (dim - 1) // 2 + m * (m - 1) // 2
+        assert all(type(c) is int for pair in calls for op in pair for col in op for c in col.values())
         # T_a(b_k) = [m_a, n_k]; [T_a, T_b] must be the stored combination of the T_c
         ops = [
             [{r - n_idx[0]: c for r, c in g.bracket_basis(a, k).items()} for k in n_idx]
