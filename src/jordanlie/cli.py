@@ -32,8 +32,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import composition, jordan, kkt, orbits, rootdata, verify
-from .errors import ConstructionError, InvalidParameter
-from .rationals import Q, parse as parse_rational
+from .errors import AlgebraMismatch, ConstructionError, InvalidParameter
+from .rationals import Q, parse as parse_rational, to_int
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
@@ -55,7 +55,7 @@ def _parse_int(value: str, name: str, text: str) -> int:
     # plain ASCII digits only: int() would also take "1_0", " 3" or "+3"
     if not re.fullmatch(r"-?[0-9]+", value):
         raise InvalidParameter(f"{name} must be an integer, got {value!r} in {text!r}")
-    return int(value)
+    return to_int(value, text)
 
 
 def parse_jordan_descriptor(text: str) -> jordan.JordanAlgebra:
@@ -131,12 +131,17 @@ def resolve_target(text: str) -> Target:
         split = rootdata.build_split_lie(type_label, rank)
         return Target(kind="root", lie=split if node is None else None, split=split, node=node)
     # otherwise: a structure-constant JSON file
+    return Target(kind="lie-json", lie=kkt.from_json(_load_json(text, f"target {text!r}")))
+
+
+def _load_json(path: str, what: str):
     try:
-        with open(text) as fh:
-            obj = json.load(fh)
+        with open(path) as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise InvalidParameter(f"cannot read target {text!r}: {exc}")
-    return Target(kind="lie-json", lie=kkt.from_json(obj))
+        raise InvalidParameter(f"cannot read {what}: {exc}")
+    except ValueError as exc:  # not JSON, not UTF-8, or an over-long JSON integer
+        raise InvalidParameter(f"{what} is not JSON: {exc}")
 
 
 def target_lie_algebra(t: Target) -> kkt.LieAlgebra:
@@ -266,11 +271,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        with open(args.element) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InvalidParameter(f"cannot read element file: {exc}")
+    obj = _load_json(args.element, "element file")
     if not (isinstance(obj, dict) and isinstance(obj.get("algebra"), str) and "element" in obj):
         raise InvalidParameter('element file needs {"algebra": "<descriptor>", "element": ...}')
     J = parse_jordan_descriptor(obj["algebra"])
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
             # try the path before any work: append mode keeps an existing file
             _emit("", args.out, "a")
         return args.func(args)
-    except (InvalidParameter, ConstructionError, ValueError, KeyError) as exc:
+    except (InvalidParameter, AlgebraMismatch, ConstructionError) as exc:
         if fresh and os.path.exists(args.out):
             os.remove(args.out)  # made by the probe above, and still empty
         print(f"error: {exc}", file=sys.stderr)

@@ -53,9 +53,15 @@ from .composition import CAElement, CompositionAlgebra
 from .composition import element_from_json as ca_element_from_json
 from .composition import element_to_json as ca_element_to_json
 from .errors import AlgebraMismatch, ConstructionError, InvalidParameter, SingularElement
-from .rationals import HALF, Q, fmt, parse
+from .rationals import HALF, Q, fmt, parse, to_int
 
 Vec = tuple[Fraction, ...]
+
+
+def lmul_cols(table, xs) -> tuple[dict, ...]:
+    """L_x : z |-> x o z as columns, x given by a re-iterable of its (k, c) pairs:
+    a Jordan table is symmetric, so column m, x o b_m, is its row m combined by xs."""
+    return tuple(linalg.add_combination({}, row, xs) for row in table)
 
 
 class JordanAlgebra:
@@ -116,8 +122,9 @@ class JordanAlgebra:
 
     def lmul_matrix(self, x: Vec) -> list[list[Fraction]]:
         """Matrix of z -> x o z in the algebra basis (columns are x o b_j)."""
-        cols = [self.mul_vec(x, tuple(b.vec)) for b in self.basis()]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        xs, dx = linalg.scale_vec(enumerate(x))
+        cols = lmul_cols(self.scaled.cells, xs)
+        return [[Q(col.get(i, 0), dx * self.scaled.den) for col in cols] for i in range(self.dim)]
 
 
 class HermitianJordan(JordanAlgebra):
@@ -609,13 +616,14 @@ def element_from_json(obj: dict, alg: JordanAlgebra) -> JordanElement:
         entries = {}
         for key, entry in upper.items():
             m = re.fullmatch(r"(\d+),(\d+)", key)
-            if not (m and 1 <= int(m[1]) < int(m[2]) <= alg.r):
+            i, j = (to_int(m[1], key), to_int(m[2], key)) if m else (0, 0)
+            if not 1 <= i < j <= alg.r:
                 raise InvalidParameter(f'upper key {key!r}: need "i,j" with 1 <= i < j <= {alg.r}')
             try:
                 entry = ca_element_from_json(entry, alg.coeff_algebra)
             except InvalidParameter as exc:
                 raise InvalidParameter(f"upper entry {key!r}: {exc}") from None
-            entries[(int(m[1]) - 1, int(m[2]) - 1)] = entry
+            entries[(i - 1, j - 1)] = entry
         return alg.from_entries(diag, entries)
     for key in ("a", "b"):
         if key not in obj:

@@ -30,9 +30,10 @@ which checks closure) and h are read off at its pivots.  The distinguished
 sl2-triple is e = identity of J inside n, f = -(identity) inside nbar,
 h = [e, f] = -V_{e,e} = 2 L_e: no bracket is read.
 
-A LieAlgebra stores each nonzero [b_i, b_j], i < j, once, and reads every
-bracket, ad operator and Killing trace from a table of all ordered pairs in
-the {k: coeff} cells of every structure table, through linalg.table_product.
+A LieAlgebra stores each nonzero [b_i, b_j], i < j, once, as Fractions.  It
+reads every bracket, ad operator and Killing trace in ints from a table of
+all ordered pairs in linalg's {k: coeff} cells, scaled over den, the lcm of
+the stored denominators, and divides once on output; bracket_basis divides the cell.
 
 The Killing form is the ad-trace form rescaled so that it takes the value 1
 on the pair (f_1, e_1) built from the first frame idempotent.
@@ -48,7 +49,7 @@ from typing import Optional
 
 from . import linalg
 from .errors import ConstructionError, InvalidParameter
-from .jordan import JordanAlgebra, JordanElement
+from .jordan import JordanAlgebra, JordanElement, lmul_cols
 from .linalg import EchelonBasis, add_combination
 from .rationals import HALF, Q, fmt, parse
 
@@ -73,24 +74,17 @@ def structure_operator(J: JordanAlgebra, x: JordanElement, y: JordanElement) -> 
     return StructureOperator(_vop_cols(J, x.vec, y.vec), _vop_cols(J, y.vec, x.vec))
 
 
-def _lmul_cols(table, xs) -> OpCols:
-    """L_x : z |-> x o z as columns, x given by a re-iterable of its (k, c)
-    pairs: the table is symmetric, so column m, x o b_m, is row m of the
-    table combined by xs."""
-    return tuple(add_combination({}, row, xs) for row in table)
-
-
 def _vop_cols(J: JordanAlgebra, x, y) -> OpCols:
     """Columns of V_{x,y} = 2([L_y, L_x] - L_{x o y}), formed on the integer
     cells of J.scaled: x and y are scaled to ints over dx and dy, so L_x and
     L_y hold ints over dx den and dy den, L_{x o y} over dx dy den^2, and each
     entry is divided once."""
     cells, n = J.scaled.cells, J.dim
-    xs, dx = linalg.scale_vec(x)
-    ys, dy = linalg.scale_vec(y)
+    xs, dx = linalg.scale_vec(enumerate(x))
+    ys, dy = linalg.scale_vec(enumerate(y))
     xy = linalg.table_product({}, cells, xs, ys)  # dx dy den (x o y)
-    flat = linalg.op_commutator(_lmul_cols(cells, ys), _lmul_cols(cells, xs), n)
-    add_combination(flat, [linalg.op_flatten(_lmul_cols(cells, xy.items()), n)], [(0, -1)])
+    flat = linalg.op_commutator(lmul_cols(cells, ys), lmul_cols(cells, xs), n)
+    add_combination(flat, [linalg.op_flatten(lmul_cols(cells, xy.items()), n)], [(0, -1)])
     den = dx * dy * J.scaled.den**2
     return linalg.op_unflatten({p: Q(2 * c, den) for p, c in sorted(flat.items()) if c}, n)
 
@@ -104,8 +98,8 @@ def _vop_cols(J: JordanAlgebra, x, y) -> OpCols:
 class LieAlgebra:
     """Basis-indexed sparse structure constants, optionally 3-graded.
 
-    brackets holds only pairs i < j, zero brackets absent; it is the
-    constructor and JSON form.  Every bracket is read through ``table``.
+    brackets holds only pairs i < j, zero brackets absent, in Fractions: the
+    constructor and JSON form.  Every bracket is read through the int ``table``.
     """
 
     labels: tuple[str, ...]
@@ -123,20 +117,22 @@ class LieAlgebra:
         return len(self.labels)
 
     @cached_property
-    def table(self) -> tuple:
-        """table[i][j] = [b_i, b_j] in linalg's sparse cell format, so row i
-        is ad(b_i) as a column-sparse operator: the brackets dicts above the
-        diagonal, their negations below, one shared empty dict for every zero
-        bracket; no cell may be written.  Built on first read, not by from_json."""
+    def table(self) -> linalg.ScaledTable:
+        """cells[i][j] = den [b_i, b_j], ints over den, the lcm of the stored
+        denominators, so row i is den ad(b_i) as a column-sparse operator: the
+        scaled brackets above the diagonal, negated below, one shared empty
+        dict for every zero; no cell may be written.  Built on first read."""
+        scaled = linalg.scale_table([self.brackets.values()])  # one row of cells
         zero: SparseVec = {}
         rows = [[zero] * self.dim for _ in range(self.dim)]
-        for (i, j), vec in self.brackets.items():
-            rows[i][j] = vec
-            rows[j][i] = {k: -c for k, c in vec.items()}
-        return tuple(map(tuple, rows))
+        for (i, j), cell in zip(self.brackets, scaled.cells[0]):
+            rows[i][j] = cell
+            rows[j][i] = {k: -c for k, c in cell.items()}
+        return linalg.ScaledTable(tuple(map(tuple, rows)), scaled.den)
 
     def bracket_basis(self, i: int, j: int) -> SparseVec:
-        return self.table[i][j]
+        t = self.table
+        return {k: Q(c, t.den) for k, c in t.cells[i][j].items()}
 
     def _check_indices(self, *vecs: SparseVec) -> None:
         for v in vecs:
@@ -145,8 +141,11 @@ class LieAlgebra:
 
     def bracket(self, x: SparseVec, y: SparseVec) -> SparseVec:
         self._check_indices(x, y)
-        out = linalg.table_product({}, self.table, x.items(), y.items())
-        return {k: c for k, c in out.items() if c}
+        xs, dx = linalg.scale_vec(x.items())
+        ys, dy = linalg.scale_vec(y.items())
+        out = linalg.table_product({}, self.table.cells, xs, ys)
+        den = dx * dy * self.table.den
+        return {k: Q(c, den) for k, c in out.items() if c}
 
     def degree_indices(self, deg: int) -> list[int]:
         if self.grading is None:
@@ -156,20 +155,18 @@ class LieAlgebra:
     # -- Killing form --------------------------------------------------------
 
     def killing_raw(self, x: SparseVec, y: SparseVec) -> Fraction:
-        """trace(ad x ad y), no normalization."""
+        """trace(ad x ad y), no normalization: int traces over den^2."""
         self._check_indices(x, y)
-        total = Q(0)
-        for i, ci in x.items():
-            for j, cj in y.items():
-                total += ci * cj * linalg.op_trace_product(self.table[i], self.table[j])
-        return total
+        cells = self.table.cells
+        trace = linalg.op_trace_product
+        total = sum(cx * cy * trace(cells[i], cells[j]) for i, cx in x.items() for j, cy in y.items())
+        return Q(total, self.table.den**2)
 
     def killing_matrix(self) -> list[list[Fraction]]:
         """Full Killing Gram matrix on the basis, scaled so that the norm pair
         pairs to 1.  ad(x) ad(y) shifts weights by w(x) + w(y), so only pairs
-        whose weights cancel are traced.  The weight is the root in a
-        Chevalley build, else the grading degree; with neither, every pair is
-        traced."""
+        whose weights cancel are traced, in ints.  The weight is the root in a
+        Chevalley build, else the grading degree; with neither, every pair is traced."""
         if self._killing is None:
             if self.root_system is not None:
                 weights = self.root_system.weights
@@ -180,13 +177,13 @@ class LieAlgebra:
             by_weight: dict = {}
             for i, w in enumerate(weights):
                 by_weight.setdefault(w, []).append(i)
-            s = Q(1)
+            s = Q(1, self.table.den**2)
             if self.norm_pair is not None:
                 raw = self.killing_raw(*self.norm_pair)
                 if raw == 0:
                     raise ConstructionError("ad-trace pairing of the normalization pair vanishes")
-                s = 1 / raw
-            ads = self.table
+                s /= raw
+            ads = self.table.cells
             mat = [[Q(0)] * self.dim for _ in range(self.dim)]
             for i, w in enumerate(weights):
                 for j in by_weight.get(tuple(-c for c in w), ()):
@@ -272,7 +269,7 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     one = J.identity.vec
     e = {k: c for k, c in enumerate(one) if c}
     for a, cols in enumerate(m_cols):
-        lte = _lmul_cols(J.mul_table, linalg.op_apply(cols, e).items())  # L_{T(e)}
+        lte = lmul_cols(J.mul_table, linalg.op_apply(cols, e).items())  # L_{T(e)}
         for k in range(n):
             neg_sharp = add_combination(dict(cols[k]), lte, [(k, -2)]).items()
             put_bracket(brackets, idx_m(a), idx_n(k), {idx_n(r): c for r, c in cols[k].items()})

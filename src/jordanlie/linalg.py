@@ -10,12 +10,13 @@ sparse image of basis vector k, flattened (for echelon work) with entry
 (row, k) at k * n + row.  Coefficients are Fractions, except in
 ``gram_form`` on integer input (the root data), in ``dense_product``, in
 kkt's structure operators, its span of m and [x, ybar] readout and its m
-closure, and in the composition law, which scale to Python ints
-(``scale_table``, ``scale_vec``) and divide back once, if at all.  There is
-one row reduction, ``EchelonBasis``: the dense helpers (``rref`` and through
-it ``rank``, ``nullspace``, ``invert`` and ``solve``, and ``det``) insert
-their rows into one and read the result back as dense rows.  Everything
-here is deterministic: pivoting follows first-nonzero order, never magnitude.
+closure, in the Lie bracket table and its readers, and in the composition
+law, which scale to Python ints (``scale_table``, ``scale_vec``) and divide
+back once, if at all.  There is one row reduction, ``EchelonBasis``: the
+dense helpers (``rref`` and through it ``rank``, ``nullspace``, ``invert``
+and ``solve``, and ``det``) insert their rows into one and read the result
+back as dense rows.  Everything here is deterministic: pivoting follows
+first-nonzero order, never magnitude.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ def op_compose(a, b) -> tuple:
     return tuple(op_apply(a, col) for col in b)
 
 
-def op_trace_product(a, b) -> Fraction:
-    """trace(A B)."""
-    total = Q(0)
+def op_trace_product(a, b):
+    """trace(A B); an int when every entry is an int."""
+    total = 0
     for l, bcol in enumerate(b):
         for k, c in bcol.items():
             w = a[k].get(l)
@@ -142,18 +143,19 @@ def scale_table(table) -> ScaledTable:
     return ScaledTable(cells, den)
 
 
-def scale_vec(vec) -> tuple[list, int]:
-    """The nonzero entries of vec as (i, int) pairs over their lcm d, and d."""
-    d = math.lcm(*(c.denominator for c in vec if c))
-    return [(i, c.numerator * (d // c.denominator)) for i, c in enumerate(vec) if c], d
+def scale_vec(items) -> tuple[list, int]:
+    """The nonzero (i, c) pairs of items as (i, int) pairs over their lcm d, and d."""
+    items = [(i, c) for i, c in items if c]
+    d = math.lcm(*(c.denominator for _, c in items))
+    return [(i, c.numerator * (d // c.denominator)) for i, c in items], d
 
 
 def dense_product(scaled: ScaledTable, x, y) -> tuple:
     """The product of dense coefficient vectors x and y through a scaled
     table, as a dense tuple of Fractions: the inputs are scaled once to
     ints, ``table_product`` runs on ints and each entry is divided once."""
-    xs, dx = scale_vec(x)
-    ys, dy = scale_vec(y)
+    xs, dx = scale_vec(enumerate(x))
+    ys, dy = scale_vec(enumerate(y))
     prod = table_product({}, scaled.cells, xs, ys)
     den = dx * dy * scaled.den
     zero = Q(0)

@@ -36,7 +36,15 @@ def parse(s: str) -> Fraction:
     m = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", s)
     if not m:
         raise InvalidParameter(f"rational must be \"p\" or \"p/q\" in plain digits, got {s!r}")
-    den = int(m[2] or 1)
+    den = to_int(m[2] or "1", s)
     if den == 0:
         raise InvalidParameter(f"zero denominator in {s!r}")
-    return Q(int(m[1]), den)
+    return Q(to_int(m[1], s), den)
+
+
+def to_int(digits: str, text: str) -> int:
+    """int(digits), read from text: past int's 4300-digit limit, malformed input."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise InvalidParameter(f"integer too long in {text!r}") from None

@@ -764,6 +764,13 @@ def _rescaled_parabolic(p: ParabolicDecomposition, scales: list[Fraction]):
     return replace(p, triples=tuple(triples))
 
 
+def _invert(mat: list, name: str) -> list:
+    try:
+        return linalg.invert(mat)
+    except ValueError:
+        raise ConstructionError(f"{name} is singular") from None
+
+
 def coordinatize(p: ParabolicDecomposition) -> Coordinatization:
     r = p.degree
     if r < 2:
@@ -837,9 +844,8 @@ def _coordinatize_hermitian(p2, rj, forms, units):
         return dbl(dbl(x_vec, u[(2, 3)]), dbl(y_vec, u[(1, 3)]))
 
     # express products and the norm in the chosen d-basis
-    to_local = linalg.invert(
-        [[d_basis[b][d_pos[a]] for b in range(d)] for a in range(d)]
-    )
+    d_mat = [[d_basis[b][d_pos[a]] for b in range(d)] for a in range(d)]
+    to_local = _invert(d_mat, "coefficient-algebra basis matrix")
 
     def local_coords(x_vec):
         ambient = [x_vec[src] for src in d_pos]
@@ -933,8 +939,8 @@ def cross_validate(p: ParabolicDecomposition) -> CrossValidation:
 
     # image vectors of every chevalley basis element inside the kkt build
     phi = linalg.op_from_dense(coord.matrix)
-    phi_inv = linalg.op_from_dense(linalg.invert(coord.matrix))
-    w1_inv = linalg.op_from_dense(linalg.invert(kkt_mod.w_matrix(g1)))
+    phi_inv = linalg.op_from_dense(_invert(coord.matrix, "coordinatization matrix"))
+    w1_inv = linalg.op_from_dense(_invert(kkt_mod.w_matrix(g1), "w matrix of the graded algebra"))
     n_idx1 = g1.degree_indices(2)
 
     def to_n2(vec: dict) -> dict:

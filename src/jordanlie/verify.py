@@ -54,13 +54,13 @@ class SuiteResult:
 
 
 def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> dict:
-    """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j], each term
-    read as -ad(b_c)[b_a, b_b] from row c of the bracket table."""
-    t = g.table
+    """[[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j], each term read
+    as -ad(b_c)[b_a, b_b] on the integer table: den^2 times the sum, divided once."""
+    t, den = g.table.cells, g.table.den
     acc: dict = {}
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
         linalg.add_combination(acc, t[c], t[a][b].items())
-    return {m: -v for m, v in acc.items() if v}
+    return {m: Q(-v, den * den) for m, v in acc.items() if v}
 
 
 def _jacobi_chunk(args) -> Optional[tuple]:
@@ -163,11 +163,11 @@ def suite_killing(g: LieAlgebra, cfg: Config) -> SuiteResult:
     mat = g.killing_matrix()
     n = g.dim
     # ad-invariance kappa([b_i,b_j],b_k) + kappa(b_j,[b_i,b_k]) = 0 on all n^3
-    # basis triples: the two terms are entries (k, j) and (j, k) of
-    # M_i = K ad_i (column j of M_i is m[j]), so each M_i must be antisymmetric
-    krows = [{t: c for t, c in enumerate(row) if c} for row in mat]
+    # basis triples: the two terms are entries (k, j) and (j, k) of M_i = K ad_i
+    # (column j is m[j]), in ints over one denominator: each must be antisymmetric
+    krows = linalg.scale_table([[{t: c for t, c in enumerate(row) if c} for row in mat]]).cells[0]
     for i in range(n):
-        m = [linalg.add_combination({}, krows, col.items()) for col in g.table[i]]
+        m = [linalg.add_combination({}, krows, col.items()) for col in g.table.cells[i]]
         bad = [(j, k) for j, col in enumerate(m) for k, c in col.items() if c + m[k].get(j, 0)]
         if bad:
             # failures come in mirror pairs; the first triple in order has j <= k

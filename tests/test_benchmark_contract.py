@@ -3,13 +3,15 @@ wraps jordanlie names: every name it lists must exist, or
 ``perfbench/run.py --trace 1`` breaks.  Its checks count a suite line as
 sampled when the line says so: only Jacobi may."""
 
+import dataclasses
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 from test_cli import GOLDEN_VERIFY_ARGS, GOLDEN_VERIFY_SHA256
 
-from jordanlie import jordan, kkt, linalg
+from jordanlie import jordan, kkt, linalg, verify
 from jordanlie.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -89,3 +91,27 @@ def test_build_kkt_spans_m_without_the_trace_form(monkeypatch, family_instances)
     kkt.build_kkt(J)
     assert J.dim * (J.dim + 1) // 2 == 378
     assert calls == {"generic_min_poly": 0, "insert": 378}
+
+
+def test_sampled_jacobi_makes_no_fraction_arithmetic(monkeypatch, kkt_builds):
+    # the bracket table is ints over one denominator, so a passing Jacobi run
+    # (building the table included) adds and multiplies no Fraction; perfbench
+    # times it and the bracket reads around it under these names
+    traced = set(_load("spans").TRACED)
+    names = {("kkt", "LieAlgebra.bracket"), ("kkt", "LieAlgebra.killing_matrix")}
+    assert names | {("verify", "suite_jacobi")} <= traced
+    g = dataclasses.replace(kkt_builds("E7"))
+    assert "table" not in vars(g)
+    calls = []
+    for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        original = getattr(Fraction, op)
+
+        def counted(*args, _op=op, _fn=original):
+            calls.append(_op)
+            return _fn(*args)
+
+        monkeypatch.setattr(Fraction, op, counted)
+    res = verify.suite_jacobi(g, verify.Config(sample_count=1000))
+    monkeypatch.undo()
+    assert res.passed and res.checked == 1000
+    assert calls == []

@@ -463,6 +463,17 @@ def test_pierce_dimensions(family_instances):
             assert gen.vec == alg.frame(i).vec or gen == alg.frame(i)
 
 
+def test_lmul_matrix_columns_are_products(family_instances):
+    # rational x over a table with den > 1, so both scalings divide
+    rng = random.Random(7)
+    for name in ("C3", "E7"):
+        alg = family_instances[name]
+        x = [Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(alg.dim)]
+        mat = alg.lmul_matrix(x)
+        for j, b in enumerate(alg.basis()):
+            assert tuple(row[j] for row in mat) == alg.mul_vec(x, b.vec), (name, j)
+
+
 def test_pierce_component_membership(family_instances):
     alg = family_instances["A5"]
     dec = pierce(alg)

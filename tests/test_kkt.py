@@ -1,3 +1,4 @@
+import functools
 import itertools
 import pathlib
 import random
@@ -504,8 +505,19 @@ def test_only_verify_imports_random():
 # ---------------------------------------------------------------------------
 
 
+# tables whose constants have denominators 42 and 10, so the bracket table's
+# integer scaling divides
+SCALED_DESCRIPTORS = ("jordan:H2:quaternion:1/3,-5/7", "jordan:J2:dim=2:gram=1/2,3/5")
+
+
+@functools.cache
+def _scaled_build(descriptor):
+    return build_kkt(cli.parse_jordan_descriptor(descriptor))
+
+
 def _table_algebras(kkt_builds, split_builds):
-    return [kkt_builds("C2"), kkt_builds("C3"), split_builds("A", 3), split_builds("C", 3)]
+    algebras = [kkt_builds("C2"), kkt_builds("C3"), split_builds("A", 3), split_builds("C", 3)]
+    return algebras + [_scaled_build(d) for d in SCALED_DESCRIPTORS]
 
 
 def _bracket_oracle(g, x, y):
@@ -529,7 +541,7 @@ def test_bracket_matches_the_stored_constants(kkt_builds, split_builds):
 
 def test_bracket_table_is_antisymmetric(kkt_builds, split_builds):
     for g in _table_algebras(kkt_builds, split_builds):
-        t = g.table
+        t = g.table.cells
         for i, j in itertools.product(range(g.dim), repeat=2):
             assert t[i][j] == {k: -c for k, c in t[j][i].items()}, (i, j)
 
@@ -538,12 +550,12 @@ def test_corrupted_copy_reads_its_own_table(split_builds):
     g = split_builds("C", 3)
     (i, j), vec = min(g.brackets.items())
     k = next(k for k in range(g.dim) if k not in vec)
-    before = dict(g.table[i][j])
+    before = g.bracket_basis(i, j)
     bad = verify.corrupted_copy(g, i, j, k, Q(1))
-    assert bad.table[i][j] == {**vec, k: 1}
-    assert bad.table[j][i] == {**{t: -c for t, c in vec.items()}, k: -1}
+    assert bad.bracket_basis(i, j) == {**vec, k: 1}
+    assert bad.bracket_basis(j, i) == {**{t: -c for t, c in vec.items()}, k: -1}
     assert bad.bracket({i: Q(1)}, {j: Q(1)}) == {**vec, k: 1}
-    assert g.table[i][j] == before
+    assert g.bracket_basis(i, j) == before
 
 
 def test_lie_suites_leave_the_table_unwritten(kkt_builds, split_builds):
@@ -564,7 +576,7 @@ def test_lie_suites_leave_the_table_unwritten(kkt_builds, split_builds):
         assert g.brackets == before
         for i, j in itertools.product(range(g.dim), repeat=2):
             if (min(i, j), max(i, j)) not in g.brackets:
-                assert g.table[i][j] == {}, (i, j)
+                assert g.table.cells[i][j] == {}, (i, j)
 
 
 def _jacobi_oracle(g, i, j, k):
@@ -589,3 +601,27 @@ def test_jacobi_residual_matches_nested_brackets(kkt_builds, split_builds):
         for _ in range(150):
             i, j, k = (rng.randrange(g.dim) for _ in range(3))
             assert verify.jacobi_residual(g, i, j, k) == _jacobi_oracle(g, i, j, k), (i, j, k)
+
+
+def test_scaled_tables_divide_and_match_the_killing_oracle():
+    algebras = [_scaled_build(d) for d in SCALED_DESCRIPTORS]
+    assert [g.table.den for g in algebras] == [42, 10]
+    for g in algebras:
+        assert_killing_matches_oracle(g)
+
+
+def test_new_denominator_fails_the_exhaustive_suites():
+    # 1/3 in a table over den 10: the integer table moves to den 30
+    g = _scaled_build("jordan:J2:dim=2:gram=1/2,3/5")
+    (i, j), vec = min(g.brackets.items())
+    k = next(k for k in range(g.dim) if k not in vec)
+    bad = verify.corrupted_copy(g, i, j, k, Q(1, 3))
+    assert bad.table.den == 30
+    jac = verify.suite_jacobi(bad, CFG)
+    assert not jac.passed and jac.note == "exhaustive"
+    assert not verify.suite_killing(bad, CFG).passed
+    first = next(t for t in itertools.combinations(range(g.dim), 3) if verify.jacobi_residual(bad, *t))
+    assert jac.witness.startswith("(" + ", ".join(bad.labels[t] for t in first) + ") residual")
+    residual = verify.jacobi_residual(bad, *first)
+    assert residual == _jacobi_oracle(bad, *first)
+    assert any(c.denominator % 3 == 0 for c in residual.values())
