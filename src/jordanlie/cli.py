@@ -359,9 +359,11 @@ def main(argv=None) -> int:
             # try the path before any work: append mode keeps an existing file
             _emit("", args.out, "a")
         return args.func(args)
-    except (InvalidParameter, AlgebraMismatch, ConstructionError) as exc:
-        if fresh and os.path.exists(args.out):
+    except BaseException as exc:
+        if fresh and os.path.exists(args.out) and not os.path.getsize(args.out):
             os.remove(args.out)  # made by the probe above, and still empty
+        if not isinstance(exc, (InvalidParameter, AlgebraMismatch, ConstructionError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

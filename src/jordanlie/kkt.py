@@ -30,10 +30,11 @@ which checks closure) and h are read off at its pivots.  The distinguished
 sl2-triple is e = identity of J inside n, f = -(identity) inside nbar,
 h = [e, f] = -V_{e,e} = 2 L_e: no bracket is read.
 
-A LieAlgebra stores each nonzero [b_i, b_j], i < j, once, as Fractions.  It
-reads every bracket, ad operator and Killing trace in ints from a table of
-all ordered pairs in linalg's {k: coeff} cells, scaled over den, the lcm of
-the stored denominators, and divides once on output; bracket_basis divides the cell.
+A LieAlgebra holds its brackets only as a table of all ordered pairs in
+linalg's {k: coeff} cells, ints scaled over den, the lcm of the constants'
+denominators, built by bracket_table from the brackets [b_i, b_j], i != j.
+Every bracket, ad operator and Killing trace is read in ints from it and
+divided once on output; bracket_basis divides the cell.
 
 The Killing form is the ad-trace form rescaled so that it takes the value 1
 on the pair (f_1, e_1) built from the first frame idempotent.
@@ -42,9 +43,9 @@ on the pair (f_1, e_1) built from the first frame idempotent.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 from . import linalg
@@ -98,12 +99,12 @@ def _vop_cols(J: JordanAlgebra, x, y) -> OpCols:
 class LieAlgebra:
     """Basis-indexed sparse structure constants, optionally 3-graded.
 
-    brackets holds only pairs i < j, zero brackets absent, in Fractions: the
-    constructor and JSON form.  Every bracket is read through the int ``table``.
+    table, from :func:`bracket_table`, is the only bracket store.  No cell
+    may be written, so replace() shares it.
     """
 
     labels: tuple[str, ...]
-    brackets: dict  # (i, j) i<j -> {k: Fraction}, zero brackets absent
+    table: linalg.ScaledTable  # cells[i][j] = den [b_i, b_j], ints
     grading: Optional[tuple[int, ...]] = None
     triple: Optional[tuple[SparseVec, SparseVec, SparseVec]] = None  # (f, h, e)
     norm_pair: Optional[tuple[SparseVec, SparseVec]] = None  # (f1, e1)
@@ -116,23 +117,14 @@ class LieAlgebra:
     def dim(self) -> int:
         return len(self.labels)
 
-    @cached_property
-    def table(self) -> linalg.ScaledTable:
-        """cells[i][j] = den [b_i, b_j], ints over den, the lcm of the stored
-        denominators, so row i is den ad(b_i) as a column-sparse operator: the
-        scaled brackets above the diagonal, negated below, one shared empty
-        dict for every zero; no cell may be written.  Built on first read."""
-        scaled = linalg.scale_table([self.brackets.values()])  # one row of cells
-        zero: SparseVec = {}
-        rows = [[zero] * self.dim for _ in range(self.dim)]
-        for (i, j), cell in zip(self.brackets, scaled.cells[0]):
-            rows[i][j] = cell
-            rows[j][i] = {k: -c for k, c in cell.items()}
-        return linalg.ScaledTable(tuple(map(tuple, rows)), scaled.den)
-
     def bracket_basis(self, i: int, j: int) -> SparseVec:
         t = self.table
         return {k: Q(c, t.den) for k, c in t.cells[i][j].items()}
+
+    def upper(self):
+        """The pairs i < j whose bracket is nonzero, in order, read from the table."""
+        cells = self.table.cells
+        return ((i, j) for i in range(self.dim) for j in range(i + 1, self.dim) if cells[i][j])
 
     def _check_indices(self, *vecs: SparseVec) -> None:
         for v in vecs:
@@ -197,17 +189,20 @@ class LieAlgebra:
         return linalg.gram_form(self.killing_matrix(), x.items(), y.items())
 
 
-def put_bracket(brackets: dict, i: int, j: int, vec: SparseVec) -> None:
-    """Store [b_i, b_j] = vec under the ordered pair; zero brackets are not
-    stored.  Callers store each pair once."""
-    if not vec:
-        return
-    if i > j:
-        i, j = j, i
-        vec = {k: -c for k, c in vec.items()}
-    elif i == j:
-        raise ConstructionError("diagonal bracket must vanish")
-    brackets[(i, j)] = vec
+def bracket_table(dim: int, brackets) -> linalg.ScaledTable:
+    """cells[i][j] = den [b_i, b_j] in ints over den, the lcm of the
+    denominators, from the ((i, j), {k: Fraction}) that brackets() yields,
+    one per pair i != j or none; it is called twice, for den and for the
+    cells.  [b_j, b_i] is the negated cell and every zero bracket is one
+    shared empty dict, so row i is den ad(b_i); no cell may be written."""
+    den = math.lcm(*(c.denominator for _, vec in brackets() for c in vec.values()))
+    zero: SparseVec = {}
+    rows = [[zero] * dim for _ in range(dim)]
+    for (i, j), vec in brackets():
+        if vec:
+            rows[i][j] = cell = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+            rows[j][i] = {k: -c for k, c in cell.items()}
+    return linalg.ScaledTable(tuple(map(tuple, rows)), den)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +211,7 @@ def put_bracket(brackets: dict, i: int, j: int, vec: SparseVec) -> None:
 
 
 def build_kkt(J: JordanAlgebra) -> LieAlgebra:
-    """g = nbar (+) m (+) n with its brackets, sl2-triple and norm pair; the
-    bracket table is left unbuilt."""
+    """g = nbar (+) m (+) n with its bracket table, sl2-triple and norm pair."""
     n = J.dim
     cells, den = J.scaled.cells, J.scaled.den
 
@@ -260,9 +254,7 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
             if i != j:
                 terms.append((comm_at[min(i, j), max(i, j)], 2 if i > j else -2))
             vop = add_combination({}, coords, terms).items()
-            put_bracket(
-                brackets, idx_n(i), idx_nbar(j), {idx_m(a): Q(c, den * den) for a, c in vop if c}
-            )
+            brackets[idx_n(i), idx_nbar(j)] = {idx_m(a): Q(c, den * den) for a, c in vop if c}
 
     # [m_a, n_k] = T_a(b_k);  [m_a, nbar_k] = -(T_a#(b_k))bar with the
     # companion T# = 2 L_{T(e)} - T, linear in T and V_{y,x} on V_{x,y}
@@ -272,8 +264,8 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
         lte = lmul_cols(J.mul_table, linalg.op_apply(cols, e).items())  # L_{T(e)}
         for k in range(n):
             neg_sharp = add_combination(dict(cols[k]), lte, [(k, -2)]).items()
-            put_bracket(brackets, idx_m(a), idx_n(k), {idx_n(r): c for r, c in cols[k].items()})
-            put_bracket(brackets, idx_m(a), idx_nbar(k), {idx_nbar(r): c for r, c in neg_sharp if c})
+            brackets[idx_m(a), idx_n(k)] = {idx_n(r): c for r, c in cols[k].items()}
+            brackets[idx_m(a), idx_nbar(k)] = {idx_nbar(r): c for r, c in neg_sharp if c}
 
     # [m_a, m_b] = operator commutator.  Closure in the span is a theorem,
     # checked on every pair in ints: over the m basis' common denominator D,
@@ -290,7 +282,7 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
             add_combination(rem, rows, [(i, -c) for i, c in consts])
             if any(rem.values()):
                 raise ConstructionError("operator commutator escaped the structure-operator span")
-            put_bracket(brackets, idx_m(a), idx_m(b), {idx_m(i): Q(c, d * d) for i, c in consts})
+            brackets[idx_m(a), idx_m(b)] = {idx_m(i): Q(c, d * d) for i, c in consts}
 
     # e = identity in n, f = -(identity) in nbar, h = [e, f] = -V_{e,e} = 2 L_e
     h = {idx_m(a): 2 * c / den for a, c in add_combination({}, coords, e.items()).items() if c}
@@ -298,7 +290,8 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     frame = J.frame(1).vec
     triple = (embed(one, idx_nbar, -1), h, embed(one, idx_n, 1))
     norm_pair = (embed(frame, idx_nbar, -1), embed(frame, idx_n, 1))
-    return LieAlgebra(labels, brackets, grading, triple, norm_pair)
+    table = bracket_table(len(labels), brackets.items)
+    return LieAlgebra(labels, table, grading, triple, norm_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +375,8 @@ def _sparse_to_json(vec: SparseVec) -> list:
     return [[k, fmt(c)] for k, c in sorted(vec.items())]
 
 
-def _sparse_from_json(items, dim: int) -> SparseVec:
+def _sparse_from_json(items, dim: int, value=parse) -> SparseVec:
+    """The vector of [index, "p/q"] entries; explicit zeros are dropped."""
     if not isinstance(items, list):
         raise InvalidParameter(f"sparse vector must be a list, got {items!r}")
     out: SparseVec = {}
@@ -392,8 +386,8 @@ def _sparse_from_json(items, dim: int) -> SparseVec:
         k, c = entry
         if type(k) is not int or not 0 <= k < dim or k in out:
             raise InvalidParameter(f"bad or repeated basis index {k!r} for dimension {dim}")
-        out[k] = parse(c)
-    return out
+        out[k] = value(c)
+    return {k: c for k, c in out.items() if c}
 
 
 def _vectors_to_json(vecs, names: str):
@@ -416,10 +410,7 @@ def to_json(g: LieAlgebra) -> dict:
         {"label": lbl, "degree": (g.grading[i] if g.grading is not None else None)}
         for i, lbl in enumerate(g.labels)
     ]
-    brackets = [
-        [i, j, _sparse_to_json(vec)]
-        for (i, j), vec in sorted(g.brackets.items())
-    ]
+    brackets = [[i, j, _sparse_to_json(g.bracket_basis(i, j))] for i, j in g.upper()]
     return {
         "basis": basis,
         "brackets": brackets,
@@ -429,7 +420,9 @@ def to_json(g: LieAlgebra) -> dict:
 
 
 def from_json(obj: dict) -> LieAlgebra:
-    """Inverse of :func:`to_json`; malformed input raises InvalidParameter."""
+    """Inverse of :func:`to_json`; malformed input raises InvalidParameter.
+    The brackets are read twice, once for the table's denominator and once
+    for its cells, so no Fraction copy of them is held beside the table."""
     if not (
         isinstance(obj, dict)
         and isinstance(obj.get("basis"), list)
@@ -445,19 +438,24 @@ def from_json(obj: dict) -> LieAlgebra:
         raise InvalidParameter("basis degrees must be integers or null")
     grading = None if any(d is None for d in degrees) else tuple(degrees)
     n = len(labels)
-    brackets = {}
-    for entry in obj["brackets"]:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise InvalidParameter(f"bracket must be [i, j, vector], got {entry!r}")
-        i, j, items = entry
-        if type(i) is not int or type(j) is not int or not 0 <= i < j < n or (i, j) in brackets:
-            raise InvalidParameter(f"bad or repeated bracket pair ({i!r}, {j!r})")
-        vec = _sparse_from_json(items, n)
-        if vec:
-            brackets[(i, j)] = vec
+    memo: dict = {}  # the few distinct constant strings, each parsed once
+    value = lambda c: memo[c] if type(c) is str and c in memo else memo.setdefault(c, parse(c))
+
+    def brackets():
+        """The brackets, validated and read afresh on each call."""
+        seen = set()
+        for entry in obj["brackets"]:
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise InvalidParameter(f"bracket must be [i, j, vector], got {entry!r}")
+            i, j, items = entry
+            if type(i) is not int or type(j) is not int or not 0 <= i < j < n or (i, j) in seen:
+                raise InvalidParameter(f"bad or repeated bracket pair ({i!r}, {j!r})")
+            seen.add((i, j))
+            yield (i, j), _sparse_from_json(items, n, value)
+
     return LieAlgebra(
         labels=labels,
-        brackets=brackets,
+        table=bracket_table(n, brackets),
         grading=grading,
         triple=_vectors_from_json(obj, "triple", "fhe", n),
         norm_pair=_vectors_from_json(obj, "norm_pair", "fe", n),

@@ -10,9 +10,10 @@ sparse image of basis vector k, flattened (for echelon work) with entry
 (row, k) at k * n + row.  Coefficients are Fractions, except in
 ``gram_form`` on integer input (the root data), in ``dense_product``, in
 kkt's structure operators, its span of m and [x, ybar] readout and its m
-closure, in the Lie bracket table and its readers, and in the composition
-law, which scale to Python ints (``scale_table``, ``scale_vec``) and divide
-back once, if at all.  There is one row reduction, ``EchelonBasis``: the
+closure, in the Lie bracket table (kkt's ``bracket_table``, the only store
+of a Lie algebra's brackets) and its readers, and in the composition law,
+which scale to Python ints (``scale_table``, ``scale_vec``) and divide back
+once, if at all.  There is one row reduction, ``EchelonBasis``: the
 dense helpers (``rref`` and through it ``rank``, ``nullspace``, ``invert``
 and ``solve``, and ``det``) insert their rows into one and read the result
 back as dense rows.  Everything here is deterministic: pivoting follows

@@ -27,7 +27,7 @@ from . import kkt as kkt_mod
 from . import linalg
 from .composition import algebra_from_table
 from .errors import ConstructionError, InvalidParameter
-from .kkt import LieAlgebra, put_bracket
+from .kkt import LieAlgebra
 from .linalg import EchelonBasis, add_combination
 from .rationals import HALF, Q
 
@@ -351,13 +351,13 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
         for i, s in enumerate(simple):
             pairing = rs.pairing(a, s)
             if pairing:
-                put_bracket(brackets, h_idx(i), e_idx[a], {e_idx[a]: Q(pairing)})
-                put_bracket(brackets, h_idx(i), f_idx[a], {f_idx[a]: Q(-pairing)})
+                brackets[h_idx(i), e_idx[a]] = {e_idx[a]: Q(pairing)}
+                brackets[h_idx(i), f_idx[a]] = {f_idx[a]: Q(-pairing)}
 
     # [e_a, f_a] = coroot in the Cartan
     for a in pos:
         co = rs.coroot_coeffs(a)
-        put_bracket(brackets, e_idx[a], f_idx[a], {h_idx(i): Q(c) for i, c in enumerate(co) if c})
+        brackets[e_idx[a], f_idx[a]] = {h_idx(i): Q(c) for i, c in enumerate(co) if c}
 
     # root-root brackets
     signed = [(a, 1) for a in pos] + [(a, -1) for a in pos]
@@ -374,11 +374,12 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
             raise ConstructionError("vanishing constant on a root sum")
         ia = e_idx[a] if sa > 0 else f_idx[a]
         ib = e_idx[b] if sb > 0 else f_idx[b]
-        put_bracket(brackets, ia, ib, vec_of(s, n))
+        brackets[ia, ib] = vec_of(s, n)
 
     hi = rs.highest_root
     norm_pair = ({f_idx[hi]: Q(1)}, {e_idx[hi]: Q(1)})
-    return LieAlgebra(labels=labels, brackets=brackets, norm_pair=norm_pair, root_system=rs)
+    table = kkt_mod.bracket_table(len(labels), brackets.items)
+    return LieAlgebra(labels=labels, table=table, norm_pair=norm_pair, root_system=rs)
 
 
 def canonical_node(type_label: str, rank: int) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import jordan as jordan_mod
-from . import composition, linalg, rootdata
+from . import composition, kkt, linalg, rootdata
 from .errors import InvalidParameter
 from .kkt import LieAlgebra
 from .rationals import Q, fmt
@@ -91,7 +91,7 @@ def suite_jacobi(g: LieAlgebra, cfg: Config) -> SuiteResult:
     else:
         import multiprocessing
 
-        lite = LieAlgebra(labels=g.labels, brackets=g.brackets, grading=g.grading)
+        lite = LieAlgebra(labels=g.labels, table=g.table, grading=g.grading)
         with multiprocessing.Pool(min(cfg.jobs, len(chunks))) as pool:
             hits = pool.map(_jacobi_chunk, [(lite, ch) for ch in chunks])
     # chunks are consecutive runs of triples, so the first hit in chunk
@@ -116,22 +116,18 @@ def suite_grading(g: LieAlgebra, cfg: Config) -> SuiteResult:
     if g.grading is None:
         raise InvalidParameter("target carries no grading")
     checked = 0
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            b = g.brackets.get((i, j))
-            if not b:
-                continue
-            want = g.grading[i] + g.grading[j]
-            checked += 1
-            for k in b:
-                if abs(want) > 2 or g.grading[k] != want:
-                    return SuiteResult(
-                        "grading",
-                        False,
-                        checked,
-                        witness=f"[{g.labels[i]}, {g.labels[j]}] hits {g.labels[k]} "
-                        f"of degree {g.grading[k]}, expected {want}",
-                    )
+    for i, j in g.upper():
+        want = g.grading[i] + g.grading[j]
+        checked += 1
+        for k in g.table.cells[i][j]:
+            if abs(want) > 2 or g.grading[k] != want:
+                return SuiteResult(
+                    "grading",
+                    False,
+                    checked,
+                    witness=f"[{g.labels[i]}, {g.labels[j]}] hits {g.labels[k]} "
+                    f"of degree {g.grading[k]}, expected {want}",
+                )
     if g.triple is not None:
         f, h, e = g.triple
         for name, vec, expect in (("e", e, 2), ("f", f, -2)):
@@ -357,13 +353,11 @@ def corrupted_copy(g: LieAlgebra, i: int, j: int, k: int, delta: Fraction) -> Li
     """Copy of g with the coefficient of basis k in [b_i, b_j] shifted."""
     if not (0 <= i < j < g.dim):
         raise InvalidParameter("need 0 <= i < j < dim")
-    brackets = {key: dict(vec) for key, vec in g.brackets.items()}
+    brackets = {(a, b): g.bracket_basis(a, b) for a, b in g.upper()}
     vec = brackets.setdefault((i, j), {})
     new = vec.get(k, Q(0)) + Q(delta)
     if new:
         vec[k] = new
     else:
         del vec[k]
-    if not vec:
-        del brackets[(i, j)]
-    return replace(g, brackets=brackets)
+    return replace(g, table=kkt.bracket_table(g.dim, brackets.items))

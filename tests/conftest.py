@@ -24,6 +24,14 @@ def split_octonions():
     return build_composition(8, [1, 1, 1])
 
 
+def stored_brackets(g):
+    """The nonzero brackets [b_i, b_j], i < j, of g as to_json writes them:
+    {(i, j): {k: Fraction}}."""
+    from fractions import Fraction as Q
+
+    return {(i, j): {k: Q(c) for k, c in items} for i, j, items in kkt.to_json(g)["brackets"]}
+
+
 def split_gram(dim):
     """Hyperbolic planes (Q = xy) padded with a unit square."""
     from fractions import Fraction as Q

@@ -15,7 +15,7 @@ from jordanlie import jordan, kkt, linalg, orbits, rootdata, verify
 from jordanlie.composition import build_composition
 from jordanlie.jordan import generic_min_poly, jordan_norm, jordan_trace, pierce
 
-from conftest import _kkt_cache, split_gram
+from conftest import _kkt_cache, split_gram, stored_brackets
 
 # (type, rank, node, jordan-side constructor args, expected (dim n, r, d))
 INSTANCES = {
@@ -348,7 +348,7 @@ def test_ac9_negative_controls(kkt_builds):
     # every stored constant, plus a seeded sample of insertions at zero slots
     entries = [
         (i, j, k)
-        for (i, j), vec in sorted(g.brackets.items())
+        for (i, j), vec in sorted(stored_brackets(g).items())
         for k in sorted(vec)
     ]
     assert entries
@@ -358,7 +358,7 @@ def test_ac9_negative_controls(kkt_builds):
         for i in range(g.dim)
         for j in range(i + 1, g.dim)
         for k in range(g.dim)
-        if k not in g.brackets.get((i, j), {})
+        if k not in g.table.cells[i][j]
     ]
     cases = entries + rng.sample(zero_positions, 60)
     caught = 0

@@ -3,9 +3,9 @@ wraps jordanlie names: every name it lists must exist, or
 ``perfbench/run.py --trace 1`` breaks.  Its checks count a suite line as
 sampled when the line says so: only Jacobi may."""
 
-import dataclasses
 import importlib
 import importlib.util
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -56,16 +56,23 @@ def test_only_jacobi_is_sampled(capsys):
             assert s["suite"] == "jacobi" or not (s["sampled"] or "seed" in s["line"]), s
 
 
-def test_from_json_leaves_the_bracket_table_unbuilt(kkt_builds, split_builds):
+def test_from_json_holds_only_the_bracket_table(kkt_builds, split_builds):
     # perfbench runs every operation in a child of one parent process, and
     # each child inherits that parent's RSS high-water mark.  The parent calls
-    # kkt.from_json on every build output, so what from_json holds sets the
-    # floor of peak_rss_mb: the bracket table is built on the first read.
+    # kkt.from_json on every build output, so what from_json holds, and its
+    # peak on the way, set the floor of peak_rss_mb: the table is the only
+    # bracket store, and no Fraction copy of the brackets is held beside it.
     for built in (kkt_builds("E7"), split_builds("E7", 7)):
-        g = kkt.from_json(kkt.to_json(built))
-        assert "table" not in vars(g)
-        g.bracket({0: 1}, {1: 1})
-        assert "table" in vars(g)
+        obj = kkt.to_json(built)
+        tracemalloc.start()
+        try:
+            g = kkt.from_json(obj)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not hasattr(g, "brackets")
+        assert g.table == built.table
+        assert peak <= 1.25 * held, (held, peak)
 
 
 def test_build_kkt_spans_m_without_the_trace_form(monkeypatch, family_instances):
@@ -95,13 +102,13 @@ def test_build_kkt_spans_m_without_the_trace_form(monkeypatch, family_instances)
 
 def test_sampled_jacobi_makes_no_fraction_arithmetic(monkeypatch, kkt_builds):
     # the bracket table is ints over one denominator, so a passing Jacobi run
-    # (building the table included) adds and multiplies no Fraction; perfbench
-    # times it and the bracket reads around it under these names
+    # (a JSON round trip that builds the table included) adds and multiplies
+    # no Fraction; perfbench times it and the bracket reads around it under
+    # these names
     traced = set(_load("spans").TRACED)
     names = {("kkt", "LieAlgebra.bracket"), ("kkt", "LieAlgebra.killing_matrix")}
     assert names | {("verify", "suite_jacobi")} <= traced
-    g = dataclasses.replace(kkt_builds("E7"))
-    assert "table" not in vars(g)
+    built = kkt_builds("E7")
     calls = []
     for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
         original = getattr(Fraction, op)
@@ -111,6 +118,7 @@ def test_sampled_jacobi_makes_no_fraction_arithmetic(monkeypatch, kkt_builds):
             return _fn(*args)
 
         monkeypatch.setattr(Fraction, op, counted)
+    g = kkt.from_json(kkt.to_json(built))
     res = verify.suite_jacobi(g, verify.Config(sample_count=1000))
     monkeypatch.undo()
     assert res.passed and res.checked == 1000

@@ -150,6 +150,39 @@ def test_out_is_tried_before_the_work(tmp_path, capsys, monkeypatch):
     assert not fresh.exists()
 
 
+def test_verify_root_e7_builds_two_bracket_tables(capsys, monkeypatch):
+    # one for the Chevalley build, which the graded copy shares, and one for
+    # cross-validate's kkt build of the coordinatized model
+    tables = []
+    build_table = kkt.bracket_table
+
+    def counted(*args):
+        tables.append(build_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(kkt, "bracket_table", counted)
+    code, _, _ = run(capsys, "verify", "root:E7:7", "--suites", "jacobi,cross-validate")
+    assert code == 0
+    assert len(tables) == 2
+
+
+def test_an_error_outside_the_contract_leaves_no_empty_out_file(tmp_path, capsys, monkeypatch):
+    # the exception propagates, and the empty file the --out probe made goes
+    def broken(g, cfg):
+        raise ValueError("suite broke")
+
+    monkeypatch.setattr(verify, "suite_killing", broken)
+    fresh = tmp_path / "leftover.txt"
+    with pytest.raises(ValueError, match="suite broke"):
+        main(["verify", "root:A:2", "--suites", "killing", "--out", str(fresh)])
+    assert not fresh.exists()
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier output\n")
+    with pytest.raises(ValueError, match="suite broke"):
+        main(["verify", "root:A:2", "--suites", "killing", "--out", str(kept)])
+    assert kept.read_text() == "earlier output\n"
+
+
 # SHA-256 of the `build` and `verify` stdout for every table instance, along
 # the matrix road (jordan:) and the Chevalley road (root:, graded and plain),
 # plus three jordan: tables whose common denominators are 42, 10 and 8 (all

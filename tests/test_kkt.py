@@ -1,5 +1,7 @@
+import copy
 import functools
 import itertools
+import json
 import pathlib
 import random
 import re
@@ -8,7 +10,7 @@ from fractions import Fraction as Q
 import pytest
 
 import jordanlie
-from jordanlie import cli, jordan, linalg, rootdata, verify
+from jordanlie import cli, jordan, kkt, linalg, rootdata, verify
 from jordanlie.composition import build_composition
 from jordanlie.errors import ConstructionError, InvalidParameter
 from jordanlie.kkt import (
@@ -22,6 +24,8 @@ from jordanlie.kkt import (
     w_map,
     w_matrix,
 )
+
+from conftest import stored_brackets
 
 CFG = verify.Config(seed=0, sample_count=400)
 
@@ -371,7 +375,8 @@ def test_json_round_trip(kkt_builds):
     g2 = from_json(obj)
     assert g2.labels == g.labels
     assert g2.grading == g.grading
-    assert g2.brackets == g.brackets
+    assert g2.table == g.table
+    assert to_json(g2) == obj
     assert g2.triple == g.triple
     assert g2.norm_pair == g.norm_pair
     # serialized form is sorted and sparse: i < j only
@@ -380,9 +385,29 @@ def test_json_round_trip(kkt_builds):
         assert entries == sorted(entries)
 
 
+def test_explicit_zero_coefficients_are_dropped(split_builds):
+    # a "0" beside every bracket's constants, a bracket of zeros only and a
+    # "0" in the triple's e: the zero-absent cells would otherwise make
+    # grading blame a zero coefficient, and [h, e] != 2 e
+    g = rootdata.graded_algebra(rootdata.parabolic(split_builds("C", 2), 2))
+    obj = to_json(g)
+    padded = json.loads(json.dumps(obj))
+    free = lambda items: min(set(range(g.dim)) - {k for k, _ in items})
+    for entry in padded["brackets"]:
+        entry[2] = sorted(entry[2] + [[free(entry[2]), "0"]])
+    i, j = next(p for p in itertools.combinations(range(g.dim), 2) if not g.table.cells[p[0]][p[1]])
+    padded["brackets"].append([i, j, [[0, "0"], [1, "0/3"]]])
+    padded["triple"]["e"].append([free(padded["triple"]["e"]), "0"])
+    g2 = from_json(padded)
+    assert to_json(g2) == obj
+    assert g2.table == g.table and g2.triple == g.triple
+    assert verify.suite_grading(g2, CFG).line() == verify.suite_grading(g, CFG).line()
+    assert verify.suite_grading(g2, CFG).passed
+
+
 def test_negative_control_corruption(kkt_builds):
     g = kkt_builds("C2")
-    (i, j), vec = next(iter(sorted(g.brackets.items())))
+    (i, j), vec = min(stored_brackets(g).items())
     k = next(iter(sorted(vec)))
     bad = verify.corrupted_copy(g, i, j, k, Q(1))
     results = [
@@ -485,9 +510,24 @@ def test_closure_check_catches_a_dropped_commutator_term(monkeypatch, descriptor
     assert dropped
 
 
-def test_build_leaves_the_bracket_table_unbuilt(family_instances):
-    # h = [e, f] is read from the span; test_sl2_relations checks it
-    assert "table" not in build_kkt(family_instances["A3"]).__dict__
+def test_build_reads_no_bracket(family_instances, monkeypatch):
+    # h = [e, f] is read from the span; test_sl2_relations checks it.  The
+    # one table of the build is made once, by bracket_table
+    def must_not_run(*args):
+        pytest.fail("build_kkt read a bracket")
+
+    tables = []
+    build_table = kkt.bracket_table
+
+    def counted(*args):
+        tables.append(build_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(kkt.LieAlgebra, "bracket", must_not_run)
+    monkeypatch.setattr(kkt.LieAlgebra, "bracket_basis", must_not_run)
+    monkeypatch.setattr(kkt, "bracket_table", counted)
+    g = build_kkt(family_instances["A3"])
+    assert len(tables) == 1 and g.table is tables[0]
 
 
 def test_only_verify_imports_random():
@@ -520,12 +560,13 @@ def _table_algebras(kkt_builds, split_builds):
     return algebras + [_scaled_build(d) for d in SCALED_DESCRIPTORS]
 
 
-def _bracket_oracle(g, x, y):
-    """Sum of c_i c_j [b_i, b_j], antisymmetry read straight from brackets."""
+def _bracket_oracle(stored, x, y):
+    """Sum of c_i c_j [b_i, b_j], antisymmetry read straight from the
+    stored_brackets of an algebra."""
     out = {}
     for (i, ci), (j, cj) in itertools.product(x.items(), y.items()):
         sign, key = (1, (i, j)) if i < j else (-1, (j, i))
-        for k, c in g.brackets.get(key, {}).items():
+        for k, c in stored.get(key, {}).items():
             out[k] = out.get(k, 0) + sign * ci * cj * c
     return {k: c for k, c in out.items() if c}
 
@@ -533,10 +574,11 @@ def _bracket_oracle(g, x, y):
 def test_bracket_matches_the_stored_constants(kkt_builds, split_builds):
     rng = random.Random(11)
     for g in _table_algebras(kkt_builds, split_builds):
+        stored = stored_brackets(g)
         for _ in range(40):
             x = rand_vec(rng, g, rng.sample(range(g.dim), 4))
             y = rand_vec(rng, g, rng.sample(range(g.dim), 4))
-            assert g.bracket(x, y) == _bracket_oracle(g, x, y), (x, y)
+            assert g.bracket(x, y) == _bracket_oracle(stored, x, y), (x, y)
 
 
 def test_bracket_table_is_antisymmetric(kkt_builds, split_builds):
@@ -548,14 +590,15 @@ def test_bracket_table_is_antisymmetric(kkt_builds, split_builds):
 
 def test_corrupted_copy_reads_its_own_table(split_builds):
     g = split_builds("C", 3)
-    (i, j), vec = min(g.brackets.items())
+    (i, j), vec = min(stored_brackets(g).items())
     k = next(k for k in range(g.dim) if k not in vec)
-    before = g.bracket_basis(i, j)
+    before = copy.deepcopy(g.table)
     bad = verify.corrupted_copy(g, i, j, k, Q(1))
+    assert bad.table is not g.table and g.table == before
     assert bad.bracket_basis(i, j) == {**vec, k: 1}
     assert bad.bracket_basis(j, i) == {**{t: -c for t, c in vec.items()}, k: -1}
     assert bad.bracket({i: Q(1)}, {j: Q(1)}) == {**vec, k: 1}
-    assert g.bracket_basis(i, j) == before
+    assert g.bracket_basis(i, j) == vec
 
 
 def test_lie_suites_leave_the_table_unwritten(kkt_builds, split_builds):
@@ -563,7 +606,7 @@ def test_lie_suites_leave_the_table_unwritten(kkt_builds, split_builds):
     parabolics = [rootdata.parabolic(split_builds("A", 3), 2)]
     parabolics.append(rootdata.parabolic(split_builds("C", 3), 3))
     algebras += [rootdata.graded_algebra(p) for p in parabolics]
-    stored = [{key: dict(vec) for key, vec in g.brackets.items()} for g in algebras]
+    stored = [copy.deepcopy(g.table) for g in algebras]
     for g in algebras:
         for suite in (verify.suite_jacobi, verify.suite_killing):
             assert suite(g, CFG).passed
@@ -573,18 +616,17 @@ def test_lie_suites_leave_the_table_unwritten(kkt_builds, split_builds):
         assert verify.suite_q_composition(p, CFG).passed
         assert verify.suite_cross_validate(p, CFG).passed
     for g, before in zip(algebras, stored):
-        assert g.brackets == before
-        for i, j in itertools.product(range(g.dim), repeat=2):
-            if (min(i, j), max(i, j)) not in g.brackets:
-                assert g.table.cells[i][j] == {}, (i, j)
+        assert g.table == before
+        # every zero is still the one shared empty dict
+        assert len({id(cell) for row in g.table.cells for cell in row if not cell}) == 1
 
 
-def _jacobi_oracle(g, i, j, k):
+def _jacobi_oracle(stored, i, j, k):
     """[[b_i, b_j], b_k] + cyclic, as nested brackets of the stored constants."""
     out = {}
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        inner = _bracket_oracle(g, {a: Q(1)}, {b: Q(1)})
-        for m, v in _bracket_oracle(g, inner, {c: Q(1)}).items():
+        inner = _bracket_oracle(stored, {a: Q(1)}, {b: Q(1)})
+        for m, v in _bracket_oracle(stored, inner, {c: Q(1)}).items():
             out[m] = out.get(m, 0) + v
     return {m: v for m, v in out.items() if v}
 
@@ -593,14 +635,15 @@ def test_jacobi_residual_matches_nested_brackets(kkt_builds, split_builds):
     # the corrupted A6 of the parallel-jacobi CLI test, at its witness triple
     bad = verify.corrupted_copy(split_builds("A", 6), 0, 47, 3, 1)
     i, j, k = (bad.labels.index(s) for s in ("e:0,0,1,1,1,1", "f:0,0,0,0,0,1", "e:1,1,1,1,1,1"))
-    assert verify.jacobi_residual(bad, i, j, k) == _jacobi_oracle(bad, i, j, k) == {
+    assert verify.jacobi_residual(bad, i, j, k) == _jacobi_oracle(stored_brackets(bad), i, j, k) == {
         bad.labels.index("e:0,0,0,1,1,1"): -1
     }
     rng = random.Random(3)
     for g in [bad, *_table_algebras(kkt_builds, split_builds)]:
+        stored = stored_brackets(g)
         for _ in range(150):
             i, j, k = (rng.randrange(g.dim) for _ in range(3))
-            assert verify.jacobi_residual(g, i, j, k) == _jacobi_oracle(g, i, j, k), (i, j, k)
+            assert verify.jacobi_residual(g, i, j, k) == _jacobi_oracle(stored, i, j, k), (i, j, k)
 
 
 def test_scaled_tables_divide_and_match_the_killing_oracle():
@@ -613,7 +656,7 @@ def test_scaled_tables_divide_and_match_the_killing_oracle():
 def test_new_denominator_fails_the_exhaustive_suites():
     # 1/3 in a table over den 10: the integer table moves to den 30
     g = _scaled_build("jordan:J2:dim=2:gram=1/2,3/5")
-    (i, j), vec = min(g.brackets.items())
+    (i, j), vec = min(stored_brackets(g).items())
     k = next(k for k in range(g.dim) if k not in vec)
     bad = verify.corrupted_copy(g, i, j, k, Q(1, 3))
     assert bad.table.den == 30
@@ -623,5 +666,5 @@ def test_new_denominator_fails_the_exhaustive_suites():
     first = next(t for t in itertools.combinations(range(g.dim), 3) if verify.jacobi_residual(bad, *t))
     assert jac.witness.startswith("(" + ", ".join(bad.labels[t] for t in first) + ") residual")
     residual = verify.jacobi_residual(bad, *first)
-    assert residual == _jacobi_oracle(bad, *first)
+    assert residual == _jacobi_oracle(stored_brackets(bad), *first)
     assert any(c.denominator % 3 == 0 for c in residual.values())

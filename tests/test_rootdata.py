@@ -76,9 +76,12 @@ def test_build_split_lie_returns_fresh_algebras():
     a = build_split_lie("C", 3)
     b = build_split_lie("C", 3)
     assert a is not b and a == b
-    a.brackets.clear()
+    assert a.table is not b.table
+    for row in a.table.cells:
+        for cell in row:
+            cell.clear()
     a.norm_pair = None
-    assert b.brackets and b.norm_pair is not None
+    assert any(any(row) for row in b.table.cells) and b.norm_pair is not None
     assert b == build_split_lie("C", 3)
 
 
@@ -88,8 +91,15 @@ def test_replace_recomputes_killing_from_its_own_norm_pair():
     assert g.killing(f1, e1) == 1
     f2 = {k: 2 * c for k, c in f1.items()}
     g2 = replace(g, norm_pair=(f2, e1))
+    assert g2.table is g.table
     assert g2.killing(f2, e1) == 1
     assert g.killing(f2, e1) == 2
+
+
+def test_graded_algebra_shares_the_bracket_table(split_builds):
+    g = split_builds("C", 3)
+    graded = graded_algebra(parabolic(g, 3))
+    assert graded.table is g.table and graded.grading is not None
 
 
 def test_jacobi_exhaustive_small(split_builds):
@@ -141,8 +151,8 @@ def test_root_data_is_integral_and_brackets_are_fractions(tl, rk, split_builds):
     values += [c for a in pos for c in rs.coroot_coeffs(a)]
     values += graded_algebra(parabolic(g, canonical_node(tl, rk))).grading
     assert {type(v) for v in values} == {int}
-    coeffs = [c for vec in g.brackets.values() for c in vec.values()]
-    assert {type(c) for c in coeffs} == {Q}
+    coeffs = [c for row in g.table.cells for cell in row for c in cell.values()]
+    assert g.table.den == 1 and {type(c) for c in coeffs} == {int}
 
 
 def test_non_integral_pairing_raises():
@@ -451,7 +461,7 @@ def test_corrupted_copy_keeps_the_root_system(split_builds):
     g = split_builds("C", 3)
     bad = verify.corrupted_copy(g, 0, 1, 2, Q(1))
     assert bad.root_system is g.root_system
-    assert bad.brackets[(0, 1)] == {**g.brackets.get((0, 1), {}), 2: Q(1)}
+    assert bad.table.cells[0][1] == {**g.table.cells[0][1], 2: 1}
     assert parabolic(bad, 3).strongly_orthogonal == parabolic(g, 3).strongly_orthogonal
 
 
@@ -460,7 +470,8 @@ def test_cross_validate_catches_every_shifted_constant(tl, rk, count):
     # negative control: each stored Chevalley constant shifted by 1 is either
     # reported as a mismatch or stops the transport; none passes
     g = build_split_lie(tl, rk)
-    cells = [(i, j, k) for (i, j), vec in sorted(g.brackets.items()) for k in sorted(vec)]
+    upper = itertools.combinations(range(g.dim), 2)
+    cells = [(i, j, k) for i, j in upper for k in sorted(g.table.cells[i][j])]
     assert len(cells) == count
     for i, j, k in cells:
         bad = verify.corrupted_copy(g, i, j, k, Q(1))
