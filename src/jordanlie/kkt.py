@@ -371,8 +371,8 @@ def verify_span(g: LieAlgebra) -> SpanReport:
 # ---------------------------------------------------------------------------
 
 
-def _sparse_to_json(vec: SparseVec) -> list:
-    return [[k, fmt(c)] for k, c in sorted(vec.items())]
+def _sparse_to_json(vec: SparseVec, text=fmt) -> list:
+    return [[k, text(c)] for k, c in sorted(vec.items())]
 
 
 def _sparse_from_json(items, dim: int, value=parse) -> SparseVec:
@@ -410,7 +410,9 @@ def to_json(g: LieAlgebra) -> dict:
         {"label": lbl, "degree": (g.grading[i] if g.grading is not None else None)}
         for i, lbl in enumerate(g.labels)
     ]
-    brackets = [[i, j, _sparse_to_json(g.bracket_basis(i, j))] for i, j in g.upper()]
+    memo, den = {}, g.table.den  # the few distinct int cell values, each formatted once
+    text = lambda c: memo[c] if c in memo else memo.setdefault(c, fmt(Q(c, den)))
+    brackets = [[i, j, _sparse_to_json(g.table.cells[i][j], text)] for i, j in g.upper()]
     return {
         "basis": basis,
         "brackets": brackets,

@@ -34,6 +34,7 @@ from .rationals import HALF, Q
 Root = tuple[int, ...]
 
 SUPPORTED_TYPES = ("A", "B", "C", "D", "E7")
+MAX_DIM = 248  # dim E8: no exceptional algebra is larger
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +43,12 @@ SUPPORTED_TYPES = ("A", "B", "C", "D", "E7")
 
 
 def _simple_root_gram(type_label: str, rank: int) -> list[list[int]]:
-    """Inner products (alpha_i, alpha_j) of the simple roots."""
+    """Inner products (alpha_i, alpha_j) of the simple roots; no algebra past MAX_DIM."""
+    if type_label == "E7" and rank != 7:
+        raise InvalidParameter("type E7 has rank 7")
+    dim = 2 * _EXPECTED_POSITIVE[type_label](rank) + rank if type_label in _EXPECTED_POSITIVE else 0
+    if rank > 0 and dim > MAX_DIM:
+        raise InvalidParameter(f"{type_label}{rank} has dimension {dim}, above {MAX_DIM}, that of E8")
     g = [[0] * rank for _ in range(rank)]
 
     def chain(i, j, val=-1):
@@ -81,8 +87,6 @@ def _simple_root_gram(type_label: str, rank: int) -> list[list[int]]:
             chain(i, i + 1)
         chain(rank - 3, rank - 1)
     elif type_label == "E7":
-        if rank != 7:
-            raise InvalidParameter("type E7 has rank 7")
         for i in range(7):
             g[i][i] = 2
         # Bourbaki numbering: chain 1-3-4-5-6-7 with 2 attached to 4

@@ -4,14 +4,17 @@ Each suite checks one family of identities and reports a pass/fail result
 with a named witness on failure.  Every identity checked here is
 multilinear, so the suites check basis tuples and a pass certifies the
 identity for all elements.  The one exception is Jacobi above dimension
-``EXHAUSTIVE_DIM``: it draws its triples from a generator seeded by
-``Config``, whose seed, sample count and jobs steer that suite only.
+``EXHAUSTIVE_DIM``: it checks the triples ``Random(seed).randrange`` draws,
+read in blocks of generator words and, with one job, checked block by block
+as drawn.  ``Config``'s seed, sample count and jobs steer that suite only.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -23,6 +26,7 @@ from .kkt import LieAlgebra
 from .rationals import Q, fmt
 
 EXHAUSTIVE_DIM = 36
+SAMPLE_BLOCK = 4096  # triples' worth of generator words per draw
 
 
 @dataclass
@@ -63,10 +67,39 @@ def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> dict:
     return {m: Q(-v, den * den) for m, v in acc.items() if v}
 
 
+def _sampled_triples(seed: int, n: int, count: int):
+    """Blocks of the count triples (rng.randrange(n),) * 3 of rng = Random(seed).
+    randrange(n) keeps a 32-bit word's top n.bit_length() bits and draws again at
+    a value >= n, so one masked and shifted getrandbits(32 w) (first word lowest)
+    is filtered in bulk."""
+    rng = random.Random(seed)
+    shift = 32 - n.bit_length()
+    width = 3 * SAMPLE_BLOCK
+    top = int.from_bytes((0xFFFFFFFF >> shift << shift).to_bytes(4, "little") * width, "little")
+    vals: list = []
+    while count:
+        bits = (rng.getrandbits(32 * width) & top) >> shift
+        words = array("I", bits.to_bytes(4 * width, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        vals += [v for v in words if v < n]
+        take = min(count, len(vals) // 3)
+        it = iter(vals)
+        yield list(itertools.islice(zip(it, it, it), take))
+        del vals[: 3 * take]
+        count -= take
+
+
 def _jacobi_chunk(args) -> Optional[tuple]:
+    """The first triple whose Jacobi sum is nonzero on the integer table, or None."""
     g, triples = args
-    for (i, j, k) in triples:
-        if jacobi_residual(g, i, j, k):
+    t = g.table.cells
+    for i, j, k in triples:
+        acc: dict = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            if t[a][b]:
+                linalg.add_combination(acc, t[c], t[a][b].items())
+        if any(acc.values()):
             return (i, j, k)
     return None
 
@@ -74,42 +107,33 @@ def _jacobi_chunk(args) -> Optional[tuple]:
 def suite_jacobi(g: LieAlgebra, cfg: Config) -> SuiteResult:
     n = g.dim
     if n <= EXHAUSTIVE_DIM:
-        triples = list(itertools.combinations(range(n), 3))
-        note = "exhaustive"
+        checked, note = n * (n - 1) * (n - 2) // 6, "exhaustive"
+        blocks = [itertools.combinations(range(n), 3)]
     else:
-        rng = random.Random(cfg.seed)
-        triples = [
-            (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-            for _ in range(cfg.sample_count)
-        ]
-        note = f"sampled, seed {cfg.seed}"
-    # consecutive chunks, at most one per job, none empty
-    size = max(1, -(-len(triples) // cfg.jobs))
-    chunks = [triples[t : t + size] for t in range(0, len(triples), size)]
-    if len(chunks) <= 1:
-        hits = [_jacobi_chunk((g, ch)) for ch in chunks]
-    else:
+        checked, note = cfg.sample_count, f"sampled, seed {cfg.seed}"
+        blocks = _sampled_triples(cfg.seed, n, checked)
+    if cfg.jobs > 1:
+        # consecutive chunks, at most one per job, none empty
+        triples = list(itertools.chain.from_iterable(blocks))
+        size = max(1, -(-len(triples) // cfg.jobs))
+        blocks = [triples[t : t + size] for t in range(0, len(triples), size)]
+    # lazily, so one job checks each block as it is drawn and stops at the first hit
+    hits = map(_jacobi_chunk, zip(itertools.repeat(g), blocks))
+    if cfg.jobs > 1 and len(blocks) > 1:
         import multiprocessing
 
         lite = LieAlgebra(labels=g.labels, table=g.table, grading=g.grading)
-        with multiprocessing.Pool(min(cfg.jobs, len(chunks))) as pool:
-            hits = pool.map(_jacobi_chunk, [(lite, ch) for ch in chunks])
-    # chunks are consecutive runs of triples, so the first hit in chunk
-    # order is the first failing triple whatever the number of jobs
-    witness = next((h for h in hits if h is not None), None)
-    if witness is not None:
-        i, j, k = witness
-        residual = ", ".join(
-            f"{g.labels[t]}: {fmt(c)}" for t, c in sorted(jacobi_residual(g, i, j, k).items())
-        )
-        return SuiteResult(
-            "jacobi",
-            False,
-            len(triples),
-            witness=f"({g.labels[i]}, {g.labels[j]}, {g.labels[k]}) residual {{{residual}}}",
-            note=note,
-        )
-    return SuiteResult("jacobi", True, len(triples), note=note)
+        with multiprocessing.Pool(min(cfg.jobs, len(blocks))) as pool:
+            hits = pool.map(_jacobi_chunk, [(lite, ch) for ch in blocks])
+    # blocks are consecutive runs of triples, so the first hit in block order
+    # is the first failing triple whatever the number of jobs
+    witness = next(filter(None, hits), None)
+    if witness is None:
+        return SuiteResult("jacobi", True, checked, note=note)
+    triple = ", ".join(g.labels[t] for t in witness)
+    residual = jacobi_residual(g, *witness)
+    residual = ", ".join(f"{g.labels[t]}: {fmt(residual[t])}" for t in sorted(residual))
+    return SuiteResult("jacobi", False, checked, f"({triple}) residual {{{residual}}}", note)
 
 
 def suite_grading(g: LieAlgebra, cfg: Config) -> SuiteResult:

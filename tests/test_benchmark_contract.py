@@ -5,6 +5,7 @@ sampled when the line says so: only Jacobi may."""
 
 import importlib
 import importlib.util
+import random
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -103,8 +104,9 @@ def test_build_kkt_spans_m_without_the_trace_form(monkeypatch, family_instances)
 def test_sampled_jacobi_makes_no_fraction_arithmetic(monkeypatch, kkt_builds):
     # the bracket table is ints over one denominator, so a passing Jacobi run
     # (a JSON round trip that builds the table included) adds and multiplies
-    # no Fraction; perfbench times it and the bracket reads around it under
-    # these names
+    # no Fraction, and it draws randrange's triples in blocks of generator
+    # words, never one randrange call per index; perfbench times it and the
+    # bracket reads around it under these names
     traced = set(_load("spans").TRACED)
     names = {("kkt", "LieAlgebra.bracket"), ("kkt", "LieAlgebra.killing_matrix")}
     assert names | {("verify", "suite_jacobi")} <= traced
@@ -118,6 +120,10 @@ def test_sampled_jacobi_makes_no_fraction_arithmetic(monkeypatch, kkt_builds):
             return _fn(*args)
 
         monkeypatch.setattr(Fraction, op, counted)
+    randrange = random.Random.randrange
+    monkeypatch.setattr(
+        random.Random, "randrange", lambda *args: calls.append("randrange") or randrange(*args)
+    )
     g = kkt.from_json(kkt.to_json(built))
     res = verify.suite_jacobi(g, verify.Config(sample_count=1000))
     monkeypatch.undo()

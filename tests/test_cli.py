@@ -447,8 +447,9 @@ def test_build_root_without_canonical_node(capsys):
         (["build", "root:A:3:node=x"], "node must be an integer, got 'x' in 'root:A:3:node=x'"),
         (["classify", "ELEMENT", "--places", "inf,x"], "place must be an integer, got 'x' in 'inf,x'"),
         (["verify", "root:C:2", "--suites", "jacobi", "--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["verify", "root:A:99999"], "A99999 has dimension 9999999999, above 248"),
     ],
-    ids=["dim", "dim-underscore", "rank", "node", "places", "jobs-zero"],
+    ids=["dim", "dim-underscore", "rank", "node", "places", "jobs-zero", "rank-past-e8"],
 )
 def test_integer_fields_name_themselves(tmp_path, capsys, argv, needle):
     path = tmp_path / "el.json"

@@ -55,6 +55,14 @@ def test_unsupported_types_rejected():
         build_split_lie("B", 1)
 
 
+@pytest.mark.parametrize("type_label, rank, dim", [("A", 14, 224), ("B", 10, 210), ("C", 10, 210), ("D", 11, 231)])
+def test_ranks_stop_at_the_dimension_of_e8(type_label, rank, dim):
+    rs = build_root_system(type_label, rank)
+    assert 2 * len(rs.positive_roots) + rank == dim <= rootdata.MAX_DIM
+    with pytest.raises(InvalidParameter, match=f"{type_label}{rank + 1} has dimension [0-9]+, above 248"):
+        build_root_system(type_label, rank + 1)
+
+
 def test_structure_constants_match_string_lengths():
     # |N_{a,b}| = p + 1 on every positive special pair
     for tl, rk in (("B", 3), ("C", 3), ("D", 4)):
