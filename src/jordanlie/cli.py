@@ -58,6 +58,19 @@ def _parse_int(value: str, name: str, text: str) -> int:
     return to_int(value, text)
 
 
+def _options(opts, names, text: str) -> dict:
+    """The name=value options of a descriptor; an unknown or repeated name is refused."""
+    out: dict = {}
+    for opt in opts:
+        name, eq, value = opt.partition("=")
+        if not eq or name not in names:
+            raise InvalidParameter(f"unknown option {opt!r} in {text!r}")
+        if name in out:
+            raise InvalidParameter(f"repeated option {name}= in {text!r}")
+        out[name] = value
+    return out
+
+
 def parse_jordan_descriptor(text: str) -> jordan.JordanAlgebra:
     parts = text.split(":")
     if parts[0] != "jordan" or len(parts) < 2:
@@ -70,18 +83,11 @@ def parse_jordan_descriptor(text: str) -> jordan.JordanAlgebra:
             raise InvalidParameter(f"descriptor {text!r} is missing a coefficient algebra")
         return jordan.hermitian(r, composition.parse_descriptor(coeff))
     if head == "J2":
-        dim = None
-        gram_spec = "I"
-        for opt in parts[2:]:
-            if opt.startswith("dim="):
-                dim = _parse_int(opt[4:], "dim", text)
-            elif opt.startswith("gram="):
-                gram_spec = opt[5:]
-            else:
-                raise InvalidParameter(f"unknown option {opt!r} in {text!r}")
+        opts = _options(parts[2:], ("dim", "gram"), text)
+        dim = _parse_int(opts["dim"], "dim", text) if "dim" in opts else None
         if dim is None or dim < 1:
             raise InvalidParameter(f"descriptor {text!r} needs dim=<positive>")
-        return jordan.quadratic(_gram_matrix(gram_spec, dim))
+        return jordan.quadratic(_gram_matrix(opts.get("gram", "I"), dim))
     raise InvalidParameter(f"unknown jordan family {head!r}")
 
 
@@ -113,12 +119,8 @@ def parse_root_descriptor(text: str) -> tuple:
     if type_label not in rootdata.SUPPORTED_TYPES:
         raise InvalidParameter(f"unsupported type {type_label!r}")
     rank = _parse_int(parts[2], "rank", text)
-    node = None
-    for opt in parts[3:]:
-        if opt.startswith("node="):
-            node = _parse_int(opt[5:], "node", text)
-        else:
-            raise InvalidParameter(f"unknown option {opt!r} in {text!r}")
+    opts = _options(parts[3:], ("node",), text)
+    node = _parse_int(opts["node"], "node", text) if "node" in opts else None
     return (type_label, rank, node)
 
 
@@ -245,7 +247,7 @@ def run_suite(name: str, target: Target, cfg: verify.Config) -> verify.SuiteResu
 def cmd_verify(args) -> int:
     target = resolve_target(args.target)
     cfg = verify.Config(seed=args.seed, sample_count=args.samples, jobs=args.jobs)
-    names = args.suites.split(",") if args.suites else None
+    names = args.suites.split(",") if args.suites is not None else None
     if names is None:
         if target.kind == "jordan":
             names = ["jacobi", "grading", "killing", "jordan-identity", "pierce"]

@@ -7,13 +7,15 @@ accumulates in place, and callers drop cancelled entries once on readout.
 Lie bracket table included, holds sparse {k: coeff} cells and is multiplied
 through it.  Operators are column-sparse: a sequence whose entry k is the
 sparse image of basis vector k, flattened (for echelon work) with entry
-(row, k) at k * n + row.  Coefficients are Fractions, except in
-``gram_form`` on integer input (the root data), in ``dense_product``, in
-kkt's structure operators, its span of m and [x, ybar] readout and its m
-closure, in the Lie bracket table (kkt's ``bracket_table``, the only store
-of a Lie algebra's brackets) and its readers, and in the composition law,
-which scale to Python ints (``scale_table``, ``scale_vec``) and divide back
-once, if at all.  There is one row reduction, ``EchelonBasis``: the
+(row, k) at k * n + row; ``op_commutator`` sums AB - BA into one flat
+accumulator and drops its zeros once.  Coefficients are Fractions, except in
+``gram_form`` on integer input (the root data, the q-composition suite's
+Grams), in ``dense_product``, in kkt's structure operators, its span of m
+and [x, ybar] readout and its m closure, in the Lie bracket table (kkt's
+``bracket_table``, the only store of a Lie algebra's brackets) and its
+readers, in rootdata's cross-validate comparison, and in the composition
+law, which scale to Python ints (``scale_table``, ``scale_vec``) and divide
+back once, if at all.  There is one row reduction, ``EchelonBasis``: the
 dense helpers (``rref`` and through it ``rank``, ``nullspace``, ``invert``
 and ``solve``, and ``det``) insert their rows into one and read the result
 back as dense rows.  Everything here is deterministic: pivoting follows
@@ -101,15 +103,18 @@ def op_unflatten(flat: SparseVec, n: int) -> tuple:
 
 
 def op_commutator(a, b, n: int) -> SparseVec:
-    """AB - BA, flattened; column k is A(b_k) - B(a_k), so it is skipped
-    when a[k] and b[k] are both empty."""
+    """AB - BA, flattened, in one accumulator: an entry c at (i, k) of B adds
+    c A[:, i] at k * n + row, one of A subtracts c B[:, i]; zeros go at the end."""
     flat: SparseVec = {}
     for k in range(n):
-        if a[k] or b[k]:
-            acc = add_combination({}, a, b[k].items())
-            add_combination(acc, b, [(i, -c) for i, c in a[k].items()])
-            flat.update((k * n + row, c) for row, c in acc.items() if c)
-    return flat
+        base = k * n
+        for i, c in b[k].items():
+            for row, t in a[i].items():
+                flat[base + row] = flat.get(base + row, 0) + c * t
+        for i, c in a[k].items():
+            for row, t in b[i].items():
+                flat[base + row] = flat.get(base + row, 0) - c * t
+    return {p: c for p, c in flat.items() if c}
 
 
 def gram_form(gram, xs, ys):

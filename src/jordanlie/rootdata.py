@@ -967,12 +967,18 @@ def cross_validate(p: ParabolicDecomposition) -> CrossValidation:
             raise ConstructionError("transported 0-part operator escaped the span")
         images[i] = {nJ + a: c for a, c in enumerate(coords) if c}
 
+    # images, keyed by Chevalley index, is the transport phi as an operator; in
+    # ints over its lcm D and the tables' den1 and den2, L = D^2 den2 [phi b_i,
+    # phi b_j] and R = D den1 phi [b_i, b_j], which agree iff L den1 = R D den2
+    transport = linalg.scale_table([[images[i] for i in range(dim)]])
+    scaled, rhs_scale = transport.cells[0], transport.den * g2.table.den
     mismatches = []
     for i in range(dim):
+        lhs = [(k, c * g1.table.den) for k, c in scaled[i].items()]
         for j in range(i + 1, dim):
-            # images, keyed by Chevalley index, is the transport as an operator
-            rhs = linalg.op_apply(images, g1.bracket_basis(i, j))
-            if g2.bracket(images[i], images[j]) != rhs:
+            acc = linalg.table_product({}, g2.table.cells, lhs, scaled[j].items())
+            add_combination(acc, scaled, [(k, -c * rhs_scale) for k, c in g1.table.cells[i][j].items()])
+            if any(acc.values()):
                 mismatches.append((g1.labels[i], g1.labels[j]))
     # triple transport
     for name, src, want in zip("fhe", g1.triple, g2.triple):

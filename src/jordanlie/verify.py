@@ -335,28 +335,29 @@ def suite_q_composition(p: rootdata.ParabolicDecomposition, cfg: Config) -> Suit
     # q_jl(2 x o y) = q_il(x) q_ij(y) for x in J_il, y in J_ij is quadratic in
     # x and in y; polarized in both it reads
     #   B_jl(2ab, 2a'b') + B_jl(2ab', 2a'b) = B_il(a, a') B_ij(b, b')
-    # and basis multisets {a, a'}, {b, b'} certify it, B(e_s, e_t) = 2 G[s][t]
-    pos = rj.position
+    # and basis multisets {a, a'}, {b, b'} certify it, B(e_s, e_t) = 2 G[s][t].
+    # In ints the Grams are D G over their lcm D and prod[a][b] = den (a o b),
+    # so with S the two gram_form terms lhs = 8 S / (den^2 D), rhs = 4 G G / D^2
+    pos, den, cells = rj.position, rj.scaled.den, rj.scaled.cells
+    scaled = linalg.scale_table([[dict(enumerate(row)) for row in f.gram] for f in forms.values()])
+    grams = dict(zip(forms, scaled.cells))
     checked = 0
     for i, j, l in itertools.permutations(range(1, r + 1), 3):
-        f_il, f_ij, f_jl = (forms[min(s, t), max(s, t)] for s, t in ((i, l), (i, j), (j, l)))
-        B_jl = f_jl.bilinear
-        # prod[a][b] = 2 a o b in f_jl's coordinates
+        pairs = [(min(s, t), max(s, t)) for s, t in ((i, l), (i, j), (j, l))]
+        (f_il, f_ij, f_jl), (G_il, G_ij, G_jl) = [forms[k] for k in pairs], [grams[k] for k in pairs]
+        col = [pos[c] for c in f_jl.roots]
         prod = [
-            [[2 * rj.table[pos[a]][pos[b]].get(pos[c], 0) for c in f_jl.roots] for b in f_ij.roots]
+            [list(enumerate(cells[pos[a]][pos[b]].get(c, 0) for c in col)) for b in f_ij.roots]
             for a in f_il.roots
         ]
         for a, a2 in itertools.combinations_with_replacement(range(len(f_il.roots)), 2):
             for b, b2 in itertools.combinations_with_replacement(range(len(f_ij.roots)), 2):
                 checked += 1
-                lhs = B_jl(prod[a][b], prod[a2][b2]) + B_jl(prod[a][b2], prod[a2][b])
-                if lhs != 4 * f_il.gram[a][a2] * f_ij.gram[b][b2]:
-                    return SuiteResult(
-                        "q-composition",
-                        False,
-                        checked,
-                        witness=f"indices ({i},{j},{l}) a, a' = {a}, {a2} b, b' = {b}, {b2}",
-                    )
+                lhs = linalg.gram_form(G_jl, prod[a][b], prod[a2][b2])
+                lhs += linalg.gram_form(G_jl, prod[a][b2], prod[a2][b])
+                if 2 * scaled.den * lhs != den * den * G_il[a][a2] * G_ij[b][b2]:
+                    witness = f"indices ({i},{j},{l}) a, a' = {a}, {a2} b, b' = {b}, {b2}"
+                    return SuiteResult("q-composition", False, checked, witness=witness)
     return SuiteResult("q-composition", True, checked)
 
 

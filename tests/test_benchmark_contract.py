@@ -6,13 +6,14 @@ sampled when the line says so: only Jacobi may."""
 import importlib
 import importlib.util
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 from test_cli import GOLDEN_VERIFY_ARGS, GOLDEN_VERIFY_SHA256
 
-from jordanlie import jordan, kkt, linalg, verify
+from jordanlie import jordan, kkt, linalg, rootdata, verify
 from jordanlie.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -101,6 +102,17 @@ def test_build_kkt_spans_m_without_the_trace_form(monkeypatch, family_instances)
     assert calls == {"generic_min_poly": 0, "insert": 378}
 
 
+def _count_fraction_arithmetic(monkeypatch, calls):
+    for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        original = getattr(Fraction, op)
+
+        def counted(*args, _op=op, _fn=original):
+            calls.append(_op)
+            return _fn(*args)
+
+        monkeypatch.setattr(Fraction, op, counted)
+
+
 def test_sampled_jacobi_makes_no_fraction_arithmetic(monkeypatch, kkt_builds):
     # the bracket table is ints over one denominator, so a passing Jacobi run
     # (a JSON round trip that builds the table included) adds and multiplies
@@ -112,14 +124,7 @@ def test_sampled_jacobi_makes_no_fraction_arithmetic(monkeypatch, kkt_builds):
     assert names | {("verify", "suite_jacobi")} <= traced
     built = kkt_builds("E7")
     calls = []
-    for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
-        original = getattr(Fraction, op)
-
-        def counted(*args, _op=op, _fn=original):
-            calls.append(_op)
-            return _fn(*args)
-
-        monkeypatch.setattr(Fraction, op, counted)
+    _count_fraction_arithmetic(monkeypatch, calls)
     randrange = random.Random.randrange
     monkeypatch.setattr(
         random.Random, "randrange", lambda *args: calls.append("randrange") or randrange(*args)
@@ -128,4 +133,44 @@ def test_sampled_jacobi_makes_no_fraction_arithmetic(monkeypatch, kkt_builds):
     res = verify.suite_jacobi(g, verify.Config(sample_count=1000))
     monkeypatch.undo()
     assert res.passed and res.checked == 1000
+    assert calls == []
+
+
+def test_cross_validate_compares_its_pairs_in_ints(monkeypatch, split_builds):
+    # the 8,778 pairs of E7 node 7 are compared on the integer tables, so
+    # cross_validate's own frame reads no bracket; the transport of the -2
+    # block (w_map) and the Jordan side it coordinatizes still do
+    assert ("rootdata", "cross_validate") in set(_load("spans").TRACED)
+    p = rootdata.parabolic(split_builds("E7", 7), 7)
+    callers = {}
+    bracket = kkt.LieAlgebra.bracket
+
+    def counted(self, x, y):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        callers[frame.f_code.co_name] = callers.get(frame.f_code.co_name, 0) + 1
+        return bracket(self, x, y)
+
+    monkeypatch.setattr(kkt.LieAlgebra, "bracket", counted)
+    cv = rootdata.cross_validate(p)
+    monkeypatch.undo()
+    assert cv.ok and cv.dim == 133
+    assert callers == {"w_map": 108, "jordan_from_roots": 756, "q_forms": 48}
+
+
+def test_q_composition_checks_make_no_fraction_arithmetic(monkeypatch, split_builds):
+    # the Pierce Grams are scaled to ints once and a o b is read from the
+    # integer Jordan table, so the 7,776 polarized identities of E7 node 7
+    # are cross-multiplied in ints
+    assert ("verify", "suite_q_composition") in set(_load("spans").TRACED)
+    p = rootdata.parabolic(split_builds("E7", 7), 7)
+    rj, forms = rootdata.jordan_from_roots(p), rootdata.q_forms(p)
+    monkeypatch.setattr(rootdata, "jordan_from_roots", lambda _: rj)
+    monkeypatch.setattr(rootdata, "q_forms", lambda _: forms)
+    calls = []
+    _count_fraction_arithmetic(monkeypatch, calls)
+    res = verify.suite_q_composition(p, verify.Config())
+    monkeypatch.undo()
+    assert res.line() == "q-composition: PASS [7776 checks]"
     assert calls == []

@@ -381,6 +381,13 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+
+@pytest.mark.parametrize("suites", ["", "jacobi,"], ids=["empty", "trailing-comma"])
+def test_verify_empty_suite_name_is_refused(capsys, suites):
+    # a given but empty --suites names the empty suite; it never means the defaults
+    code, out, err = run(capsys, "verify", "root:C:2", "--suites", suites)
+    _assert_usage_error(code, out, err, "unknown suite ''")
+
 def test_verify_suite_target_mismatch(capsys):
     code, _, err = run(capsys, "verify", "root:C:2", "--suites", "jordan-identity")
     assert code == 2
@@ -425,6 +432,20 @@ def _assert_usage_error(code, out, err, needle):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
 
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["verify", "root:C:3:node=1:node=3", "--suites", "grading"], "repeated option node= in"),
+        (["build", "jordan:J2:dim=2:dim=3:gram=1,1,1"], "repeated option dim= in"),
+        (["build", "jordan:J2:dim=2:gram=1,1:gram=I"], "repeated option gram= in"),
+    ],
+    ids=["node", "dim", "gram"],
+)
+def test_repeated_descriptor_option_is_refused(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    _assert_usage_error(code, out, err, needle)
 
 def test_build_non_tube_parabolic(capsys):
     code, out, err = run(capsys, "build", "root:A:2:node=1")

@@ -173,6 +173,18 @@ def test_op_commutator_matches_the_dense_commutator():
     assert skipped
 
 
+def test_op_commutator_of_commuting_operators_is_empty():
+    # every entry cancels in the one accumulator: A with A, with A^2 and with
+    # the identity give {}, no zero entry left, on Fraction and on int operands
+    for n, A, _ in operator_pairs():
+        den = math.lcm(*(c.denominator for row in A for c in row))
+        for M, one in ((A, Q(1)), ([[int(den * c) for c in row] for row in A], 1)):
+            a = linalg.op_from_dense(M)
+            ident = linalg.op_from_dense([[one * (r == k) for k in range(n)] for r in range(n)])
+            for b in (a, linalg.op_compose(a, a), ident):
+                assert linalg.op_commutator(a, b, n) == {} == linalg.op_commutator(b, a, n)
+
+
 # ---------------------------------------------------------------------------
 # the dense helpers against oracles that use no elimination: the Leibniz sum
 # for det, and rank as the size of the largest nonzero minor

@@ -490,6 +490,28 @@ def test_cross_validate_catches_every_shifted_constant(tl, rk, count):
         assert not cv.ok, (i, j, k)
 
 
+
+@pytest.mark.parametrize("tl, rk, count, mismatches", [("C", 2, 30, 46), ("A", 3, 64, 79)])
+def test_cross_validate_catches_every_non_dyadic_shift(tl, rk, count, mismatches):
+    # the same control shifted by 1/3: the corrupted table's denominator is 3,
+    # so the integer comparison scales each side by the other side's
+    # denominator; the mismatch total pins that no sound pair is reported
+    g = build_split_lie(tl, rk)
+    upper = itertools.combinations(range(g.dim), 2)
+    cells = [(i, j, k) for i, j in upper for k in sorted(g.table.cells[i][j])]
+    assert len(cells) == count
+    reported = 0
+    for i, j, k in cells:
+        bad = verify.corrupted_copy(g, i, j, k, Q(1, 3))
+        assert bad.table.den == 3
+        try:
+            cv = cross_validate(parabolic(bad, canonical_node(tl, rk)))
+        except (ConstructionError, ValueError):
+            continue
+        assert not cv.ok, (i, j, k)
+        reported += len(cv.mismatches)
+    assert reported == mismatches
+
 def test_instance_report_format(split_builds):
     text = instance_report(parabolic(split_builds("C", 3), 3))
     assert "degree r = 3" in text
