@@ -191,10 +191,10 @@ class LieAlgebra:
 
 def bracket_table(dim: int, brackets) -> linalg.ScaledTable:
     """cells[i][j] = den [b_i, b_j] in ints over den, the lcm of the
-    denominators, from the ((i, j), {k: Fraction}) that brackets() yields,
-    one per pair i != j or none; it is called twice, for den and for the
-    cells.  [b_j, b_i] is the negated cell and every zero bracket is one
-    shared empty dict, so row i is den ad(b_i); no cell may be written."""
+    denominators, from the ((i, j), {k: int or Fraction}) that brackets()
+    yields, one per pair i != j or none; it is called twice, for den and
+    for the cells.  [b_j, b_i] is the negated cell and every zero bracket is
+    one shared empty dict, so row i is den ad(b_i); no cell may be written."""
     den = math.lcm(*(c.denominator for _, vec in brackets() for c in vec.values()))
     zero: SparseVec = {}
     rows = [[zero] * dim for _ in range(dim)]

@@ -2,11 +2,13 @@
 
 This module is the independent counterpart of :mod:`jordanlie.kkt`: it
 builds the split Lie algebras of types A, B, C, D and E7 from their root
-systems alone (Chevalley basis, integer structure constants, signs fixed by
-the extraspecial-pair method under a height-then-lexicographic order), cuts
-out a maximal parabolic with abelian nilradical, equips the nilradical with
-the Jordan product x o y = [x, [f, y]]/2, extracts the Pierce quadratic
-forms, and coordinatizes the result back onto a matrix model.  Agreement of
+systems alone (Chevalley basis, signs fixed by the extraspecial-pair method
+under a height-then-lexicographic order; the structure constants are Python
+ints on positive-root indices, found by one pass over the positive pairs,
+and each root sum a_i + a_j = a_c writes six brackets), cuts out a maximal
+parabolic with abelian nilradical, equips the nilradical with the Jordan
+product x o y = [x, [f, y]]/2, extracts the Pierce quadratic forms, and
+coordinatizes the result back onto a matrix model.  Agreement of
 the two roads, structure constant by structure constant, is the
 cross-validation entry point.
 
@@ -18,6 +20,7 @@ a fresh algebra, and the entry points past it take the
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -154,9 +157,6 @@ class RootSystem:
             return tuple(-c for c in a) in self.f_idx
         return False
 
-    def is_positive(self, a: Root) -> bool:
-        return a in self.f_idx
-
     def string_down(self, a: Root, b: Root) -> int:
         """Largest p >= 0 with b - p*a a root."""
         p = 0
@@ -193,7 +193,7 @@ class RootSystem:
         """Weight of every Chevalley basis vector: -a for f_a, 0 for h_i,
         a for e_a."""
         pos = self.positive_roots
-        return [_neg(a) for a in pos] + [(0,) * self.rank] * self.rank + list(pos)
+        return [tuple(-c for c in a) for a in pos] + [(0,) * self.rank] * self.rank + list(pos)
 
 
 def _order_key(root: Root) -> tuple:
@@ -241,83 +241,90 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
 
 
 class ChevalleyConstants:
-    """N_{a,b} for all root pairs, derived from the extraspecial base signs."""
+    """N_{a,b} on positive-root indices, in ints, from the extraspecial signs.
+
+    One pass over the positive pairs i < j records, for each positive root
+    c, its summand pairs a_i + a_j = a_c in order; the first is c's
+    extraspecial pair.  ``n[i, j]`` is N_{a_i, a_j} for every ordered pair of
+    positive roots whose sum is a root; the constants on mixed signs are
+    read from it through the invariance of the Killing form."""
 
     def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self._pos: dict[tuple[Root, Root], Fraction] = {}
-        self._build_positive_table()
-
-    def _build_positive_table(self):
-        rs = self.rs
-        for gamma in rs.positive_roots:
-            if sum(gamma) < 2:
-                continue
-            pairs = []
-            for alpha in rs.positive_roots:
-                if _order_key(alpha) >= _order_key(gamma):
-                    break
-                beta = tuple(g - a for g, a in zip(gamma, alpha))
-                if rs.is_positive(beta) and _order_key(alpha) < _order_key(beta):
-                    pairs.append((alpha, beta))
+        self.roots = pos = rs.positive_roots
+        self.norm = [rs.inner(a, a) for a in pos]
+        self.scale = math.lcm(*self.norm)  # L: every L N_{a,-b} is an int
+        self.summands: list[list[tuple[int, int]]] = [[] for _ in pos]
+        self.sum: dict[tuple[int, int], int] = {}  # (i, j) -> c, a_i + a_j = a_c
+        self.diff: dict[tuple[int, int], int] = {}  # (c, j) -> i, a_c - a_j = a_i
+        for i, a in enumerate(pos):
+            for j in range(i + 1, len(pos)):
+                c = rs.f_idx.get(tuple(x + y for x, y in zip(a, pos[j])))
+                if c is not None:
+                    self.summands[c].append((i, j))
+                    self.sum[i, j] = self.sum[j, i] = c
+                    self.diff[c, j], self.diff[c, i] = i, j
+        self.n: dict[tuple[int, int], int] = {}
+        cube = self.scale**3
+        for c, pairs in enumerate(self.summands):
             if not pairs:
-                raise ConstructionError(f"no special pair sums to {gamma}")
-            pairs.sort(key=lambda p: _order_key(p[0]))
-            a1, b1 = pairs[0]
-            n_extra = Q(rs.string_down(a1, b1) + 1)
-            self._store(a1, b1, n_extra)
-            gg = rs.inner(gamma, gamma)
-            for alpha, beta in pairs[1:]:
-                term1 = term2 = Q(0)
-                diff1 = tuple(x - y for x, y in zip(a1, alpha))
-                if rs.is_root(diff1):
-                    term1 = (
-                        self.value(a1, _neg(alpha))
-                        * self.value(_neg(beta), b1)
-                        / rs.inner(diff1, diff1)
-                    )
-                diff2 = tuple(x - y for x, y in zip(a1, beta))
-                if rs.is_root(diff2):
-                    term2 = (
-                        self.value(_neg(beta), a1)
-                        * self.value(_neg(alpha), b1)
-                        / rs.inner(diff2, diff2)
-                    )
-                val = gg * (term1 + term2) / n_extra
-                expected = rs.string_down(alpha, beta) + 1
-                if val not in (Q(expected), Q(-expected)):
+                if sum(pos[c]) > 1:
+                    raise ConstructionError(f"no special pair sums to {pos[c]}")
+                continue
+            (i1, j1), n_extra = pairs[0], self.string_down(*pairs[0]) + 1
+            self.n[i1, j1], self.n[j1, i1] = n_extra, -n_extra
+            for i, j in pairs[1:]:
+                # N_{a_i,a_j} = (c,c)(t1 + t2)/N_{a1,b1} over the extraspecial
+                # (a1, b1), t1 = -N_{a1,-a_i} N_{b1,-a_j}/|a1 - a_i|^2 and
+                # t2 = N_{a1,-a_j} N_{b1,-a_i}/|a1 - a_j|^2: ints over L^3
+                num = 0
+                for x, y, sign in ((i, j, -1), (j, i, 1)):
+                    m1, d = self._scaled_mixed(i1, x)
+                    if m1:
+                        num += sign * m1 * self._scaled_mixed(j1, y)[0] * (self.scale // d)
+                num, den = self.norm[c] * num, cube * n_extra
+                q, r = divmod(num, den)
+                if r or abs(q) != self.string_down(i, j) + 1:
                     raise ConstructionError(
-                        f"structure constant {val} for {alpha}+{beta} violates |N| = p+1"
+                        f"structure constant {Fraction(num, den)} for "
+                        f"{pos[i]}+{pos[j]} violates |N| = p+1"
                     )
-                self._store(alpha, beta, val)
+                self.n[i, j], self.n[j, i] = q, -q
 
-    def _store(self, alpha: Root, beta: Root, val: Fraction):
-        self._pos[(alpha, beta)] = val
-        self._pos[(beta, alpha)] = -val
+    def string_down(self, x: int, y: int) -> int:
+        """Largest p >= 0 with a_y - p a_x a root, walked on the index."""
+        p, cur, positive = 0, y, True
+        while True:
+            if positive:
+                nxt = self.diff.get((cur, x))  # a_cur - a_x = a_nxt
+                if nxt is None:
+                    nxt, positive = self.diff.get((x, cur)), False  # = -a_nxt
+            else:
+                nxt = self.sum.get((cur, x))  # -a_cur - a_x = -a_nxt
+            if nxt is None:
+                return p
+            p, cur = p + 1, nxt
 
-    def value(self, a: Root, b: Root) -> Fraction:
-        """N_{a,b}; zero unless a + b is a root."""
-        rs = self.rs
-        s = tuple(x + y for x, y in zip(a, b))
-        if not any(s) or not rs.is_root(s):
-            return Q(0)
-        if rs.is_positive(a) and rs.is_positive(b):
-            return self._pos[(a, b)]
-        if not rs.is_positive(a) and not rs.is_positive(b):
-            return -self._pos[(_neg(a), _neg(b))]
-        if rs.is_positive(a):
-            nu = _neg(b)
-            if rs.is_positive(s):
-                # a = s + nu, all positive: reduce through the zero-sum triple
-                return rs.inner(s, s) * self._pos[(s, nu)] / rs.inner(a, a)
-            w = _neg(s)
-            # nu = a + w, all positive
-            return -rs.inner(w, w) * self._pos[(a, w)] / rs.inner(nu, nu)
-        return -self.value(b, a)
+    def _scaled_mixed(self, x: int, y: int) -> tuple[int, int]:
+        """(L N_{a_x,-a_y}, |a_x - a_y|^2); (0, 1) when a_x - a_y is no root."""
+        norm, n = self.norm, self.n
+        s = self.diff.get((x, y))
+        if s is not None:  # a_x = a_s + a_y
+            return norm[s] * n[s, y] * (self.scale // norm[x]), norm[s]
+        w = self.diff.get((y, x))
+        if w is not None:  # a_y = a_x + a_w
+            return -norm[w] * n[x, w] * (self.scale // norm[y]), norm[w]
+        return 0, 1
 
-
-def _neg(a: Root) -> Root:
-    return tuple(-c for c in a)
+    def mixed(self, x: int, y: int) -> int:
+        """N_{a_x,-a_y}, an int for a_x - a_y a root; a remainder raises."""
+        scaled = self._scaled_mixed(x, y)[0]
+        q, r = divmod(scaled, self.scale)
+        if r:
+            raise ConstructionError(
+                f"non-integral structure constant {Fraction(scaled, self.scale)} for "
+                f"{self.roots[x]}-{self.roots[y]}"
+            )
+        return q
 
 
 def _root_label(a: Root) -> str:
@@ -331,16 +338,12 @@ def _root_label(a: Root) -> str:
 
 def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
     """Chevalley-basis Lie algebra; basis order f-block, Cartan, e-block.
-    Every call returns a fresh algebra."""
+    Every call returns a fresh algebra, its constants in ints."""
     rs = build_root_system(type_label, rank)
     nc = ChevalleyConstants(rs)
     pos = rs.positive_roots
     f_idx, h_idx, e_idx = rs.f_idx, rs.h_idx, rs.e_idx
-
-    def vec_of(root: Root, coeff: Fraction) -> dict:
-        if rs.is_positive(root):
-            return {e_idx[root]: coeff}
-        return {f_idx[_neg(root)]: coeff}
+    e0 = len(pos) + rank  # e_k is basis vector e0 + k, f_k is k
 
     labels = (
         tuple(f"f:{_root_label(a)}" for a in pos)
@@ -355,30 +358,24 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
         for i, s in enumerate(simple):
             pairing = rs.pairing(a, s)
             if pairing:
-                brackets[h_idx(i), e_idx[a]] = {e_idx[a]: Q(pairing)}
-                brackets[h_idx(i), f_idx[a]] = {f_idx[a]: Q(-pairing)}
+                brackets[h_idx(i), e_idx[a]] = {e_idx[a]: pairing}
+                brackets[h_idx(i), f_idx[a]] = {f_idx[a]: -pairing}
 
     # [e_a, f_a] = coroot in the Cartan
     for a in pos:
         co = rs.coroot_coeffs(a)
-        brackets[e_idx[a], f_idx[a]] = {h_idx(i): Q(c) for i, c in enumerate(co) if c}
+        brackets[e_idx[a], f_idx[a]] = {h_idx(i): c for i, c in enumerate(co) if c}
 
-    # root-root brackets
-    signed = [(a, 1) for a in pos] + [(a, -1) for a in pos]
-    for (a, sa), (b, sb) in itertools.combinations(signed, 2):
-        ra = a if sa > 0 else _neg(a)
-        rb = b if sb > 0 else _neg(b)
-        if ra == _neg(rb):
-            continue  # handled above
-        s = tuple(x + y for x, y in zip(ra, rb))
-        if not rs.is_root(s):
-            continue
-        n = nc.value(ra, rb)
-        if n == 0:
-            raise ConstructionError("vanishing constant on a root sum")
-        ia = e_idx[a] if sa > 0 else f_idx[a]
-        ib = e_idx[b] if sb > 0 else f_idx[b]
-        brackets[ia, ib] = vec_of(s, n)
+    # root-root brackets, six from each a_i + a_j = a_c
+    for c, pairs in enumerate(nc.summands):
+        for i, j in pairs:
+            n = nc.n[i, j]
+            brackets[e0 + i, e0 + j] = {e0 + c: n}
+            brackets[i, j] = {c: -n}
+            brackets[e0 + c, j] = {e0 + i: nc.mixed(c, j)}
+            brackets[e0 + c, i] = {e0 + j: nc.mixed(c, i)}
+            brackets[e0 + i, c] = {j: nc.mixed(i, c)}
+            brackets[e0 + j, c] = {i: nc.mixed(j, c)}
 
     hi = rs.highest_root
     norm_pair = ({f_idx[hi]: Q(1)}, {e_idx[hi]: Q(1)})
@@ -466,7 +463,7 @@ def parabolic(g: LieAlgebra, node: int) -> ParabolicDecomposition:
     chain: list[Root] = []
     while True:
         best = None
-        for a in reversed(sorted(n_roots, key=_order_key)):
+        for a in reversed(n_roots):  # n_roots keeps the positive-root order
             if all(rs.inner(a, b) == 0 for b in chain):
                 best = a
                 break

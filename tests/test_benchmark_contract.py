@@ -136,6 +136,23 @@ def test_sampled_jacobi_makes_no_fraction_arithmetic(monkeypatch, kkt_builds):
     assert calls == []
 
 
+def test_split_build_makes_no_fraction_arithmetic(monkeypatch):
+    # the Chevalley constants are ints on positive-root indices and the root
+    # sums are read from one pass over the positive pairs, so the E7 build
+    # adds and multiplies no Fraction and tests no signed sum with is_root
+    assert ("rootdata", "build_split_lie") in set(_load("spans").TRACED)
+    calls = []
+    _count_fraction_arithmetic(monkeypatch, calls)
+    is_root = rootdata.RootSystem.is_root
+    monkeypatch.setattr(
+        rootdata.RootSystem, "is_root", lambda *args: calls.append("is_root") or is_root(*args)
+    )
+    g = rootdata.build_split_lie("E7", 7)
+    monkeypatch.undo()
+    assert g.dim == 133 and g.table.den == 1
+    assert calls == []
+
+
 def test_cross_validate_compares_its_pairs_in_ints(monkeypatch, split_builds):
     # the 8,778 pairs of E7 node 7 are compared on the integer tables, so
     # cross_validate's own frame reads no bracket; the transport of the -2

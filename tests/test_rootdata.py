@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -63,15 +64,58 @@ def test_ranks_stop_at_the_dimension_of_e8(type_label, rank, dim):
         build_root_system(type_label, rank + 1)
 
 
-def test_structure_constants_match_string_lengths():
-    # |N_{a,b}| = p + 1 on every positive special pair
-    for tl, rk in (("B", 3), ("C", 3), ("D", 4)):
-        rs = build_root_system(tl, rk)
-        nc = ChevalleyConstants(rs)
-        for (a, b), val in nc._pos.items():
-            p = rs.string_down(a, b)
-            assert val.denominator == 1
-            assert abs(val) == p + 1
+@pytest.mark.parametrize(
+    "tl, rk, pairs",
+    [
+        ("A", 5, 240), ("B", 3, 120), ("C", 3, 120), ("D", 4, 192), ("E7", 7, 4032),
+        ("A", 14, 5460), ("B", 10, 6840), ("C", 10, 6840), ("D", 11, 7920),
+    ],
+)
+def test_table_holds_a_chevalley_basis(tl, rk, pairs, split_builds):
+    # for every ordered pair of signed roots a, b with a + b a root, the
+    # cell [x_a, x_b] is one int term N_{a,b} x_{a+b} with |N_{a,b}| = p + 1
+    # (p from string_down) and N_{-a,-b} = -N_{a,b}; the rank caps have no
+    # golden hash, so this is their only constant-level check
+    g = split_builds(tl, rk)
+    rs = g.root_system
+    cells = g.table.cells
+    neg = lambda r: tuple(-c for c in r)
+    index = {a: rs.e_idx[a] for a in rs.positive_roots}
+    index.update({neg(a): rs.f_idx[a] for a in rs.positive_roots})
+
+    def constant(a, b, s):
+        cell = cells[index[a]][index[b]]
+        assert list(cell) == [index[s]] and type(cell[index[s]]) is int
+        return cell[index[s]]
+
+    checked = 0
+    for a, b in itertools.product(index, repeat=2):
+        s = tuple(x + y for x, y in zip(a, b))
+        if s in index:
+            n = constant(a, b, s)
+            assert abs(n) == rs.string_down(a, b) + 1
+            assert constant(neg(a), neg(b), neg(s)) == -n
+            checked += 1
+    assert checked == pairs
+
+
+def test_chevalley_checks_still_fire(monkeypatch):
+    # string lengths one too long break |N| = p+1 in the C3 recursion; on B3
+    # the recursion closes, but a constant on mixed signs is no integer
+    string_down = ChevalleyConstants.string_down
+    monkeypatch.setattr(ChevalleyConstants, "string_down", lambda *args: string_down(*args) + 1)
+    with pytest.raises(
+        ConstructionError,
+        match=re.escape("structure constant -3/2 for (1, 0, 0)+(0, 2, 1) violates |N| = p+1"),
+    ):
+        build_split_lie("C", 3)
+    with pytest.raises(ConstructionError, match="non-integral structure constant"):
+        build_split_lie("B", 3)
+    monkeypatch.undo()
+    # a positive root that is no sum of two others
+    rs = RootSystem("A", 2, gram=((2, -1), (-1, 2)), positive_roots=((1, 0), (0, 1), (2, 1)))
+    with pytest.raises(ConstructionError, match=re.escape("no special pair sums to (2, 1)")):
+        ChevalleyConstants(rs)
 
 
 def test_dimensions(split_builds):
