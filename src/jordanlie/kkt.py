@@ -23,12 +23,13 @@ Brackets:
 where T# = 2 L_{T(e)} - T: it is linear in T and V_{x,y}# = V_{y,x}, so it is
 the adjoint of T under the trace form T_J(x o y).  Operators on n are held
 in linalg's column-sparse format.  Row k of the symmetric table J.scaled is
-den L_k in ints, so the L_k and their commutators are inserted in ints; the
-m basis is their fully reduced echelon, and every [x, ybar] on basis
-elements, every commutator [m_a, m_b] (reduced against the span in ints,
-which checks closure) and h are read off at its pivots.  The distinguished
-sl2-triple is e = identity of J inside n, f = -(identity) inside nbar,
-h = [e, f] = -V_{e,e} = 2 L_e: no bracket is read.
+den L_k in ints, so the L_k and their commutators go into one integer
+echelon, whose reduced rows, in ints over D, are the m basis.  Every
+[x, ybar] on basis elements, every [m_a, m_b] (reduced against the span,
+which checks closure) and h are read off at its pivots in ints, the
+companions are formed in ints, and each constant is divided once.  The
+distinguished sl2-triple is e = identity of J inside n, f = -(identity)
+inside nbar, h = [e, f] = -V_{e,e} = 2 L_e: no bracket is read.
 
 A LieAlgebra holds its brackets only as a table of all ordered pairs in
 linalg's {k: coeff} cells, ints scaled over den, the lcm of the constants'
@@ -225,12 +226,13 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     for op in ops:
         span.insert(op)
     m_dim = len(span)
-    m_cols = [linalg.op_unflatten(fl, n) for fl in span.sorted_basis()]
-    # the reduced rows are 1 at their own pivot and 0 at the others', so the
-    # coordinates of an element of the span are its pivot entries
+    # the m basis C_a = D T_a is D at its own pivot and 0 at the others', so
+    # the coordinates of an element of the span are its pivot entries
+    rows, d = span.scaled_basis()
+    m_cols = [linalg.op_unflatten(row, n) for row in rows]
     pivots = list(enumerate(span.sorted_pivots()))
     coords = [{a: op[p] for a, p in pivots if p in op} for op in ops]
-    del ops  # freed before the closure's int copies of the m basis
+    del ops, span
 
     idx_nbar = lambda k: k
     idx_m = lambda k: n + k
@@ -257,26 +259,26 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
             brackets[idx_n(i), idx_nbar(j)] = {idx_m(a): Q(c, den * den) for a, c in vop if c}
 
     # [m_a, n_k] = T_a(b_k);  [m_a, nbar_k] = -(T_a#(b_k))bar with the
-    # companion T# = 2 L_{T(e)} - T, linear in T and V_{y,x} on V_{x,y}
+    # companion T# = 2 L_{T(e)} - T, linear in T and V_{y,x} on V_{x,y}.  On
+    # J.scaled, lte = C_a(es) is D de den L_{T_a(e)} (e = es / de), so
+    # D de den (-T_a#) = de den C_a - 2 lte
     one = J.identity.vec
-    e = {k: c for k, c in enumerate(one) if c}
+    es, de = linalg.scale_vec(enumerate(one))
+    e, s = dict(es), d * de * den
     for a, cols in enumerate(m_cols):
-        lte = lmul_cols(J.mul_table, linalg.op_apply(cols, e).items())  # L_{T(e)}
+        lte = lmul_cols(cells, linalg.op_apply(cols, e).items())
         for k in range(n):
-            neg_sharp = add_combination(dict(cols[k]), lte, [(k, -2)]).items()
-            brackets[idx_m(a), idx_n(k)] = {idx_n(r): c for r, c in cols[k].items()}
-            brackets[idx_m(a), idx_nbar(k)] = {idx_nbar(r): c for r, c in neg_sharp if c}
+            neg_sharp = add_combination({r: de * den * c for r, c in cols[k].items()}, lte, [(k, -2)])
+            brackets[idx_m(a), idx_n(k)] = {idx_n(r): Q(c, d) for r, c in cols[k].items()}
+            brackets[idx_m(a), idx_nbar(k)] = {idx_nbar(r): Q(c, s) for r, c in neg_sharp.items() if c}
 
     # [m_a, m_b] = operator commutator.  Closure in the span is a theorem,
-    # checked on every pair in ints: over the m basis' common denominator D,
-    # C = D^2 [m_a, m_b] and each row D R_i is D at its pivot p_i and 0 at
-    # the others, so D C - sum_i C[p_i] D R_i = 0 iff C is in the span
-    scaled = linalg.scale_table(m_cols)
-    d = scaled.den
-    rows = [linalg.op_flatten(cols, n) for cols in scaled.cells]
+    # checked on every pair in ints: C = D^2 [m_a, m_b] and each row D R_i is
+    # D at its pivot p_i and 0 at the others, so D C - sum_i C[p_i] D R_i = 0
+    # iff C is in the span
     for a in range(m_dim):
         for b in range(a + 1, m_dim):
-            comm = linalg.op_commutator(scaled.cells[a], scaled.cells[b], n)
+            comm = linalg.op_commutator(m_cols[a], m_cols[b], n)
             consts = [(i, comm[p]) for i, p in pivots if p in comm]
             rem = {k: d * c for k, c in comm.items()}
             add_combination(rem, rows, [(i, -c) for i, c in consts])
@@ -285,7 +287,7 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
             brackets[idx_m(a), idx_m(b)] = {idx_m(i): Q(c, d * d) for i, c in consts}
 
     # e = identity in n, f = -(identity) in nbar, h = [e, f] = -V_{e,e} = 2 L_e
-    h = {idx_m(a): 2 * c / den for a, c in add_combination({}, coords, e.items()).items() if c}
+    h = {idx_m(a): Q(2 * c, de * den) for a, c in add_combination({}, coords, es).items() if c}
     embed = lambda vec, idx, sign: {idx(k): sign * c for k, c in enumerate(vec) if c}
     frame = J.frame(1).vec
     triple = (embed(one, idx_nbar, -1), h, embed(one, idx_n, 1))

@@ -10,16 +10,17 @@ sparse image of basis vector k, flattened (for echelon work) with entry
 (row, k) at k * n + row; ``op_commutator`` sums AB - BA into one flat
 accumulator and drops its zeros once.  Coefficients are Fractions, except in
 ``gram_form`` on integer input (the root data, the q-composition suite's
-Grams), in ``dense_product``, in kkt's structure operators, its span of m
-and [x, ybar] readout and its m closure, in the Lie bracket table (kkt's
-``bracket_table``, the only store of a Lie algebra's brackets) and its
-readers, in rootdata's cross-validate comparison, and in the composition
-law, which scale to Python ints (``scale_table``, ``scale_vec``) and divide
-back once, if at all.  There is one row reduction, ``EchelonBasis``: the
-dense helpers (``rref`` and through it ``rank``, ``nullspace``, ``invert``
-and ``solve``, and ``det``) insert their rows into one and read the result
-back as dense rows.  Everything here is deterministic: pivoting follows
-first-nonzero order, never magnitude.
+Grams), in ``dense_product``, in kkt's structure operators and its whole
+construction of m (span, [x, ybar] readout, companion and closure), in the
+Lie bracket table (kkt's ``bracket_table``, the only store of a Lie
+algebra's brackets) and its readers, in rootdata's cross-validate
+comparison, and in the composition law, which scale to Python ints
+(``scale_table``, ``scale_vec``) and divide back once, if at all.  There is
+one row reduction, ``EchelonBasis``, in ints with division only on readout:
+the dense helpers (``rref`` and through it ``rank``, ``nullspace``,
+``invert`` and ``solve``, and ``det``) insert their rows into one and read
+the result back as dense rows.  Pivots follow first-nonzero order, never
+magnitude, so everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -168,70 +169,79 @@ def dense_product(scaled: ScaledTable, x, y) -> tuple:
     return tuple([Q(n, den) if (n := prod.get(k)) else zero for k in range(len(scaled.cells))])
 
 
-class EchelonBasis:
-    """Incrementally built reduced row-echelon basis of a sparse row space.
+def _primitive(vec: SparseVec, piv: int) -> SparseVec:
+    """The nonzero entries of an int vector over their gcd, signed to be positive at piv."""
+    vec = {k: c for k, c in vec.items() if c}
+    g = math.gcd(*vec.values()) if vec[piv] > 0 else -math.gcd(*vec.values())
+    return vec if g == 1 else {k: c // g for k, c in vec.items()}
 
-    Rows are kept fully reduced with pivot entry 1, so the coordinates of any
-    vector in the span can be read off at the pivot positions.  Insertion
-    order fixes the basis deterministically (first-pivot echelon order).
+
+class EchelonBasis:
+    """Incrementally built reduced row-echelon basis of a sparse row space,
+    held in ints and fraction-free.  rows[p] is the row whose pivot column is
+    p: p_i times its reduced row (1 at p, 0 at every other pivot), with
+    p_i = rows[p][p] > 0 and the row's content divided out.  A vector is
+    scaled once to ints and rows are combined by cross-multiplication, so
+    division happens only on readout.  Insertion order fixes the basis
+    deterministically (first-pivot echelon order).
     """
 
     def __init__(self):
-        self.rows: list[SparseVec] = []
-        self.pivots: list[int] = []
-        self._pivot_of: dict[int, int] = {}
-        self._order: Optional[list[int]] = None
+        self.rows: dict[int, SparseVec] = {}  # pivot column -> row, in insertion order
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _sorted_order(self) -> list[int]:
-        if self._order is None:
-            self._order = sorted(range(len(self.rows)), key=lambda i: self.pivots[i])
-        return self._order
-
-    def reduce(self, vec: SparseVec) -> SparseVec:
-        """Remainder of vec after subtracting its projection onto the span.
-
-        Rows are fully reduced, so subtracting a row never changes vec at
-        another pivot column: each row's coefficient is vec's pivot entry.
-        """
-        coeffs = [(self._pivot_of[k], -c) for k, c in vec.items() if c and k in self._pivot_of]
-        return {k: c for k, c in add_combination(dict(vec), self.rows, coeffs).items() if c}
+    def reduce(self, vec: SparseVec) -> tuple[SparseVec, int]:
+        """Remainder of vec after subtracting its projection onto the span, as
+        ints r over a scale s.  Rows are fully reduced, so row p's coefficient
+        is vec's entry at p over p_i: over the lcm L of the hit p_i, vec in
+        ints over d loses every hit row in one int combination, and s = d L."""
+        items, d = scale_vec(vec.items())
+        rows = self.rows
+        hits = [(p, c) for p, c in items if p in rows]
+        lcm = math.lcm(*(rows[p][p] for p, _ in hits))
+        acc = {k: lcm * c for k, c in items}
+        add_combination(acc, rows, [(p, -c * (lcm // rows[p][p])) for p, c in hits])
+        return {k: c for k, c in acc.items() if c}, d * lcm
 
     def insert(self, vec: SparseVec) -> Fraction:
         """Add vec to the span; returns the remainder's pivot entry, or 0 if
         the dimension did not grow."""
-        rem = self.reduce(vec)
+        rem, scale = self.reduce(vec)
         if not rem:
             return Q(0)
         piv = min(rem)
-        inv = Q(1) / rem[piv]
-        row = {k: inv * v for k, v in rem.items()}
-        # back-substitute into existing rows to stay fully reduced
-        for i, r in enumerate(self.rows):
-            c = r.get(piv)
-            if c:
-                acc = add_combination(dict(r), [row], [(0, -c)])
-                self.rows[i] = {k: v for k, v in acc.items() if v}
-        self.rows.append(row)
-        self.pivots.append(piv)
-        self._pivot_of[piv] = len(self.rows) - 1
-        self._order = None
-        return rem[piv]
+        row = _primitive(rem, piv)
+        # back-substitute by cross-multiplication to stay fully reduced:
+        # row[piv] r - r[piv] row is 0 at piv and keeps r's pivot entry positive
+        for p, r in self.rows.items():
+            if c := r.get(piv):
+                acc = add_combination({k: row[piv] * v for k, v in r.items()}, [row], [(0, -c)])
+                self.rows[p] = _primitive(acc, p)
+        self.rows[piv] = row
+        return Q(rem[piv], scale)
 
     def sorted_basis(self) -> list[SparseVec]:
-        """Basis rows ordered by pivot column (ascending)."""
-        return [self.rows[i] for i in self._sorted_order()]
+        """The reduced basis rows, ordered by pivot column (ascending)."""
+        rows, d = self.scaled_basis()
+        return [{k: Q(c, d) for k, c in r.items()} for r in rows]
+
+    def scaled_basis(self) -> tuple[list[SparseVec], int]:
+        """sorted_basis() in ints over D, the lcm of the p_i, and D: each row
+        is D at its own pivot and 0 at the others'."""
+        rows = self.rows
+        d = math.lcm(*(r[p] for p, r in rows.items()))
+        return [{k: c * (d // rows[p][p]) for k, c in rows[p].items()} for p in sorted(rows)], d
 
     def sorted_pivots(self) -> list[int]:
         """Pivot columns in sorted_basis() order (ascending)."""
-        return [self.pivots[i] for i in self._sorted_order()]
+        return sorted(self.rows)
 
     def coordinates(self, vec: SparseVec) -> Optional[list[Fraction]]:
         """Coordinates of vec in sorted_basis() order, or None if outside:
         its entries at the pivot columns."""
-        if self.reduce(vec):
+        if self.reduce(vec)[0]:
             return None
         zero = Q(0)
         return [vec.get(p, zero) for p in self.sorted_pivots()]
@@ -317,6 +327,8 @@ def det(mat: list[list[Fraction]]) -> Fraction:
     determinant is the product of the pivot entries ``insert`` returns,
     negated when the pivot columns have an odd number of inversions.
     """
+    if any(len(row) != len(mat) for row in mat):
+        raise ValueError("matrix is not square")
     basis = EchelonBasis()
     d = Q(1)
     for row in mat:
@@ -324,13 +336,15 @@ def det(mat: list[list[Fraction]]) -> Fraction:
         if not lead:
             return Q(0)
         d *= lead
-    p = basis.pivots
+    p = list(basis.rows)
     inversions = sum(a > b for i, a in enumerate(p) for b in p[i + 1 :])
     return -d if inversions % 2 else d
 
 
 def invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix is not square")
     aug = [row[:] + ident for row, ident in zip(mat, identity(n))]
     rows, pivots = rref(aug)
     if pivots[:n] != list(range(n)):

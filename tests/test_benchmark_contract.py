@@ -5,6 +5,7 @@ sampled when the line says so: only Jacobi may."""
 
 import importlib
 import importlib.util
+import linecache
 import random
 import sys
 import tracemalloc
@@ -102,15 +103,41 @@ def test_build_kkt_spans_m_without_the_trace_form(monkeypatch, family_instances)
     assert calls == {"generic_min_poly": 0, "insert": 378}
 
 
+def _caller(frame):
+    """The function frame that runs frame's code: a comprehension's or a
+    lambda's own frame is skipped."""
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame
+
+
 def _count_fraction_arithmetic(monkeypatch, calls):
+    """Record (op, function, source line) for every Fraction * and + made."""
     for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
         original = getattr(Fraction, op)
 
         def counted(*args, _op=op, _fn=original):
-            calls.append(_op)
+            frame = _caller(sys._getframe(1))
+            line = linecache.getline(frame.f_code.co_filename, frame.f_lineno).strip()
+            calls.append((_op, frame.f_code.co_name, line))
             return _fn(*args)
 
         monkeypatch.setattr(Fraction, op, counted)
+
+
+def test_build_kkt_makes_no_fraction_arithmetic(monkeypatch, family_instances):
+    # the echelon of the span holds ints, the m basis is read from it in ints
+    # over D, and the companion loop and the closure run on that, so only
+    # the lines that build h, the triple and the norm pair may add or
+    # multiply a Fraction; perfbench times the echelon under this name
+    assert ("linalg", "EchelonBasis.insert") in set(_load("spans").TRACED)
+    J = family_instances["E7"]
+    calls = []
+    _count_fraction_arithmetic(monkeypatch, calls)
+    kkt.build_kkt(J)
+    monkeypatch.undo()
+    where = {(name, line.split(" = ")[0]) for _, name, line in calls}
+    assert where <= {("build_kkt", "h"), ("build_kkt", "triple"), ("build_kkt", "norm_pair")}
 
 
 def test_sampled_jacobi_makes_no_fraction_arithmetic(monkeypatch, kkt_builds):
@@ -163,9 +190,7 @@ def test_cross_validate_compares_its_pairs_in_ints(monkeypatch, split_builds):
     bracket = kkt.LieAlgebra.bracket
 
     def counted(self, x, y):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
-            frame = frame.f_back
+        frame = _caller(sys._getframe(1))
         callers[frame.f_code.co_name] = callers.get(frame.f_code.co_name, 0) + 1
         return bracket(self, x, y)
 

@@ -445,20 +445,20 @@ CLOSURE_CASES = [
 
 def test_closure_reduces_every_commutator_pair(monkeypatch):
     # the n(n-1)/2 commutators [L_i, L_j] that span m with the L_k, then each
-    # of the m(m-1)/2 pairs [m_a, m_b] once, on the m basis scaled to ints
-    # over D, whose constants are those of the commutator
-    commutator, scale_table = linalg.op_commutator, linalg.scale_table
+    # of the m(m-1)/2 pairs [m_a, m_b] once, on the m basis read from the
+    # echelon in ints over D, whose constants are those of the commutator
+    commutator, scaled_basis = linalg.op_commutator, linalg.EchelonBasis.scaled_basis
     calls, dens = [], []
 
-    def scaled(table):
-        out = scale_table(table)
-        dens.append(out.den)
-        return out
+    def scaled(self):
+        rows, d = scaled_basis(self)
+        dens.append(d)
+        return rows, d
 
     monkeypatch.setattr(
         linalg, "op_commutator", lambda a, b, n: calls.append((a, b)) or commutator(a, b, n)
     )
-    monkeypatch.setattr(linalg, "scale_table", scaled)
+    monkeypatch.setattr(linalg.EchelonBasis, "scaled_basis", scaled)
     for descriptor, dim, m, den in CLOSURE_CASES:
         J = cli.parse_jordan_descriptor(descriptor)
         calls.clear()

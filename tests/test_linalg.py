@@ -338,3 +338,91 @@ def test_nullspace_is_annihilated_and_complete():
         for v in basis:
             assert not any(linalg.mat_vec(mat, v))
         assert linalg.rank(mat) == minor_rank(mat)
+
+
+# ---------------------------------------------------------------------------
+# the integer echelon against a Fraction Gauss-Jordan that normalizes every
+# row to pivot 1
+# ---------------------------------------------------------------------------
+
+
+def fraction_gauss_jordan(mat):
+    """The reduced rows of mat as sparse Fraction rows in pivot order, and the
+    pivot entry each row's remainder had before it was normalized."""
+    reduced, leads = [], []  # reduced holds (pivot, dense row)
+    for row in mat:
+        row = [Q(x) for x in row]
+        for p, r in reduced:
+            row = [x - row[p] * y for x, y in zip(row, r)]
+        if not any(row):
+            continue
+        p = next(k for k, x in enumerate(row) if x)
+        leads.append(row[p])
+        row = [x / row[p] for x in row]
+        reduced = [(q, [x - r[p] * y for x, y in zip(r, row)]) for q, r in reduced]
+        reduced.append((p, row))
+    return [{k: x for k, x in enumerate(r) if x} for _, r in sorted(reduced)], leads
+
+
+def test_a_row_whose_content_is_not_one_reads_back_reduced():
+    basis = linalg.EchelonBasis()
+    assert basis.insert({0: 6, 1: 4}) == 6
+    assert basis.sorted_basis() == [{0: Q(1), 1: Q(2, 3)}]
+    assert basis.scaled_basis() == ([{0: 3, 1: 2}], 3)
+
+
+def test_pivots_of_each_sign_match_the_fraction_oracle():
+    mat = [[0, -4, 6, 1], [3, 0, -9, 2], [-2, 5, 0, Q(1, 2)], [Q(-1, 3), 0, 0, 7]]
+    want, leads = fraction_gauss_jordan(mat)
+    assert any(c < 0 for c in leads) and any(c > 0 for c in leads)
+    basis = linalg.EchelonBasis()
+    assert [basis.insert({k: c for k, c in enumerate(row) if c}) for row in mat] == leads
+    assert basis.sorted_basis() == want
+    rows, d = basis.scaled_basis()
+    assert rows == [{k: d * c for k, c in row.items()} for row in want]
+    assert all(type(c) is int for row in rows for c in row.values())
+    assert linalg.det(mat) == leibniz(mat)
+
+
+def test_det_whose_reduction_meets_denominators_2_3_and_7():
+    mat = [[-3, 1, -2, 0], [-2, 3, -3, 1], [2, -2, 2, 1], [2, 1, 2, 1]]
+    _, leads = fraction_gauss_jordan(mat)
+    assert {2, 3, 7} <= {c.denominator for c in leads}
+    assert linalg.det(mat) == leibniz(mat) == 21
+
+
+def test_mixed_denominator_rows_reduce_to_the_oracle():
+    rng = random.Random(11)
+    for _ in range(30):
+        ncols = rng.randint(2, 6)
+        mat = [
+            [Q(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7, 12))) if rng.random() < 0.6 else Q(0)
+             for _ in range(ncols)]
+            for _ in range(rng.randint(1, 5))
+        ]
+        basis = linalg.EchelonBasis()
+        for row in mat:
+            basis.insert({k: c for k, c in enumerate(row) if c})
+        assert basis.sorted_basis() == fraction_gauss_jordan(mat)[0], mat
+
+
+def test_coordinates_of_a_vector_outside_the_span_are_none():
+    basis = linalg.EchelonBasis()
+    for row in ({0: 2, 2: Q(1, 3)}, {1: Q(-5, 7), 2: 4}):
+        basis.insert(row)
+    assert basis.coordinates({0: 1, 1: 1, 2: 1}) is None
+    assert basis.coordinates({2: 1}) is None
+    # the sum of the two rows: its coordinates are its pivot entries
+    assert basis.coordinates({0: 2, 1: Q(-5, 7), 2: Q(13, 3)}) == [2, Q(-5, 7)]
+
+
+def test_det_rejects_a_non_square_matrix():
+    for mat in ([[1, 2]], [[1], [2]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="not square"):
+            linalg.det(mat)
+
+
+def test_invert_rejects_a_non_square_matrix():
+    for mat in ([[1, 0]], [[1], [0]], [[1, 0], [0]]):
+        with pytest.raises(ValueError, match="not square"):
+            linalg.invert(mat)
