@@ -11,8 +11,8 @@ as the span of the structure operators
     V_{x,y}  =  2([L_y, L_x] - L_{x o y})      (L_x : z |-> x o z)
 
 acting on n; since J o J = J this span is L_J + [L_J, L_J], spanned by the
-n operators L_k = L_{b_k} and the n(n-1)/2 commutators [L_i, L_j].
-Brackets:
+n operators L_k = L_{b_k} and the n(n-1)/2 commutators [L_i, L_j], which
+one batched linalg.op_commutators run forms.  Brackets:
 
     [n, n] = [nbar, nbar] = 0
     [x, ybar]            = V_{x,y}
@@ -25,8 +25,9 @@ the adjoint of T under the trace form T_J(x o y).  Operators on n are held
 in linalg's column-sparse format.  Row k of the symmetric table J.scaled is
 den L_k in ints, so the L_k and their commutators go into one integer
 echelon, whose reduced rows, in ints over D, are the m basis.  Every
-[x, ybar] on basis elements, every [m_a, m_b] (reduced against the span,
-which checks closure) and h are read off at its pivots in ints, the
+[x, ybar] on basis elements, every [m_a, m_b] (formed by a second
+op_commutators run and reduced against the span, which checks closure)
+and h are read off at its pivots, through one pivot index, in ints, the
 companions are formed in ints, and each constant is divided once.  The
 distinguished sl2-triple is e = identity of J inside n, f = -(identity)
 inside nbar, h = [e, f] = -V_{e,e} = 2 L_e: no bracket is read.
@@ -221,17 +222,19 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     # n(n-1)/2 commutators den^2 [L_i, L_j] are ints
     pairs = list(itertools.combinations(range(n), 2))
     ops = [linalg.op_flatten(row, n) for row in cells]
-    ops += [linalg.op_commutator(cells[i], cells[j], n) for i, j in pairs]
+    for i, comms in enumerate(linalg.op_commutators(cells, n)):
+        ops += [comms.get(j, {}) for j in range(i + 1, n)]
     span = EchelonBasis()
     for op in ops:
         span.insert(op)
     m_dim = len(span)
     # the m basis C_a = D T_a is D at its own pivot and 0 at the others', so
-    # the coordinates of an element of the span are its pivot entries
+    # the coordinates of an element of the span are its entries at the
+    # pivots, read through at = {pivot of C_a: a}
     rows, d = span.scaled_basis()
     m_cols = [linalg.op_unflatten(row, n) for row in rows]
-    pivots = list(enumerate(span.sorted_pivots()))
-    coords = [{a: op[p] for a, p in pivots if p in op} for op in ops]
+    at = {p: a for a, p in enumerate(span.sorted_pivots())}
+    coords = [dict(sorted((at[p], c) for p, c in op.items() if p in at)) for op in ops]
     del ops, span
 
     idx_nbar = lambda k: k
@@ -275,11 +278,10 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     # [m_a, m_b] = operator commutator.  Closure in the span is a theorem,
     # checked on every pair in ints: C = D^2 [m_a, m_b] and each row D R_i is
     # D at its pivot p_i and 0 at the others, so D C - sum_i C[p_i] D R_i = 0
-    # iff C is in the span
-    for a in range(m_dim):
-        for b in range(a + 1, m_dim):
-            comm = linalg.op_commutator(m_cols[a], m_cols[b], n)
-            consts = [(i, comm[p]) for i, p in pivots if p in comm]
+    # iff C is in the span; a pair the kernel does not yield commutes
+    for a, comms in enumerate(linalg.op_commutators(m_cols, n)):
+        for b, comm in comms.items():
+            consts = sorted((at[p], c) for p, c in comm.items() if p in at)
             rem = {k: d * c for k, c in comm.items()}
             add_combination(rem, rows, [(i, -c) for i, c in consts])
             if any(rem.values()):

@@ -7,8 +7,10 @@ accumulates in place, and callers drop cancelled entries once on readout.
 Lie bracket table included, holds sparse {k: coeff} cells and is multiplied
 through it.  Operators are column-sparse: a sequence whose entry k is the
 sparse image of basis vector k, flattened (for echelon work) with entry
-(row, k) at k * n + row; ``op_commutator`` sums AB - BA into one flat
-accumulator and drops its zeros once.  Coefficients are Fractions, except in
+(row, k) at k * n + row; ``op_commutators`` forms the commutators of every
+pair of a list, one flat accumulator per left operator joining it with all
+later ones on their entries, and drops its zeros once (``op_commutator`` is
+its one-pair call).  Coefficients are Fractions, except in
 ``gram_form`` on integer input (the root data, the q-composition suite's
 Grams), in ``dense_product``, in kkt's structure operators and its whole
 construction of m (span, [x, ybar] readout, companion and closure), in the
@@ -104,18 +106,45 @@ def op_unflatten(flat: SparseVec, n: int) -> tuple:
 
 
 def op_commutator(a, b, n: int) -> SparseVec:
-    """AB - BA, flattened, in one accumulator: an entry c at (i, k) of B adds
-    c A[:, i] at k * n + row, one of A subtracts c B[:, i]; zeros go at the end."""
-    flat: SparseVec = {}
-    for k in range(n):
-        base = k * n
-        for i, c in b[k].items():
-            for row, t in a[i].items():
-                flat[base + row] = flat.get(base + row, 0) + c * t
-        for i, c in a[k].items():
-            for row, t in b[i].items():
-                flat[base + row] = flat.get(base + row, 0) - c * t
-    return {p: c for p, c in flat.items() if c}
+    """AB - BA, flattened."""
+    return next(op_commutators((a, b), n)).get(1, {})
+
+
+def op_commutators(ops, n: int):
+    """For each A_a of the sequence ops in order, {b: [A_a, A_b] flattened}
+    over the b > a whose commutator is nonzero, with no zero entry.  Every
+    entry of every operator is listed once by row and once by column, in
+    operator order; one flat accumulator per a joins A_a with all later
+    operators on the middle index: A_a[r, i] B[i, k] adds at
+    b n^2 + k n + r, and B[r, i] A_a[i, k] subtracts there."""
+    nn = n * n
+    by_row = [[] for _ in range(n)]  # by_row[i]: (b n^2 + k n, B[i, k])
+    by_col = [[] for _ in range(n)]  # by_col[i]: (b n^2 + r, B[r, i])
+    for b, cols in enumerate(ops):
+        for k, col in enumerate(cols):
+            for r, c in col.items():
+                by_row[r].append((b * nn + k * n, c))
+                by_col[k].append((b * nn + r, c))
+    row_from, col_from = [0] * n, [0] * n  # the entries of the b > a start here
+    for cols in ops:
+        for k, col in enumerate(cols):
+            col_from[k] += len(col)
+            for r in col:
+                row_from[r] += 1
+        flat: SparseVec = {}
+        for i, col in enumerate(cols):
+            later, i_n = by_row[i][row_from[i] :], i * n
+            for r, t in col.items():
+                for base, c in later:
+                    flat[base + r] = flat.get(base + r, 0) + t * c
+                for base, c in by_col[r][col_from[r] :]:
+                    flat[base + i_n] = flat.get(base + i_n, 0) - c * t
+        out: dict = {}
+        for p, c in flat.items():
+            if c:
+                b, q = divmod(p, nn)
+                out.setdefault(b, {})[q] = c
+        yield out
 
 
 def gram_form(gram, xs, ys):

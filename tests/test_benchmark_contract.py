@@ -103,6 +103,27 @@ def test_build_kkt_spans_m_without_the_trace_form(monkeypatch, family_instances)
     assert calls == {"generic_min_poly": 0, "insert": 378}
 
 
+def test_build_kkt_forms_every_commutator_in_two_batched_runs(monkeypatch, family_instances):
+    # the 351 [L_i, L_j] that span m with the 27 L_k come from one
+    # op_commutators run, the 3,081 pairs of the m closure from a second, and
+    # no pair is formed alone by op_commutator; a pair the kernel does not
+    # yield commutes.  perfbench times both runs inside kkt.build_kkt
+    assert ("kkt", "build_kkt") in set(_load("spans").TRACED)
+    commutators, runs, single = linalg.op_commutators, [], []
+
+    def counted(ops, n):
+        runs.append([len(ops), 0])
+        for comms in commutators(ops, n):
+            runs[-1][1] += len(comms)
+            yield comms
+
+    monkeypatch.setattr(linalg, "op_commutator", lambda *args: single.append(args))
+    monkeypatch.setattr(linalg, "op_commutators", counted)
+    kkt.build_kkt(family_instances["E7"])
+    pairs = [(n, nonzero, n * (n - 1) // 2) for n, nonzero in runs]
+    assert (len(single), pairs) == (0, [(27, 324, 351), (79, 1848, 3081)])
+
+
 def _caller(frame):
     """The function frame that runs frame's code: a comprehension's or a
     lambda's own frame is skipped."""

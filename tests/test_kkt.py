@@ -444,10 +444,11 @@ CLOSURE_CASES = [
 
 
 def test_closure_reduces_every_commutator_pair(monkeypatch):
-    # the n(n-1)/2 commutators [L_i, L_j] that span m with the L_k, then each
-    # of the m(m-1)/2 pairs [m_a, m_b] once, on the m basis read from the
-    # echelon in ints over D, whose constants are those of the commutator
-    commutator, scaled_basis = linalg.op_commutator, linalg.EchelonBasis.scaled_basis
+    # one op_commutators run on the dim operators den L_k, whose dim(dim-1)/2
+    # commutators span m with them, then one on the m basis read from the
+    # echelon in ints over D, whose m(m-1)/2 pairs are each reduced; the
+    # stored constants must give back [T_a, T_b], formed here by op_compose
+    commutators, scaled_basis = linalg.op_commutators, linalg.EchelonBasis.scaled_basis
     calls, dens = [], []
 
     def scaled(self):
@@ -455,9 +456,11 @@ def test_closure_reduces_every_commutator_pair(monkeypatch):
         dens.append(d)
         return rows, d
 
-    monkeypatch.setattr(
-        linalg, "op_commutator", lambda a, b, n: calls.append((a, b)) or commutator(a, b, n)
-    )
+    def recorded(ops, n):
+        calls.append(ops)
+        return commutators(ops, n)
+
+    monkeypatch.setattr(linalg, "op_commutators", recorded)
     monkeypatch.setattr(linalg.EchelonBasis, "scaled_basis", scaled)
     for descriptor, dim, m, den in CLOSURE_CASES:
         J = cli.parse_jordan_descriptor(descriptor)
@@ -466,18 +469,25 @@ def test_closure_reduces_every_commutator_pair(monkeypatch):
         g = build_kkt(J)
         m_idx, n_idx = g.degree_indices(0), g.degree_indices(2)
         assert (J.dim, len(m_idx), dens) == (dim, m, [den])
-        assert len(calls) == dim * (dim - 1) // 2 + m * (m - 1) // 2
-        assert all(type(c) is int for pair in calls for op in pair for col in op for c in col.values())
-        # T_a(b_k) = [m_a, n_k]; [T_a, T_b] must be the stored combination of the T_c
+        assert [len(ops) for ops in calls] == [dim, m]
+        assert all(type(c) is int for ops in calls for op in ops for col in op for c in col.values())
+        # T_a(b_k) = [m_a, n_k]; the closure's operands are the D T_a, and
+        # [T_a, T_b] must be the stored combination of the T_c
         ops = [
             [{r - n_idx[0]: c for r, c in g.bracket_basis(a, k).items()} for k in n_idx]
             for a in m_idx
         ]
         flat = [linalg.op_flatten(op, dim) for op in ops]
+        assert [linalg.op_flatten(op, dim) for op in calls[1]] == [
+            {p: den * c for p, c in f.items()} for f in flat
+        ]
         for a, b in itertools.combinations(range(m), 2):
             consts = [(c - m_idx[0], v) for c, v in g.bracket_basis(m_idx[a], m_idx[b]).items()]
             got = linalg.add_combination({}, flat, consts)
-            assert {k: v for k, v in got.items() if v} == commutator(ops[a], ops[b], dim)
+            ab = linalg.op_flatten(linalg.op_compose(ops[a], ops[b]), dim)
+            ba = linalg.op_flatten(linalg.op_compose(ops[b], ops[a]), dim)
+            want = linalg.add_combination(ab, [ba], [(0, -1)])
+            assert {k: v for k, v in got.items() if v} == {k: v for k, v in want.items() if v}
 
 
 @pytest.mark.parametrize("descriptor", [case[0] for case in CLOSURE_CASES])
@@ -492,19 +502,30 @@ def test_closure_check_catches_a_shifted_cell_at_every_denominator(descriptor):
         build_kkt(J)
 
 
-@pytest.mark.parametrize("descriptor", [case[0] for case in CLOSURE_CASES])
-def test_closure_check_catches_a_dropped_commutator_term(monkeypatch, descriptor):
-    # the last entry of the first nonzero commutator is lost
-    commutator = linalg.op_commutator
-    dropped = []
+@pytest.mark.parametrize(
+    "descriptor, run",
+    [
+        pytest.param(case[0], run, id=case[0] + ("" if run == "span" else f"-{run}"))
+        for case in CLOSURE_CASES
+        for run in ("span", "closure")
+    ],
+)
+def test_closure_check_catches_a_dropped_commutator_term(monkeypatch, descriptor, run):
+    # the last entry of the first commutator with at least two entries is
+    # lost, in the [L_i, L_j] that span m or in the [m_a, m_b] the closure
+    # reduces: a commutator left with one entry is still nonzero
+    commutators = linalg.op_commutators
+    runs, dropped = [], []
 
-    def lossy(a, b, n):
-        out = commutator(a, b, n)
-        if out and not dropped:
-            dropped.append(out.pop(max(out)))
-        return out
+    def lossy(ops, n):
+        runs.append(ops)
+        for comms in commutators(ops, n):
+            long = [comm for comm in comms.values() if len(comm) > 1]
+            if len(runs) == 1 + (run == "closure") and long and not dropped:
+                dropped.append(long[0].pop(max(long[0])))
+            yield comms
 
-    monkeypatch.setattr(linalg, "op_commutator", lossy)
+    monkeypatch.setattr(linalg, "op_commutators", lossy)
     with pytest.raises(ConstructionError, match="operator commutator escaped the structure-operator span"):
         build_kkt(cli.parse_jordan_descriptor(descriptor))
     assert dropped

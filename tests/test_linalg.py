@@ -150,13 +150,20 @@ def test_op_flatten_round_trip():
         assert linalg.op_unflatten(flat, n) == a
 
 
+def emptied(M, cols):
+    """M with the columns in cols set to zero."""
+    return [[Q(0) if k in cols else c for k, c in enumerate(row)] for row in M]
+
+
+def dense_commutator(A, B):
+    ab, ba = linalg.mat_mul(A, B), linalg.mat_mul(B, A)
+    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+
+
 def test_op_commutator_matches_the_dense_commutator():
     # the seeded pairs, then pairs whose columns are emptied at random in
     # both operators, in one, or in neither: a column empty in both is
     # skipped, and the result must still be the whole commutator
-    def emptied(M, cols):
-        return [[Q(0) if k in cols else c for k, c in enumerate(row)] for row in M]
-
     rng = random.Random(10)
     pairs = list(operator_pairs())
     for n, A, B in list(pairs):
@@ -167,8 +174,7 @@ def test_op_commutator_matches_the_dense_commutator():
     for n, A, B in pairs:
         a, b = linalg.op_from_dense(A), linalg.op_from_dense(B)
         skipped += sum(not (a[k] or b[k]) for k in range(n))
-        ab, ba = linalg.mat_mul(A, B), linalg.mat_mul(B, A)
-        comm = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+        comm = dense_commutator(A, B)
         assert linalg.op_commutator(a, b, n) == linalg.op_flatten(linalg.op_from_dense(comm), n)
     assert skipped
 
@@ -183,6 +189,38 @@ def test_op_commutator_of_commuting_operators_is_empty():
             ident = linalg.op_from_dense([[one * (r == k) for k in range(n)] for r in range(n)])
             for b in (a, linalg.op_compose(a, a), ident):
                 assert linalg.op_commutator(a, b, n) == {} == linalg.op_commutator(b, a, n)
+
+
+def test_op_commutators_matches_the_dense_commutators():
+    # for each size, the seeded operators, copies with columns emptied at
+    # random, one all-zero operator and int copies of the Fraction ones: the
+    # kernel yields one dict per operator, keyed by exactly the later
+    # operators that do not commute with it, and no zero entry
+    rng = random.Random(12)
+    mats: dict = {}
+    for n, A, B in operator_pairs():
+        mats.setdefault(n, []).extend((A, B))
+    commuting = 0
+    for n, ms in mats.items():
+        ms += [emptied(M, {k for k in range(n) if rng.random() < 0.4}) for M in ms]
+        ms.append([[Q(0)] * n for _ in range(n)])
+        for M in ms[:4]:
+            den = math.lcm(*(c.denominator for row in M for c in row))
+            ms.append([[int(den * c) for c in row] for row in M])
+        ops = [linalg.op_from_dense(M) for M in ms]
+        got = list(linalg.op_commutators(ops, n))
+        assert len(got) == len(ops)
+        for a, comms in enumerate(got):
+            want = {}
+            for b in range(a + 1, len(ops)):
+                flat = linalg.op_flatten(linalg.op_from_dense(dense_commutator(ms[a], ms[b])), n)
+                if flat:
+                    want[b] = flat
+            commuting += len(ops) - a - 1 - len(want)
+            assert comms == want
+            assert all(c for comm in comms.values() for c in comm.values())
+        assert list(linalg.op_commutators(ops[:1], n)) == [{}]
+    assert commuting
 
 
 # ---------------------------------------------------------------------------
