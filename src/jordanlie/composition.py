@@ -218,21 +218,28 @@ def composition_law_failure(alg: CompositionAlgebra) -> tuple[int, int, int, int
 
 
 def _verify_unit_and_conj(alg: CompositionAlgebra):
+    """Basis element 0 is a two-sided unit, and u conj(u) = N(u) 1, checked
+    through its polarization on basis pairs, in ints.  With the unit laws
+    holding, conj(e_j) = 2 G_j0 e_0 - e_j turns the identity into
+    2 G_j0 e_i - e_i e_j + 2 G_i0 e_j - e_j e_i = 2 G_ij e_0, which over s
+    (``scaled``) and the Gram's lcm d_G reads  2 s g_j0 e_i - d_G s e_i e_j
+    + 2 s g_i0 e_j - d_G s e_j e_i = 2 s g_ij e_0  with g = d_G G."""
     n = alg.dim
-    basis = [tuple(Q(1) if k == i else Q(0) for k in range(n)) for i in range(n)]
+    prod, s = alg.scaled.cells, alg.scaled.den
     for j in range(n):
-        if alg.mul_coeffs(basis[0], basis[j]) != basis[j]:
+        if prod[0][j] != {j: s}:
             raise InvalidParameter(f"basis element 0 is not a left unit at {j}")
-        if alg.mul_coeffs(basis[j], basis[0]) != basis[j]:
+        if prod[j][0] != {j: s}:
             raise InvalidParameter(f"basis element 0 is not a right unit at {j}")
-    # u * conj(u) = N(u) * 1, checked via its polarization on basis pairs
+    gram = scale_table((op_from_dense(alg.norm_gram),))
+    g, d = gram.cells[0], gram.den  # g[j][i] = d_G G_ij
     for i in range(n):
         for j in range(n):
-            ei, ej = alg.element(basis[i]), alg.element(basis[j])
-            lhs = ei * ej.conj() + ej * ei.conj()
-            want = [Q(0)] * n
-            want[0] = alg.norm_bilinear(basis[i], basis[j])
-            if list(lhs.coeffs) != want:
+            acc = {0: -2 * s * g[j].get(i, 0)}
+            for k, t in ((i, g[0].get(j, 0)), (j, g[0].get(i, 0))):
+                acc[k] = acc.get(k, 0) + 2 * s * t
+            add_combination(acc, (prod[i][j], prod[j][i]), [(0, -d), (1, -d)])
+            if any(acc.values()):
                 raise InvalidParameter(f"u*conj(u) != N(u)*1 at basis pair {(i, j)}")
 
 

@@ -27,16 +27,19 @@ den L_k in ints, so the L_k and their commutators go into one integer
 echelon, whose reduced rows, in ints over D, are the m basis.  Every
 [x, ybar] on basis elements, every [m_a, m_b] (formed by a second
 op_commutators run and reduced against the span, which checks closure)
-and h are read off at its pivots, through one pivot index, in ints, the
-companions are formed in ints, and each constant is divided once.  The
+and h are read off at its pivots, through one pivot index, in ints, and
+the companions are formed in ints.  The brackets go to bracket_table as
+those ints over their denominators, so no constant becomes a Fraction; h
+is divided once.  The
 distinguished sl2-triple is e = identity of J inside n, f = -(identity)
 inside nbar, h = [e, f] = -V_{e,e} = 2 L_e: no bracket is read.
 
 A LieAlgebra holds its brackets only as a table of all ordered pairs in
 linalg's {k: coeff} cells, ints scaled over den, the lcm of the constants'
-denominators, built by bracket_table from the brackets [b_i, b_j], i != j.
-Every bracket, ad operator and Killing trace is read in ints from it and
-divided once on output; bracket_basis divides the cell.
+denominators, built by bracket_table from the brackets [b_i, b_j], i != j,
+each given as ints or Fractions over an int.  Every bracket, ad operator
+and Killing trace is read in ints from it and divided once on output;
+bracket_basis divides the cell.
 
 The Killing form is the ad-trace form rescaled so that it takes the value 1
 on the pair (f_1, e_1) built from the first frame idempotent.
@@ -149,12 +152,27 @@ class LieAlgebra:
     # -- Killing form --------------------------------------------------------
 
     def killing_raw(self, x: SparseVec, y: SparseVec) -> Fraction:
-        """trace(ad x ad y), no normalization: int traces over den^2."""
+        """trace(ad x ad y), no normalization: x and y in ints over dx and dy,
+        int traces, divided once by dx dy den^2."""
         self._check_indices(x, y)
         cells = self.table.cells
         trace = linalg.op_trace_product
-        total = sum(cx * cy * trace(cells[i], cells[j]) for i, cx in x.items() for j, cy in y.items())
-        return Q(total, self.table.den**2)
+        xs, dx = linalg.scale_vec(x.items())
+        ys, dy = linalg.scale_vec(y.items())
+        total = sum(cx * cy * trace(cells[i], cells[j]) for i, cx in xs for j, cy in ys)
+        return Q(total, dx * dy * self.table.den**2)
+
+    def killing_scale(self) -> Fraction:
+        """s with killing(b_i, b_j) = s trace(cells[i] cells[j]) on every pair
+        killing_matrix traces: 1/den^2, over the ad-trace pairing of the norm
+        pair when there is one."""
+        s = Q(1, self.table.den**2)
+        if self.norm_pair is not None:
+            raw = self.killing_raw(*self.norm_pair)
+            if raw == 0:
+                raise ConstructionError("ad-trace pairing of the normalization pair vanishes")
+            s /= raw
+        return s
 
     def killing_matrix(self) -> list[list[Fraction]]:
         """Full Killing Gram matrix on the basis, scaled so that the norm pair
@@ -171,12 +189,7 @@ class LieAlgebra:
             by_weight: dict = {}
             for i, w in enumerate(weights):
                 by_weight.setdefault(w, []).append(i)
-            s = Q(1, self.table.den**2)
-            if self.norm_pair is not None:
-                raw = self.killing_raw(*self.norm_pair)
-                if raw == 0:
-                    raise ConstructionError("ad-trace pairing of the normalization pair vanishes")
-                s /= raw
+            s = self.killing_scale()
             ads = self.table.cells
             mat = [[Q(0)] * self.dim for _ in range(self.dim)]
             for i, w in enumerate(weights):
@@ -192,17 +205,24 @@ class LieAlgebra:
 
 
 def bracket_table(dim: int, brackets) -> linalg.ScaledTable:
-    """cells[i][j] = den [b_i, b_j] in ints over den, the lcm of the
-    denominators, from the ((i, j), {k: int or Fraction}) that brackets()
-    yields, one per pair i != j or none; it is called twice, for den and
-    for the cells.  [b_j, b_i] is the negated cell and every zero bracket is
-    one shared empty dict, so row i is den ad(b_i); no cell may be written."""
-    den = math.lcm(*(c.denominator for _, vec in brackets() for c in vec.values()))
+    """cells[i][j] = den [b_i, b_j] in ints over den, the lcm of the reduced
+    denominators, from the ((i, j), (vec, d)) that brackets() yields, one
+    per pair i != j or none: [b_i, b_j] = vec / d, vec's values ints or
+    Fractions and d a positive int.  It is called twice, for den and for
+    the cells: c / d with c = p / q in lowest terms has reduced denominator
+    q d / gcd(p, d) (q when d = 1, as for every bracket from_json reads), and
+    its cell entry is p den / (q d).  [b_j, b_i] is the negated cell and
+    every zero bracket is one shared empty dict, so row i is den ad(b_i); no
+    cell may be written."""
+    den = math.lcm(*(
+        c.denominator if d == 1 else d // math.gcd(c.numerator, d) * c.denominator
+        for _, (vec, d) in brackets() for c in vec.values()
+    ))
     zero: SparseVec = {}
     rows = [[zero] * dim for _ in range(dim)]
-    for (i, j), vec in brackets():
+    for (i, j), (vec, d) in brackets():
         if vec:
-            rows[i][j] = cell = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+            rows[i][j] = cell = {k: c.numerator * den // (d * c.denominator) for k, c in vec.items()}
             rows[j][i] = {k: -c for k, c in cell.items()}
     return linalg.ScaledTable(tuple(map(tuple, rows)), den)
 
@@ -247,7 +267,7 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
         + tuple(f"n:{k}" for k in range(n))
     )
     grading = (-2,) * n + (0,) * m_dim + (2,) * n
-    brackets: dict = {}
+    brackets: dict = {}  # (i, j) -> (ints, their denominator)
 
     # [n_i, nbar_j] = V_{b_i, b_j} = 2([L_j, L_i] - L_{b_i o b_j}); over
     # b_i o b_j = sum_k c_k b_k / den its den^2 multiple is
@@ -259,7 +279,7 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
             if i != j:
                 terms.append((comm_at[min(i, j), max(i, j)], 2 if i > j else -2))
             vop = add_combination({}, coords, terms).items()
-            brackets[idx_n(i), idx_nbar(j)] = {idx_m(a): Q(c, den * den) for a, c in vop if c}
+            brackets[idx_n(i), idx_nbar(j)] = {idx_m(a): c for a, c in vop if c}, den * den
 
     # [m_a, n_k] = T_a(b_k);  [m_a, nbar_k] = -(T_a#(b_k))bar with the
     # companion T# = 2 L_{T(e)} - T, linear in T and V_{y,x} on V_{x,y}.  On
@@ -272,8 +292,8 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
         lte = lmul_cols(cells, linalg.op_apply(cols, e).items())
         for k in range(n):
             neg_sharp = add_combination({r: de * den * c for r, c in cols[k].items()}, lte, [(k, -2)])
-            brackets[idx_m(a), idx_n(k)] = {idx_n(r): Q(c, d) for r, c in cols[k].items()}
-            brackets[idx_m(a), idx_nbar(k)] = {idx_nbar(r): Q(c, s) for r, c in neg_sharp.items() if c}
+            brackets[idx_m(a), idx_n(k)] = {idx_n(r): c for r, c in cols[k].items()}, d
+            brackets[idx_m(a), idx_nbar(k)] = {idx_nbar(r): c for r, c in neg_sharp.items() if c}, s
 
     # [m_a, m_b] = operator commutator.  Closure in the span is a theorem,
     # checked on every pair in ints: C = D^2 [m_a, m_b] and each row D R_i is
@@ -286,7 +306,7 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
             add_combination(rem, rows, [(i, -c) for i, c in consts])
             if any(rem.values()):
                 raise ConstructionError("operator commutator escaped the structure-operator span")
-            brackets[idx_m(a), idx_m(b)] = {idx_m(i): Q(c, d * d) for i, c in consts}
+            brackets[idx_m(a), idx_m(b)] = {idx_m(i): c for i, c in consts}, d * d
 
     # e = identity in n, f = -(identity) in nbar, h = [e, f] = -V_{e,e} = 2 L_e
     h = {idx_m(a): Q(2 * c, de * den) for a, c in add_combination({}, coords, es).items() if c}
@@ -457,7 +477,7 @@ def from_json(obj: dict) -> LieAlgebra:
             if type(i) is not int or type(j) is not int or not 0 <= i < j < n or (i, j) in seen:
                 raise InvalidParameter(f"bad or repeated bracket pair ({i!r}, {j!r})")
             seen.add((i, j))
-            yield (i, j), _sparse_from_json(items, n, value)
+            yield (i, j), (_sparse_from_json(items, n, value), 1)
 
     return LieAlgebra(
         labels=labels,

@@ -11,13 +11,18 @@ sparse image of basis vector k, flattened (for echelon work) with entry
 pair of a list, one flat accumulator per left operator joining it with all
 later ones on their entries, and drops its zeros once (``op_commutator`` is
 its one-pair call).  Coefficients are Fractions, except in
-``gram_form`` on integer input (the root data, the q-composition suite's
-Grams), in ``dense_product``, in kkt's structure operators and its whole
-construction of m (span, [x, ybar] readout, companion and closure), in the
-Lie bracket table (kkt's ``bracket_table``, the only store of a Lie
-algebra's brackets) and its readers, in rootdata's cross-validate
-comparison, and in the composition law, which scale to Python ints
-(``scale_table``, ``scale_vec``) and divide back once, if at all.  There is
+``gram_form`` on integer input (the root data, the Pierce Grams of the
+q-composition suite and of the coordinatization), in ``dense_product``,
+in kkt's structure operators and its whole construction of m (span,
+[x, ybar] readout, companion and closure, handed to ``bracket_table`` as
+ints over their denominators), in the Lie bracket table (kkt's
+``bracket_table``, the only store of a Lie algebra's brackets) and its
+readers, in rootdata's Jordan side (``jordan_from_roots``, ``q_forms``,
+the coordinatization's doubled-product chain and local coordinates, the
+transport's Levi block) and its cross-validate comparison, and in the
+composition algebra's unit, conjugation and composition laws, which scale
+to Python ints (``scale_table``, ``scale_vec``) and divide back once, if
+at all.  There is
 one row reduction, ``EchelonBasis``, in ints with division only on readout:
 the dense helpers (``rref`` and through it ``rank``, ``nullspace``,
 ``invert`` and ``solve``, and ``det``) insert their rows into one and read

@@ -32,7 +32,7 @@ from .composition import algebra_from_table
 from .errors import ConstructionError, InvalidParameter
 from .kkt import LieAlgebra
 from .linalg import EchelonBasis, add_combination
-from .rationals import HALF, Q
+from .rationals import Q
 
 Root = tuple[int, ...]
 
@@ -379,7 +379,7 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
 
     hi = rs.highest_root
     norm_pair = ({f_idx[hi]: Q(1)}, {e_idx[hi]: Q(1)})
-    table = kkt_mod.bracket_table(len(labels), brackets.items)
+    table = kkt_mod.bracket_table(len(labels), lambda: ((ij, (vec, 1)) for ij, vec in brackets.items()))
     return LieAlgebra(labels=labels, table=table, norm_pair=norm_pair, root_system=rs)
 
 
@@ -566,10 +566,6 @@ class RootJordan:
             out[self.position[a]] = c
         return tuple(out)
 
-    def restrict(self, roots, full) -> list:
-        """The coordinates of full on the given roots."""
-        return [full[self.position[a]] for a in roots]
-
     def mul_vec(self, x, y):
         return linalg.dense_product(self.scaled, x, y)
 
@@ -589,24 +585,35 @@ class RootJordan:
 
 
 def jordan_from_roots(p: ParabolicDecomposition) -> RootJordan:
+    """x o y = [x, [f, y]]/2 on the nilradical, f the chain sum, read from
+    the integer bracket table: f is scaled to ints over df (summing the
+    triples' f vectors, as the product is bilinear), [f, e_b] is formed once
+    per b as df den [f, e_b], each e_a row is joined with it, and each
+    constant of 2 df den^2 (x o y) is divided once."""
     g = p.algebra
     e_idx = g.root_system.e_idx
+    cells, den = g.table.cells, g.table.den
     basis = p.n_roots
     pos_of = {e_idx[a]: k for k, a in enumerate(basis)}
-    f = p.chain_sum("f")
+    fs, df = linalg.scale_vec(kc for t in p.triples for kc in t.f.items())
+    scale = 2 * df * den * den
+    f_of = [
+        [(k, c) for k, c in linalg.table_product({}, cells, fs, [(e_idx[b], 1)]).items() if c] for b in basis
+    ]
     dim = len(basis)
     table = [[None] * dim for _ in range(dim)]
     for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
+        row = cells[e_idx[a]]
+        for j in range(dim):
             if j < i:
                 table[i][j] = table[j][i]
                 continue
-            out = g.bracket({e_idx[a]: Q(1)}, g.bracket(f, {e_idx[b]: Q(1)}))
             entry = {}
-            for k, c in out.items():
-                if k not in pos_of:
-                    raise ConstructionError("Jordan product left the nilradical")
-                entry[pos_of[k]] = HALF * c
+            for k, c in add_combination({}, row, f_of[j]).items():
+                if c:
+                    if k not in pos_of:
+                        raise ConstructionError("Jordan product left the nilradical")
+                    entry[pos_of[k]] = Q(c, scale)
             table[i][j] = entry
     return RootJordan(parabolic=p, basis_roots=basis, table=table, dim=dim)
 
@@ -627,37 +634,49 @@ class PierceForm:
     def value(self, x: Sequence[Fraction]) -> Fraction:
         return linalg.gram_form(self.gram, enumerate(x), enumerate(x))
 
-    def bilinear(self, x, y) -> Fraction:
-        return 2 * linalg.gram_form(self.gram, enumerate(x), enumerate(y))
-
 
 def q_forms(p: ParabolicDecomposition) -> dict[tuple[int, int], PierceForm]:
     """Q_ij(x) = kappa([f_i, x], [f_j, x]) / 2 on each off-diagonal
-    component, with kappa normalized on the chain's sl2 pairs."""
+    component, with kappa normalized on the algebra's norm pair.  The images
+    [f_i, e_a] are read in ints from the bracket table (df_i den times them),
+    and kappa(x, y) = s sum x_k y_l trace(cells[k] cells[l]) over the pairs
+    whose weights cancel, as killing_matrix has it, from int traces; each
+    Gram entry is divided once."""
     g = p.algebra
-    e_idx = g.root_system.e_idx
+    rs = g.root_system
+    cells, den = g.table.cells, g.table.den
+    s = g.killing_scale()
+    weights = rs.weights
+    neg = [tuple(-c for c in w) for w in weights]
+
+    def images(f, roots):
+        fs, df = linalg.scale_vec(f.items())
+        return [linalg.table_product({}, cells, fs, [(rs.e_idx[a], 1)]) for a in roots], df
+
+    def trace(x, y):
+        return sum(
+            cx * cy * linalg.op_trace_product(cells[k], cells[l])
+            for k, cx in x.items() if cx
+            for l, cy in y.items() if cy and weights[l] == neg[k]
+        )
+
     r = p.degree
     out = {}
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
             roots = p.pierce_roots(i, j)
-            fi, fj = p.triples[i - 1].f, p.triples[j - 1].f
-            imgs_i = [g.bracket(fi, {e_idx[a]: Q(1)}) for a in roots]
-            imgs_j = [g.bracket(fj, {e_idx[a]: Q(1)}) for a in roots]
+            (imgs_i, di), (imgs_j, dj) = (images(p.triples[t - 1].f, roots) for t in (i, j))
+            # kappa(I_k, J_l) = s trace / (di dj den^2); Q_ij halves it on the
+            # diagonal and quarters the symmetrized pair off it
+            num, dd = s.numerator, s.denominator * di * dj * den * den
             d = len(roots)
             gram = [[Q(0)] * d for _ in range(d)]
             for k in range(d):
-                for l in range(k, d):
-                    sym = g.killing(imgs_i[k], imgs_j[l]) + g.killing(
-                        imgs_i[l], imgs_j[k]
-                    )
-                    val = HALF * HALF * sym if k != l else HALF * g.killing(
-                        imgs_i[k], imgs_j[k]
-                    )
-                    gram[k][l] = gram[l][k] = val
-            out[(i, j)] = PierceForm(pair=(i, j), roots=roots, gram=tuple(
-                tuple(row) for row in gram
-            ))
+                gram[k][k] = Q(num * trace(imgs_i[k], imgs_j[k]), 2 * dd)
+                for l in range(k + 1, d):
+                    sym = trace(imgs_i[k], imgs_j[l]) + trace(imgs_i[l], imgs_j[k])
+                    gram[k][l] = gram[l][k] = Q(num * sym, 4 * dd)
+            out[(i, j)] = PierceForm(pair=(i, j), roots=roots, gram=tuple(tuple(row) for row in gram))
     return out
 
 
@@ -731,23 +750,26 @@ class Coordinatization:
         return self.model.element(linalg.mat_vec(self.matrix, list(root_vec)))
 
 
+def _scaled_gram(form: PierceForm) -> tuple[tuple, int]:
+    """The form's Gram as int rows (dicts on every column) over its lcm, and the lcm."""
+    t = linalg.scale_table([[dict(enumerate(row)) for row in form.gram]])
+    return t.cells[0], t.den
+
+
 def _find_unit_norm_vector(form: PierceForm):
-    """Vector with nonzero form value: basis first, then small combinations."""
+    """Int vector with nonzero form value, and the value: basis vectors
+    first, then small combinations, each valued in ints on the scaled Gram."""
     d = len(form.roots)
-    for k in range(d):
-        v = [Q(1) if i == k else Q(0) for i in range(d)]
-        q = form.value(v)
+    gram, dg = _scaled_gram(form)
+    pairs = itertools.product(itertools.combinations(range(d), 2), itertools.product(range(-3, 4), repeat=2))
+    candidates = itertools.chain(
+        ({k: 1} for k in range(d)),
+        ({k: ck, l: cl} for (k, l), (ck, cl) in pairs if ck or cl),
+    )
+    for v in candidates:
+        q = linalg.gram_form(gram, v.items(), v.items())
         if q:
-            return v, q
-    for k, l in itertools.combinations(range(d), 2):
-        for ck, cl in itertools.product(range(-3, 4), repeat=2):
-            if not ck and not cl:
-                continue
-            v = [Q(0)] * d
-            v[k], v[l] = Q(ck), Q(cl)
-            q = form.value(v)
-            if q:
-                return v, q
+            return [v.get(i, 0) for i in range(d)], Q(q, dg)
     raise ConstructionError("no vector of nonzero norm found in the search bound")
 
 
@@ -813,17 +835,24 @@ def _coordinatize_quadratic(p2, rj, forms):
 
 def _coordinatize_hermitian(p2, rj, forms, units):
     r = p2.degree
+    cells, den = rj.scaled.cells, rj.scaled.den
 
-    def dbl(x_vec, y_vec):
-        """{x, y} = 2 (x o y) on full nilradical coordinate vectors."""
-        prod = rj.mul_vec(x_vec, y_vec)
-        return tuple(2 * c for c in prod)
+    # nilradical vectors are held as ({position: int}, d), the vector over d
+    def dbl(x, y):
+        """{x, y} = 2 (x o y): 2 dx dy den (x o y) in ints, its content
+        shared with dx dy den taken out by a gcd."""
+        (xv, dx), (yv, dy) = x, y
+        prod = {k: 2 * c for k, c in linalg.table_product({}, cells, xv.items(), yv.items()).items() if c}
+        g = math.gcd(dx * dy * den, *prod.values())
+        return {k: c // g for k, c in prod.items()}, dx * dy * den // g
 
     u = {}
     for i in range(2, r + 1):
-        u[(1, i)] = rj.embed(forms[(1, i)].roots, units[(1, i)])
-        if forms[(1, i)].value(units[(1, i)]) != 1:
+        form, v = forms[(1, i)], units[(1, i)]
+        gram, dg = _scaled_gram(form)
+        if linalg.gram_form(gram, enumerate(v), enumerate(v)) != dg:
             raise ConstructionError("rescaling failed to normalize the unit vector")
+        u[(1, i)] = {rj.position[a]: c for a, c in zip(form.roots, v) if c}, 1
     for i in range(2, r + 1):
         for j in range(i + 1, r + 1):
             u[(i, j)] = dbl(u[(1, i)], u[(1, j)])
@@ -834,32 +863,38 @@ def _coordinatize_hermitian(p2, rj, forms, units):
     d = len(d_pos)
     span = EchelonBasis()
     d_basis = [u[(1, 2)]]
-    span.insert({k: c for k, c in enumerate(u[(1, 2)]) if c})
+    span.insert(u[(1, 2)][0])
     for a in d_form.roots:
-        cand = rj.embed((a,), (Q(1),))
-        if span.insert({rj.position[a]: Q(1)}):
-            d_basis.append(cand)
+        cand = {rj.position[a]: 1}
+        if span.insert(cand):
+            d_basis.append((cand, 1))
     if len(d_basis) != d:
         raise ConstructionError("could not complete a basis of the coefficient algebra")
 
-    def d_mul(x_vec, y_vec):
-        return dbl(dbl(x_vec, u[(2, 3)]), dbl(y_vec, u[(1, 3)]))
+    def d_mul(x, y):
+        return dbl(dbl(x, u[(2, 3)]), dbl(y, u[(1, 3)]))
 
-    # express products and the norm in the chosen d-basis
-    d_mat = [[d_basis[b][d_pos[a]] for b in range(d)] for a in range(d)]
-    to_local = _invert(d_mat, "coefficient-algebra basis matrix")
+    # express products and the norm in the chosen d-basis: the inverse of the
+    # basis matrix is scaled to ints over t_den once, so each local
+    # coordinate of a vector over dx is one division by t_den dx
+    d_mat = [[Q(xv.get(s, 0), dx) for xv, dx in d_basis] for s in d_pos]
+    inv = linalg.scale_table([[dict(enumerate(row)) for row in _invert(d_mat, "coefficient-algebra basis matrix")]])
+    to_local, t_den = inv.cells[0], inv.den
 
-    def local_coords(x_vec):
-        ambient = [x_vec[src] for src in d_pos]
-        return linalg.mat_vec(to_local, ambient)
+    def local_coords(x):
+        xv, dx = x
+        ambient = [(b, xv[s]) for b, s in enumerate(d_pos) if s in xv]
+        return [Q(sum(row[b] * c for b, c in ambient), t_den * dx) for row in to_local]
 
     mul_table = [
         [local_coords(d_mul(d_basis[i], d_basis[j])) for j in range(d)]
         for i in range(d)
     ]
-    # Gram of the norm in the chosen d-basis: entries are (1/2) B(b_a, b_b)
-    local = [[b[s] for s in d_pos] for b in d_basis]
-    gram = [[HALF * d_form.bilinear(x, y) for y in local] for x in local]
+    # Gram of the norm in the chosen d-basis: (1/2) B(b_a, b_b) = b_a^T G b_b,
+    # read in ints on the scaled Gram and divided once
+    rows, dg = _scaled_gram(d_form)
+    local = [([(k, xv.get(s, 0)) for k, s in enumerate(d_pos)], dx) for xv, dx in d_basis]
+    gram = [[Q(linalg.gram_form(rows, x, y), dg * dx * dy) for y, dy in local] for x, dx in local]
     D = algebra_from_table(mul_table, gram)
     model = jordan_mod.hermitian(r, D)
 
@@ -869,10 +904,8 @@ def _coordinatize_hermitian(p2, rj, forms, units):
     for i in range(1, r + 1):
         mat[i - 1][rj.position[p2.strongly_orthogonal[i - 1]]] = 1 / rj.frame_scale(i)
 
-    def psi_1j(x_vec, j):
-        if j == 2:
-            return local_coords(x_vec)
-        return local_coords(dbl(x_vec, u[(2, j)]))
+    def psi_1j(x, j):
+        return local_coords(x if j == 2 else dbl(x, u[(2, j)]))
 
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
@@ -880,11 +913,8 @@ def _coordinatize_hermitian(p2, rj, forms, units):
             block = model._pair_offset[(i - 1, j - 1)]
             for a in form.roots:
                 src = rj.position[a]
-                x_vec = rj.embed((a,), (Q(1),))
-                if i == 1:
-                    coords = psi_1j(x_vec, j)
-                else:
-                    coords = psi_1j(dbl(x_vec, u[(1, i)]), j)
+                x = {src: 1}, 1
+                coords = psi_1j(x if i == 1 else dbl(x, u[(1, i)]), j)
                 for kk, c in enumerate(coords):
                     mat[block + kk][src] = c
     return Coordinatization(parabolic=p2, root_jordan=rj, model=model, matrix=mat)
@@ -920,11 +950,11 @@ def cross_validate(p: ParabolicDecomposition) -> CrossValidation:
 
     def levi_op(lie: LieAlgebra, i: int, n_basis: list) -> list:
         """Column-sparse action of basis element i on the +2 block, in the
-        block basis n_basis, read from the brackets [b_i, n_basis[k]]."""
+        block basis n_basis, in ints over lie's den: the cells [b_i, n_basis[k]]."""
         pos = {t: k for k, t in enumerate(n_basis)}
         cols = []
         for t in n_basis:
-            img = lie.bracket_basis(i, t)
+            img = lie.table.cells[i][t]
             if not img.keys() <= pos.keys():
                 raise ConstructionError("0-part action left the nilradical")
             cols.append({pos[s]: c for s, c in img.items()})
@@ -956,13 +986,17 @@ def cross_validate(p: ParabolicDecomposition) -> CrossValidation:
     for a, i in enumerate(g1.degree_indices(-2)):
         root_vec = {n_map[n_idx1[b]]: c for b, c in w1_inv[a].items()}
         images[i] = kkt_mod.w_map(g2, to_n2(linalg.op_apply(phi, root_vec)))
-    # 0 block: the action on the nilradical, conjugated to phi op phi^{-1}
+    # 0 block: the action on the nilradical, conjugated to phi op phi^{-1}, in
+    # ints: with phi and phi^{-1} over their lcm P, P phi (den1 op) P phi^{-1}
+    # is P^2 den1 times the conjugate, so each coordinate is divided once
+    ints = linalg.scale_table((phi, phi_inv))
+    (phi_s, phi_inv_s), conj_den = ints.cells, ints.den**2 * g1.table.den
     for i in g1.degree_indices(0):
-        conj = linalg.op_compose(phi, linalg.op_compose(levi_op(g1, i, n_chev), phi_inv))
+        conj = linalg.op_compose(phi_s, linalg.op_compose(levi_op(g1, i, n_chev), phi_inv_s))
         coords = span2.coordinates(linalg.op_flatten(conj, nJ))
         if coords is None:
             raise ConstructionError("transported 0-part operator escaped the span")
-        images[i] = {nJ + a: c for a, c in enumerate(coords) if c}
+        images[i] = {nJ + a: Q(c, conj_den) for a, c in enumerate(coords) if c}
 
     # images, keyed by Chevalley index, is the transport phi as an operator; in
     # ints over its lcm D and the tables' den1 and den2, L = D^2 den2 [phi b_i,

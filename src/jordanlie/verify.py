@@ -378,9 +378,10 @@ def corrupted_copy(g: LieAlgebra, i: int, j: int, k: int, delta: Fraction) -> Li
     """Copy of g with the coefficient of basis k in [b_i, b_j] shifted."""
     if not (0 <= i < j < g.dim):
         raise InvalidParameter("need 0 <= i < j < dim")
-    brackets = {(a, b): g.bracket_basis(a, b) for a, b in g.upper()}
-    vec = brackets.setdefault((i, j), {})
-    new = vec.get(k, Q(0)) + Q(delta)
+    cells, den = g.table.cells, g.table.den
+    brackets = {(a, b): (dict(cells[a][b]), den) for a, b in g.upper()}
+    vec, _ = brackets.setdefault((i, j), ({}, den))
+    new = vec.get(k, 0) + den * Q(delta)
     if new:
         vec[k] = new
     else:

@@ -5,7 +5,6 @@ sampled when the line says so: only Jacobi may."""
 
 import importlib
 import importlib.util
-import linecache
 import random
 import sys
 import tracemalloc
@@ -14,10 +13,16 @@ from pathlib import Path
 
 from test_cli import GOLDEN_VERIFY_ARGS, GOLDEN_VERIFY_SHA256
 
+import jordanlie
 from jordanlie import jordan, kkt, linalg, rootdata, verify
 from jordanlie.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# the lines of every jordanlie module, read once the package is imported:
+# _count_fraction_arithmetic reports a call's line from here, so an edit to a
+# source file while the suite runs cannot shift what it reports
+SOURCE = {str(path): path.read_text().splitlines() for path in Path(jordanlie.__file__).parent.glob("*.py")}
 
 
 def _load(name):
@@ -133,13 +138,15 @@ def _caller(frame):
 
 
 def _count_fraction_arithmetic(monkeypatch, calls):
-    """Record (op, function, source line) for every Fraction * and + made."""
+    """Record (op, function, source line) for every Fraction * and + made;
+    the line is read from SOURCE, or is file:line outside jordanlie."""
     for op in ("__mul__", "__rmul__", "__add__", "__radd__"):
         original = getattr(Fraction, op)
 
         def counted(*args, _op=op, _fn=original):
             frame = _caller(sys._getframe(1))
-            line = linecache.getline(frame.f_code.co_filename, frame.f_lineno).strip()
+            path, lineno = frame.f_code.co_filename, frame.f_lineno
+            line = SOURCE[path][lineno - 1].strip() if path in SOURCE else f"{path}:{lineno}"
             calls.append((_op, frame.f_code.co_name, line))
             return _fn(*args)
 
@@ -203,8 +210,9 @@ def test_split_build_makes_no_fraction_arithmetic(monkeypatch):
 
 def test_cross_validate_compares_its_pairs_in_ints(monkeypatch, split_builds):
     # the 8,778 pairs of E7 node 7 are compared on the integer tables, so
-    # cross_validate's own frame reads no bracket; the transport of the -2
-    # block (w_map) and the Jordan side it coordinatizes still do
+    # cross_validate's own frame reads no bracket, and the Jordan side it
+    # coordinatizes (jordan_from_roots, q_forms) reads the table's cells; only
+    # the transport of the -2 block (w_map) still calls bracket
     assert ("rootdata", "cross_validate") in set(_load("spans").TRACED)
     p = rootdata.parabolic(split_builds("E7", 7), 7)
     callers = {}
@@ -219,7 +227,7 @@ def test_cross_validate_compares_its_pairs_in_ints(monkeypatch, split_builds):
     cv = rootdata.cross_validate(p)
     monkeypatch.undo()
     assert cv.ok and cv.dim == 133
-    assert callers == {"w_map": 108, "jordan_from_roots": 756, "q_forms": 48}
+    assert callers == {"w_map": 108}
 
 
 def test_q_composition_checks_make_no_fraction_arithmetic(monkeypatch, split_builds):
@@ -237,3 +245,38 @@ def test_q_composition_checks_make_no_fraction_arithmetic(monkeypatch, split_bui
     monkeypatch.undo()
     assert res.line() == "q-composition: PASS [7776 checks]"
     assert calls == []
+
+
+def test_coordinatize_makes_fraction_arithmetic_only_on_readout_lines(monkeypatch, split_builds):
+    # the Jordan product, the Pierce Grams, the unit search, the {x, y}
+    # chain, the local coordinates and the coefficient Gram run on ints and
+    # divide once per output constant, and the unit and conjugation checks of
+    # the coefficient algebra compare ints, so what adds or multiplies a
+    # Fraction in coordinatize (E7 node 7) is the readout: the rescaled
+    # triples and forms of p2, and the product of pivots of the norm Gram's
+    # determinant.  jordan.hermitian's own table build, timed apart by
+    # perfbench, is left out
+    traced = set(_load("spans").TRACED)
+    names = {("rootdata", n) for n in ("coordinatize", "jordan_from_roots", "q_forms")}
+    assert names | {("jordan", "hermitian")} <= traced
+    p = rootdata.parabolic(split_builds("E7", 7), 7)
+    calls = []
+    hermitian = jordan.hermitian
+
+    def uncounted(r, D):
+        start = len(calls)
+        model = hermitian(r, D)
+        del calls[start:]
+        return model
+
+    monkeypatch.setattr(jordan, "hermitian", uncounted)
+    _count_fraction_arithmetic(monkeypatch, calls)
+    co = rootdata.coordinatize(p)
+    monkeypatch.undo()
+    assert co.model.dim == 27
+    readout = {
+        ("_rescaled_parabolic", "e={k: c * s for k, c in t.e.items()},"),
+        ("coordinatize", "s = scales[i - 1] * scales[j - 1]"),
+        ("det", "d *= lead"),
+    }
+    assert {(name, line) for _, name, line in calls} <= readout

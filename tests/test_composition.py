@@ -7,6 +7,7 @@ import pytest
 
 from jordanlie import verify
 from jordanlie.composition import (
+    algebra_from_table,
     build_composition,
     composition_law_failure,
     element_from_json,
@@ -48,6 +49,34 @@ def test_unit_law_on_all_basis_elements():
         for b in alg.basis():
             assert one * b == b
             assert b * one == b
+
+
+def _dense_table(alg):
+    return [[[cell.get(k, 0) for k in range(alg.dim)] for cell in row] for row in alg.mul_table]
+
+
+@pytest.mark.parametrize(
+    "cell, gram_entry, message",
+    [
+        # e0 e2 = 2 e2 breaks the left unit law, e2 e0 = 2 e2 the right one
+        ((0, 2), None, "basis element 0 is not a left unit at 2"),
+        ((2, 0), None, "basis element 0 is not a right unit at 2"),
+        # N(e1) = -2 against e1 e1 = e0: u conj(u) = -e1 e1 is -e0, not N(e1) 1
+        (None, (1, 1), r"u\*conj\(u\) != N\(u\)\*1 at basis pair \(1, 1\)"),
+    ],
+)
+def test_unit_and_conjugation_checks_reject_a_broken_table(cell, gram_entry, message):
+    good = build_composition(4, [1, 1])
+    table, gram = _dense_table(good), [list(row) for row in good.norm_gram]
+    assert algebra_from_table(table, gram).mul_table == good.mul_table
+    if cell is not None:
+        i, j = cell
+        table[i][j] = [2 * c for c in table[i][j]]
+    if gram_entry is not None:
+        i, j = gram_entry
+        gram[i][j] *= 2
+    with pytest.raises(InvalidParameter, match=message):
+        algebra_from_table(table, gram)
 
 
 def zero_divisor_search(alg):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -342,6 +343,48 @@ def test_pierce_squares_rule_exhaustive(split_builds):
                 want[target_i] = qv
                 want[target_j] = qv
                 assert list(sq) == want, (key, (i, j))
+
+
+# the Jordan product and the coordinatization of these, each checked below
+# against an oracle or a pin
+ORACLE_NODES = [("E7", 7, 7), ("A", 5, 3), ("D", 6, 1), ("D", 6, 6), ("C", 3, 3)]
+
+
+@pytest.mark.parametrize("tl, rk, node", ORACLE_NODES)
+def test_jordan_from_roots_matches_the_bracket_oracle(tl, rk, node, split_builds):
+    # x o y = [x, [f, y]]/2 read through LieAlgebra.bracket, on the parabolic
+    # and on coordinatize's rescaled copy (f_i over s_i, so f is not integral);
+    # each cell keeps the key order of the bracket reads
+    p = parabolic(split_builds(tl, rk), node)
+    for q in (p, coordinatize(p).parabolic):
+        g, f = q.algebra, q.chain_sum("f")
+        e = [g.root_system.e_idx[a] for a in q.n_roots]
+        pos = {t: k for k, t in enumerate(e)}
+        want = [
+            [[(pos[k], c / 2) for k, c in g.bracket({a: Q(1)}, g.bracket(f, {b: Q(1)})).items()] for b in e]
+            for a in e
+        ]
+        assert [[list(cell.items()) for cell in row] for row in jordan_from_roots(q).table] == want
+
+
+# SHA-256 of coordinatize's matrix and model table, taken from the Fraction
+# implementation of the Jordan side, before it moved to the integer table
+COORDINATIZATION_SHA256 = {
+    ("E7", 7, 7): "0f8fcd9c353db83cd5edaa8110e8c624803308bfe762a6da094f207abc371ee7",
+    ("A", 5, 3): "24c12cec0e39f0c964d2f640afa7607410ca73ceb2ce4f39adf3e748f25d9a05",
+    ("D", 6, 1): "b0c251b6384d4741310c8b59edb81c6dae8588230c308a5167205c4bf8275be9",
+    ("D", 6, 6): "59d3642bd81b090fe7233f1911d5197b4191dc0429fa01d27e4ab5e45607a292",
+    ("C", 3, 3): "8b816fe8d4a106504cb21799721301425eddc8ae2cada56e839155f020a2c03b",
+}
+
+
+@pytest.mark.parametrize("tl, rk, node", ORACLE_NODES)
+def test_coordinatize_is_pinned(tl, rk, node, split_builds):
+    co = coordinatize(parabolic(split_builds(tl, rk), node))
+    mat = [[str(c) for c in row] for row in co.matrix]
+    table = [[[(k, str(c)) for k, c in cell.items()] for cell in row] for row in co.model.mul_table]
+    digest = hashlib.sha256(repr((mat, table)).encode()).hexdigest()
+    assert digest == COORDINATIZATION_SHA256[tl, rk, node]
 
 
 def test_q_forms_nondegenerate_and_split(split_builds):
