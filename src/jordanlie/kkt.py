@@ -163,9 +163,9 @@ class LieAlgebra:
         return Q(total, dx * dy * self.table.den**2)
 
     def killing_scale(self) -> Fraction:
-        """s with killing(b_i, b_j) = s trace(cells[i] cells[j]) on every pair
-        killing_matrix traces: 1/den^2, over the ad-trace pairing of the norm
-        pair when there is one."""
+        """s with killing(b_i, b_j) = s trace(cells[i] cells[j]) on every basis
+        pair: 1/den^2, over the ad-trace pairing of the norm pair when there
+        is one."""
         s = Q(1, self.table.den**2)
         if self.norm_pair is not None:
             raw = self.killing_raw(*self.norm_pair)
@@ -176,26 +176,15 @@ class LieAlgebra:
 
     def killing_matrix(self) -> list[list[Fraction]]:
         """Full Killing Gram matrix on the basis, scaled so that the norm pair
-        pairs to 1.  ad(x) ad(y) shifts weights by w(x) + w(y), so only pairs
-        whose weights cancel are traced, in ints.  The weight is the root in a
-        Chevalley build, else the grading degree; with neither, every pair is traced."""
+        pairs to 1.  Row i of the table is den ad(b_i), so one
+        op_trace_products run over the rows yields every nonzero int trace
+        of a pair i <= j, and each is scaled once."""
         if self._killing is None:
-            if self.root_system is not None:
-                weights = self.root_system.weights
-            elif self.grading is not None:
-                weights = [(d,) for d in self.grading]
-            else:
-                weights = [()] * self.dim
-            by_weight: dict = {}
-            for i, w in enumerate(weights):
-                by_weight.setdefault(w, []).append(i)
             s = self.killing_scale()
-            ads = self.table.cells
             mat = [[Q(0)] * self.dim for _ in range(self.dim)]
-            for i, w in enumerate(weights):
-                for j in by_weight.get(tuple(-c for c in w), ()):
-                    if j >= i:
-                        mat[i][j] = mat[j][i] = s * linalg.op_trace_product(ads[i], ads[j])
+            for i, traces in enumerate(linalg.op_trace_products(self.table.cells, self.dim)):
+                for j, t in traces.items():
+                    mat[i][j] = mat[j][i] = s * t
             self._killing = mat
         return self._killing
 

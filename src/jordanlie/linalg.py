@@ -10,7 +10,10 @@ sparse image of basis vector k, flattened (for echelon work) with entry
 (row, k) at k * n + row; ``op_commutators`` forms the commutators of every
 pair of a list, one flat accumulator per left operator joining it with all
 later ones on their entries, and drops its zeros once (``op_commutator`` is
-its one-pair call).  Coefficients are Fractions, except in
+its one-pair call); ``op_trace_products`` forms every nonzero trace of a
+pair of a list (the Killing Gram), each entry meeting only the entries it
+multiplies (``op_trace_product`` traces one pair on its own).
+Coefficients are Fractions, except in
 ``gram_form`` on integer input (the root data, the Pierce Grams of the
 q-composition suite and of the coordinatization), in ``dense_product``,
 in kkt's structure operators and its whole construction of m (span,
@@ -91,6 +94,34 @@ def op_trace_product(a, b):
             if w is not None:
                 total += w * c
     return total
+
+
+def op_trace_products(ops, n: int):
+    """For each A_a of the sequence ops in order, {b: trace(A_a A_b)} over the
+    b >= a whose trace is nonzero, keys ascending.  Every entry A_b[l, k] is
+    listed once at key l n + k, in reverse operator order, so an entry
+    A_a[k, l] meets only the entries it multiplies, and once A_a is done its
+    own entries, the last of each list, are popped: the cost is the number
+    of entries plus the products that meet."""
+    listed: dict = {}  # l n + k -> [(b, A_b[l, k])], b descending
+    for b in range(len(ops) - 1, -1, -1):
+        for k, col in enumerate(ops[b]):
+            if col:
+                for l, c in col.items():
+                    listed.setdefault(l * n + k, []).append((b, c))
+    for cols in ops:
+        acc: dict = {}
+        own = []  # where A_a's entries are listed
+        for l, col in enumerate(cols):
+            if col:
+                l_n = l * n
+                for k, t in col.items():
+                    own.append(k * n + l)
+                    for b, c in listed.get(l_n + k, ()):
+                        acc[b] = acc.get(b, 0) + t * c
+        for key in own:
+            listed[key].pop()
+        yield {b: c for b, c in sorted(acc.items()) if c}
 
 
 def op_from_dense(mat) -> tuple:

@@ -419,6 +419,8 @@ class ParabolicDecomposition:
     m_roots: tuple[Root, ...]
     strongly_orthogonal: tuple[Root, ...]
     triples: tuple[Sl2Triple, ...]
+    # the pairings <a, b-dual> of each n root a, in n_roots order, with the chain's b
+    patterns: tuple[tuple[int, ...], ...]
 
     @property
     def degree(self) -> int:
@@ -431,19 +433,13 @@ class ParabolicDecomposition:
         return {k: c for k, c in acc.items() if c}
 
     def pierce_roots(self, i: int, j: int) -> tuple[Root, ...]:
-        """Roots spanning the (i, j) Pierce component, 1-based indices."""
-        rs = self.algebra.root_system
-        S = self.strongly_orthogonal
+        """Roots spanning the (i, j) Pierce component, 1-based indices: for
+        i != j, the n roots pairing to 1 with the i-th and j-th chain roots
+        and to 0 with the others."""
         if i == j:
-            return (S[i - 1],)
-        out = []
-        for a in self.n_roots:
-            pattern = tuple(rs.pairing(a, b) for b in S)
-            if all(
-                p == (1 if k + 1 in (i, j) else 0) for k, p in enumerate(pattern)
-            ):
-                out.append(a)
-        return tuple(out)
+            return (self.strongly_orthogonal[i - 1],)
+        want = tuple(int(k in (i, j)) for k in range(1, self.degree + 1))
+        return tuple(a for a, pattern in zip(self.n_roots, self.patterns) if pattern == want)
 
 
 def parabolic(g: LieAlgebra, node: int) -> ParabolicDecomposition:
@@ -481,8 +477,9 @@ def parabolic(g: LieAlgebra, node: int) -> ParabolicDecomposition:
         chain.append(best)
     # tube type: the chain's coroots sum to the grading element, so every
     # root of n pairs to 2 with the chain
-    for a in n_roots:
-        d = sum(rs.pairing(a, b) for b in chain)
+    patterns = tuple(tuple(rs.pairing(a, b) for b in chain) for a in n_roots)
+    for a, pattern in zip(n_roots, patterns):
+        d = sum(pattern)
         if d != 2:
             raise InvalidParameter(
                 f"node {node}: non-tube parabolic (root {a} has pairing sum {d} "
@@ -507,6 +504,7 @@ def parabolic(g: LieAlgebra, node: int) -> ParabolicDecomposition:
         m_roots=m_roots,
         strongly_orthogonal=tuple(chain),
         triples=tuple(triples),
+        patterns=patterns,
     )
 
 
@@ -640,8 +638,8 @@ def q_forms(p: ParabolicDecomposition) -> dict[tuple[int, int], PierceForm]:
     component, with kappa normalized on the algebra's norm pair.  The images
     [f_i, e_a] are read in ints from the bracket table (df_i den times them),
     and kappa(x, y) = s sum x_k y_l trace(cells[k] cells[l]) over the pairs
-    whose weights cancel, as killing_matrix has it, from int traces; each
-    Gram entry is divided once."""
+    whose root weights cancel (any other composite shifts weights and is
+    traceless), from int traces; each Gram entry is divided once."""
     g = p.algebra
     rs = g.root_system
     cells, den = g.table.cells, g.table.den

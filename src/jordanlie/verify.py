@@ -91,14 +91,26 @@ def _sampled_triples(seed: int, n: int, count: int):
 
 
 def _jacobi_chunk(args) -> Optional[tuple]:
-    """The first triple whose Jacobi sum is nonzero on the integer table, or None."""
+    """The first triple whose Jacobi sum is nonzero on the integer table, or None:
+    jacobi_residual's three terms, each skipped when its bracket is empty
+    (most random brackets are), with the add inlined."""
     g, triples = args
     t = g.table.cells
     for i, j, k in triples:
+        ti, tj, tk = t[i], t[j], t[k]
         acc: dict = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            if t[a][b]:
-                linalg.add_combination(acc, t[c], t[a][b].items())
+        if ab := ti[j]:
+            for p, c in ab.items():
+                for m, v in tk[p].items():
+                    acc[m] = acc.get(m, 0) + c * v
+        if ab := tj[k]:
+            for p, c in ab.items():
+                for m, v in ti[p].items():
+                    acc[m] = acc.get(m, 0) + c * v
+        if ab := tk[i]:
+            for p, c in ab.items():
+                for m, v in tj[p].items():
+                    acc[m] = acc.get(m, 0) + c * v
         if any(acc.values()):
             return (i, j, k)
     return None
@@ -184,10 +196,14 @@ def suite_killing(g: LieAlgebra, cfg: Config) -> SuiteResult:
     n = g.dim
     # ad-invariance kappa([b_i,b_j],b_k) + kappa(b_j,[b_i,b_k]) = 0 on all n^3
     # basis triples: the two terms are entries (k, j) and (j, k) of M_i = K ad_i
-    # (column j is m[j]), in ints over one denominator: each must be antisymmetric
+    # (column j is m[j], empty where ad_i's is), in ints over one denominator:
+    # each must be antisymmetric
     krows = linalg.scale_table([[{t: c for t, c in enumerate(row) if c} for row in mat]]).cells[0]
     for i in range(n):
-        m = [linalg.add_combination({}, krows, col.items()) for col in g.table.cells[i]]
+        m = [
+            linalg.add_combination({}, krows, col.items()) if col else col
+            for col in g.table.cells[i]
+        ]
         bad = [(j, k) for j, col in enumerate(m) for k, c in col.items() if c + m[k].get(j, 0)]
         if bad:
             # failures come in mirror pairs; the first triple in order has j <= k
@@ -337,7 +353,9 @@ def suite_q_composition(p: rootdata.ParabolicDecomposition, cfg: Config) -> Suit
     #   B_jl(2ab, 2a'b') + B_jl(2ab', 2a'b) = B_il(a, a') B_ij(b, b')
     # and basis multisets {a, a'}, {b, b'} certify it, B(e_s, e_t) = 2 G[s][t].
     # In ints the Grams are D G over their lcm D and prod[a][b] = den (a o b),
-    # so with S the two gram_form terms lhs = 8 S / (den^2 D), rhs = 4 G G / D^2
+    # held sparse; each term x^T G y is read as the dot of x with G y, formed
+    # once per product as gprod.  With S the two terms summed,
+    # lhs = 8 S / (den^2 D), rhs = 4 G G / D^2
     pos, den, cells = rj.position, rj.scaled.den, rj.scaled.cells
     scaled = linalg.scale_table([[dict(enumerate(row)) for row in f.gram] for f in forms.values()])
     grams = dict(zip(forms, scaled.cells))
@@ -347,14 +365,15 @@ def suite_q_composition(p: rootdata.ParabolicDecomposition, cfg: Config) -> Suit
         (f_il, f_ij, f_jl), (G_il, G_ij, G_jl) = [forms[k] for k in pairs], [grams[k] for k in pairs]
         col = [pos[c] for c in f_jl.roots]
         prod = [
-            [list(enumerate(cells[pos[a]][pos[b]].get(c, 0) for c in col)) for b in f_ij.roots]
+            [[(t, v) for t, c in enumerate(col) if (v := cells[pos[a]][pos[b]].get(c))] for b in f_ij.roots]
             for a in f_il.roots
         ]
+        gprod = [[[sum(g[t] * v for t, v in x) for g in G_jl] for x in row] for row in prod]
         for a, a2 in itertools.combinations_with_replacement(range(len(f_il.roots)), 2):
             for b, b2 in itertools.combinations_with_replacement(range(len(f_ij.roots)), 2):
                 checked += 1
-                lhs = linalg.gram_form(G_jl, prod[a][b], prod[a2][b2])
-                lhs += linalg.gram_form(G_jl, prod[a][b2], prod[a2][b])
+                lhs = sum(v * gprod[a2][b2][t] for t, v in prod[a][b])
+                lhs += sum(v * gprod[a2][b][t] for t, v in prod[a][b2])
                 if 2 * scaled.den * lhs != den * den * G_il[a][a2] * G_ij[b][b2]:
                     witness = f"indices ({i},{j},{l}) a, a' = {a}, {a2} b, b' = {b}, {b2}"
                     return SuiteResult("q-composition", False, checked, witness=witness)

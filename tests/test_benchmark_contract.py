@@ -129,6 +129,28 @@ def test_build_kkt_forms_every_commutator_in_two_batched_runs(monkeypatch, famil
     assert (len(single), pairs) == (0, [(27, 324, 351), (79, 1848, 3081)])
 
 
+def test_killing_matrix_traces_in_one_batched_run(monkeypatch, kkt_builds):
+    # every trace of the kkt E7 Killing Gram (read from JSON, as perfbench's
+    # bracket-read workload does) comes from one op_trace_products run over
+    # the table's 133 rows; op_trace_product runs only on the norm pair's
+    # rows, for its raw trace
+    assert ("kkt", "LieAlgebra.killing_matrix") in set(_load("spans").TRACED)
+    g = kkt.from_json(kkt.to_json(kkt_builds("E7")))
+    products, product, runs, single = linalg.op_trace_products, linalg.op_trace_product, [], []
+
+    def counted(ops, n):
+        runs.append((len(ops), n))
+        yield from products(ops, n)
+
+    monkeypatch.setattr(linalg, "op_trace_products", counted)
+    monkeypatch.setattr(linalg, "op_trace_product", lambda a, b: single.append((a, b)) or product(a, b))
+    g.killing_matrix()
+    monkeypatch.undo()
+    cells, (f1, e1) = g.table.cells, g.norm_pair
+    assert runs == [(133, 133)]
+    assert single == [(cells[i], cells[j]) for i in f1 for j in e1]
+
+
 def _caller(frame):
     """The function frame that runs frame's code: a comprehension's or a
     lambda's own frame is skipped."""

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import itertools
 import json
@@ -103,7 +104,7 @@ def test_killing_suite(kkt_builds):
 
 
 def assert_killing_matches_oracle(g):
-    """Every basis pair of the weight-skipping Killing matrix against the raw
+    """Every basis pair of the batched Killing matrix against the raw
     ad-trace recomputation, rescaled by the norm pair."""
     scale = g.killing_raw(*g.norm_pair)
     mat = g.killing_matrix()
@@ -127,6 +128,36 @@ def test_killing_normalization_and_oracle(kkt_builds, split_builds):
     g3 = kkt_builds("C3")
     h3 = g3.triple[1]
     assert g3.killing(h3, h3) == 6
+
+
+def test_killing_matrix_matches_the_oracle_off_the_grading(kkt_builds):
+    # a constant moved out of its degree can make ad(b_i) ad(b_j) traceful on
+    # a pair whose degrees do not cancel: on every such corruption of a
+    # nonzero bracket of H2(Q)'s algebra the Killing matrix still matches the
+    # oracle, and 148 of the 184 copies pair two basis vectors across degrees
+    g = kkt_builds("C2")
+    deg = g.grading
+    across = 0
+    for i, j in list(g.upper()):
+        for k in range(g.dim):
+            if deg[k] != deg[i] + deg[j]:
+                bad = verify.corrupted_copy(g, i, j, k, 1)
+                assert_killing_matches_oracle(bad)
+                mat = bad.killing_matrix()
+                across += any(mat[a][b] for a in range(g.dim) for b in range(g.dim) if deg[a] + deg[b])
+    assert across == 148
+
+
+def test_killing_suite_names_a_grading_that_pairs_across_degrees(kkt_builds):
+    # m:0 and n:0 of H2(Q)'s algebra swap degree labels: the brackets are
+    # untouched, so the Killing matrix stays ad-invariant, and the suite
+    # names the pairing of nbar:0 with n:0, now of degree 0
+    g = kkt_builds("C2")
+    m0, n0 = g.labels.index("m:0"), g.labels.index("n:0")
+    deg = list(g.grading)
+    deg[m0], deg[n0] = deg[n0], deg[m0]
+    res = verify.suite_killing(dataclasses.replace(g, grading=tuple(deg)), CFG)
+    assert res.line() == "killing: FAIL [1008 checks] witness: nonzero pairing across degrees at (nbar:0, n:0)"
 
 
 def test_killing_frame_duality(kkt_builds, family_instances):

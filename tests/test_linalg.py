@@ -142,6 +142,36 @@ def test_op_trace_product():
         assert linalg.op_trace_product(a, b) == sum((prod[i][i] for i in range(n)), Q(0))
 
 
+def test_op_trace_products_match_the_one_pair_traces():
+    # one run over a list yields, for each A_a in order, exactly the b >= a
+    # whose trace(A_a A_b) is nonzero, keys ascending, each equal to
+    # op_trace_product's: on the seeded pairs, and on lists of random
+    # operators, copies with columns emptied, an all-zero operator, int
+    # copies and A = [[1, 1], [-1, -1]], whose traces with itself and with
+    # the identity cancel entry by entry
+    rng = random.Random(13)
+    lists = [(n, [A, B]) for n, A, B in operator_pairs()]
+    lists.append((2, [[[Q(1), Q(1)], [Q(-1), Q(-1)]], linalg.identity(2)]))
+    for n in (1, 3, 6):
+        ms = [random_dense(rng, n) for _ in range(5)]
+        ms += [emptied(M, {k for k in range(n) if rng.random() < 0.4}) for M in ms]
+        ms.append([[Q(0)] * n for _ in range(n)])
+        for M in ms[:3]:
+            den = math.lcm(*(c.denominator for row in M for c in row))
+            ms.append([[int(den * c) for c in row] for row in M])
+        lists.append((n, ms))
+    vanishing = 0
+    for n, ms in lists:
+        ops = [linalg.op_from_dense(M) for M in ms]
+        got = list(linalg.op_trace_products(ops, n))
+        assert len(got) == len(ops)
+        for a, traces in enumerate(got):
+            want = [(b, linalg.op_trace_product(ops[a], ops[b])) for b in range(a, len(ops))]
+            vanishing += sum(not t for _, t in want)
+            assert list(traces.items()) == [(b, t) for b, t in want if t]
+    assert vanishing
+
+
 def test_op_flatten_round_trip():
     for n, A, _ in operator_pairs():
         a = linalg.op_from_dense(A)

@@ -235,9 +235,30 @@ def test_parabolic_table(key, split_builds):
     # diagonal Pierce pieces are the chain lines
     for i in range(1, r + 1):
         assert p.pierce_roots(i, i) == (p.strongly_orthogonal[i - 1],)
+    # off the diagonal, the n roots pairing to 1 with the i-th and j-th chain
+    # roots and to 0 with the others, enumerated here by pairing
+    rs, chain = g.root_system, p.strongly_orthogonal
+    for i, j in itertools.combinations(range(1, r + 1), 2):
+        want = [int(k in (i, j)) for k in range(1, r + 1)]
+        assert p.pierce_roots(i, j) == tuple(
+            a for a in p.n_roots if [rs.pairing(a, b) for b in chain] == want
+        )
     # pierce components cover the nilradical
     total = r + r * (r - 1) // 2 * d
     assert total == dim_n
+
+
+def test_q_forms_pair_no_root(monkeypatch, split_builds):
+    # parabolic() pairs each n root with the chain once, and the parabolics
+    # made from it by replace() carry those pairings, so q_forms pairs none
+    pairing, calls = RootSystem.pairing, []
+    for tl, rk, node in (("E7", 7, 7), ("D", 6, 6), ("A", 5, 3), ("C", 3, 3)):
+        p = parabolic(split_builds(tl, rk), node)
+        graded = replace(p, algebra=graded_algebra(p))
+        monkeypatch.setattr(RootSystem, "pairing", lambda *args: calls.append(args) or pairing(*args))
+        assert q_forms(p) == q_forms(graded)
+        monkeypatch.undo()
+    assert calls == []
 
 
 def test_canonical_nodes():
