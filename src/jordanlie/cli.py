@@ -159,7 +159,7 @@ def target_lie_algebra(t: Target) -> kkt.LieAlgebra:
 
 def target_parabolic(t: Target) -> rootdata.ParabolicDecomposition:
     """Parabolic of a root: target at its node=, or else at the canonical node;
-    with node= it holds the graded algebra, so all suites share its Killing matrix."""
+    with node= it holds the graded algebra, so all suites share its trace Gram."""
     if t.parabolic is None:
         node = t.node
         if node is None:

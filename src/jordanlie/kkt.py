@@ -37,12 +37,14 @@ inside nbar, h = [e, f] = -V_{e,e} = 2 L_e: no bracket is read.
 A LieAlgebra holds its brackets only as a table of all ordered pairs in
 linalg's {k: coeff} cells, ints scaled over den, the lcm of the constants'
 denominators, built by bracket_table from the brackets [b_i, b_j], i != j,
-each given as ints or Fractions over an int.  Every bracket, ad operator
-and Killing trace is read in ints from it and divided once on output;
+each given as ints or Fractions over an int.  Every bracket and ad
+operator is read in ints from it and divided once on output;
 bracket_basis divides the cell.
 
 The Killing form is the ad-trace form rescaled so that it takes the value 1
-on the pair (f_1, e_1) built from the first frame idempotent.
+on the pair (f_1, e_1) built from the first frame idempotent.  Every
+Killing read goes through the algebra's one integer trace Gram,
+killing_matrix, which one linalg.op_trace_products run forms.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ class LieAlgebra:
     # rootdata.RootSystem of a Chevalley build; derived data, not compared
     root_system: Optional[object] = field(default=None, compare=False, repr=False)
     # memoized derived data: never passed, copied by replace() or compared
-    _killing: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    _gram: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -151,21 +153,31 @@ class LieAlgebra:
 
     # -- Killing form --------------------------------------------------------
 
+    def killing_matrix(self) -> list[list[int]]:
+        """The trace Gram T[i][j] = trace(cells[i] cells[j]) = den^2
+        trace(ad b_i ad b_j) in ints, memoized; killing(b_i, b_j) =
+        killing_scale() T[i][j].  Row i of the table is den ad(b_i), so one
+        op_trace_products run over the rows yields every nonzero trace of a
+        pair i <= j."""
+        if self._gram is None:
+            gram = [[0] * self.dim for _ in range(self.dim)]
+            for i, traces in enumerate(linalg.op_trace_products(self.table.cells, self.dim)):
+                for j, t in traces.items():
+                    gram[i][j] = gram[j][i] = t
+            self._gram = gram
+        return self._gram
+
     def killing_raw(self, x: SparseVec, y: SparseVec) -> Fraction:
         """trace(ad x ad y), no normalization: x and y in ints over dx and dy,
-        int traces, divided once by dx dy den^2."""
+        read off the trace Gram and divided once by dx dy den^2."""
         self._check_indices(x, y)
-        cells = self.table.cells
-        trace = linalg.op_trace_product
         xs, dx = linalg.scale_vec(x.items())
         ys, dy = linalg.scale_vec(y.items())
-        total = sum(cx * cy * trace(cells[i], cells[j]) for i, cx in xs for j, cy in ys)
-        return Q(total, dx * dy * self.table.den**2)
+        return Q(linalg.gram_form(self.killing_matrix(), xs, ys), dx * dy * self.table.den**2)
 
     def killing_scale(self) -> Fraction:
-        """s with killing(b_i, b_j) = s trace(cells[i] cells[j]) on every basis
-        pair: 1/den^2, over the ad-trace pairing of the norm pair when there
-        is one."""
+        """s with killing(b_i, b_j) = s T[i][j] on every basis pair: 1/den^2,
+        over the ad-trace pairing of the norm pair when there is one."""
         s = Q(1, self.table.den**2)
         if self.norm_pair is not None:
             raw = self.killing_raw(*self.norm_pair)
@@ -174,23 +186,8 @@ class LieAlgebra:
             s /= raw
         return s
 
-    def killing_matrix(self) -> list[list[Fraction]]:
-        """Full Killing Gram matrix on the basis, scaled so that the norm pair
-        pairs to 1.  Row i of the table is den ad(b_i), so one
-        op_trace_products run over the rows yields every nonzero int trace
-        of a pair i <= j, and each is scaled once."""
-        if self._killing is None:
-            s = self.killing_scale()
-            mat = [[Q(0)] * self.dim for _ in range(self.dim)]
-            for i, traces in enumerate(linalg.op_trace_products(self.table.cells, self.dim)):
-                for j, t in traces.items():
-                    mat[i][j] = mat[j][i] = s * t
-            self._killing = mat
-        return self._killing
-
     def killing(self, x: SparseVec, y: SparseVec) -> Fraction:
-        self._check_indices(x, y)
-        return linalg.gram_form(self.killing_matrix(), x.items(), y.items())
+        return self.killing_raw(x, y) * self.killing_scale() * self.table.den**2
 
 
 def bracket_table(dim: int, brackets) -> linalg.ScaledTable:

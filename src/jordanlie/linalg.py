@@ -11,8 +11,8 @@ sparse image of basis vector k, flattened (for echelon work) with entry
 pair of a list, one flat accumulator per left operator joining it with all
 later ones on their entries, and drops its zeros once (``op_commutator`` is
 its one-pair call); ``op_trace_products`` forms every nonzero trace of a
-pair of a list (the Killing Gram), each entry meeting only the entries it
-multiplies (``op_trace_product`` traces one pair on its own).
+pair of a list (a Lie algebra's one trace Gram, which every Killing read
+goes through), each entry meeting only the entries it multiplies.
 Coefficients are Fractions, except in
 ``gram_form`` on integer input (the root data, the Pierce Grams of the
 q-composition suite and of the coordinatization), in ``dense_product``,
@@ -20,7 +20,7 @@ in kkt's structure operators and its whole construction of m (span,
 [x, ybar] readout, companion and closure, handed to ``bracket_table`` as
 ints over their denominators), in the Lie bracket table (kkt's
 ``bracket_table``, the only store of a Lie algebra's brackets) and its
-readers, in rootdata's Jordan side (``jordan_from_roots``, ``q_forms``,
+readers, the Killing trace Gram among them, in rootdata's Jordan side (``jordan_from_roots``, ``q_forms``,
 the coordinatization's doubled-product chain and local coordinates, the
 transport's Levi block) and its cross-validate comparison, and in the
 composition algebra's unit, conjugation and composition laws, which scale
@@ -83,17 +83,6 @@ def op_apply(cols, v: SparseVec) -> SparseVec:
 def op_compose(a, b) -> tuple:
     """Columns of the product A B."""
     return tuple(op_apply(a, col) for col in b)
-
-
-def op_trace_product(a, b):
-    """trace(A B); an int when every entry is an int."""
-    total = 0
-    for l, bcol in enumerate(b):
-        for k, c in bcol.items():
-            w = a[k].get(l)
-            if w is not None:
-                total += w * c
-    return total
 
 
 def op_trace_products(ops, n: int):

@@ -367,6 +367,34 @@ def _padic_valuation(n: int, p: int) -> int:
     return v
 
 
+# Miller-Rabin on the primes up to 37 as bases decides primality exactly
+# below PRIME_BOUND (Sorenson and Webster, 2015)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIME_BOUND = 318665857834031151167461
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for p < PRIME_BOUND, in time polynomial
+    in p's digits: with p - 1 = 2^s d, d odd, each base a must give a^d = 1
+    or a^(2^t d) = -1 mod p for some t < s."""
+    if p < 2 or any(p % q == 0 for q in PRIME_BASES):
+        return p in PRIME_BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def local_class(a: Fraction, place) -> LocalInvariant:
     a = Q(a)
     if a == 0:
@@ -374,7 +402,9 @@ def local_class(a: Fraction, place) -> LocalInvariant:
     if place in ("inf", "oo", None):
         return LocalInvariant(place="inf", class_data=(1 if a > 0 else -1,))
     p = int(place)
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+    if p >= PRIME_BOUND:
+        raise InvalidParameter(f"place {p} is too large (primality is decided below {PRIME_BOUND})")
+    if not _is_prime(p):
         raise InvalidParameter(f"{p} is not a prime")
     num, den = a.numerator, a.denominator
     v = _padic_valuation(num, p) - _padic_valuation(den, p)

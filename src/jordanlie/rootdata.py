@@ -188,13 +188,6 @@ class RootSystem:
     def highest_root(self) -> Root:
         return self.positive_roots[-1]
 
-    @property
-    def weights(self) -> list[Root]:
-        """Weight of every Chevalley basis vector: -a for f_a, 0 for h_i,
-        a for e_a."""
-        pos = self.positive_roots
-        return [tuple(-c for c in a) for a in pos] + [(0,) * self.rank] * self.rank + list(pos)
-
 
 def _order_key(root: Root) -> tuple:
     return (sum(root), root)
@@ -511,19 +504,16 @@ def parabolic(g: LieAlgebra, node: int) -> ParabolicDecomposition:
 def graded_algebra(p: ParabolicDecomposition) -> LieAlgebra:
     """The parabolic's algebra re-equipped with the -2/0/+2 grading, the
     distinguished triple and the Killing normalization pair of the chain's
-    first sl2 triple; the copy computes its own Killing matrix."""
+    first sl2 triple; the copy fills its own trace Gram."""
     g = p.algebra
     rs: RootSystem = g.root_system
-    S = p.strongly_orthogonal
     degree = [0] * g.dim
-    for a in rs.positive_roots:
-        d = sum(rs.pairing(a, b) for b in S)
-        if d not in (0, 2):
+    for a in p.n_roots:  # parabolic() checked that each pairs to 2 with the chain
+        degree[rs.e_idx[a]], degree[rs.f_idx[a]] = 2, -2
+    for a in p.m_roots:
+        d = sum(rs.pairing(a, b) for b in p.strongly_orthogonal)
+        if d:
             raise ConstructionError(f"root {a} has pairing sum {d} against the chain")
-        if (d == 2) != (a[p.node - 1] > 0):
-            raise ConstructionError(f"grading of {a} disagrees with the partition")
-        degree[rs.e_idx[a]] = d
-        degree[rs.f_idx[a]] = -d
     return replace(
         g,
         grading=tuple(degree),
@@ -637,26 +627,17 @@ def q_forms(p: ParabolicDecomposition) -> dict[tuple[int, int], PierceForm]:
     """Q_ij(x) = kappa([f_i, x], [f_j, x]) / 2 on each off-diagonal
     component, with kappa normalized on the algebra's norm pair.  The images
     [f_i, e_a] are read in ints from the bracket table (df_i den times them),
-    and kappa(x, y) = s sum x_k y_l trace(cells[k] cells[l]) over the pairs
-    whose root weights cancel (any other composite shifts weights and is
-    traceless), from int traces; each Gram entry is divided once."""
+    and kappa(x, y) = s x^T T y off the algebra's integer trace Gram T
+    (LieAlgebra.killing_matrix); each Gram entry is divided once."""
     g = p.algebra
     rs = g.root_system
     cells, den = g.table.cells, g.table.den
     s = g.killing_scale()
-    weights = rs.weights
-    neg = [tuple(-c for c in w) for w in weights]
+    trace = g.killing_matrix()
 
     def images(f, roots):
         fs, df = linalg.scale_vec(f.items())
-        return [linalg.table_product({}, cells, fs, [(rs.e_idx[a], 1)]) for a in roots], df
-
-    def trace(x, y):
-        return sum(
-            cx * cy * linalg.op_trace_product(cells[k], cells[l])
-            for k, cx in x.items() if cx
-            for l, cy in y.items() if cy and weights[l] == neg[k]
-        )
+        return [linalg.table_product({}, cells, fs, [(rs.e_idx[a], 1)]).items() for a in roots], df
 
     r = p.degree
     out = {}
@@ -664,15 +645,16 @@ def q_forms(p: ParabolicDecomposition) -> dict[tuple[int, int], PierceForm]:
         for j in range(i + 1, r + 1):
             roots = p.pierce_roots(i, j)
             (imgs_i, di), (imgs_j, dj) = (images(p.triples[t - 1].f, roots) for t in (i, j))
-            # kappa(I_k, J_l) = s trace / (di dj den^2); Q_ij halves it on the
-            # diagonal and quarters the symmetrized pair off it
+            # kappa(I_k, J_l) = s I_k^T T J_l / (di dj den^2); Q_ij halves it
+            # on the diagonal and quarters the symmetrized pair off it
             num, dd = s.numerator, s.denominator * di * dj * den * den
             d = len(roots)
             gram = [[Q(0)] * d for _ in range(d)]
             for k in range(d):
-                gram[k][k] = Q(num * trace(imgs_i[k], imgs_j[k]), 2 * dd)
+                gram[k][k] = Q(num * linalg.gram_form(trace, imgs_i[k], imgs_j[k]), 2 * dd)
                 for l in range(k + 1, d):
-                    sym = trace(imgs_i[k], imgs_j[l]) + trace(imgs_i[l], imgs_j[k])
+                    sym = linalg.gram_form(trace, imgs_i[k], imgs_j[l])
+                    sym += linalg.gram_form(trace, imgs_i[l], imgs_j[k])
                     gram[k][l] = gram[l][k] = Q(num * sym, 4 * dd)
             out[(i, j)] = PierceForm(pair=(i, j), roots=roots, gram=tuple(tuple(row) for row in gram))
     return out

@@ -192,16 +192,18 @@ def suite_grading(g: LieAlgebra, cfg: Config) -> SuiteResult:
 
 
 def suite_killing(g: LieAlgebra, cfg: Config) -> SuiteResult:
-    mat = g.killing_matrix()
+    # the Killing form is s T, T the int trace Gram and s != 0 (a norm pair
+    # pairing to 0 raises first), so each test reads T.  Ad-invariance
+    # kappa([b_i,b_j],b_k) + kappa(b_j,[b_i,b_k]) = 0 on all n^3 basis triples:
+    # the two terms are entries (k, j) and (j, k) of M_i = T ad_i (column j is
+    # m[j], empty where ad_i's is), in ints: each must be antisymmetric
+    trace = g.killing_matrix()
+    g.killing_scale()
     n = g.dim
-    # ad-invariance kappa([b_i,b_j],b_k) + kappa(b_j,[b_i,b_k]) = 0 on all n^3
-    # basis triples: the two terms are entries (k, j) and (j, k) of M_i = K ad_i
-    # (column j is m[j], empty where ad_i's is), in ints over one denominator:
-    # each must be antisymmetric
-    krows = linalg.scale_table([[{t: c for t, c in enumerate(row) if c} for row in mat]]).cells[0]
+    trows = [{t: c for t, c in enumerate(row) if c} for row in trace]
     for i in range(n):
         m = [
-            linalg.add_combination({}, krows, col.items()) if col else col
+            linalg.add_combination({}, trows, col.items()) if col else col
             for col in g.table.cells[i]
         ]
         bad = [(j, k) for j, col in enumerate(m) for k, c in col.items() if c + m[k].get(j, 0)]
@@ -218,7 +220,7 @@ def suite_killing(g: LieAlgebra, cfg: Config) -> SuiteResult:
     if g.grading is not None:
         for i, j in itertools.combinations_with_replacement(range(n), 2):
             checked += 1
-            if g.grading[i] + g.grading[j] != 0 and mat[i][j] != 0:
+            if g.grading[i] + g.grading[j] != 0 and trace[i][j] != 0:
                 return SuiteResult(
                     "killing",
                     False,
@@ -228,7 +230,7 @@ def suite_killing(g: LieAlgebra, cfg: Config) -> SuiteResult:
         # pairing between the +2 and -2 blocks must be nondegenerate
         nn = g.degree_indices(2)
         nb = g.degree_indices(-2)
-        block = [[mat[i][j] for j in nb] for i in nn]
+        block = [[trace[i][j] for j in nb] for i in nn]
         checked += 1
         if len(nn) != len(nb) or linalg.det(block) == 0:
             return SuiteResult(

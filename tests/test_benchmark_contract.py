@@ -5,6 +5,7 @@ sampled when the line says so: only Jacobi may."""
 
 import importlib
 import importlib.util
+import json
 import random
 import sys
 import tracemalloc
@@ -129,26 +130,40 @@ def test_build_kkt_forms_every_commutator_in_two_batched_runs(monkeypatch, famil
     assert (len(single), pairs) == (0, [(27, 324, 351), (79, 1848, 3081)])
 
 
-def test_killing_matrix_traces_in_one_batched_run(monkeypatch, kkt_builds):
-    # every trace of the kkt E7 Killing Gram (read from JSON, as perfbench's
-    # bracket-read workload does) comes from one op_trace_products run over
-    # the table's 133 rows; op_trace_product runs only on the norm pair's
-    # rows, for its raw trace
-    assert ("kkt", "LieAlgebra.killing_matrix") in set(_load("spans").TRACED)
-    g = kkt.from_json(kkt.to_json(kkt_builds("E7")))
-    products, product, runs, single = linalg.op_trace_products, linalg.op_trace_product, [], []
+def _count_trace_runs(monkeypatch):
+    """The (operators, n, caller's function name) of every op_trace_products run."""
+    products, runs = linalg.op_trace_products, []
 
     def counted(ops, n):
-        runs.append((len(ops), n))
+        runs.append((len(ops), n, sys._getframe(1).f_code.co_name))
         yield from products(ops, n)
 
     monkeypatch.setattr(linalg, "op_trace_products", counted)
-    monkeypatch.setattr(linalg, "op_trace_product", lambda a, b: single.append((a, b)) or product(a, b))
-    g.killing_matrix()
-    monkeypatch.undo()
-    cells, (f1, e1) = g.table.cells, g.norm_pair
-    assert runs == [(133, 133)]
-    assert single == [(cells[i], cells[j]) for i in f1 for j in e1]
+    return runs
+
+
+def test_killing_matrix_traces_in_one_batched_run(monkeypatch, kkt_builds, tmp_path, capsys):
+    # verifying the kkt E7 JSON, as perfbench's bracket-read workload does,
+    # forms every trace of the Killing Gram in one op_trace_products run over
+    # the table's 133 rows, made inside LieAlgebra.killing_matrix, so the
+    # traced span keeps the Gram's time
+    assert ("kkt", "LieAlgebra.killing_matrix") in set(_load("spans").TRACED)
+    path = tmp_path / "e7.json"
+    path.write_text(json.dumps(kkt.to_json(kkt_builds("E7"))))
+    runs = _count_trace_runs(monkeypatch)
+    code = main(["verify", str(path), "--suites", "grading,killing"])
+    assert (code, runs) == (0, [(133, 133, "killing_matrix")])
+    assert capsys.readouterr().out.endswith("killing: PASS [2361550 checks]\n")
+
+
+def test_one_trace_gram_serves_every_root_suite(monkeypatch, capsys):
+    # the default verify of root:E7:7 reads the Killing form in killing,
+    # q-composition and cross-validate from one Gram; build reads none
+    runs = _count_trace_runs(monkeypatch)
+    assert main(["verify", "root:E7:7"]) == 0
+    assert main(["build", "root:E7:7"]) == 0
+    capsys.readouterr()
+    assert runs == [(133, 133, "killing_matrix")]
 
 
 def _caller(frame):

@@ -405,13 +405,14 @@ def test_verify_root_with_cross_validation(capsys):
 
 
 def test_one_killing_matrix_per_root_target(capsys, monkeypatch):
-    # counts first-time computations; the graded copy of a node= target and
-    # the parabolic the suites read share one algebra, hence one matrix
+    # counts first-time computations of the trace Gram; the graded copy of a
+    # node= target and the parabolic the suites read share one algebra,
+    # hence one Gram
     computed = []
     killing_matrix = kkt.LieAlgebra.killing_matrix
 
     def counting(self):
-        if self._killing is None:
+        if self._gram is None:
             computed.append(self.dim)
         return killing_matrix(self)
 
@@ -522,6 +523,17 @@ def test_json_keeps_the_killing_normalization(tmp_path, capsys):
         assert (code, out) == (0, "killing: PASS [1057 checks]\n")
 
 
+def test_vanishing_normalization_pair_is_refused(tmp_path, capsys):
+    # a norm pair (e1, e1) pairs to 0 under the ad-trace form (degrees 2 and
+    # 2 do not cancel), so the killing suite cannot scale and exits 2
+    path = tmp_path / "h2.json"
+    obj = kkt.to_json(kkt.build_kkt(parse_jordan_descriptor("jordan:H2:field")))
+    obj["norm_pair"]["f"] = obj["norm_pair"]["e"]
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path), "--suites", "killing")
+    assert (code, out, err) == (2, "", "error: ad-trace pairing of the normalization pair vanishes\n")
+
+
 def test_verify_seeded_sampling_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["verify", "root:E7:7", "--suites", "jacobi", "--seed", "42", "--samples", "100000"]
@@ -621,6 +633,21 @@ def test_classify_distinguishes_prime_classes(tmp_path, capsys):
     assert rep["rank"] == 2
     assert rep["norm_value"] == str(p)
     assert rep["local_classes"][str(p)].startswith("v1")  # odd valuation: not a square
+
+
+def test_classify_decides_large_places_at_once(tmp_path, capsys):
+    # a 15-digit prime place gets the classes trial division gave, at once;
+    # a composite is refused, and so is a 30-digit place, which lies past the
+    # bound where Miller-Rabin on the bases 2..37 is proven exact
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps({"algebra": "jordan:H3:field", "element": {"diag": ["2", "3", "-5"]}}))
+    code, out, _ = run(capsys, "classify", str(path), "--places", "inf,100000000000031,2")
+    assert code == 0
+    assert json.loads(out)["local_classes"] == {"100000000000031": "v0,u-1", "2": "v1,u1", "inf": "-"}
+    code, out, err = run(capsys, "classify", str(path), "--places", "inf,100000000000033")
+    _assert_usage_error(code, out, err, "100000000000033 is not a prime")
+    code, out, err = run(capsys, "classify", str(path), "--places", "inf,100000000000000000000000000319")
+    _assert_usage_error(code, out, err, "place 100000000000000000000000000319 is too large")
 
 
 def test_classify_log_replays(tmp_path, capsys):

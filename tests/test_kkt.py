@@ -104,13 +104,23 @@ def test_killing_suite(kkt_builds):
 
 
 def assert_killing_matches_oracle(g):
-    """Every basis pair of the batched Killing matrix against the raw
-    ad-trace recomputation, rescaled by the norm pair."""
-    scale = g.killing_raw(*g.norm_pair)
-    mat = g.killing_matrix()
+    """Every basis pair of the trace Gram and of the Killing form against
+    the trace of the composed table rows, formed apart from the Gram: row i
+    is den ad(b_i), so that trace is den^2 trace(ad b_i ad b_j), and the
+    Killing form is it over the norm pair's."""
+    cells = g.table.cells
+
+    def trace(i, j):
+        prod = linalg.op_compose(cells[i], cells[j])
+        return sum(col.get(k, 0) for k, col in enumerate(prod))
+
+    f1, e1 = g.norm_pair
+    norm = sum(cx * cy * trace(i, j) for i, cx in f1.items() for j, cy in e1.items())
+    gram = g.killing_matrix()
     for i in range(g.dim):
         for j in range(g.dim):
-            assert mat[i][j] == g.killing_raw({i: Q(1)}, {j: Q(1)}) / scale, (i, j)
+            t = trace(i, j)
+            assert (gram[i][j], g.killing({i: Q(1)}, {j: Q(1)})) == (t, t / norm), (i, j)
 
 
 def test_killing_normalization_and_oracle(kkt_builds, split_builds):

@@ -135,18 +135,11 @@ def test_op_from_dense_apply_and_compose_match_dense_oracles():
         }
 
 
-def test_op_trace_product():
-    for n, A, B in operator_pairs():
-        a, b = linalg.op_from_dense(A), linalg.op_from_dense(B)
-        prod = linalg.mat_mul(A, B)
-        assert linalg.op_trace_product(a, b) == sum((prod[i][i] for i in range(n)), Q(0))
-
-
 def test_op_trace_products_match_the_one_pair_traces():
     # one run over a list yields, for each A_a in order, exactly the b >= a
-    # whose trace(A_a A_b) is nonzero, keys ascending, each equal to
-    # op_trace_product's: on the seeded pairs, and on lists of random
-    # operators, copies with columns emptied, an all-zero operator, int
+    # whose trace(A_a A_b) is nonzero, keys ascending, each equal to the
+    # trace of mat_mul's dense product: on the seeded pairs, and on lists of
+    # random operators, copies with columns emptied, an all-zero operator, int
     # copies and A = [[1, 1], [-1, -1]], whose traces with itself and with
     # the identity cancel entry by entry
     rng = random.Random(13)
@@ -166,7 +159,8 @@ def test_op_trace_products_match_the_one_pair_traces():
         got = list(linalg.op_trace_products(ops, n))
         assert len(got) == len(ops)
         for a, traces in enumerate(got):
-            want = [(b, linalg.op_trace_product(ops[a], ops[b])) for b in range(a, len(ops))]
+            products = ((b, linalg.mat_mul(ms[a], ms[b])) for b in range(a, len(ms)))
+            want = [(b, sum(p[k][k] for k in range(n))) for b, p in products]
             vanishing += sum(not t for _, t in want)
             assert list(traces.items()) == [(b, t) for b, t in want if t]
     assert vanishing

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -365,6 +366,25 @@ def test_local_class_examples():
         local_class(Q(0), 3)
     with pytest.raises(InvalidParameter):
         local_class(Q(1), 6)
+
+
+def test_local_class_decides_primality_exactly():
+    # Miller-Rabin on the bases 2..37 agrees with trial division on small
+    # places and refuses strong pseudoprimes to the first few bases; the
+    # first to all twelve is the bound, past which a place is refused
+    for p in range(-3, 3000):
+        if p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1)):
+            assert local_class(Q(p), p).class_data == (1, 1)
+        else:
+            with pytest.raises(InvalidParameter, match=f"^{p} is not a prime$"):
+                local_class(Q(1), p)
+    for n in (2047, 3215031751, 3825123056546413051):
+        with pytest.raises(InvalidParameter, match="is not a prime"):
+            local_class(Q(1), n)
+    for p in (10**12 + 39, 10**14 + 31, 10**16 + 61, 3 * 10**23 + 37):
+        assert local_class(Q(p), p).class_data == (1, 1)
+    with pytest.raises(InvalidParameter, match="too large"):
+        local_class(Q(1), orbits.PRIME_BOUND)
 
 
 def test_local_class_agreement_matches_square_equivalence():

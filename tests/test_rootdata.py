@@ -155,6 +155,22 @@ def test_graded_algebra_shares_the_bracket_table(split_builds):
     assert graded.table is g.table and graded.grading is not None
 
 
+def test_graded_algebra_pairs_only_the_levi_roots(monkeypatch, split_builds):
+    # parabolic() has paired the 27 n roots of E7 node 7 with the chain of 3,
+    # so graded_algebra reads their degree off the partition and pairs only
+    # the 36 m roots: 108 pairings, not 189
+    p = parabolic(split_builds("E7", 7), 7)
+    pairing, calls = RootSystem.pairing, []
+    monkeypatch.setattr(RootSystem, "pairing", lambda *args: calls.append(args) or pairing(*args))
+    graded = graded_algebra(p)
+    monkeypatch.undo()
+    assert (len(calls), graded.grading.count(2), graded.grading.count(-2)) == (108, 27, 27)
+    # an m root that pairs with the chain is refused
+    bad = replace(p, m_roots=p.m_roots + p.n_roots[:1])
+    with pytest.raises(ConstructionError, match=r"has pairing sum 2 against the chain"):
+        graded_algebra(bad)
+
+
 def test_jacobi_exhaustive_small(split_builds):
     for tl, rk in (("A", 2), ("C", 2), ("B", 2), ("C", 3), ("B", 3), ("A", 3), ("D", 4), ("A", 5)):
         g = split_builds(tl, rk)
@@ -259,6 +275,19 @@ def test_q_forms_pair_no_root(monkeypatch, split_builds):
         assert q_forms(p) == q_forms(graded)
         monkeypatch.undo()
     assert calls == []
+
+
+def test_q_forms_traces_nothing_once_the_gram_is_warm(monkeypatch, split_builds):
+    # kappa is read off the algebra's trace Gram, so once killing_matrix has
+    # formed it, q_forms runs no trace kernel of linalg
+    p = parabolic(split_builds("E7", 7), 7)
+    p.algebra.killing_matrix()
+    for name in dir(linalg):
+        if name.startswith("op_trace"):
+            monkeypatch.setattr(linalg, name, lambda *args: pytest.fail("q_forms traced an operator product"))
+    forms = q_forms(p)
+    monkeypatch.undo()
+    assert sorted(forms) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_canonical_nodes():
