@@ -285,6 +285,8 @@ def cmd_classify(args) -> int:
 
 
 def _parse_places(text: str):
+    """The places of text: "inf" (or "oo"), or a prime below orbits.PRIME_BOUND,
+    each checked here, whatever the element turns out to be."""
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -293,7 +295,7 @@ def _parse_places(text: str):
         if part in ("inf", "oo"):
             out.append("inf")
         else:
-            out.append(_parse_int(part, "place", text))
+            out.append(orbits.check_place(_parse_int(part, "place", text)))
     return tuple(out)
 
 

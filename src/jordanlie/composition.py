@@ -19,11 +19,14 @@ structure); the same build-time checks apply.
 
 The table is stored sparsely: cell mul_table[i][j] is the product of basis
 elements i and j as a dict {k: coeff} with zero coefficients absent, the
-cell format of every structure table in the package.  Products go through
-``linalg.table_product``: ``mul_coeffs`` on the table scaled to integers,
-held as ``scaled`` and derived from mul_table at construction.  The norm
-form N(u) = u^T G u goes through ``linalg.gram_form``; the composition-law
-check reads ``scaled`` and G over its lcm denominator, in ints.
+cell format of every structure table in the package.  The table scaled to
+integers is held as ``scaled`` and, listed by output, as ``plan``; both are
+derived from mul_table at construction.  ``mul_coeffs`` multiplies through
+``linalg.dense_product`` on the plan, scaling each factor once to ints and
+dividing each output once.  The norm form N(u) = u^T G u goes through
+``linalg.gram_form``; the composition-law check reads ``scaled`` and G over
+its lcm denominator, in ints.  ``trace`` and ``conj`` read the trace
+covector 2 G[k][0], held in ints as ``trace_cov``.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import AlgebraMismatch, InvalidParameter
-from .linalg import ScaledTable, add_combination, dense_product, det, gram_form, op_from_dense
-from .linalg import scale_table, table_product
+from .linalg import ProductPlan, ScaledTable, add_combination, dense_product, det, gram_form
+from .linalg import op_from_dense, product_plan, scale_dense, scale_table, table_product
 from .rationals import Q, fmt, parse
 
 Coeffs = tuple[Fraction, ...]
@@ -52,9 +56,16 @@ class CompositionAlgebra:
     norm_gram: tuple[Coeffs, ...]
     descriptor: str
     scaled: ScaledTable = field(init=False, compare=False, repr=False)
+    plan: ProductPlan = field(init=False, compare=False, repr=False)  # scaled, listed by output
+    # (c, d): the trace covector 2 G[k][0] is c[k] / d, in ints
+    trace_cov: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "scaled", scale_table(self.mul_table))
+        scaled = scale_table(self.mul_table)
+        cov, d = scale_dense([row[0] for row in self.norm_gram])  # G_k0 = cov[k] / d
+        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "plan", product_plan(scaled))
+        object.__setattr__(self, "trace_cov", (tuple(2 * c for c in cov), d))
 
     def __repr__(self):
         return f"CompositionAlgebra({self.descriptor})"
@@ -84,14 +95,10 @@ class CompositionAlgebra:
     # -- bilinear data ------------------------------------------------------
 
     def mul_coeffs(self, u: Coeffs, v: Coeffs) -> Coeffs:
-        return dense_product(self.scaled, u, v)
+        return dense_product(self.plan, u, v)
 
     def norm_coeffs(self, u: Coeffs) -> Fraction:
         return gram_form(self.norm_gram, enumerate(u), enumerate(u))
-
-    def norm_bilinear(self, u: Coeffs, v: Coeffs) -> Fraction:
-        """Polarization B(u, v) = N(u+v) - N(u) - N(v) = 2 u^T G v."""
-        return 2 * gram_form(self.norm_gram, enumerate(u), enumerate(v))
 
 
 @dataclass(frozen=True)
@@ -141,15 +148,19 @@ class CAElement:
         return not any(self.coeffs)
 
     def conj(self) -> "CAElement":
-        t = self.trace()
-        c = list(-a for a in self.coeffs)
-        c[0] += t
-        return CAElement(self.algebra, tuple(c))
+        """trace(u) 1 - u, in ints over du d, each coordinate divided once."""
+        cov, d = self.algebra.trace_cov
+        us, du = scale_dense(self.coeffs)
+        c = [-n * d for n in us]
+        c[0] += sum(map(mul, us, cov))
+        return CAElement(self.algebra, tuple([Q(n, du * d) for n in c]))
 
     def trace(self) -> Fraction:
-        """Scalar t with u + conj(u) = t * 1."""
-        one = (Q(1),) + (Q(0),) * (self.algebra.dim - 1)
-        return self.algebra.norm_bilinear(self.coeffs, one)
+        """Scalar t with u + conj(u) = t * 1: u^T (2 G e_0), read off the int
+        covector trace_cov."""
+        cov, d = self.algebra.trace_cov
+        us, du = scale_dense(self.coeffs)
+        return Q(sum(map(mul, us, cov)), du * d)
 
     def norm(self) -> Fraction:
         return self.algebra.norm_coeffs(self.coeffs)

@@ -23,18 +23,22 @@ that one computation.  Sign convention for the quadratic family:
 N(a, b, v) = ab - Q(v), which is the unique constant term making
 x^2 - T(x) x + N(x) e = 0 hold with the square rule above.
 
-Elements are stored as coefficient vectors over a fixed basis: the r
-diagonal matrix units first, then for each pair i < j (in lexicographic
-order) the d elements {b E_ij + conj(b) E_ji} for b running over the basis
-of D; the quadratic family uses (e1, e2, V-basis).
+Elements are coefficient vectors over a fixed basis: the r diagonal
+matrix units first, then for each pair i < j (in lexicographic order) the
+d elements {b E_ij + conj(b) E_ji} for b running over the basis of D; the
+quadratic family uses (e1, e2, V-basis).  An element holds them as ints
+over one positive denominator, in lowest terms, so sums, scalar multiples,
+products, equality and the power sequence behind the polynomials run on
+ints; ``vec`` reads the coefficients out as Fractions.
 
 Products go through a multiplication table of basis products in the
 package's one cell format: mul_table[i][j] is b_i o b_j as a dict
-{k: coeff} with zeros absent.  ``mul_vec`` reads the same table scaled to
-integers over its common denominator (``linalg.scale_table``) through
-``linalg.dense_product``, which runs ``linalg.table_product`` on ints.  The
-hermitian table is formed from sparse matrix units multiplied through D's
-own table by the same kernel; ``HermitianJordan.symmetrized_product``, the
+{k: coeff} with zeros absent.  The table is scaled to integers over its
+common denominator (``linalg.scale_table``) and listed by output once
+(``plan``, a ``linalg.ProductPlan``); ``mul_vec``, the one entry point of
+every element product, runs ``linalg.int_product`` on the elements' ints.
+The hermitian table is formed from sparse matrix units multiplied through
+D's own table by ``linalg.table_product``; ``HermitianJordan.symmetrized_product``, the
 same product by genuine matrix multiplication over D, is kept as the
 reference the tests compare the table against.  The quadratic family's
 form Q(v) = v^T G v is evaluated by ``linalg.gram_form``.
@@ -73,6 +77,7 @@ class JordanAlgebra:
     degree: int
     mul_table: list[list[dict]]
     scaled: linalg.ScaledTable  # mul_table over its common denominator
+    plan: linalg.ProductPlan  # scaled, listed by output: the element products' kernel
 
     def __init__(self):
         raise TypeError("use jordan.hermitian(...) or jordan.quadratic(...)")
@@ -82,31 +87,28 @@ class JordanAlgebra:
     def _finish_init(self):
         self.mul_table = self._build_mul_table()
         self.scaled = linalg.scale_table(self.mul_table)
+        self.plan = linalg.product_plan(self.scaled)
         self.identity = self.element(self._identity_vec())
         self.frames = [self.element(v) for v in self._frame_vecs()]
         # fixed element with r distinct "eigenvalues"; used to steer the
         # characteristic-coefficient interpolation off the degenerate locus
-        g0 = [Q(0)] * self.dim
-        for i, f in enumerate(self._frame_vecs()):
-            for k, c in enumerate(f):
-                g0[k] += (i + 1) * c
-        self._generic_probe = tuple(g0)
+        self._generic_probe = sum(((i + 1) * f for i, f in enumerate(self.frames)), self.zero())
 
     # -- elements ------------------------------------------------------------
 
     def element(self, vec: Sequence) -> "JordanElement":
-        v = tuple(Q(x) for x in vec)
+        v = [Q(x) for x in vec]
         if len(v) != self.dim:
             raise InvalidParameter(f"expected {self.dim} coefficients, got {len(v)}")
-        return JordanElement(self, v)
+        # over the lcm of reduced denominators the numerators share no factor with it
+        num, den = linalg.scale_dense(v)
+        return JordanElement(self, tuple(num), den)
 
     def zero(self) -> "JordanElement":
-        return self.element([0] * self.dim)
+        return JordanElement(self, (0,) * self.dim, 1)
 
     def basis_element(self, k: int) -> "JordanElement":
-        v = [Q(0)] * self.dim
-        v[k] = Q(1)
-        return self.element(v)
+        return JordanElement(self, tuple(int(i == k) for i in range(self.dim)), 1)
 
     def basis(self) -> list["JordanElement"]:
         return [self.basis_element(k) for k in range(self.dim)]
@@ -117,8 +119,10 @@ class JordanAlgebra:
 
     # -- product -------------------------------------------------------------
 
-    def mul_vec(self, x: Vec, y: Vec) -> Vec:
-        return linalg.dense_product(self.scaled, x, y)
+    def mul_vec(self, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+        """plan.den (x o y) for int coefficient vectors x and y: the kernel
+        of every element product."""
+        return linalg.int_product(self.plan, x, y)
 
     def lmul_matrix(self, x: Vec) -> list[list[Fraction]]:
         """Matrix of z -> x o z in the algebra basis (columns are x o b_j)."""
@@ -354,45 +358,69 @@ def quadratic(gram: Sequence[Sequence]) -> QuadraticJordan:
 
 @dataclass(frozen=True)
 class JordanElement:
+    """Coefficient k is num[k] / den, with den > 0 and the fraction in lowest
+    terms, so equal elements have equal fields; ``vec`` reads the
+    coefficients out as Fractions."""
+
     algebra: JordanAlgebra
-    vec: Vec
+    num: tuple[int, ...]
+    den: int
+
+    @property
+    def vec(self) -> Vec:
+        den = self.den
+        return tuple([Q(n, den) for n in self.num])
+
+    def _reduced(self, num, den: int) -> "JordanElement":
+        """num / den (den > 0) in lowest terms."""
+        g = math.gcd(den, *num)
+        if g != 1:
+            num, den = [n // g for n in num], den // g
+        return JordanElement(self.algebra, tuple(num), den)
 
     def _check(self, other: "JordanElement"):
         if self.algebra is not other.algebra:
             raise AlgebraMismatch("elements belong to different Jordan algebras")
 
-    def __add__(self, other):
+    def _combine(self, other: "JordanElement", sign: int) -> "JordanElement":
+        """self + sign * other, over the lcm of the two denominators."""
         self._check(other)
-        return JordanElement(self.algebra, tuple(a + b for a, b in zip(self.vec, other.vec)))
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        return self._reduced([a * s + b * t for a, b in zip(self.num, other.num)], den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        return JordanElement(self.algebra, tuple(a - b for a, b in zip(self.vec, other.vec)))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return JordanElement(self.algebra, tuple(-a for a in self.vec))
+        return JordanElement(self.algebra, tuple([-a for a in self.num]), self.den)
 
     def __mul__(self, other):
         if isinstance(other, JordanElement):
             self._check(other)
-            return JordanElement(self.algebra, self.algebra.mul_vec(self.vec, other.vec))
-        return JordanElement(self.algebra, tuple(Q(other) * a for a in self.vec))
+            prod = self.algebra.mul_vec(self.num, other.num)
+            return self._reduced(prod, self.den * other.den * self.algebra.plan.den)
+        s = Q(other)
+        return self._reduced([s.numerator * a for a in self.num], s.denominator * self.den)
 
-    def __rmul__(self, scalar):
-        return JordanElement(self.algebra, tuple(Q(scalar) * a for a in self.vec))
+    __rmul__ = __mul__
 
     def __eq__(self, other):
         return (
             isinstance(other, JordanElement)
             and self.algebra is other.algebra
-            and self.vec == other.vec
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((id(self.algebra), self.vec))
+        return hash((id(self.algebra), self.num, self.den))
 
     def is_zero(self) -> bool:
-        return not any(self.vec)
+        return not any(self.num)
 
     def power(self, k: int) -> "JordanElement":
         """Jordan power; unambiguous by power-associativity."""
@@ -426,45 +454,40 @@ class MinPoly:
     char_coeffs: tuple[Fraction, ...]
 
     @property
-    def a_coeffs(self) -> tuple[Fraction, ...]:
-        """(a_0, ..., a_{r-1}) with char(t) = t^r - a_{r-1} t^{r-1} + ... + (-1)^r a_0."""
-        r = len(self.char_coeffs) - 1
-        return tuple(
-            (-1) ** (r - k) * self.char_coeffs[k] for k in range(r)
-        )
-
-    @property
     def trace(self) -> Fraction:
         return -self.char_coeffs[-2]
 
     @property
     def norm(self) -> Fraction:
-        r = len(self.char_coeffs) - 1
-        return (-1) ** r * self.char_coeffs[0]
+        c = self.char_coeffs[0]
+        return c if len(self.char_coeffs) % 2 else -c  # (-1)^r c
 
 
-def _powers(x: JordanElement) -> list[Vec]:
-    """e, x, ..., x^r as vectors, in r - 1 products."""
-    alg = x.algebra
-    out = [alg.identity.vec, x.vec]
-    for _ in range(alg.degree - 1):
-        out.append(alg.mul_vec(out[-1], x.vec))
+def _powers(x: JordanElement) -> list[JordanElement]:
+    """e, x, ..., x^r, in r - 1 products."""
+    out = [x.algebra.identity, x]
+    for _ in range(x.algebra.degree - 1):
+        out.append(out[-1] * x)
     return out
 
 
-def _min_coeffs(powers: list[Vec]) -> tuple[Fraction, ...]:
+def _min_coeffs(powers: list[JordanElement]) -> tuple[Fraction, ...]:
     """Ascending monic coefficients of the least m with x^m in the span of
     e, ..., x^{m-1}, from one row reduction of the matrix whose columns are
     the powers: m is the first non-pivot column, and its entries in the
-    pivot rows give x^m = sum_{i<m} rows[i][m] x^i."""
-    rows, pivots = linalg.rref([list(col) for col in zip(*powers)])
+    pivot rows give x^m = sum_{i<m} rows[i][m] x^i.  The columns are
+    brought to one common denominator L and the int matrix L times that one
+    is reduced, which has the same reduced form."""
+    L = math.lcm(*(p.den for p in powers))
+    cols = [[n * (L // p.den) for n in p.num] for p in powers]
+    rows, pivots = linalg.rref([list(row) for row in zip(*cols)])
     m = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
     if m == len(powers):
         raise ConstructionError("element satisfies no monic polynomial of degree <= r")
     return tuple(-rows[i][m] for i in range(m)) + (Q(1),)
 
 
-def _polys(x: JordanElement) -> tuple[list[Vec], tuple, tuple]:
+def _polys(x: JordanElement) -> tuple[list[JordanElement], tuple, tuple]:
     """The powers e..x^r, the minimal and the characteristic coefficients.
 
     When the minimal polynomial has degree r it is the characteristic
@@ -479,7 +502,7 @@ def _polys(x: JordanElement) -> tuple[list[Vec], tuple, tuple]:
     min_coeffs = _min_coeffs(powers)
     if len(min_coeffs) == r + 1:
         return powers, min_coeffs, min_coeffs
-    probe = alg.element(alg._generic_probe)
+    probe = alg._generic_probe
     nodes: list[Fraction] = []
     samples: list[tuple[Fraction, ...]] = []
     t = 0
@@ -522,9 +545,9 @@ def jordan_inverse(x: JordanElement) -> JordanElement:
     acc = alg.zero()
     for k in range(1, len(c)):
         if c[k]:
-            acc = acc + c[k] * JordanElement(alg, powers[k - 1])
-    inv = (-1 / c[0]) * acc
-    if not (x * inv == alg.identity and JordanElement(alg, powers[2]) * inv == x):
+            acc = acc + powers[k - 1] * c[k]
+    inv = acc * (-1 / c[0])
+    if not (x * inv == alg.identity and powers[2] * inv == x):
         raise ConstructionError("inverse postcondition failed")
     return inv
 

@@ -3,9 +3,15 @@
 Vectors are dicts {index: coeff} with zero entries absent; small dense
 problems use lists of lists.  ``add_combination`` is the only sparse add: it
 accumulates in place, and callers drop cancelled entries once on readout.
-``table_product`` is the one bilinear kernel: every structure table, the
-Lie bracket table included, holds sparse {k: coeff} cells and is multiplied
-through it.  Operators are column-sparse: a sequence whose entry k is the
+``table_product`` is the one sparse bilinear kernel: every structure table,
+the Lie bracket table included, holds sparse {k: coeff} cells and is
+multiplied through it.  A dense product of two full coefficient vectors
+(Jordan elements, composition-algebra elements, the root Jordan table)
+goes instead through a ``ProductPlan``, the scaled table listed by output
+and built once per table: ``int_product`` makes each output one C-level
+sum over its entries, on ints, and ``dense_product`` wraps it for Fraction
+vectors, scaling each input once and dividing each output once.
+Operators are column-sparse: a sequence whose entry k is the
 sparse image of basis vector k, flattened (for echelon work) with entry
 (row, k) at k * n + row; ``op_commutators`` forms the commutators of every
 pair of a list, one flat accumulator per left operator joining it with all
@@ -15,8 +21,9 @@ pair of a list (a Lie algebra's one trace Gram, which every Killing read
 goes through), each entry meeting only the entries it multiplies.
 Coefficients are Fractions, except in
 ``gram_form`` on integer input (the root data, the Pierce Grams of the
-q-composition suite and of the coordinatization), in ``dense_product``,
-in kkt's structure operators and its whole construction of m (span,
+q-composition suite and of the coordinatization), in the dense products
+and the Jordan elements that run on them (ints over one denominator), in
+kkt's structure operators and its whole construction of m (span,
 [x, ybar] readout, companion and closure, handed to ``bracket_table`` as
 ints over their denominators), in the Lie bracket table (kkt's
 ``bracket_table``, the only store of a Lie algebra's brackets) and its
@@ -38,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 Q = Fraction
@@ -211,16 +219,49 @@ def scale_vec(items) -> tuple[list, int]:
     return [(i, c.numerator * (d // c.denominator)) for i, c in items], d
 
 
-def dense_product(scaled: ScaledTable, x, y) -> tuple:
-    """The product of dense coefficient vectors x and y through a scaled
-    table, as a dense tuple of Fractions: the inputs are scaled once to
-    ints, ``table_product`` runs on ints and each entry is divided once."""
-    xs, dx = scale_vec(enumerate(x))
-    ys, dy = scale_vec(enumerate(y))
-    prod = table_product({}, scaled.cells, xs, ys)
-    den = dx * dy * scaled.den
+def scale_dense(x) -> tuple[list, int]:
+    """A dense vector of rationals as ints over their lcm d, and d."""
+    d = math.lcm(*(c.denominator for c in x))
+    return [c.numerator * (d // c.denominator) for c in x], d
+
+
+@dataclass(frozen=True)
+class ProductPlan:
+    """A scaled table listed by output: terms[k] holds the constants, the
+    i's and the j's of the entries table[i][j][k], as three tuples of ints."""
+
+    terms: tuple
+    den: int
+
+
+def product_plan(scaled: ScaledTable) -> ProductPlan:
+    terms = [([], [], []) for _ in scaled.cells]
+    for i, row in enumerate(scaled.cells):
+        for j, cell in enumerate(row):
+            for k, c in cell.items():
+                consts, left, right = terms[k]
+                consts.append(c)
+                left.append(i)
+                right.append(j)
+    return ProductPlan(tuple(tuple(map(tuple, t)) for t in terms), scaled.den)
+
+
+def int_product(plan: ProductPlan, x, y) -> tuple:
+    """den times the product of dense int vectors x and y: each output is one
+    C-level sum over its plan entries, with no zero skipped."""
+    xs, ys = x.__getitem__, y.__getitem__
+    return tuple([sum(map(mul, c, map(mul, map(xs, i), map(ys, j)))) for c, i, j in plan.terms])
+
+
+def dense_product(plan: ProductPlan, x, y) -> tuple:
+    """The product of dense coefficient vectors x and y through a plan, as a
+    dense tuple of Fractions: the inputs are scaled once to ints,
+    ``int_product`` runs on them and each entry is divided once."""
+    xs, dx = scale_dense(x)
+    ys, dy = scale_dense(y)
+    den = dx * dy * plan.den
     zero = Q(0)
-    return tuple([Q(n, den) if (n := prod.get(k)) else zero for k in range(len(scaled.cells))])
+    return tuple([Q(n, den) if n else zero for n in int_product(plan, xs, ys)])
 
 
 def _primitive(vec: SparseVec, piv: int) -> SparseVec:

@@ -222,13 +222,19 @@ def _diagonalize_hermitian(x: JordanElement) -> RankResult:
     D = alg.coeff_algebra
     r = alg.r
     log: list[LogStep] = []
-    cur = x
+    cur, vec = x, x.vec  # vec: cur's coefficients, read out once per step
+
+    def advance(step):
+        nonlocal cur, vec
+        cur = apply_step(step, cur)
+        vec = cur.vec
+        log.append(step)
 
     def diag(k):
-        return alg.diag_entries(cur.vec)[k]
+        return alg.diag_entries(vec)[k]
 
     def entry(i, j):
-        return alg.upper_entry(cur.vec, i, j)
+        return alg.upper_entry(vec, i, j)
 
     for s in range(r):
         if diag(s) == 0:
@@ -258,16 +264,12 @@ def _diagonalize_hermitian(x: JordanElement) -> RankResult:
                     raise InvalidParameter(
                         "internal error: trace form failed to provide a dual vector"
                     )
-                step = Transvection(t + 1, u_pos + 1, v)
-                cur = apply_transvection(step, cur)
-                log.append(step)
+                advance(Transvection(t + 1, u_pos + 1, v))
                 pivot = t
             if pivot != s:
                 perm = list(range(r))
                 perm[s], perm[pivot] = perm[pivot], perm[s]
-                step = FramePermutation(tuple(perm))
-                cur = apply_permutation(step, cur)
-                log.append(step)
+                advance(FramePermutation(tuple(perm)))
         a = diag(s)
         if a == 0:
             continue
@@ -275,12 +277,10 @@ def _diagonalize_hermitian(x: JordanElement) -> RankResult:
             w = entry(s, t)
             if w.is_zero():
                 continue
-            step = Transvection(t + 1, s + 1, (-1 / a) * w.conj())
-            cur = apply_transvection(step, cur)
-            log.append(step)
-    diag_final = tuple(alg.diag_entries(cur.vec))
+            advance(Transvection(t + 1, s + 1, (-1 / a) * w.conj()))
+    diag_final = tuple(alg.diag_entries(vec))
     for (i, j) in alg.pairs:
-        if not alg.upper_entry(cur.vec, i, j).is_zero():
+        if not entry(i, j).is_zero():
             raise InvalidParameter("internal error: off-diagonal residue after pivoting")
     return RankResult(
         algebra=alg,
@@ -395,17 +395,22 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def check_place(p: int) -> int:
+    """p, if it is a prime below PRIME_BOUND; otherwise InvalidParameter."""
+    if p >= PRIME_BOUND:
+        raise InvalidParameter(f"place {p} is too large (primality is decided below {PRIME_BOUND})")
+    if not _is_prime(p):
+        raise InvalidParameter(f"{p} is not a prime")
+    return p
+
+
 def local_class(a: Fraction, place) -> LocalInvariant:
     a = Q(a)
     if a == 0:
         raise InvalidParameter("local class of zero is undefined")
     if place in ("inf", "oo", None):
         return LocalInvariant(place="inf", class_data=(1 if a > 0 else -1,))
-    p = int(place)
-    if p >= PRIME_BOUND:
-        raise InvalidParameter(f"place {p} is too large (primality is decided below {PRIME_BOUND})")
-    if not _is_prime(p):
-        raise InvalidParameter(f"{p} is not a prime")
+    p = check_place(int(place))
     num, den = a.numerator, a.denominator
     v = _padic_valuation(num, p) - _padic_valuation(den, p)
     unit_num = num // p ** max(_padic_valuation(num, p), 0)

@@ -541,10 +541,12 @@ class RootJordan:
     table: list[list[dict]]
     dim: int
     scaled: linalg.ScaledTable = field(init=False, compare=False, repr=False)
+    plan: linalg.ProductPlan = field(init=False, compare=False, repr=False)  # scaled, by output
     position: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.scaled = linalg.scale_table(self.table)
+        self.plan = linalg.product_plan(self.scaled)
         self.position = {a: k for k, a in enumerate(self.basis_roots)}
 
     def embed(self, roots, local) -> tuple:
@@ -555,7 +557,7 @@ class RootJordan:
         return tuple(out)
 
     def mul_vec(self, x, y):
-        return linalg.dense_product(self.scaled, x, y)
+        return linalg.dense_product(self.plan, x, y)
 
     def frame_scale(self, i: int) -> Fraction:
         """Coefficient of the i-th frame idempotent on its root vector

@@ -228,6 +228,41 @@ def test_sampled_jacobi_makes_no_fraction_arithmetic(monkeypatch, kkt_builds):
     assert calls == []
 
 
+def test_element_arithmetic_makes_no_fraction_arithmetic(monkeypatch, family_instances):
+    # Jordan elements are ints over one denominator and their products run on
+    # the int plan, so AC5's loop body on E7 (seed and bounds as in AC5) and
+    # jordan_inverse add and multiply no Fraction inside jordanlie: the only
+    # Fraction * is the loop's own c * powers[k], which Fraction declines
+    # before the element's __rmul__ takes it
+    traced = set(_load("spans").TRACED)
+    assert {("jordan", "JordanAlgebra.mul_vec"), ("jordan", "jordan_inverse")} <= traced
+    alg = family_instances["E7"]
+    rng = random.Random(100)
+    calls = []
+    _count_fraction_arithmetic(monkeypatch, calls)
+    for _ in range(5):
+        x = alg.element([Fraction(rng.randint(-9, 9)) for _ in range(alg.dim)])
+        y = alg.element([Fraction(rng.randint(-9, 9)) for _ in range(alg.dim)])
+        sq = x * x
+        assert (sq * y) * x == sq * (y * x)
+        powers = [alg.identity, x]
+        for _k in range(5):
+            powers.append(powers[-1] * x)
+        for m in range(1, 6):
+            for n in range(m, 7 - m):
+                assert powers[m] * powers[n] == powers[m + n]
+        mp = jordan.generic_min_poly(x)
+        acc = alg.zero()
+        for k, c in enumerate(mp.char_coeffs):
+            if c:
+                acc = acc + c * powers[k]
+        assert acc.is_zero() and len(mp.char_coeffs) == 4
+        assert mp.norm != 0 and x * jordan.jordan_inverse(x) == alg.identity
+    monkeypatch.undo()
+    here = sys._getframe().f_code.co_name
+    assert calls and {(op, name) for op, name, _ in calls} == {("__mul__", here)}
+
+
 def test_split_build_makes_no_fraction_arithmetic(monkeypatch):
     # the Chevalley constants are ints on positive-root indices and the root
     # sums are read from one pass over the positive pairs, so the E7 build

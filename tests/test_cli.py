@@ -650,6 +650,25 @@ def test_classify_decides_large_places_at_once(tmp_path, capsys):
     _assert_usage_error(code, out, err, "place 100000000000000000000000000319 is too large")
 
 
+@pytest.mark.parametrize(
+    "diag, places, needle",
+    [
+        (["2", "0", "-5"], "inf,6", "6 is not a prime"),
+        (["2", "1", "-5"], "inf,6", "6 is not a prime"),
+        (["2", "0", "-5"], "inf,100000000000000000000000000319", "place 100000000000000000000000000319 is too large"),
+        (["0", "0", "0"], "oo,-3", "-3 is not a prime"),
+    ],
+    ids=["rank-deficient", "full-rank", "over-bound", "zero-element"],
+)
+def test_classify_checks_every_place(tmp_path, capsys, diag, places, needle):
+    # a place is refused whatever the element: below full rank no local
+    # class is computed, yet a composite or over-bound place still exits 2
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps({"algebra": "jordan:H3:field", "element": {"diag": diag}}))
+    code, out, err = run(capsys, "classify", str(path), "--places", places)
+    _assert_usage_error(code, out, err, needle)
+
+
 def test_classify_log_replays(tmp_path, capsys):
     el = {
         "algebra": "jordan:H2:field",

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -123,6 +124,54 @@ def test_algebra_mismatch():
         a.identity * b.identity
 
 
+def test_element_int_form_is_canonical(family_instances):
+    # the same rational vectors reached over different denominators give
+    # equal elements with equal hashes, in lowest terms with den > 0, and
+    # element equality is equality of vec
+    rng = random.Random(30)
+    for name, alg in family_instances.items():
+        vecs = [
+            [Q(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6))) for _ in range(alg.dim)]
+            for _ in range(6)
+        ]
+        vecs.append(list(vecs[0]))
+        elems = []
+        for v in vecs:
+            x = alg.element(v)
+            ways = [
+                x,
+                alg.element([6 * c for c in v]) * Q(1, 6),
+                (alg.element([12 * c for c in v]) + alg.element([-c for c in v])) * Q(1, 11),
+                -(-x),
+                alg.zero() + x * Q(-2, 5) * Q(-5, 2),
+            ]
+            for y in ways:
+                assert y == x and hash(y) == hash(x), name
+                assert (y.num, y.den) == (x.num, x.den) and y.den > 0, name
+                assert math.gcd(y.den, *y.num) == 1 and y.vec == tuple(v), name
+            elems.append(x)
+        for (v, x), (w, y) in itertools.product(zip(vecs, elems), repeat=2):
+            assert (x == y) == (tuple(v) == tuple(w)), name
+            if x == y:
+                assert hash(x) == hash(y), name
+
+
+def test_zero_and_signed_scalars_in_the_int_form(family_instances):
+    # x - x and 0 x are the zero with denominator 1, and a negative scalar
+    # puts its sign on the numerators, never on the denominator
+    rng = random.Random(31)
+    for name, alg in family_instances.items():
+        x = alg.element([Q(rng.randint(-9, 9), rng.choice((1, 3, 8))) for _ in range(alg.dim)])
+        for z in (x - x, 0 * x, x * 0, x * Q(0), x + (-x)):
+            assert z == alg.zero() and z.is_zero(), name
+            assert z.num == (0,) * alg.dim and z.den == 1, name
+        for s in (-1, Q(-3, 7), Q(-14, 9)):
+            y = s * x
+            assert y.den > 0 and y == x * s, name
+            assert y.vec == tuple(s * c for c in x.vec), name
+            assert math.gcd(y.den, *y.num) == 1, name
+
+
 # ---------------------------------------------------------------------------
 # generic minimal polynomial, trace, norm
 # ---------------------------------------------------------------------------
@@ -140,7 +189,9 @@ def test_identity_min_and_char_poly(family_instances):
         assert mp.char_coeffs == want
         assert mp.norm == 1
         assert mp.trace == r
-        assert mp.a_coeffs[0] == mp.norm and mp.a_coeffs[-1] == mp.trace
+        # (a_0, ..., a_{r-1}) with char(t) = t^r - a_{r-1} t^{r-1} + ... + (-1)^r a_0
+        a = [(-1) ** (r - k) * mp.char_coeffs[k] for k in range(r)]
+        assert a[0] == mp.norm and a[-1] == mp.trace
 
 
 def test_diagonal_norm_is_product(family_instances):
@@ -471,7 +522,7 @@ def test_lmul_matrix_columns_are_products(family_instances):
         x = [Q(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(alg.dim)]
         mat = alg.lmul_matrix(x)
         for j, b in enumerate(alg.basis()):
-            assert tuple(row[j] for row in mat) == alg.mul_vec(x, b.vec), (name, j)
+            assert tuple(row[j] for row in mat) == (alg.element(x) * b).vec, (name, j)
 
 
 def test_pierce_component_membership(family_instances):

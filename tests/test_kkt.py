@@ -275,7 +275,7 @@ def test_n_product_matches_jordan_table(kkt_builds, family_instances):
                 {n_idx[k]: c for k, c in enumerate(xv) if c},
                 {n_idx[k]: c for k, c in enumerate(yv) if c},
             )
-            want = J.mul_vec(tuple(xv), tuple(yv))
+            want = (J.element(xv) * J.element(yv)).vec
             assert lhs == {n_idx[k]: c for k, c in enumerate(want) if c}
 
 

@@ -61,9 +61,66 @@ def test_dense_product_equals_fraction_oracle(tables):
     rng = random.Random(6)
     for name, (table, scaled) in tables.items():
         for x, y in sample_inputs(rng, len(table)):
-            got = linalg.dense_product(scaled, x, y)
+            got = linalg.dense_product(linalg.product_plan(scaled), x, y)
             assert got == oracle(table, x, y), (name, x, y)
             assert all(type(c) is Q for c in got), name
+
+
+@pytest.fixture(scope="module")
+def product_callers(family_instances, split_builds):
+    """name -> (Fraction table, plan held by its owner, the owner's own
+    product of two Fraction vectors) for the seven element-arith Jordan
+    algebras, their coefficient algebras and the root Jordan table of E7
+    node 7."""
+    out = {}
+    for name, alg in family_instances.items():
+        out[name] = (alg.mul_table, alg.plan, lambda x, y, alg=alg: (alg.element(x) * alg.element(y)).vec)
+        if alg.variant == "hermitian":
+            D = alg.coeff_algebra
+            out[f"{name}/{D.descriptor}"] = (D.mul_table, D.plan, D.mul_coeffs)
+    rj = rootdata.jordan_from_roots(rootdata.parabolic(split_builds("E7", 7), 7))
+    out["root:E7:7:node=7"] = (rj.table, rj.plan, rj.mul_vec)
+    return out
+
+
+def _mismatches(plan, table, pairs):
+    return sum(linalg.dense_product(plan, x, y) != oracle(table, x, y) for x, y in pairs)
+
+
+def test_held_plans_equal_the_fraction_oracle(product_callers):
+    # every plan a caller holds, through dense_product and through the
+    # caller's own product, on zero, unit and mixed-denominator inputs and on
+    # one pair with no zero entry; a plan that drops one entry or shifts one
+    # constant fails on the same inputs
+    rng = random.Random(26)
+    assert len(product_callers) == 13
+    for name, (table, plan, product) in product_callers.items():
+        n = len(table)
+        full = (tuple(Q(k + 1, k + 2) for k in range(n)), tuple(Q(-3, 2 * k + 1) for k in range(n)))
+        pairs = sample_inputs(rng, n) + [full]
+        assert _mismatches(plan, table, pairs) == 0, name
+        for x, y in pairs:
+            assert product(x, y) == oracle(table, x, y), (name, x, y)
+        terms = list(plan.terms)
+        k = max(range(len(terms)), key=lambda k: len(terms[k][0]))
+        consts, left, right = terms[k]
+        dropped = terms[:k] + [(consts[1:], left[1:], right[1:])] + terms[k + 1 :]
+        shifted = terms[:k] + [((consts[0] + 1,) + consts[1:], left, right)] + terms[k + 1 :]
+        for bad in (dropped, shifted):
+            assert _mismatches(linalg.ProductPlan(tuple(bad), plan.den), table, pairs) > 0, name
+
+
+def test_int_product_is_den_times_the_product(product_callers):
+    # the int kernel on int vectors (zeros included) gives plan.den times
+    # the product, in ints
+    rng = random.Random(27)
+    for name, (table, plan, _) in product_callers.items():
+        n = len(table)
+        for _ in range(10):
+            x, y = ([rng.choice((0, 0, 1, -3, 7)) for _ in range(n)] for _ in range(2))
+            got = linalg.int_product(plan, x, y)
+            assert all(type(c) is int for c in got), name
+            assert got == tuple(plan.den * c for c in oracle(table, x, y)), name
 
 
 def test_scale_table_is_the_least_common_denominator(tables):
