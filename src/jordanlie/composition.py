@@ -25,8 +25,8 @@ derived from mul_table at construction.  ``mul_coeffs`` multiplies through
 ``linalg.dense_product`` on the plan, scaling each factor once to ints and
 dividing each output once.  The norm form N(u) = u^T G u goes through
 ``linalg.gram_form``; the composition-law check reads ``scaled`` and G over
-its lcm denominator, in ints.  ``trace`` and ``conj`` read the trace
-covector 2 G[k][0], held in ints as ``trace_cov``.
+its lcm denominator, in ints.  ``trace``, ``conj`` and ``conj_ints`` read
+the trace covector 2 G[k][0], held in ints as ``trace_cov``.
 """
 
 from __future__ import annotations
@@ -100,6 +100,14 @@ class CompositionAlgebra:
     def norm_coeffs(self, u: Coeffs) -> Fraction:
         return gram_form(self.norm_gram, enumerate(u), enumerate(u))
 
+    def conj_ints(self, v) -> list:
+        """d conj(v) for an int vector v, in ints, with d the denominator of
+        trace_cov: so conj(v / t) = conj_ints(v) / (t d)."""
+        cov, d = self.trace_cov
+        c = [-n * d for n in v]
+        c[0] += sum(map(mul, v, cov))
+        return c
+
 
 @dataclass(frozen=True)
 class CAElement:
@@ -149,11 +157,9 @@ class CAElement:
 
     def conj(self) -> "CAElement":
         """trace(u) 1 - u, in ints over du d, each coordinate divided once."""
-        cov, d = self.algebra.trace_cov
         us, du = scale_dense(self.coeffs)
-        c = [-n * d for n in us]
-        c[0] += sum(map(mul, us, cov))
-        return CAElement(self.algebra, tuple([Q(n, du * d) for n in c]))
+        den = du * self.algebra.trace_cov[1]
+        return CAElement(self.algebra, tuple([Q(n, den) for n in self.algebra.conj_ints(us)]))
 
     def trace(self) -> Fraction:
         """Scalar t with u + conj(u) = t * 1: u^T (2 G e_0), read off the int

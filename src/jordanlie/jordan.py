@@ -638,7 +638,7 @@ def element_from_json(obj: dict, alg: JordanAlgebra) -> JordanElement:
             raise InvalidParameter(f'"upper" must be an object, got {upper!r}')
         entries = {}
         for key, entry in upper.items():
-            m = re.fullmatch(r"(\d+),(\d+)", key)
+            m = re.fullmatch(r"([1-9][0-9]*),([1-9][0-9]*)", key)  # one spelling per key
             i, j = (to_int(m[1], key), to_int(m[2], key)) if m else (0, 0)
             if not 1 <= i < j <= alg.r:
                 raise InvalidParameter(f'upper key {key!r}: need "i,j" with 1 <= i < j <= {alg.r}')

@@ -5,9 +5,13 @@ logged sequence of elementary norm-preserving transvections and frame
 permutations:
 
 * hermitian families: x |-> u_ij(u) x u_ji(conj u) with u_ij(u) the matrix
-  unit perturbation I + u E_ij (evaluated left factor first; for the
+  unit perturbation I + u E_ij, evaluated left factor first (for the
   8-dimensional coefficient algebra the two parenthesizations agree and
-  are tested, not assumed);
+  are tested, not assumed).  A step runs on the element's ints and forms
+  only what changes: row i of the left product, L_ik = x_ik + u x_jk, then
+  the (i, i) entry L_ii + L_ij conj(u) and the rest of column i,
+  x_ki + x_kj conj(u).  It keeps the two checks of ``vector_of``: the new
+  diagonal entry is scalar, and each x_ki + x_kj conj(u) is conj(L_ik);
 * quadratic family: the affine maps
   t_12(u)(a, b, v) = (a, b + a Q(u) + B(u, v), v + a u) and symmetrically
   t_21(u).
@@ -15,7 +19,9 @@ permutations:
 The pivot policy is total over split coefficient algebras, where naive
 elimination stalls on isotropic diagonals: a vanishing diagonal is
 repaired through a trace-dual parameter, which exists because the trace
-form of a composition algebra is nondegenerate.
+form of a composition algebra is nondegenerate.  The pivot and zero
+tests read the element's ints, and an elimination parameter
+-conj(w)/a is formed from them with one division per coordinate.
 
 The rank of an element is the number of nonzero diagonal entries of its
 diagonal form; rank-r elements additionally carry the square-class data of
@@ -32,8 +38,9 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .composition import CAElement
-from .errors import AlgebraMismatch, InvalidParameter
+from .errors import AlgebraMismatch, ConstructionError, InvalidParameter
 from .jordan import HermitianJordan, JordanAlgebra, JordanElement, QuadraticJordan
+from .linalg import int_product, scale_dense
 from .rationals import Q, fmt
 
 Param = Union[CAElement, tuple]
@@ -88,25 +95,48 @@ def apply_transvection(t: Transvection, x: JordanElement) -> JordanElement:
 
 
 def _hermitian_transvection(alg, x, i, j, u) -> JordanElement:
-    # (I + u E_ij) x (I + conj(u) E_ji), left factor applied first
-    mat = alg.matrix_of(x.vec)
-    r = alg.r
-    left = [row[:] for row in mat]
-    for k in range(r):
-        left[i][k] = left[i][k] + u * mat[j][k]
-    ubar = u.conj()
-    out = [row[:] for row in left]
-    for k in range(r):
-        out[k][i] = out[k][i] + left[k][j] * ubar
-    return alg.element(alg.vector_of(out))
-
-
-def unipotent_matrix(alg: HermitianJordan, i: int, j: int, u: CAElement):
-    """I + u E_ij over the coefficient algebra (1-based indices)."""
+    """(I + u E_ij) x (I + conj(u) E_ji) on x's ints, as the module
+    docstring sets out: row i, column i and the (i, i) entry change."""
     D = alg.coeff_algebra
-    m = [[D.one() if a == b else D.zero() for b in range(alg.r)] for a in range(alg.r)]
-    m[i - 1][j - 1] = u
-    return m
+    dim, plan, P, d = D.dim, D.plan, D.plan.den, D.trace_cov[1]
+    r, num, offset = alg.r, x.num, alg._pair_offset
+    us, du = scale_dense(u.coeffs)
+    ubar = D.conj_ints(us)  # conj(u) = ubar / (du d)
+
+    def entry(a, b):
+        """x_ab times x.den d, in ints."""
+        if a == b:
+            return [d * num[a]] + [0] * (dim - 1)
+        off = offset[(min(a, b), max(a, b))]
+        v = num[off : off + dim]
+        return D.conj_ints(v) if a > b else [d * n for n in v]
+
+    def plus(v, scale, w):
+        return [a * scale + b for a, b in zip(v, w)]
+
+    # with E = x.den d du P: row i of L over E, then the (i, i) entry over
+    # E d du P and the rest of column i over E d
+    s = du * P
+    row = [plus(entry(i, k), s, int_product(plan, us, entry(j, k))) for k in range(r)]
+    s *= d
+    diag = plus(row[i], s, int_product(plan, row[j], ubar))
+    if any(diag[1:]):
+        raise ConstructionError("diagonal entry is not scalar")
+    col = {}
+    for k in range(r):
+        if k != i:
+            col[k] = plus(entry(k, i), s, int_product(plan, entry(k, j), ubar))
+            if col[k] != D.conj_ints(row[k]):
+                raise ConstructionError("matrix is not hermitian")
+    # everything over x.den (d du P)^2 = E d du P
+    out = [n * s * s for n in num]
+    out[i] = diag[0]
+    for (a, b), off in offset.items():
+        if a == i:
+            out[off : off + dim] = [n * s for n in row[b]]
+        elif b == i:
+            out[off : off + dim] = [n * du * P for n in col[a]]
+    return x._reduced(out, x.den * s * s)
 
 
 def apply_permutation(p: FramePermutation, x: JordanElement) -> JordanElement:
@@ -220,42 +250,34 @@ def _unit(n: int, k: int) -> tuple:
 def _diagonalize_hermitian(x: JordanElement) -> RankResult:
     alg: HermitianJordan = x.algebra
     D = alg.coeff_algebra
-    r = alg.r
+    r, dim = alg.r, D.dim
     log: list[LogStep] = []
-    cur, vec = x, x.vec  # vec: cur's coefficients, read out once per step
+    cur = x
 
     def advance(step):
-        nonlocal cur, vec
+        nonlocal cur
         cur = apply_step(step, cur)
-        vec = cur.vec
         log.append(step)
 
-    def diag(k):
-        return alg.diag_entries(vec)[k]
-
     def entry(i, j):
-        return alg.upper_entry(vec, i, j)
+        """cur's (i, j) entry, i < j, as ints over cur.den."""
+        off = alg._pair_offset[(i, j)]
+        return cur.num[off : off + dim]
 
     for s in range(r):
-        if diag(s) == 0:
-            pivot = next((t for t in range(s + 1, r) if diag(t) != 0), None)
+        if cur.num[s] == 0:
+            pivot = next((t for t in range(s + 1, r) if cur.num[t]), None)
             if pivot is None:
                 # manufacture a diagonal entry from the first nonzero
                 # off-diagonal in reading order (trace-dual parameter)
                 spot = next(
-                    (
-                        (t, u)
-                        for t in range(s, r)
-                        for u in range(t + 1, r)
-                        if not entry(t, u).is_zero()
-                    ),
+                    ((t, u) for t in range(s, r) for u in range(t + 1, r) if any(entry(t, u))),
                     None,
                 )
                 if spot is None:
                     break  # active block is zero; done
                 t, u_pos = spot
-                w = entry(t, u_pos)
-                wbar = w.conj()
+                wbar = D.element(D.conj_ints(entry(t, u_pos)))  # a positive multiple of conj(w)
                 v = next(
                     (bv for bv in D.basis() if (bv * wbar).trace() != 0),
                     None,
@@ -270,18 +292,17 @@ def _diagonalize_hermitian(x: JordanElement) -> RankResult:
                 perm = list(range(r))
                 perm[s], perm[pivot] = perm[pivot], perm[s]
                 advance(FramePermutation(tuple(perm)))
-        a = diag(s)
-        if a == 0:
+        if cur.num[s] == 0:
             continue
         for t in range(s + 1, r):
             w = entry(s, t)
-            if w.is_zero():
-                continue
-            advance(Transvection(t + 1, s + 1, (-1 / a) * w.conj()))
-    diag_final = tuple(alg.diag_entries(vec))
-    for (i, j) in alg.pairs:
-        if not entry(i, j).is_zero():
-            raise InvalidParameter("internal error: off-diagonal residue after pivoting")
+            if any(w):
+                # (-1/a) conj(w), with a and w over cur.den: -conj_ints(w) / (a d)
+                ad = cur.num[s] * D.trace_cov[1]
+                advance(Transvection(t + 1, s + 1, D.element([Q(-c, ad) for c in D.conj_ints(w)])))
+    if any(cur.num[r:]):
+        raise InvalidParameter("internal error: off-diagonal residue after pivoting")
+    diag_final = tuple([Q(n, cur.den) for n in cur.num[:r]])
     return RankResult(
         algebra=alg,
         rank=sum(1 for c in diag_final if c),
@@ -306,34 +327,6 @@ def orbit_representative(res: RankResult) -> JordanElement:
     for c in res.diagonal:
         prod *= c
     return out + prod * alg.frame(r)
-
-
-def torus_scale(i: int, t: Fraction, x: JordanElement) -> JordanElement:
-    """Scale the (i,i) Pierce component by t^2 and the (i,j) components by t."""
-    t = Q(t)
-    if t == 0:
-        raise InvalidParameter("torus parameter must be nonzero")
-    alg = x.algebra
-    if isinstance(alg, QuadraticJordan):
-        if i not in (1, 2):
-            raise InvalidParameter("frame index out of range")
-        a, b, v = alg.parts(x.vec)
-        if i == 1:
-            return alg.from_parts(t * t * a, b, [t * c for c in v])
-        return alg.from_parts(a, t * t * b, [t * c for c in v])
-    if not 1 <= i <= alg.r:
-        raise InvalidParameter("frame index out of range")
-    diag = alg.diag_entries(x.vec)
-    diag[i - 1] *= t * t
-    upper = {}
-    for (a, b) in alg.pairs:
-        e = alg.upper_entry(x.vec, a, b)
-        if e.is_zero():
-            continue
-        if a == i - 1 or b == i - 1:
-            e = t * e
-        upper[(a, b)] = e
-    return alg.from_entries(diag, upper)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 from test_cli import GOLDEN_VERIFY_ARGS, GOLDEN_VERIFY_SHA256
 
 import jordanlie
-from jordanlie import jordan, kkt, linalg, rootdata, verify
+from jordanlie import jordan, kkt, linalg, orbits, rootdata, verify
 from jordanlie.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -261,6 +261,38 @@ def test_element_arithmetic_makes_no_fraction_arithmetic(monkeypatch, family_ins
     monkeypatch.undo()
     here = sys._getframe().f_code.co_name
     assert calls and {(op, name) for op, name, _ in calls} == {("__mul__", here)}
+
+
+def test_orbit_steps_make_no_fraction_arithmetic(monkeypatch, family_instances):
+    # a hermitian transvection runs on the element's ints and diagonalize
+    # tests its pivots on them and forms each parameter by one division, so
+    # replaying a classify log and diagonalizing add and multiply no Fraction
+    # inside jordanlie; perfbench times them under these names
+    traced = set(_load("spans").TRACED)
+    assert {("orbits", "classify"), ("orbits", "diagonalize"), ("orbits", "replay")} <= traced
+    log_from_report = _load("checks")._log_from_report
+    rng = random.Random(27)
+    cases = []
+    for name in ("E7", "A5"):
+        alg = family_instances[name]
+        for n in range(9):
+            # a zero first diagonal entry makes a frame permutation and an
+            # all-zero diagonal a trace-dual pivot, besides the elimination
+            vec = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(alg.dim)]
+            zeros = (0, 1, alg.r)[n % 3]
+            vec[:zeros] = [Fraction(0)] * zeros
+            x = alg.element(vec)
+            cases.append((x, log_from_report(orbits.classify(x), alg, orbits)))
+    steps = [(x.algebra.coeff_algebra, s) for x, log in cases for s in log]
+    assert len(steps) >= 50 and any(isinstance(s, orbits.FramePermutation) for _, s in steps)
+    assert any(isinstance(s, orbits.Transvection) and s.param in D.basis() for D, s in steps)
+    calls = []
+    _count_fraction_arithmetic(monkeypatch, calls)
+    results = [(orbits.replay(log, x), orbits.diagonalize(x)) for x, log in cases]
+    monkeypatch.undo()
+    assert calls == []
+    for reached, res in results:
+        assert reached == reached.algebra.from_entries(res.diagonal, {})
 
 
 def test_split_build_makes_no_fraction_arithmetic(monkeypatch):

@@ -739,6 +739,18 @@ def _h3_upper(upper):
             'quadratic element is missing "b"',
             id="missing-b",
         ),
+        # a key has one spelling: a second one of "1,2" must not overwrite
+        # the first, and a non-ASCII digit is no digit
+        pytest.param(
+            _h3_upper({"1,2": {"coeffs": ["5"]}, "01,2": {"coeffs": ["7"]}}),
+            "upper key '01,2': need \"i,j\" with 1 <= i < j <= 3",
+            id="upper-key-leading-zero-beside-its-plain-spelling",
+        ),
+        pytest.param(
+            _h3_upper({"\u0661,2": {"coeffs": ["1"]}}),
+            "upper key '\u0661,2': need \"i,j\" with 1 <= i < j <= 3",
+            id="upper-key-non-ascii-digit",
+        ),
     ]
     + [
         pytest.param(
@@ -746,7 +758,7 @@ def _h3_upper(upper):
             f"upper key '{key}': need \"i,j\" with 1 <= i < j <= 3",
             id=f"upper-key-{key}",
         )
-        for key in ("2,1", "0,2", "1,4")
+        for key in ("2,1", "0,2", "1,4", "01,2")
     ],
 )
 def test_classify_malformed_element(tmp_path, capsys, doc, needle):

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from jordanlie import jordan, linalg, orbits
+from jordanlie.composition import parse_descriptor
 from jordanlie.errors import InvalidParameter
 from jordanlie.jordan import jordan_norm
 from jordanlie.orbits import (
@@ -18,8 +19,8 @@ from jordanlie.orbits import (
     local_class,
     orbit_representative,
     replay,
-    torus_scale,
 )
+from jordanlie.rootdata import coordinatize, parabolic
 
 
 def rand_element(rng, alg, span=6):
@@ -36,6 +37,42 @@ def matrix_from_split(alg, M):
         upper[(i, j)] = alg.coeff_algebra.element(
             [(M[i][j] + M[j][i]) / 2, (M[i][j] - M[j][i]) / 2]
         )
+    return alg.from_entries(diag, upper)
+
+
+def unipotent_matrix(alg, i, j, u):
+    """I + u E_ij over the coefficient algebra (1-based indices)."""
+    D = alg.coeff_algebra
+    m = [[D.one() if a == b else D.zero() for b in range(alg.r)] for a in range(alg.r)]
+    m[i - 1][j - 1] = u
+    return m
+
+
+def torus_scale(i, t, x):
+    """Scale the (i,i) Pierce component by t^2 and the (i,j) components by t."""
+    t = Q(t)
+    if t == 0:
+        raise InvalidParameter("torus parameter must be nonzero")
+    alg = x.algebra
+    if alg.variant == "quadratic":
+        if i not in (1, 2):
+            raise InvalidParameter("frame index out of range")
+        a, b, v = alg.parts(x.vec)
+        if i == 1:
+            return alg.from_parts(t * t * a, b, [t * c for c in v])
+        return alg.from_parts(a, t * t * b, [t * c for c in v])
+    if not 1 <= i <= alg.r:
+        raise InvalidParameter("frame index out of range")
+    diag = alg.diag_entries(x.vec)
+    diag[i - 1] *= t * t
+    upper = {}
+    for (a, b) in alg.pairs:
+        e = alg.upper_entry(x.vec, a, b)
+        if e.is_zero():
+            continue
+        if a == i - 1 or b == i - 1:
+            e = t * e
+        upper[(a, b)] = e
     return alg.from_entries(diag, upper)
 
 
@@ -107,14 +144,53 @@ def test_octonionic_association_identity(family_instances):
         x = rand_element(rng, alg, span=4)
         u = O.element([Q(rng.randint(-3, 3)) for _ in range(8)])
         i, j = rng.sample((1, 2, 3), 2)
-        A = orbits.unipotent_matrix(alg, i, j, u)
-        B = orbits.unipotent_matrix(alg, j, i, u.conj())
+        A = unipotent_matrix(alg, i, j, u)
+        B = unipotent_matrix(alg, j, i, u.conj())
         X = alg.matrix_of(x.vec)
         left = alg.matrix_product(alg.matrix_product(A, X), B)
         right = alg.matrix_product(A, alg.matrix_product(X, B))
         assert all(
             left[a][b] == right[a][b] for a in range(3) for b in range(3)
         )
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["C2", "C3", "A3", "A5", "E7", "3:complex:-7/4", "2:quaternion:1/3,-5/7", "3:octonion:-1,-1,-1"]
+    + ["root:A:5:3", "root:D:6:6", "root:E7:7:7"],
+)
+def test_transvection_equals_the_matrix_product(family_instances, split_builds, name):
+    # a step rewrites row and column i of x only; the oracle multiplies the
+    # whole matrices, left factor first, and reads the result back through
+    # vector_of, which checks that it is hermitian with a scalar diagonal.
+    # The models coordinatized from root data have coefficient tables over
+    # 3 or 9 and a trace covector over 6, where the tables built by doubling
+    # have both over 1
+    if name in family_instances:
+        alg = family_instances[name]
+    elif name.startswith("root:"):
+        _, label, rank, node = name.split(":")
+        alg = coordinatize(parabolic(split_builds(label, int(rank)), int(node))).model
+        assert alg.coeff_algebra.trace_cov[1] == 6
+    else:
+        r, desc = name.split(":", 1)
+        alg = jordan.hermitian(int(r), parse_descriptor(desc))
+    D = alg.coeff_algebra
+    rng = random.Random(14)
+
+    def rand_fraction(span):
+        return Q(rng.randint(-span, span), rng.randint(1, 5))
+
+    for _ in range(30):
+        x = alg.element([rand_fraction(6) for _ in range(alg.dim)])
+        u = D.element([rand_fraction(4) for _ in range(D.dim)])
+        i, j = rng.sample(range(1, alg.r + 1), 2)
+        for a, b in ((i, j), (j, i)):
+            A = unipotent_matrix(alg, a, b, u)
+            B = unipotent_matrix(alg, b, a, u.conj())
+            X = alg.matrix_of(x.vec)
+            want = alg.vector_of(alg.matrix_product(alg.matrix_product(A, X), B))
+            assert apply_transvection(Transvection(a, b, u), x).vec == want
 
 
 def test_transvections_preserve_norm(family_instances):
@@ -234,10 +310,11 @@ def test_rank_deficient_constructions(split_complex, rationals_algebra):
     assert count >= 50
 
 
-def test_log_replay_is_exact(family_instances):
+def test_log_replay_is_exact(family_instances, split_builds):
     rng = random.Random(8)
-    for name in ("C3", "A5", "E7", "B3", "D4"):
-        alg = family_instances[name]
+    # with A5's model coordinatized from root data, whose trace covector is over 6
+    model = coordinatize(parabolic(split_builds("A", 5), 3)).model
+    for alg in [family_instances[name] for name in ("C3", "A5", "E7", "B3", "D4")] + [model]:
         for _ in range(25):
             x = rand_element(rng, alg, span=5)
             res = diagonalize(x)
