@@ -71,6 +71,21 @@ def _options(opts, names, text: str) -> dict:
     return out
 
 
+# kkt(J) holds nbar and n, each of dimension dim J, and L_J inside m, which
+# is injective as L_x e = x: so dim kkt(J) >= 3 dim J, and an algebra past
+# MAX_DIM // 3 cannot give one that fits in rootdata's MAX_DIM
+MAX_JORDAN_DIM = rootdata.MAX_DIM // 3
+
+
+def _check_jordan_dim(n: int, text: str) -> None:
+    """Refuse a Jordan algebra of dimension n before any table of it is made."""
+    if n > MAX_JORDAN_DIM:
+        raise InvalidParameter(
+            f"{text!r} has dimension {n}, above {MAX_JORDAN_DIM}: "
+            f"its Lie algebra would pass dimension {rootdata.MAX_DIM}"
+        )
+
+
 def parse_jordan_descriptor(text: str) -> jordan.JordanAlgebra:
     parts = text.split(":")
     if parts[0] != "jordan" or len(parts) < 2:
@@ -81,12 +96,16 @@ def parse_jordan_descriptor(text: str) -> jordan.JordanAlgebra:
         coeff = ":".join(parts[2:])
         if not coeff:
             raise InvalidParameter(f"descriptor {text!r} is missing a coefficient algebra")
-        return jordan.hermitian(r, composition.parse_descriptor(coeff))
+        D = composition.parse_descriptor(coeff)
+        if r >= 2 and D.dim < 8:  # else hermitian() refuses it, or it is H3 over octonions
+            _check_jordan_dim(r + r * (r - 1) // 2 * D.dim, text)
+        return jordan.hermitian(r, D)
     if head == "J2":
         opts = _options(parts[2:], ("dim", "gram"), text)
         dim = _parse_int(opts["dim"], "dim", text) if "dim" in opts else None
         if dim is None or dim < 1:
             raise InvalidParameter(f"descriptor {text!r} needs dim=<positive>")
+        _check_jordan_dim(dim + 2, text)
         return jordan.quadratic(_gram_matrix(opts.get("gram", "I"), dim))
     raise InvalidParameter(f"unknown jordan family {head!r}")
 

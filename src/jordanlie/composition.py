@@ -24,9 +24,12 @@ integers is held as ``scaled`` and, listed by output, as ``plan``; both are
 derived from mul_table at construction.  ``mul_coeffs`` multiplies through
 ``linalg.dense_product`` on the plan, scaling each factor once to ints and
 dividing each output once.  The norm form N(u) = u^T G u goes through
-``linalg.gram_form``; the composition-law check reads ``scaled`` and G over
-its lcm denominator, in ints.  ``trace``, ``conj`` and ``conj_ints`` read
-the trace covector 2 G[k][0], held in ints as ``trace_cov``.
+``linalg.gram_form``; the composition-law check reads one integer Gram of
+basis products, formed from ``scaled`` and G over its lcm denominator, on
+the tuples with i <= k, the law being symmetric under i <-> k.
+``trace``, ``conj`` and ``conj_ints`` read the trace covector 2 G[k][0],
+held in ints as ``trace_cov``.  The doubling runs on ints too: the table
+and the basis norms are carried over their denominators and read out once.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 from .errors import AlgebraMismatch, InvalidParameter
 from .linalg import ProductPlan, ScaledTable, add_combination, dense_product, det, gram_form
-from .linalg import op_from_dense, product_plan, scale_dense, scale_table, table_product
+from .linalg import op_from_dense, product_plan, scale_dense, scale_table, table_product, table_readout
 from .rationals import Q, fmt, parse
 
 Coeffs = tuple[Fraction, ...]
@@ -187,50 +190,67 @@ class CAElement:
 _DIM_NAMES = {1: "field", 2: "complex", 4: "quaternion", 8: "octonion"}
 
 
-def _double(table, norms, gamma: Fraction):
-    """One Cayley-Dickson step on (sparse mul table, basis norm list)."""
-    n = len(norms)
+def _double(table: ScaledTable, norms: tuple[list, int], gamma: Fraction):
+    """One Cayley-Dickson step on (sparse mul table, basis norm list), both
+    in ints: the table over its den s and the norms over t.  With gamma =
+    p / q, the double's table is read over q s and its norms over q t."""
+    cells, s = table.cells, table.den
+    ns, t = norms
+    n = len(ns)
+    p, q = gamma.numerator, gamma.denominator
 
-    def mul(acc, u, v, s=1):
-        """acc += s * uv."""
-        return table_product(acc, table, u.items(), [(k, s * x) for k, x in v.items()])
+    def mul(acc, u, v, c):
+        """acc += c * uv, over s."""
+        return table_product(acc, cells, u.items(), [(k, c * x) for k, x in v.items()])
 
     def conj(v):
         return {k: c if k == 0 else -c for k, c in v.items()}
 
     def halves(i):
         """Basis element i of the double as its pair (a, b)."""
-        unit = {i % n: Q(1)}
+        unit = {i % n: 1}
         return (unit, {}) if i < n else ({}, unit)
 
     def cell(i, j):
         (a, b), (c, d) = halves(i), halves(j)
-        first = mul(mul({}, a, c), conj(d), b, gamma)
-        second = {n + k: x for k, x in mul(mul({}, d, a), b, conj(c)).items()}
+        first = mul(mul({}, a, c, q), conj(d), b, p)
+        second = {n + k: x for k, x in mul(mul({}, d, a, q), b, conj(c), q).items()}
         return {k: x for k, x in {**first, **second}.items() if x}
 
-    new_table = tuple(tuple(cell(i, j) for j in range(2 * n)) for i in range(2 * n))
-    new_norms = list(norms) + [-gamma * x for x in norms]
-    return new_table, new_norms
+    new_cells = tuple(tuple(cell(i, j) for j in range(2 * n)) for i in range(2 * n))
+    return ScaledTable(new_cells, q * s), ([q * x for x in ns] + [-p * x for x in ns], q * t)
 
 
 def composition_law_failure(alg: CompositionAlgebra) -> tuple[int, int, int, int] | None:
     """The first basis 4-tuple, in lexicographic order, at which the full
     polarization of N(uv) = N(u)N(v) fails, or None; the law holds
     identically iff  B(ei*ej, ek*el) + B(ek*ej, ei*el) = B(ei,ek) B(ej,el)
-    on every basis 4-tuple.  With B(u, v) = 2 u^T G v, the products as ints
-    over s (``scaled``) and G as ints over its lcm d_G, it is checked in ints
-    as  d_G (u^T G v + u'^T G v') = 2 s^2 G_ik G_jl."""
+    on every basis 4-tuple.  With B(u, v) = 2 u^T G v, the products u_ij =
+    ei*ej as ints over s (``scaled``) and G as ints g over its lcm d_G, one
+    integer Gram of basis products, P[ij][kl] = d_G s^2 u_ij^T G u_kl, is
+    formed, and the law is checked as  d_G (P[ij][kl] + P[kj][il]) =
+    2 s^2 g_ik g_jl,  for each (i, j, k) on all l at once.  G is symmetric
+    (the conjugation check forces it), so the law is symmetric under i <-> k
+    and a failure at i > k fails first at (k, j, i, l): only i <= k is read."""
     n = alg.dim
     prod, s = alg.scaled.cells, alg.scaled.den
     gram = scale_table((op_from_dense(alg.norm_gram),))
     g, d = gram.cells[0], gram.den  # g[k][i] = d_G G_ik
-    gprod = [[add_combination({}, g, cell.items()) for cell in row] for row in prod]
-    form = lambda u, gv: sum(c * gv.get(r, 0) for r, c in u.items())
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        lhs = form(prod[i][j], gprod[k][l]) + form(prod[k][j], gprod[i][l])
-        if d * lhs != 2 * s * s * g[k].get(i, 0) * g[l].get(j, 0):
-            return (i, j, k, l)
+    units = [cell for row in prod for cell in row]  # s u_ij at i n + j
+    g_units = [{} for _ in range(n)]  # g_units[r][b]: entry r of d_G s G u_b
+    for b, u in enumerate(units):
+        for r, c in add_combination({}, g, u.items()).items():
+            g_units[r][b] = c
+    nn = range(n * n)
+    p = [list(map(add_combination({}, g_units, u.items()).get, nn, itertools.repeat(0))) for u in units]
+    dense_g = [[col.get(l, 0) for l in range(n)] for col in g]  # dense_g[j][l] = d_G G_jl
+    for i, j in itertools.product(range(n), repeat=2):
+        for k in range(i, n):
+            lhs = map(add, p[i * n + j][k * n : k * n + n], p[k * n + j][i * n : i * n + n])
+            c = 2 * s * s * g[k].get(i, 0)
+            got, want = [d * x for x in lhs], [c * y for y in dense_g[j]]
+            if got != want:
+                return (i, j, k, next(l for l in range(n) if got[l] != want[l]))
     return None
 
 
@@ -283,20 +303,20 @@ def build_composition(dim: int, gammas: Sequence) -> CompositionAlgebra:
     if any(g == 0 for g in gs):
         raise InvalidParameter("doubling parameters must be nonzero")
 
-    table = (({0: Q(1)},),)
-    norms = [Q(1)]
+    table, norms = ScaledTable((({0: 1},),), 1), ([1], 1)
     for g in gs:
         table, norms = _double(table, norms, g)
 
     labels = _basis_labels(dim)
+    ns, t = norms
     gram = tuple(
-        tuple(norms[i] if i == j else Q(0) for j in range(dim)) for i in range(dim)
+        tuple(Q(ns[i], t) if i == j else Q(0) for j in range(dim)) for i in range(dim)
     )
     alg = CompositionAlgebra(
         dim=dim,
         gammas=gs,
         basis_labels=labels,
-        mul_table=table,
+        mul_table=table_readout(table),
         norm_gram=gram,
         descriptor=_descriptor(dim, gs),
     )

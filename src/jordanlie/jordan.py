@@ -32,20 +32,25 @@ products, equality and the power sequence behind the polynomials run on
 ints; ``vec`` reads the coefficients out as Fractions.
 
 Products go through a multiplication table of basis products in the
-package's one cell format: mul_table[i][j] is b_i o b_j as a dict
-{k: coeff} with zeros absent.  The table is scaled to integers over its
-common denominator (``linalg.scale_table``) and listed by output once
+package's one cell format: cell [i][j] is b_i o b_j as a dict {k: coeff}
+with zeros absent.  The table is built in ints over one denominator and
+held as ``scaled`` (``linalg.reduced_table`` puts it in lowest terms, so it
+is exactly ``linalg.scale_table`` of its readout) and listed by output once
 (``plan``, a ``linalg.ProductPlan``); ``mul_vec``, the one entry point of
 every element product, runs ``linalg.int_product`` on the elements' ints.
-The hermitian table is formed from sparse matrix units multiplied through
-D's own table by ``linalg.table_product``; ``HermitianJordan.symmetrized_product``, the
-same product by genuine matrix multiplication over D, is kept as the
-reference the tests compare the table against.  The quadratic family's
-form Q(v) = v^T G v is evaluated by ``linalg.gram_form``.
+``mul_table``, the Fraction readout, is made on first read.  The hermitian
+table is formed from sparse matrix units multiplied through D's scaled
+table by ``linalg.table_product``, each unit held times the denominator d
+of D's trace covector, so it is read over 2 s d^2 (s that of D's table);
+``HermitianJordan.symmetrized_product``, the same product by genuine
+matrix multiplication over D, is kept as the reference the tests compare
+the table against.  The quadratic table is read off the Gram over 2 d_G,
+and the family's form Q(v) = v^T G v is evaluated by ``linalg.gram_form``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -75,8 +80,7 @@ class JordanAlgebra:
     variant: str  # "hermitian" | "quadratic"
     dim: int
     degree: int
-    mul_table: list[list[dict]]
-    scaled: linalg.ScaledTable  # mul_table over its common denominator
+    scaled: linalg.ScaledTable  # the table, built in ints over its common denominator
     plan: linalg.ProductPlan  # scaled, listed by output: the element products' kernel
 
     def __init__(self):
@@ -85,14 +89,19 @@ class JordanAlgebra:
     # -- common setup, called by the factories ------------------------------
 
     def _finish_init(self):
-        self.mul_table = self._build_mul_table()
-        self.scaled = linalg.scale_table(self.mul_table)
+        self.scaled = self._build_scaled_table()
         self.plan = linalg.product_plan(self.scaled)
         self.identity = self.element(self._identity_vec())
         self.frames = [self.element(v) for v in self._frame_vecs()]
         # fixed element with r distinct "eigenvalues"; used to steer the
         # characteristic-coefficient interpolation off the degenerate locus
         self._generic_probe = sum(((i + 1) * f for i, f in enumerate(self.frames)), self.zero())
+
+    @functools.cached_property
+    def mul_table(self) -> tuple:
+        """The table of basis products as Fractions, read out of ``scaled``
+        on first use: nothing in the package reads it."""
+        return linalg.table_readout(self.scaled)
 
     # -- elements ------------------------------------------------------------
 
@@ -207,38 +216,44 @@ class HermitianJordan(JordanAlgebra):
         ]
         return self.vector_of(sym)
 
-    def _build_mul_table(self):
-        """Basis products (xy + yx)/2 of sparse matrix units, multiplied
-        through the coefficient algebra's own table, under the checks of
-        :meth:`vector_of`: a scalar diagonal and a hermitian result."""
+    def _build_scaled_table(self):
+        """Basis products (xy + yx)/2 of sparse matrix units, multiplied in
+        ints through the coefficient algebra's scaled table (over s), under
+        the checks of :meth:`vector_of`.  Each unit is held times d, the
+        denominator of the trace covector, its lower entry through
+        ``conj_ints``, so a symmetrized product comes out 2 s d^2 times the
+        table's, the diagonal must be scalar and d times the (j, i) entry
+        must be conj_ints of the (i, j) one."""
         D = self.coeff_algebra
-        conj = [{k: c for k, c in enumerate(b.conj().coeffs) if c} for b in D.basis()]
-        # basis elements as lists of nonzero entries (row, col, {D-index: coeff})
-        units = [[(i, i, {0: Q(1)})] for i in range(self.r)]
+        cells, d = D.scaled.cells, D.trace_cov[1]
+        basis = [[int(k == a) for k in range(D.dim)] for a in range(D.dim)]
+        conj = [{k: c for k, c in enumerate(D.conj_ints(v)) if c} for v in basis]  # d conj(e_a)
+        # basis elements as lists of nonzero entries (row, col, {D-index: d coeff})
+        units = [[(i, i, {0: d})] for i in range(self.r)]
         for i, j in self.pairs:
-            units += [[(i, j, {a: Q(1)}), (j, i, conj[a])] for a in range(D.dim)]
+            units += [[(i, j, {a: d}), (j, i, conj[a])] for a in range(D.dim)]
         table = [[None] * self.dim for _ in range(self.dim)]
         for s in range(self.dim):
             for t in range(s, self.dim):
                 mat: dict = {}
-                _matrix_unit_product(mat, D.mul_table, units[s], units[t])
-                _matrix_unit_product(mat, D.mul_table, units[t], units[s])
-                mat = {pos: {k: HALF * c for k, c in e.items() if c} for pos, e in mat.items()}
+                _matrix_unit_product(mat, cells, units[s], units[t])
+                _matrix_unit_product(mat, cells, units[t], units[s])
+                mat = {pos: {k: c for k, c in e.items() if c} for pos, e in mat.items()}
                 entry = {}
                 for i in range(self.r):
-                    diag = mat.get((i, i), {})
-                    if diag.keys() - {0}:
-                        raise ConstructionError("diagonal entry is not scalar")
-                    if diag:
+                    if diag := mat.get((i, i)):
+                        if diag.keys() - {0}:
+                            raise ConstructionError("diagonal entry is not scalar")
                         entry[i] = diag[0]
                 for (i, j), off in self._pair_offset.items():
-                    upper = mat.get((i, j), {})
-                    lower = linalg.add_combination({}, conj, upper.items())
-                    if mat.get((j, i), {}) != {k: c for k, c in lower.items() if c}:
-                        raise ConstructionError("matrix is not hermitian")
-                    entry.update((off + k, c) for k, c in upper.items())
+                    upper, lower = mat.get((i, j), {}), mat.get((j, i), {})
+                    if upper or lower:
+                        want = linalg.add_combination({}, conj, upper.items())
+                        if {k: d * c for k, c in lower.items()} != {k: c for k, c in want.items() if c}:
+                            raise ConstructionError("matrix is not hermitian")
+                        entry.update((off + k, c) for k, c in upper.items())
                 table[s][t] = table[t][s] = dict(sorted(entry.items()))
-        return table
+        return linalg.reduced_table(table, 2 * D.scaled.den * d * d)
 
     def _identity_vec(self) -> Vec:
         return tuple(Q(1) if k < self.r else Q(0) for k in range(self.dim))
@@ -269,14 +284,14 @@ class HermitianJordan(JordanAlgebra):
         return self.element(out)
 
 
-def _matrix_unit_product(acc: dict, ca_table, a: list, b: list) -> None:
+def _matrix_unit_product(acc: dict, cells, a: list, b: list) -> None:
     """acc += a b for matrices over D listed by their nonzero entries
-    (row, col, {D-index: coeff}); ca_table is D's multiplication table."""
+    (row, col, {D-index: coeff}); cells is D's scaled table."""
     for r, m, u in a:
         for m2, c, v in b:
             if m == m2:
                 entry = acc.setdefault((r, c), {})
-                linalg.table_product(entry, ca_table, u.items(), v.items())
+                linalg.table_product(entry, cells, u.items(), v.items())
 
 
 class QuadraticJordan(JordanAlgebra):
@@ -315,25 +330,19 @@ class QuadraticJordan(JordanAlgebra):
             raise InvalidParameter("wrong vector-part length")
         return self.element([Q(a), Q(b), *[Q(x) for x in v]])
 
-    def _mul_parts(self, x: Vec, y: Vec) -> Vec:
-        a1, b1, v1 = self.parts(x)
-        a2, b2, v2 = self.parts(y)
-        cross = linalg.gram_form(self.gram, enumerate(v1), enumerate(v2))
-        s1, s2 = a1 + b1, a2 + b2
-        vv = tuple(HALF * (s1 * v2[k] + s2 * v1[k]) for k in range(self.v_dim))
-        return (a1 * a2 + cross, b1 * b2 + cross) + vv
-
-    def _build_mul_table(self):
-        table = [[None] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            vi = tuple(Q(1) if k == i else Q(0) for k in range(self.dim))
-            for j in range(i, self.dim):
-                vj = tuple(Q(1) if k == j else Q(0) for k in range(self.dim))
-                prod = self._mul_parts(vi, vj)
-                entry = {k: c for k, c in enumerate(prod) if c}
-                table[i][j] = entry
-                table[j][i] = entry
-        return table
+    def _build_scaled_table(self):
+        """Basis products in ints over 2 d_G, G = g / d_G: e1 o e1 = e1,
+        e2 o e2 = e2, e1 o e2 = 0, e1 o v = e2 o v = v / 2 and
+        v o w = G(v, w) (e1 + e2), the polarization of the square rule."""
+        gram = linalg.scale_table((linalg.op_from_dense(self.gram),))
+        g, dg = gram.cells[0], gram.den  # g[l][k] = d_G G_kl
+        table = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
+        table[0][0], table[1][1] = {0: 2 * dg}, {1: 2 * dg}
+        for k in range(self.v_dim):
+            table[0][2 + k] = table[2 + k][0] = table[1][2 + k] = table[2 + k][1] = {2 + k: dg}
+            for l, c in g[k].items():
+                table[2 + l][2 + k] = {0: 2 * c, 1: 2 * c}
+        return linalg.reduced_table(table, 2 * dg)
 
     def _identity_vec(self) -> Vec:
         return (Q(1), Q(1)) + (Q(0),) * self.v_dim
@@ -611,18 +620,18 @@ def pierce(alg: JordanAlgebra) -> PierceDecomposition:
 
 
 def element_to_json(x: JordanElement) -> dict:
-    alg = x.algebra
+    alg, vec = x.algebra, x.vec
     if alg.variant == "hermitian":
         upper = {}
         for (i, j) in alg.pairs:
-            entry = alg.upper_entry(x.vec, i, j)
+            entry = alg.upper_entry(vec, i, j)
             if not entry.is_zero():
                 upper[f"{i + 1},{j + 1}"] = ca_element_to_json(entry)
         return {
-            "diag": [fmt(c) for c in alg.diag_entries(x.vec)],
+            "diag": [fmt(c) for c in alg.diag_entries(vec)],
             "upper": upper,
         }
-    a, b, v = alg.parts(x.vec)
+    a, b, v = alg.parts(vec)
     return {"a": fmt(a), "b": fmt(b), "v": [fmt(c) for c in v]}
 
 

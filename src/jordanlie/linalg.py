@@ -29,10 +29,14 @@ ints over their denominators), in the Lie bracket table (kkt's
 ``bracket_table``, the only store of a Lie algebra's brackets) and its
 readers, the Killing trace Gram among them, in rootdata's Jordan side (``jordan_from_roots``, ``q_forms``,
 the coordinatization's doubled-product chain and local coordinates, the
-transport's Levi block) and its cross-validate comparison, and in the
-composition algebra's unit, conjugation and composition laws, which scale
-to Python ints (``scale_table``, ``scale_vec``) and divide back once, if
-at all.  There is
+transport's Levi block) and its cross-validate comparison, in the
+composition algebra's unit, conjugation and composition laws, and in the
+construction of every Jordan and composition table (doubling, hermitian
+matrix-unit products, the quadratic table), which scale to Python ints
+(``scale_table``, ``scale_vec``) or are built in them, and divide back
+once, if at all: ``reduced_table`` puts an int table over its denominator
+in lowest terms, as ``scale_table`` holds it, and ``table_readout`` reads
+a scaled table back as Fractions.  There is
 one row reduction, ``EchelonBasis``, in ints with division only on readout:
 the dense helpers (``rref`` and through it ``rank``, ``nullspace``,
 ``invert`` and ``solve``, and ``det``) insert their rows into one and read
@@ -210,6 +214,21 @@ def scale_table(table) -> ScaledTable:
         for row in table
     )
     return ScaledTable(cells, den)
+
+
+def reduced_table(cells, den: int) -> ScaledTable:
+    """The int cells over den, with no zero entry, as ``scale_table`` would
+    hold their readout: den and every entry divided by their gcd."""
+    g = math.gcd(den, *(c for row in cells for cell in row for c in cell.values()))
+    cells = tuple(tuple({k: c // g for k, c in cell.items()} for cell in row) for row in cells)
+    return ScaledTable(cells, den // g)
+
+
+def table_readout(scaled: ScaledTable) -> tuple:
+    """The table a ScaledTable holds, cell [i][j] as {k: c / den}: one
+    division per constant."""
+    den = scaled.den
+    return tuple(tuple({k: Q(c, den) for k, c in cell.items()} for cell in row) for row in scaled.cells)
 
 
 def scale_vec(items) -> tuple[list, int]:

@@ -15,7 +15,8 @@ from pathlib import Path
 from test_cli import GOLDEN_VERIFY_ARGS, GOLDEN_VERIFY_SHA256
 
 import jordanlie
-from jordanlie import jordan, kkt, linalg, orbits, rootdata, verify
+from jordanlie import cli, jordan, kkt, linalg, orbits, rootdata, verify
+from jordanlie.composition import algebra_from_table
 from jordanlie.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -354,26 +355,16 @@ def test_q_composition_checks_make_no_fraction_arithmetic(monkeypatch, split_bui
 def test_coordinatize_makes_fraction_arithmetic_only_on_readout_lines(monkeypatch, split_builds):
     # the Jordan product, the Pierce Grams, the unit search, the {x, y}
     # chain, the local coordinates and the coefficient Gram run on ints and
-    # divide once per output constant, and the unit and conjugation checks of
-    # the coefficient algebra compare ints, so what adds or multiplies a
-    # Fraction in coordinatize (E7 node 7) is the readout: the rescaled
-    # triples and forms of p2, and the product of pivots of the norm Gram's
-    # determinant.  jordan.hermitian's own table build, timed apart by
-    # perfbench, is left out
+    # divide once per output constant, the unit, conjugation and composition
+    # checks of the coefficient algebra compare ints, and so does the model's
+    # own table build, so what adds or multiplies a Fraction in coordinatize
+    # (E7 node 7) is the readout: the rescaled triples and forms of p2, and
+    # the product of pivots of the norm Gram's determinant
     traced = set(_load("spans").TRACED)
     names = {("rootdata", n) for n in ("coordinatize", "jordan_from_roots", "q_forms")}
     assert names | {("jordan", "hermitian")} <= traced
     p = rootdata.parabolic(split_builds("E7", 7), 7)
     calls = []
-    hermitian = jordan.hermitian
-
-    def uncounted(r, D):
-        start = len(calls)
-        model = hermitian(r, D)
-        del calls[start:]
-        return model
-
-    monkeypatch.setattr(jordan, "hermitian", uncounted)
     _count_fraction_arithmetic(monkeypatch, calls)
     co = rootdata.coordinatize(p)
     monkeypatch.undo()
@@ -384,3 +375,32 @@ def test_coordinatize_makes_fraction_arithmetic_only_on_readout_lines(monkeypatc
         ("det", "d *= lead"),
     }
     assert {(name, line) for _, name, line in calls} <= readout
+
+
+def test_jordan_tables_make_no_fraction_arithmetic(monkeypatch, split_builds):
+    # the Cayley-Dickson doubling, the composition-law check, the hermitian
+    # matrix-unit products and the quadratic table run on ints and divide
+    # once per table constant, so building every perfbench family, three
+    # algebras with non-integral doubling parameters and the hermitian models
+    # on the coefficient tables coordinatized at A5 node 3 and E7 node 7 adds
+    # and multiplies a Fraction only in the product of pivots of a Gram's
+    # determinant; perfbench times the builds under these names
+    traced = set(_load("spans").TRACED)
+    assert {("jordan", "hermitian"), ("jordan", "quadratic"), ("composition", "build_composition")} <= traced
+    descriptors = list(_load("child").FAMILIES.values())
+    descriptors += ["jordan:H3:complex:-7/4", "jordan:H2:quaternion:1/3,-5/7", "jordan:H3:octonion:-1,-1,-1"]
+    tables = []
+    for lie, node in ((("A", 5), 3), (("E7", 7), 7)):
+        model = rootdata.coordinatize(rootdata.parabolic(split_builds(*lie), node)).model
+        D = model.coeff_algebra
+        cells = [[[cell.get(k, 0) for k in range(D.dim)] for cell in row] for row in D.mul_table]
+        tables.append((model.r, cells, D.norm_gram, model))
+    calls = []
+    _count_fraction_arithmetic(monkeypatch, calls)
+    built = [cli.parse_jordan_descriptor(text) for text in descriptors]
+    models = [(jordan.hermitian(r, algebra_from_table(cells, gram)), model) for r, cells, gram, model in tables]
+    monkeypatch.undo()
+    assert [J.dim for J in built] == [3, 6, 4, 9, 5, 6, 27, 9, 6, 27]
+    for J, model in models:
+        assert (J.mul_table, J.scaled) == (model.mul_table, model.scaled)
+    assert {(name, line) for _, name, line in calls} == {("det", "d *= lead")}

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from jordanlie import cli, kkt, rootdata, verify
+from jordanlie import cli, jordan, kkt, rootdata, verify
 from jordanlie.cli import main, parse_jordan_descriptor, parse_root_descriptor
 from jordanlie.errors import ConstructionError, InvalidParameter
 
@@ -667,6 +667,58 @@ def test_classify_checks_every_place(tmp_path, capsys, diag, places, needle):
     path.write_text(json.dumps({"algebra": "jordan:H3:field", "element": {"diag": diag}}))
     code, out, err = run(capsys, "classify", str(path), "--places", places)
     _assert_usage_error(code, out, err, needle)
+
+
+class TableBuilt(Exception):
+    pass
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Any Jordan table or J2 Gram being made raises TableBuilt."""
+
+    def refuse(*args):
+        raise TableBuilt
+
+    monkeypatch.setattr(jordan.HermitianJordan, "_build_scaled_table", refuse)
+    monkeypatch.setattr(jordan.QuadraticJordan, "_build_scaled_table", refuse)
+    monkeypatch.setattr(cli, "_gram_matrix", refuse)
+
+
+@pytest.mark.parametrize(
+    "descriptor, dim",
+    [
+        ("jordan:H99999:field", 4999950000),
+        ("jordan:H40:split-complex", 1600),
+        ("jordan:H13:field", 91),
+        ("jordan:H7:quaternion:1/3,-5/7", 91),
+        ("jordan:J2:dim=81", 83),
+        ("jordan:J2:dim=99999:gram=split", 100001),
+    ],
+)
+def test_oversized_jordan_descriptors_are_refused_before_any_table(no_tables, tmp_path, capsys, descriptor, dim):
+    # kkt(J) has dimension at least 3 dim J, so past 248 // 3 = 82 it could
+    # not fit; the size is read off the descriptor and no table is made
+    needle = f"{descriptor!r} has dimension {dim}, above 82: its Lie algebra would pass dimension 248"
+    for argv in (["build", descriptor], ["verify", descriptor], ["export", descriptor]):
+        _assert_usage_error(*run(capsys, *argv), needle)
+    path = tmp_path / "el.json"
+    path.write_text(json.dumps({"algebra": descriptor, "element": {"diag": []}}))
+    _assert_usage_error(*run(capsys, "classify", str(path)), needle)
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["jordan:H12:field", "jordan:H6:quaternion:split", "jordan:J2:dim=80", "jordan:H5:octonion:split"]
+)
+def test_jordan_descriptors_up_to_the_bound_reach_their_tables(no_tables, descriptor):
+    # dimension 78, 66 and 82 pass the size check; H5 over the octonions
+    # (85) keeps its own message, from hermitian(), which builds no table
+    if "octonion" in descriptor:
+        with pytest.raises(InvalidParameter, match="only form a Jordan algebra at r = 3"):
+            parse_jordan_descriptor(descriptor)
+    else:
+        with pytest.raises(TableBuilt):
+            parse_jordan_descriptor(descriptor)
 
 
 def test_classify_log_replays(tmp_path, capsys):

@@ -15,7 +15,8 @@ from jordanlie.composition import (
     parse_descriptor,
 )
 from jordanlie.errors import AlgebraMismatch, InvalidParameter
-from jordanlie.linalg import det
+from jordanlie.linalg import add_combination, det, op_from_dense, scale_table
+from jordanlie.rootdata import coordinatize, parabolic
 
 
 def rand_element(rng, alg, span=9):
@@ -258,3 +259,44 @@ def test_composition_law_on_a_non_dyadic_gram():
     bad = dataclasses.replace(good, norm_gram=tuple(tuple(row) for row in gram))
     assert composition_law_failure(good) is None
     assert composition_law_failure(bad) == (0, 0, 3, 3)
+
+
+def law_failure_oracle(alg):
+    """composition_law_failure as a literal loop over the basis 4-tuples in
+    lexicographic order, each side formed from the scaled table and Gram."""
+    n = alg.dim
+    prod, s = alg.scaled.cells, alg.scaled.den
+    gram = scale_table((op_from_dense(alg.norm_gram),))
+    g, d = gram.cells[0], gram.den  # g[k][i] = d_G G_ik
+    gprod = [[add_combination({}, g, cell.items()) for cell in row] for row in prod]
+
+    def form(u, gv):
+        return sum(c * gv.get(r, 0) for r, c in u.items())
+
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        lhs = form(prod[i][j], gprod[k][l]) + form(prod[k][j], gprod[i][l])
+        if d * lhs != 2 * s * s * g[k].get(i, 0) * g[l].get(j, 0):
+            return (i, j, k, l)
+    return None
+
+
+def test_composition_law_agrees_with_the_literal_loop(split_builds):
+    # every single-cell sign flip of the split quaternion and split octonion
+    # tables breaks the law, and the Gram of basis products names the same
+    # first failing tuple as the loop; so do the coefficient tables
+    # coordinatized at A5 node 3 and E7 node 7, whose products are not
+    # monomials and whose table and Gram are over 3 or 9 and 6 or 18
+    algebras = [build_composition(4, [1, 1]), build_composition(8, [1, 1, 1])]
+    for label, rank, node in (("A", 5, 3), ("E7", 7, 7)):
+        algebras.append(coordinatize(parabolic(split_builds(label, rank), node)).model.coeff_algebra)
+    for alg in algebras:
+        assert composition_law_failure(alg) is None is law_failure_oracle(alg)
+        flipped = []
+        for i, j in itertools.product(range(alg.dim), repeat=2):
+            if alg.mul_table[i][j]:
+                table = [list(row) for row in alg.mul_table]
+                table[i][j] = {k: -c for k, c in table[i][j].items()}
+                bad = dataclasses.replace(alg, mul_table=tuple(map(tuple, table)))
+                flipped.append(composition_law_failure(bad))
+                assert flipped[-1] == law_failure_oracle(bad), (alg, i, j)
+        assert None not in flipped and len(set(flipped)) > 1

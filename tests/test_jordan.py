@@ -8,6 +8,7 @@ from fractions import Fraction as Q
 import pytest
 
 from jordanlie import jordan, linalg, verify
+from jordanlie.composition import parse_descriptor
 from jordanlie.errors import (
     AlgebraMismatch,
     ConstructionError,
@@ -21,6 +22,7 @@ from jordanlie.jordan import (
     jordan_trace,
     pierce,
 )
+from jordanlie.rootdata import coordinatize, parabolic
 
 
 def rand_element(rng, alg, span=9):
@@ -66,20 +68,30 @@ def test_degenerate_gram_rejected():
         jordan.quadratic([[0, 1], [2, 0]])  # not symmetric
 
 
-def test_table_rejects_non_hermitian_products(split_complex):
+def test_table_rejects_non_hermitian_products(split_complex, split_builds):
     # corrupt one sparse cell {k: coeff} of the coefficient table (no
     # build-time checks run)
-    def broken(i, j, cell):
-        table = [list(row) for row in split_complex.mul_table]
+    def broken(D, i, j, cell):
+        table = [list(row) for row in D.mul_table]
         table[i][j] = {k: Q(c) for k, c in enumerate(cell) if c}
-        return dataclasses.replace(split_complex, mul_table=tuple(map(tuple, table)))
+        return dataclasses.replace(D, mul_table=tuple(map(tuple, table)))
 
     # i*i = 1 + i: (i E_12 + conj(i) E_21)^2 has a non-scalar diagonal
     with pytest.raises(ConstructionError, match="diagonal entry is not scalar"):
-        jordan.hermitian(2, broken(1, 1, (1, 1)))
+        jordan.hermitian(2, broken(split_complex, 1, 1, (1, 1)))
     # 1*i = 1 + i but i*1 = i: E_11 o (i E_12 + conj(i) E_21) is not hermitian
     with pytest.raises(ConstructionError, match="not hermitian"):
-        jordan.hermitian(2, broken(0, 1, (1, 1)))
+        jordan.hermitian(2, broken(split_complex, 0, 1, (1, 1)))
+    # the coefficient algebra coordinatized at A5 node 3, b1 b1 = -1/3 b1,
+    # has its table over 3 and its trace covector over 6: b1 b1 = 1/3 b1
+    # makes a non-scalar diagonal, and 1 b1 = 1/3 + b1 a non-hermitian product
+    D = coordinatize(parabolic(split_builds("A", 5), 3)).model.coeff_algebra
+    assert (D.descriptor, D.scaled.den, D.trace_cov[1]) == ("table:2", 3, 6)
+    assert D.mul_table[1][1] == {1: Q(-1, 3)}
+    with pytest.raises(ConstructionError, match="diagonal entry is not scalar"):
+        jordan.hermitian(2, broken(D, 1, 1, (0, Q(1, 3))))
+    with pytest.raises(ConstructionError, match="not hermitian"):
+        jordan.hermitian(2, broken(D, 0, 1, (Q(1, 3), 1)))
 
 
 def test_unit_law(family_instances):
@@ -475,11 +487,22 @@ def test_cayley_hamilton(family_instances):
             assert acc.is_zero()
 
 
-def test_matrix_model_consistency(family_instances):
+def test_matrix_model_consistency(family_instances, split_builds):
     # bilinear table product equals the symmetrized matrix product: first
-    # every basis-pair table entry, then random pairs
-    for name in ("C2", "C3", "A3", "A5", "E7"):
-        alg = family_instances[name]
+    # every basis-pair table entry, then random pairs.  The table is built
+    # in ints and read out, so its scaled form is checked to be exactly what
+    # scale_table makes of the readout.  Besides the doubled tables with
+    # gammas 1, the inputs have non-integral or negative doubling parameters,
+    # and the models coordinatized from root data have coefficient tables and
+    # a trace covector over d != 1
+    algs = {name: family_instances[name] for name in ("C2", "C3", "A3", "A5", "E7")}
+    for r, desc in ((3, "complex:-7/4"), (2, "quaternion:1/3,-5/7"), (3, "octonion:-1,-1,-1")):
+        algs[f"H{r}:{desc}"] = jordan.hermitian(r, parse_descriptor(desc))
+    for name, label, rank, node in (("A5/3", "A", 5, 3), ("D6/6", "D", 6, 6), ("E7/7", "E7", 7, 7)):
+        algs[name] = coordinatize(parabolic(split_builds(label, rank), node)).model
+    assert {alg.coeff_algebra.trace_cov[1] for alg in algs.values()} == {1, 6}
+    for alg in algs.values():
+        assert alg.scaled == linalg.scale_table(alg.mul_table)
         basis = [b.vec for b in alg.basis()]
         for i in range(alg.dim):
             for j in range(i, alg.dim):
@@ -487,8 +510,8 @@ def test_matrix_model_consistency(family_instances):
                 assert alg.mul_table[i][j] == {k: c for k, c in enumerate(want) if c}
                 assert alg.mul_table[j][i] == alg.mul_table[i][j]
     rng = random.Random(11)
-    for name in ("C3", "A5", "E7"):
-        alg = family_instances[name]
+    for name in ("C3", "A5", "E7", "H2:quaternion:1/3,-5/7", "A5/3"):
+        alg = algs[name]
         for _ in range(25):
             x = rand_element(rng, alg, span=4)
             y = rand_element(rng, alg, span=4)
@@ -566,6 +589,22 @@ def test_hermitian_json_round_trip(family_instances):
     assert set(obj) == {"diag", "upper"}
     y = jordan.element_from_json(obj, alg)
     assert y == x
+
+
+def test_element_to_json_reads_the_coefficients_once(monkeypatch, family_instances):
+    # vec divides every coefficient out of the element's ints: the diagonal
+    # and each upper entry of a hermitian element, and the parts of a
+    # quadratic one, are all read from one readout
+    reads = []
+    vec = jordan.JordanElement.vec
+    monkeypatch.setattr(jordan.JordanElement, "vec", property(lambda x: reads.append(x) or vec.fget(x)))
+    rng = random.Random(13)
+    for name in ("E7", "A5", "C2", "D4"):
+        x = rand_element(rng, family_instances[name])
+        obj = jordan.element_to_json(x)
+        assert reads == [x]
+        reads.clear()
+        assert jordan.element_from_json(obj, x.algebra) == x
 
 
 def test_quadratic_json_round_trip(family_instances):
