@@ -565,11 +565,6 @@ class RootJordan:
         t = self.parabolic.triples[i - 1]
         return next(iter(t.e.values()))
 
-    @property
-    def identity_vec(self):
-        chain = self.parabolic.strongly_orthogonal
-        return self.embed(chain, [self.frame_scale(i) for i in range(1, len(chain) + 1)])
-
     def frame_vec(self, i: int):
         return self.embed(self.parabolic.strongly_orthogonal[i - 1 : i], [self.frame_scale(i)])
 

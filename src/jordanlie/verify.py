@@ -5,22 +5,25 @@ with a named witness on failure.  Every identity checked here is
 multilinear, so the suites check basis tuples and a pass certifies the
 identity for all elements.  The one exception is Jacobi above dimension
 ``EXHAUSTIVE_DIM``: it checks the triples ``Random(seed).randrange`` draws,
-read in blocks of generator words and, with one job, checked block by block
-as drawn.  ``Config``'s seed, sample count and jobs steer that suite only.
+filtered in bulk from blocks of generator words (below n = 256 by one
+``bytes.translate`` of the words' top bytes), handed on as flat blocks of
+indices and, with one job, checked on a tuple view of the table block by
+block as drawn.  ``Config``'s seed, sample count and jobs steer that suite
+only; jobs is capped at the CPU count.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import sys
 from array import array
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
 from . import jordan as jordan_mod
-from . import composition, kkt, linalg, rootdata
+from . import composition, linalg, rootdata
 from .errors import InvalidParameter
 from .kkt import LieAlgebra
 from .rationals import Q, fmt
@@ -68,50 +71,58 @@ def jacobi_residual(g: LieAlgebra, i: int, j: int, k: int) -> dict:
 
 
 def _sampled_triples(seed: int, n: int, count: int):
-    """Blocks of the count triples (rng.randrange(n),) * 3 of rng = Random(seed).
-    randrange(n) keeps a 32-bit word's top n.bit_length() bits and draws again at
-    a value >= n, so one masked and shifted getrandbits(32 w) (first word lowest)
-    is filtered in bulk."""
+    """The 3 count values rng.randrange(n) of rng = Random(seed), in flat blocks
+    of whole triples.  randrange(n) keeps a 32-bit word's top w = n.bit_length()
+    bits and draws again at a value >= n, so each getrandbits(32 W) (first word
+    lowest) is filtered in bulk: for w <= 8 the words' top bytes are shifted and
+    rejected by one bytes.translate, above that the masked, shifted words are."""
     rng = random.Random(seed)
-    shift = 32 - n.bit_length()
+    w = n.bit_length()
     width = 3 * SAMPLE_BLOCK
-    top = int.from_bytes((0xFFFFFFFF >> shift << shift).to_bytes(4, "little") * width, "little")
-    vals: list = []
+    if w <= 8:
+        table = bytes(b >> (8 - w) for b in range(256))
+        reject = bytes(b for b in range(256) if b >> (8 - w) >= n)
+        vals = bytearray()
+    else:
+        shift = 32 - w
+        top = int.from_bytes((0xFFFFFFFF >> shift << shift).to_bytes(4, "little") * width, "little")
+        vals = []
+    count *= 3
     while count:
-        bits = (rng.getrandbits(32 * width) & top) >> shift
-        words = array("I", bits.to_bytes(4 * width, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        vals += [v for v in words if v < n]
-        take = min(count, len(vals) // 3)
-        it = iter(vals)
-        yield list(itertools.islice(zip(it, it, it), take))
-        del vals[: 3 * take]
+        if w <= 8:
+            vals += rng.getrandbits(32 * width).to_bytes(4 * width, "little")[3::4].translate(table, reject)
+        else:
+            bits = (rng.getrandbits(32 * width) & top) >> shift
+            words = array("I", bits.to_bytes(4 * width, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            vals += [v for v in words if v < n]
+        take = min(count, len(vals) - len(vals) % 3)
+        yield vals[:take]
+        del vals[:take]
         count -= take
 
 
 def _jacobi_chunk(args) -> Optional[tuple]:
-    """The first triple whose Jacobi sum is nonzero on the integer table, or None:
-    jacobi_residual's three terms, each skipped when its bracket is empty
-    (most random brackets are), with the add inlined."""
-    g, triples = args
-    t = g.table.cells
-    for i, j, k in triples:
-        ti, tj, tk = t[i], t[j], t[k]
+    """The first triple of a flat block whose Jacobi sum is nonzero on the
+    integer table, or None.  view[a][b] is the cell [b_a, b_b] as a tuple of
+    (basis, int) pairs; jacobi_residual's three terms are summed with the add
+    inlined, and most random brackets are empty."""
+    view, block = args
+    it = iter(block)
+    for i, j, k in zip(it, it, it):
+        ti, tj, tk = view[i], view[j], view[k]
         acc: dict = {}
-        if ab := ti[j]:
-            for p, c in ab.items():
-                for m, v in tk[p].items():
-                    acc[m] = acc.get(m, 0) + c * v
-        if ab := tj[k]:
-            for p, c in ab.items():
-                for m, v in ti[p].items():
-                    acc[m] = acc.get(m, 0) + c * v
-        if ab := tk[i]:
-            for p, c in ab.items():
-                for m, v in tj[p].items():
-                    acc[m] = acc.get(m, 0) + c * v
-        if any(acc.values()):
+        for p, c in ti[j]:
+            for m, v in tk[p]:
+                acc[m] = acc.get(m, 0) + c * v
+        for p, c in tj[k]:
+            for m, v in ti[p]:
+                acc[m] = acc.get(m, 0) + c * v
+        for p, c in tk[i]:
+            for m, v in tj[p]:
+                acc[m] = acc.get(m, 0) + c * v
+        if acc and any(acc.values()):
             return (i, j, k)
     return None
 
@@ -120,23 +131,24 @@ def suite_jacobi(g: LieAlgebra, cfg: Config) -> SuiteResult:
     n = g.dim
     if n <= EXHAUSTIVE_DIM:
         checked, note = n * (n - 1) * (n - 2) // 6, "exhaustive"
-        blocks = [itertools.combinations(range(n), 3)]
+        blocks = [itertools.chain.from_iterable(itertools.combinations(range(n), 3))]
     else:
         checked, note = cfg.sample_count, f"sampled, seed {cfg.seed}"
         blocks = _sampled_triples(cfg.seed, n, checked)
-    if cfg.jobs > 1:
-        # consecutive chunks, at most one per job, none empty
-        triples = list(itertools.chain.from_iterable(blocks))
-        size = max(1, -(-len(triples) // cfg.jobs))
-        blocks = [triples[t : t + size] for t in range(0, len(triples), size)]
+    # no more workers than CPUs; consecutive chunks, one per worker, none empty
+    jobs = min(cfg.jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        flat = list(itertools.chain.from_iterable(blocks))
+        size = 3 * max(1, -(-len(flat) // (3 * jobs)))
+        blocks = [flat[t : t + size] for t in range(0, len(flat), size)]
+    view = [[tuple(cell.items()) if cell else () for cell in row] for row in g.table.cells]
     # lazily, so one job checks each block as it is drawn and stops at the first hit
-    hits = map(_jacobi_chunk, zip(itertools.repeat(g), blocks))
-    if cfg.jobs > 1 and len(blocks) > 1:
+    hits = map(_jacobi_chunk, zip(itertools.repeat(view), blocks))
+    if jobs > 1 and len(blocks) > 1:
         import multiprocessing
 
-        lite = LieAlgebra(labels=g.labels, table=g.table, grading=g.grading)
-        with multiprocessing.Pool(min(cfg.jobs, len(blocks))) as pool:
-            hits = pool.map(_jacobi_chunk, [(lite, ch) for ch in blocks])
+        with multiprocessing.Pool(len(blocks)) as pool:
+            hits = pool.map(_jacobi_chunk, [(view, ch) for ch in blocks])
     # blocks are consecutive runs of triples, so the first hit in block order
     # is the first failing triple whatever the number of jobs
     witness = next(filter(None, hits), None)
@@ -393,18 +405,3 @@ def suite_cross_validate(p: rootdata.ParabolicDecomposition, cfg: Config) -> Sui
     rs = p.algebra.root_system
     name = rs.type_label if rs.type_label[-1].isdigit() else f"{rs.type_label}{rs.rank}"
     return SuiteResult("cross-validate", True, checked, note=f"{name} node {p.node}, dim {cv.dim}")
-
-
-def corrupted_copy(g: LieAlgebra, i: int, j: int, k: int, delta: Fraction) -> LieAlgebra:
-    """Copy of g with the coefficient of basis k in [b_i, b_j] shifted."""
-    if not (0 <= i < j < g.dim):
-        raise InvalidParameter("need 0 <= i < j < dim")
-    cells, den = g.table.cells, g.table.den
-    brackets = {(a, b): (dict(cells[a][b]), den) for a, b in g.upper()}
-    vec, _ = brackets.setdefault((i, j), ({}, den))
-    new = vec.get(k, 0) + den * Q(delta)
-    if new:
-        vec[k] = new
-    else:
-        del vec[k]
-    return replace(g, table=kkt.bracket_table(g.dim, brackets.items))

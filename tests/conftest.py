@@ -1,7 +1,11 @@
+from dataclasses import replace
+from fractions import Fraction
+
 import pytest
 
 from jordanlie import jordan, kkt, rootdata
 from jordanlie.composition import build_composition
+from jordanlie.errors import InvalidParameter
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +34,21 @@ def stored_brackets(g):
     from fractions import Fraction as Q
 
     return {(i, j): {k: Q(c) for k, c in items} for i, j, items in kkt.to_json(g)["brackets"]}
+
+
+def corrupted_copy(g: kkt.LieAlgebra, i: int, j: int, k: int, delta: Fraction) -> kkt.LieAlgebra:
+    """Copy of g with the coefficient of basis k in [b_i, b_j] shifted."""
+    if not (0 <= i < j < g.dim):
+        raise InvalidParameter("need 0 <= i < j < dim")
+    cells, den = g.table.cells, g.table.den
+    brackets = {(a, b): (dict(cells[a][b]), den) for a, b in g.upper()}
+    vec, _ = brackets.setdefault((i, j), ({}, den))
+    new = vec.get(k, 0) + den * Fraction(delta)
+    if new:
+        vec[k] = new
+    else:
+        del vec[k]
+    return replace(g, table=kkt.bracket_table(g.dim, brackets.items))
 
 
 def split_gram(dim):

@@ -15,7 +15,7 @@ from jordanlie import jordan, kkt, linalg, orbits, rootdata, verify
 from jordanlie.composition import build_composition
 from jordanlie.jordan import generic_min_poly, jordan_norm, jordan_trace, pierce
 
-from conftest import _kkt_cache, split_gram, stored_brackets
+from conftest import _kkt_cache, corrupted_copy, split_gram, stored_brackets
 
 # (type, rank, node, jordan-side constructor args, expected (dim n, r, d))
 INSTANCES = {
@@ -363,7 +363,7 @@ def test_ac9_negative_controls(kkt_builds):
     cases = entries + rng.sample(zero_positions, 60)
     caught = 0
     for (i, j, k) in cases:
-        bad = verify.corrupted_copy(g, i, j, k, Q(1))
+        bad = corrupted_copy(g, i, j, k, Q(1))
         for suite in (verify.suite_jacobi, verify.suite_grading, verify.suite_killing):
             res = suite(bad, cfg)
             if not res.passed:

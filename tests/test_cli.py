@@ -8,6 +8,8 @@ from jordanlie import cli, jordan, kkt, rootdata, verify
 from jordanlie.cli import main, parse_jordan_descriptor, parse_root_descriptor
 from jordanlie.errors import ConstructionError, InvalidParameter
 
+from conftest import corrupted_copy
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -551,7 +553,7 @@ def test_verify_jobs_parallel_matches_serial(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     # a failing target: both runs name the first failing sample as witness
     bad = tmp_path / "bad.json"
-    g = verify.corrupted_copy(rootdata.build_split_lie("A", 6), 0, 47, 3, 1)
+    g = corrupted_copy(rootdata.build_split_lie("A", 6), 0, 47, 3, 1)
     bad.write_text(json.dumps(kkt.to_json(g)))
     base = ["verify", str(bad), "--suites", "jacobi", "--samples", "20000"]
     assert main(base + ["--jobs", "1", "--out", str(a)]) == 1

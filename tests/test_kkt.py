@@ -26,7 +26,7 @@ from jordanlie.kkt import (
     w_matrix,
 )
 
-from conftest import stored_brackets
+from conftest import corrupted_copy, stored_brackets
 
 CFG = verify.Config(seed=0, sample_count=400)
 
@@ -151,7 +151,7 @@ def test_killing_matrix_matches_the_oracle_off_the_grading(kkt_builds):
     for i, j in list(g.upper()):
         for k in range(g.dim):
             if deg[k] != deg[i] + deg[j]:
-                bad = verify.corrupted_copy(g, i, j, k, 1)
+                bad = corrupted_copy(g, i, j, k, 1)
                 assert_killing_matches_oracle(bad)
                 mat = bad.killing_matrix()
                 across += any(mat[a][b] for a in range(g.dim) for b in range(g.dim) if deg[a] + deg[b])
@@ -450,7 +450,7 @@ def test_negative_control_corruption(kkt_builds):
     g = kkt_builds("C2")
     (i, j), vec = min(stored_brackets(g).items())
     k = next(iter(sorted(vec)))
-    bad = verify.corrupted_copy(g, i, j, k, Q(1))
+    bad = corrupted_copy(g, i, j, k, Q(1))
     results = [
         verify.suite_jacobi(bad, CFG),
         verify.suite_grading(bad, CFG),
@@ -655,7 +655,7 @@ def test_corrupted_copy_reads_its_own_table(split_builds):
     (i, j), vec = min(stored_brackets(g).items())
     k = next(k for k in range(g.dim) if k not in vec)
     before = copy.deepcopy(g.table)
-    bad = verify.corrupted_copy(g, i, j, k, Q(1))
+    bad = corrupted_copy(g, i, j, k, Q(1))
     assert bad.table is not g.table and g.table == before
     assert bad.bracket_basis(i, j) == {**vec, k: 1}
     assert bad.bracket_basis(j, i) == {**{t: -c for t, c in vec.items()}, k: -1}
@@ -695,7 +695,7 @@ def _jacobi_oracle(stored, i, j, k):
 
 def test_jacobi_residual_matches_nested_brackets(kkt_builds, split_builds):
     # the corrupted A6 of the parallel-jacobi CLI test, at its witness triple
-    bad = verify.corrupted_copy(split_builds("A", 6), 0, 47, 3, 1)
+    bad = corrupted_copy(split_builds("A", 6), 0, 47, 3, 1)
     i, j, k = (bad.labels.index(s) for s in ("e:0,0,1,1,1,1", "f:0,0,0,0,0,1", "e:1,1,1,1,1,1"))
     assert verify.jacobi_residual(bad, i, j, k) == _jacobi_oracle(stored_brackets(bad), i, j, k) == {
         bad.labels.index("e:0,0,0,1,1,1"): -1
@@ -720,7 +720,7 @@ def test_new_denominator_fails_the_exhaustive_suites():
     g = _scaled_build("jordan:J2:dim=2:gram=1/2,3/5")
     (i, j), vec = min(stored_brackets(g).items())
     k = next(k for k in range(g.dim) if k not in vec)
-    bad = verify.corrupted_copy(g, i, j, k, Q(1, 3))
+    bad = corrupted_copy(g, i, j, k, Q(1, 3))
     assert bad.table.den == 30
     jac = verify.suite_jacobi(bad, CFG)
     assert not jac.passed and jac.note == "exhaustive"

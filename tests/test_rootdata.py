@@ -25,7 +25,15 @@ from jordanlie.rootdata import (
     witt_hyperbolic_planes,
 )
 
+from conftest import corrupted_copy
+
 CFG = verify.Config(seed=0, sample_count=400)
+
+
+def identity_vec(rj):
+    """The unit of a root Jordan algebra: the sum of its frame idempotents."""
+    return tuple(map(sum, zip(*(rj.frame_vec(i) for i in range(1, rj.parabolic.degree + 1)))))
+
 
 TABLE = {
     # (type, rank, node): (dim g, dim n, r, d)
@@ -191,7 +199,7 @@ def test_jacobi_d6(split_builds):
 
 
 def test_killing_certificate_catches_what_jacobi_samples_miss(split_builds):
-    bad = verify.corrupted_copy(split_builds("E7", 7), 5, 81, 73, Q(1))
+    bad = corrupted_copy(split_builds("E7", 7), 5, 81, 73, Q(1))
     assert verify.suite_jacobi(bad, verify.Config()).passed
     assert verify.suite_killing(bad, verify.Config()).line() == (
         "killing: FAIL [36928 checks] witness: ad-invariance fails at "
@@ -337,7 +345,7 @@ def test_root_jordan_unit_and_idempotents(split_builds):
         tl, rk, node = key
         p = parabolic(split_builds(tl, rk), node)
         rj = jordan_from_roots(p)
-        e = rj.identity_vec
+        e = identity_vec(rj)
         for k in range(rj.dim):
             b = tuple(Q(1) if i == k else Q(0) for i in range(rj.dim))
             assert rj.mul_vec(e, b) == b
@@ -560,7 +568,7 @@ def test_coordinatize_transports_products(key, split_builds):
     co = coordinatize(parabolic(split_builds(tl, rk), node))
     assert transport_products(co) is None
     # identity maps to identity
-    assert co.apply(co.root_jordan.identity_vec) == co.model.identity
+    assert co.apply(identity_vec(co.root_jordan)) == co.model.identity
 
 
 @pytest.mark.parametrize("key", [("C", 2), ("C", 3), ("A", 3), ("B", 3)])
@@ -604,7 +612,7 @@ def test_cross_validate_computes_the_pierce_forms_once(tl, rk, split_builds, mon
 
 def test_corrupted_copy_keeps_the_root_system(split_builds):
     g = split_builds("C", 3)
-    bad = verify.corrupted_copy(g, 0, 1, 2, Q(1))
+    bad = corrupted_copy(g, 0, 1, 2, Q(1))
     assert bad.root_system is g.root_system
     assert bad.table.cells[0][1] == {**g.table.cells[0][1], 2: 1}
     assert parabolic(bad, 3).strongly_orthogonal == parabolic(g, 3).strongly_orthogonal
@@ -619,7 +627,7 @@ def test_cross_validate_catches_every_shifted_constant(tl, rk, count):
     cells = [(i, j, k) for i, j in upper for k in sorted(g.table.cells[i][j])]
     assert len(cells) == count
     for i, j, k in cells:
-        bad = verify.corrupted_copy(g, i, j, k, Q(1))
+        bad = corrupted_copy(g, i, j, k, Q(1))
         try:
             cv = cross_validate(parabolic(bad, canonical_node(tl, rk)))
         except (ConstructionError, ValueError):
@@ -639,7 +647,7 @@ def test_cross_validate_catches_every_non_dyadic_shift(tl, rk, count, mismatches
     assert len(cells) == count
     reported = 0
     for i, j, k in cells:
-        bad = verify.corrupted_copy(g, i, j, k, Q(1, 3))
+        bad = corrupted_copy(g, i, j, k, Q(1, 3))
         assert bad.table.den == 3
         try:
             cv = cross_validate(parabolic(bad, canonical_node(tl, rk)))

@@ -9,20 +9,23 @@ import pytest
 
 from jordanlie import verify
 
-from conftest import stored_brackets
+from conftest import corrupted_copy, stored_brackets
 
 BLOCK = verify.SAMPLE_BLOCK
 
 
-@pytest.mark.parametrize("n", [37, 64, 128, 133, 248, 256, 1000])
+@pytest.mark.parametrize("n", [1, 2, 37, 64, 128, 133, 248, 255, 256, 1000])
 def test_sampled_triples_are_randranges_triples(n):
-    # randrange(n) at a power of two, just above one and past one byte
+    # randrange(n) at a power of two, just above one, at the top of the byte
+    # draw (n < 256) and on the word draw past it
     for seed, count in itertools.product((0, 1, 42), (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2)):
         rng = random.Random(seed)
         want = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(count)]
         blocks = list(verify._sampled_triples(seed, n, count))
         assert all(blocks), (n, seed, count)
-        assert [t for block in blocks for t in block] == want, (n, seed, count)
+        it = itertools.chain.from_iterable(blocks)
+        assert list(zip(it, it, it)) == want, (n, seed, count)
+        assert all(len(block) % 3 == 0 for block in blocks), (n, seed, count)
 
 
 def test_one_job_streams_the_sample(split_builds):
@@ -42,8 +45,55 @@ def test_kernel_flags_exactly_the_nonzero_residuals(kkt_builds, split_builds):
     c3 = kkt_builds("C3")
     (i, j), vec = min(stored_brackets(c3).items())
     corrupted = [split_builds("A", 6), 0, 47, 3, 1], [c3, i, j, min(vec), Q(1, 2)]
-    for bad in (verify.corrupted_copy(*args) for args in corrupted):
+    for bad in (corrupted_copy(*args) for args in corrupted):
         triples = list(itertools.combinations(range(bad.dim), 3))
         want = [t if verify.jacobi_residual(bad, *t) else None for t in triples]
-        assert [verify._jacobi_chunk((bad, [t])) for t in triples] == want
+        view = [[tuple(cell.items()) for cell in row] for row in bad.table.cells]
+        assert [verify._jacobi_chunk((view, t)) for t in triples] == want
         assert any(want)
+
+
+class _FakePool:
+    """multiprocessing.Pool that records its size and chunks and maps in process."""
+
+    sizes: list = []
+    chunks: list = []
+
+    def __init__(self, size):
+        self.sizes.append(size)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        self.chunks += [chunk for _, chunk in items]
+        return list(map(fn, items))
+
+
+@pytest.mark.parametrize("cpus, want", [(3, [3]), (None, [])])
+def test_jobs_are_capped_at_the_cpu_count(cpus, want, split_builds, monkeypatch):
+    # --jobs 100000 opens no more workers than CPUs (none when the count is
+    # unknown), and prints what one job prints
+    import multiprocessing
+
+    _FakePool.sizes, _FakePool.chunks = [], []
+    monkeypatch.setattr(multiprocessing, "Pool", _FakePool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    g = split_builds("E7", 7)
+    res = verify.suite_jacobi(g, verify.Config(sample_count=2000, jobs=100000))
+    assert _FakePool.sizes == want
+    # the chunks cut the serial sample at whole triples
+    assert all(len(chunk) % 3 == 0 for chunk in _FakePool.chunks)
+    if want:
+        sample = itertools.chain.from_iterable(verify._sampled_triples(0, g.dim, 2000))
+        assert list(itertools.chain.from_iterable(_FakePool.chunks)) == list(sample)
+    assert res.line() == verify.suite_jacobi(g, verify.Config(sample_count=2000)).line()
+    assert res.line() == "jacobi: PASS [2000 checks] (sampled, seed 0)"
+    # a failing target: the first hit in chunk order is the serial witness
+    bad = corrupted_copy(split_builds("A", 6), 0, 47, 3, 1)
+    res = verify.suite_jacobi(bad, verify.Config(sample_count=20000, jobs=100000))
+    assert not res.passed
+    assert res.line() == verify.suite_jacobi(bad, verify.Config(sample_count=20000)).line()
