@@ -238,34 +238,36 @@ def run_suite(name: str, target: Target, cfg: verify.Config) -> verify.SuiteResu
         if name == "jacobi":
             return verify.suite_jacobi(g, cfg)
         if name == "grading":
-            return verify.suite_grading(g, cfg)
-        return verify.suite_killing(g, cfg)
+            return verify.suite_grading(g)
+        return verify.suite_killing(g)
     if name == "jordan-identity":
         if target.kind != "jordan":
             raise InvalidParameter("jordan-identity needs a jordan: target")
-        return verify.suite_jordan_identity(target.jordan_algebra, cfg)
+        return verify.suite_jordan_identity(target.jordan_algebra)
     if name == "composition-law":
         if target.kind != "jordan" or target.jordan_algebra.variant != "hermitian":
             raise InvalidParameter("composition-law needs a jordan:H* target")
-        return verify.suite_composition_law(target.jordan_algebra.coeff_algebra, cfg)
+        return verify.suite_composition_law(target.jordan_algebra.coeff_algebra)
     if name == "pierce":
         if target.kind != "jordan":
             raise InvalidParameter("pierce needs a jordan: target")
-        return verify.suite_pierce(target.jordan_algebra, cfg)
+        return verify.suite_pierce(target.jordan_algebra)
     if name == "q-composition":
         if target.kind != "root":
             raise InvalidParameter("q-composition needs a root: target")
-        return verify.suite_q_composition(target_parabolic(target), cfg)
+        return verify.suite_q_composition(target_parabolic(target))
     if name == "cross-validate":
         if target.kind != "root":
             raise InvalidParameter("cross-validate needs a root: target")
-        return verify.suite_cross_validate(target_parabolic(target), cfg)
+        return verify.suite_cross_validate(target_parabolic(target))
     raise InvalidParameter(f"unknown suite {name!r}")
 
 
 def cmd_verify(args) -> int:
     target = resolve_target(args.target)
-    cfg = verify.Config(seed=args.seed, sample_count=args.samples, jobs=args.jobs)
+    if args.jobs < 1:
+        raise InvalidParameter(f"jobs must be >= 1, got {args.jobs}")
+    cfg = verify.Config(seed=args.seed, sample_count=args.samples)
     names = args.suites.split(",") if args.suites is not None else None
     if names is None:
         if target.kind == "jordan":
@@ -332,7 +334,7 @@ def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for the jacobi suite's samples")
     common.add_argument("--samples", type=int, default=1000, help="jacobi suite sample count")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers for the jacobi suite")
+    common.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; one process")
     common.add_argument("--out", help="write output to a file instead of stdout")
 
     ap = argparse.ArgumentParser(

@@ -57,44 +57,11 @@ from typing import Optional
 
 from . import linalg
 from .errors import ConstructionError, InvalidParameter
-from .jordan import JordanAlgebra, JordanElement, lmul_cols
+from .jordan import JordanAlgebra, lmul_cols
 from .linalg import EchelonBasis, add_combination
 from .rationals import HALF, Q, fmt, parse
 
 SparseVec = dict
-OpCols = tuple  # column-sparse operator of linalg: cols[k] = image of basis k
-
-
-@dataclass
-class StructureOperator:
-    """m-component element: its action on n and the companion action whose
-    negative-bar gives the bracket with nbar."""
-
-    cols: OpCols
-    sharp_cols: OpCols
-
-    def apply(self, v: SparseVec) -> SparseVec:
-        return linalg.op_apply(self.cols, v)
-
-
-def structure_operator(J: JordanAlgebra, x: JordanElement, y: JordanElement) -> StructureOperator:
-    """V_{x,y} together with its companion V_{y,x}."""
-    return StructureOperator(_vop_cols(J, x.vec, y.vec), _vop_cols(J, y.vec, x.vec))
-
-
-def _vop_cols(J: JordanAlgebra, x, y) -> OpCols:
-    """Columns of V_{x,y} = 2([L_y, L_x] - L_{x o y}), formed on the integer
-    cells of J.scaled: x and y are scaled to ints over dx and dy, so L_x and
-    L_y hold ints over dx den and dy den, L_{x o y} over dx dy den^2, and each
-    entry is divided once."""
-    cells, n = J.scaled.cells, J.dim
-    xs, dx = linalg.scale_vec(enumerate(x))
-    ys, dy = linalg.scale_vec(enumerate(y))
-    xy = linalg.table_product({}, cells, xs, ys)  # dx dy den (x o y)
-    flat = linalg.op_commutator(lmul_cols(cells, ys), lmul_cols(cells, xs), n)
-    add_combination(flat, [linalg.op_flatten(lmul_cols(cells, xy.items()), n)], [(0, -1)])
-    den = dx * dy * J.scaled.den**2
-    return linalg.op_unflatten({p: Q(2 * c, den) for p, c in sorted(flat.items()) if c}, n)
 
 
 # ---------------------------------------------------------------------------

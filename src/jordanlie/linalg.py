@@ -15,10 +15,10 @@ Operators are column-sparse: a sequence whose entry k is the
 sparse image of basis vector k, flattened (for echelon work) with entry
 (row, k) at k * n + row; ``op_commutators`` forms the commutators of every
 pair of a list, one flat accumulator per left operator joining it with all
-later ones on their entries, and drops its zeros once (``op_commutator`` is
-its one-pair call); ``op_trace_products`` forms every nonzero trace of a
-pair of a list (a Lie algebra's one trace Gram, which every Killing read
-goes through), each entry meeting only the entries it multiplies.
+later ones on their entries, and drops its zeros once; ``op_trace_products``
+forms every nonzero trace of a pair of a list (a Lie algebra's one trace
+Gram, which every Killing read goes through), each entry meeting only the
+entries it multiplies.
 Coefficients are Fractions, except in
 ``gram_form`` on integer input (the root data, the Pierce Grams of the
 q-composition suite and of the coordinatization), in the dense products
@@ -140,11 +140,6 @@ def op_unflatten(flat: SparseVec, n: int) -> tuple:
     for pos, c in flat.items():
         cols[pos // n][pos % n] = c
     return cols
-
-
-def op_commutator(a, b, n: int) -> SparseVec:
-    """AB - BA, flattened."""
-    return next(op_commutators((a, b), n)).get(1, {})
 
 
 def op_commutators(ops, n: int):

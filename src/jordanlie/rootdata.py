@@ -170,12 +170,6 @@ class RootSystem:
     def simple_roots(self) -> tuple[Root, ...]:
         return _simple_roots(self.rank)
 
-    @property
-    def cartan_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """A[i][j] = <alpha_j, alpha_i-dual>."""
-        simple = self.simple_roots
-        return tuple(tuple(self.pairing(b, a) for b in simple) for a in simple)
-
     def coroot_coeffs(self, a: Root) -> tuple[int, ...]:
         """a-dual as an integer combination of the simple coroots."""
         aa = self.inner(a, a)

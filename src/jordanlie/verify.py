@@ -7,15 +7,13 @@ identity for all elements.  The one exception is Jacobi above dimension
 ``EXHAUSTIVE_DIM``: it checks the triples ``Random(seed).randrange`` draws,
 filtered in bulk from blocks of generator words (below n = 256 by one
 ``bytes.translate`` of the words' top bytes), handed on as flat blocks of
-indices and, with one job, checked on a tuple view of the table block by
-block as drawn.  ``Config``'s seed, sample count and jobs steer that suite
-only; jobs is capped at the CPU count.
+indices and checked on a tuple view of the table block by block as drawn,
+in one process.  ``Config``'s seed and sample count steer that suite only.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import sys
 from array import array
@@ -36,13 +34,10 @@ SAMPLE_BLOCK = 4096  # triples' worth of generator words per draw
 class Config:
     seed: int = 0
     sample_count: int = 1000
-    jobs: int = 1
 
     def __post_init__(self):
         if self.sample_count < 1:
             raise InvalidParameter("sample_count must be >= 1")
-        if self.jobs < 1:
-            raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass
@@ -103,12 +98,11 @@ def _sampled_triples(seed: int, n: int, count: int):
         count -= take
 
 
-def _jacobi_chunk(args) -> Optional[tuple]:
+def _jacobi_chunk(view, block) -> Optional[tuple]:
     """The first triple of a flat block whose Jacobi sum is nonzero on the
     integer table, or None.  view[a][b] is the cell [b_a, b_b] as a tuple of
     (basis, int) pairs; jacobi_residual's three terms are summed with the add
     inlined, and most random brackets are empty."""
-    view, block = args
     it = iter(block)
     for i, j, k in zip(it, it, it):
         ti, tj, tk = view[i], view[j], view[k]
@@ -135,23 +129,9 @@ def suite_jacobi(g: LieAlgebra, cfg: Config) -> SuiteResult:
     else:
         checked, note = cfg.sample_count, f"sampled, seed {cfg.seed}"
         blocks = _sampled_triples(cfg.seed, n, checked)
-    # no more workers than CPUs; consecutive chunks, one per worker, none empty
-    jobs = min(cfg.jobs, os.cpu_count() or 1)
-    if jobs > 1:
-        flat = list(itertools.chain.from_iterable(blocks))
-        size = 3 * max(1, -(-len(flat) // (3 * jobs)))
-        blocks = [flat[t : t + size] for t in range(0, len(flat), size)]
     view = [[tuple(cell.items()) if cell else () for cell in row] for row in g.table.cells]
-    # lazily, so one job checks each block as it is drawn and stops at the first hit
-    hits = map(_jacobi_chunk, zip(itertools.repeat(view), blocks))
-    if jobs > 1 and len(blocks) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(len(blocks)) as pool:
-            hits = pool.map(_jacobi_chunk, [(view, ch) for ch in blocks])
-    # blocks are consecutive runs of triples, so the first hit in block order
-    # is the first failing triple whatever the number of jobs
-    witness = next(filter(None, hits), None)
+    # lazily: each block is checked as it is drawn, and the first hit stops the draw
+    witness = next(filter(None, map(_jacobi_chunk, itertools.repeat(view), blocks)), None)
     if witness is None:
         return SuiteResult("jacobi", True, checked, note=note)
     triple = ", ".join(g.labels[t] for t in witness)
@@ -160,7 +140,7 @@ def suite_jacobi(g: LieAlgebra, cfg: Config) -> SuiteResult:
     return SuiteResult("jacobi", False, checked, f"({triple}) residual {{{residual}}}", note)
 
 
-def suite_grading(g: LieAlgebra, cfg: Config) -> SuiteResult:
+def suite_grading(g: LieAlgebra) -> SuiteResult:
     if g.grading is None:
         raise InvalidParameter("target carries no grading")
     checked = 0
@@ -203,7 +183,7 @@ def suite_grading(g: LieAlgebra, cfg: Config) -> SuiteResult:
     return SuiteResult("grading", True, checked)
 
 
-def suite_killing(g: LieAlgebra, cfg: Config) -> SuiteResult:
+def suite_killing(g: LieAlgebra) -> SuiteResult:
     # the Killing form is s T, T the int trace Gram and s != 0 (a norm pair
     # pairing to 0 raises first), so each test reads T.  Ad-invariance
     # kappa([b_i,b_j],b_k) + kappa(b_j,[b_i,b_k]) = 0 on all n^3 basis triples:
@@ -264,7 +244,7 @@ def _associator(cells, k: int, y: int, c: int) -> dict:
     return linalg.add_combination(acc, cells[k], [(m, -v) for m, v in cells[y][c].items()])
 
 
-def suite_jordan_identity(J: jordan_mod.JordanAlgebra, cfg: Config) -> SuiteResult:
+def suite_jordan_identity(J: jordan_mod.JordanAlgebra) -> SuiteResult:
     # commutativity on basis pairs, then the Jordan identity polarized in x:
     # sum over cyclic (a, b, c) of (a o b, y, c) = 0, ( , , ) the associator,
     # on every basis multiset {a, b, c} and basis y; over Q the polarized
@@ -297,7 +277,7 @@ def suite_jordan_identity(J: jordan_mod.JordanAlgebra, cfg: Config) -> SuiteResu
     return SuiteResult("jordan-identity", True, checked)
 
 
-def suite_composition_law(D, cfg: Config) -> SuiteResult:
+def suite_composition_law(D) -> SuiteResult:
     n = D.dim
     bad = composition.composition_law_failure(D)
     if bad is not None:
@@ -318,7 +298,7 @@ def suite_composition_law(D, cfg: Config) -> SuiteResult:
     return SuiteResult("composition-law", True, n**4 + n**2)
 
 
-def suite_pierce(J: jordan_mod.JordanAlgebra, cfg: Config) -> SuiteResult:
+def suite_pierce(J: jordan_mod.JordanAlgebra) -> SuiteResult:
     dec = jordan_mod.pierce(J)
     checked = 0
     r = J.degree
@@ -354,7 +334,7 @@ def suite_pierce(J: jordan_mod.JordanAlgebra, cfg: Config) -> SuiteResult:
     )
 
 
-def suite_q_composition(p: rootdata.ParabolicDecomposition, cfg: Config) -> SuiteResult:
+def suite_q_composition(p: rootdata.ParabolicDecomposition) -> SuiteResult:
     rj = rootdata.jordan_from_roots(p)
     forms = rootdata.q_forms(p)
     r = p.degree
@@ -394,7 +374,7 @@ def suite_q_composition(p: rootdata.ParabolicDecomposition, cfg: Config) -> Suit
     return SuiteResult("q-composition", True, checked)
 
 
-def suite_cross_validate(p: rootdata.ParabolicDecomposition, cfg: Config) -> SuiteResult:
+def suite_cross_validate(p: rootdata.ParabolicDecomposition) -> SuiteResult:
     cv = rootdata.cross_validate(p)
     checked = cv.dim * (cv.dim - 1) // 2
     if not cv.ok:

@@ -4,6 +4,7 @@ Each test prints a single PASS line on success (visible under ``pytest -s``);
 a failure surfaces through the usual assertion machinery.
 """
 
+import functools
 import itertools
 import random
 import time
@@ -153,9 +154,7 @@ def test_ac4_pierce_form_suite(split_builds):
     # (c) composition identity, certified on basis multisets per named instance
     notes = []
     for name in ("A5", "C3", "D4"):
-        res = verify.suite_q_composition(
-            root_side_parabolic(split_builds, name), verify.Config(seed=4, sample_count=1000)
-        )
+        res = verify.suite_q_composition(root_side_parabolic(split_builds, name))
         assert res.passed, res.line()
         notes.append(f"{name}:{res.checked}")
     print(f"\nAC4 Pierce quadratic forms (squares, Witt, composition {notes}): PASS")
@@ -364,8 +363,9 @@ def test_ac9_negative_controls(kkt_builds):
     caught = 0
     for (i, j, k) in cases:
         bad = corrupted_copy(g, i, j, k, Q(1))
-        for suite in (verify.suite_jacobi, verify.suite_grading, verify.suite_killing):
-            res = suite(bad, cfg)
+        jacobi = functools.partial(verify.suite_jacobi, cfg=cfg)
+        for suite in (jacobi, verify.suite_grading, verify.suite_killing):
+            res = suite(bad)
             if not res.passed:
                 assert res.witness, (i, j, k, res.name)
                 caught += 1

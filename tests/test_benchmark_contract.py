@@ -3,6 +3,7 @@ wraps jordanlie names: every name it lists must exist, or
 ``perfbench/run.py --trace 1`` breaks.  Its checks count a suite line as
 sampled when the line says so: only Jacobi may."""
 
+import argparse
 import importlib
 import importlib.util
 import json
@@ -55,6 +56,20 @@ def _verify_lines(capsys, *argv):
     code = main(["verify", *argv])
     assert code == 0, argv
     return _load("checks").parse_suite_lines(capsys.readouterr().out)
+
+
+def test_every_benchmark_argv_parses():
+    # perfbench times build and verify through the argvs cli_kinds builds,
+    # --jobs 1 among their options; an option the parser refuses would fail
+    # every operation, so each must parse (the JSON paths are placeholders)
+    bench = _load("run").Bench(argparse.Namespace(seed=21, seconds=30), str(PERFBENCH.parent), "")
+    specs = bench.cli_kinds("e7-two-roads")
+    specs += bench.cli_kinds("e7-bracket-reads", ("kkt.json", "root.json"))
+    assert len(specs) == 5
+    parser = cli.make_parser()
+    for spec in specs:
+        args = parser.parse_args(spec["argv"])
+        assert (args.command, args.jobs) == (spec["argv"][0], 1), spec["kind"]
 
 
 def test_only_jacobi_is_sampled(capsys):
@@ -112,11 +127,11 @@ def test_build_kkt_spans_m_without_the_trace_form(monkeypatch, family_instances)
 
 def test_build_kkt_forms_every_commutator_in_two_batched_runs(monkeypatch, family_instances):
     # the 351 [L_i, L_j] that span m with the 27 L_k come from one
-    # op_commutators run, the 3,081 pairs of the m closure from a second, and
-    # no pair is formed alone by op_commutator; a pair the kernel does not
-    # yield commutes.  perfbench times both runs inside kkt.build_kkt
+    # op_commutators run and the 3,081 pairs of the m closure from a second;
+    # a pair the kernel does not yield commutes.  perfbench times both runs
+    # inside kkt.build_kkt
     assert ("kkt", "build_kkt") in set(_load("spans").TRACED)
-    commutators, runs, single = linalg.op_commutators, [], []
+    commutators, runs = linalg.op_commutators, []
 
     def counted(ops, n):
         runs.append([len(ops), 0])
@@ -124,11 +139,10 @@ def test_build_kkt_forms_every_commutator_in_two_batched_runs(monkeypatch, famil
             runs[-1][1] += len(comms)
             yield comms
 
-    monkeypatch.setattr(linalg, "op_commutator", lambda *args: single.append(args))
     monkeypatch.setattr(linalg, "op_commutators", counted)
     kkt.build_kkt(family_instances["E7"])
     pairs = [(n, nonzero, n * (n - 1) // 2) for n, nonzero in runs]
-    assert (len(single), pairs) == (0, [(27, 324, 351), (79, 1848, 3081)])
+    assert pairs == [(27, 324, 351), (79, 1848, 3081)]
 
 
 def _count_trace_runs(monkeypatch):
@@ -346,7 +360,7 @@ def test_q_composition_checks_make_no_fraction_arithmetic(monkeypatch, split_bui
     monkeypatch.setattr(rootdata, "q_forms", lambda _: forms)
     calls = []
     _count_fraction_arithmetic(monkeypatch, calls)
-    res = verify.suite_q_composition(p, verify.Config())
+    res = verify.suite_q_composition(p)
     monkeypatch.undo()
     assert res.line() == "q-composition: PASS [7776 checks]"
     assert calls == []

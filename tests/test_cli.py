@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import os
 from fractions import Fraction as Q
 
 import pytest
@@ -170,7 +172,7 @@ def test_verify_root_e7_builds_two_bracket_tables(capsys, monkeypatch):
 
 def test_an_error_outside_the_contract_leaves_no_empty_out_file(tmp_path, capsys, monkeypatch):
     # the exception propagates, and the empty file the --out probe made goes
-    def broken(g, cfg):
+    def broken(g):
         raise ValueError("suite broke")
 
     monkeypatch.setattr(verify, "suite_killing", broken)
@@ -545,7 +547,14 @@ def test_verify_seeded_sampling_deterministic(tmp_path):
     assert b"PASS [100000 checks] (sampled, seed 42)" in a.read_bytes()
 
 
-def test_verify_jobs_parallel_matches_serial(tmp_path):
+def test_verify_jobs_runs_in_one_process(tmp_path, monkeypatch):
+    # --jobs 2 starts no worker, even with CPUs to spare, and prints the
+    # bytes --jobs 1 prints
+    def no_pool(*args, **kwargs):
+        raise AssertionError("verify started a process pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     a, b = tmp_path / "a", tmp_path / "b"
     base = ["verify", "root:E7:7", "--suites", "jacobi", "--seed", "9", "--samples", "1200"]
     assert main(base + ["--jobs", "1", "--out", str(a)]) == 0

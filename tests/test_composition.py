@@ -241,9 +241,9 @@ def test_composition_law_suite_names_the_first_failing_tuple():
     bad = dataclasses.replace(good, norm_gram=tuple(tuple(row) for row in gram))
     assert composition_law_failure(good) is None
     assert composition_law_failure(bad) == (0, 0, 1, 1)
-    res = verify.suite_composition_law(bad, verify.Config(sample_count=5))
+    res = verify.suite_composition_law(bad)
     assert res.line() == "composition-law: FAIL [6 checks] witness: basis tuple (0, 0, 1, 1)"
-    ok = verify.suite_composition_law(good, verify.Config(sample_count=5))
+    ok = verify.suite_composition_law(good)
     # 4^4 basis 4-tuples for the norm law, 4^2 basis pairs for conjugation
     assert ok.line() == "composition-law: PASS [272 checks]"
 

@@ -53,7 +53,7 @@ def test_an_over_long_integer_in_a_document_is_malformed_input(tmp_path, capsys,
 
 
 def test_value_error_inside_a_command_propagates(monkeypatch):
-    def broken(g, cfg):
+    def broken(g):
         raise ValueError("internal fault")
 
     monkeypatch.setattr(verify, "suite_killing", broken)

@@ -3,8 +3,9 @@
 Whatever the descriptor, JSON document or ``--out`` path, ``cli.main`` must
 return 0, 1 or 2, return 1 only with a FAIL line, and let no exception
 escape.  Descriptors are spliced from the grammar's own tokens with integers
-in [-2, 4]; E7 and the 8-dimensional H3 are left out to keep the run short,
-sampled suites take at most 5 samples and ``--jobs`` never exceeds 1.
+in [-2, 4]; E7 and the 8-dimensional H3 are left out to keep the run short
+and sampled suites take at most 5 samples.  ``--jobs`` is drawn from
+[-2, 1]: it changes no output, and ``verify`` refuses a value below 1.
 """
 
 import contextlib

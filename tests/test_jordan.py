@@ -630,14 +630,14 @@ def test_jordan_identity_certificate_names_basis_witnesses(family_instances):
     cell = dict(cells[1][4])
     cell[0] = cell.get(0, 0) + J.scaled.den
     cells[1][4] = cells[4][1] = cell
-    assert verify.suite_jordan_identity(_with_cells(J, cells), verify.Config()).line() == (
+    assert verify.suite_jordan_identity(_with_cells(J, cells)).line() == (
         "jordan-identity: FAIL [382 checks] "
         "witness: polarized identity fails at (a, b, c) = (0, 1, 4), y = 0"
     )
     cells[4][1] = J.scaled.cells[4][1]
-    assert verify.suite_jordan_identity(_with_cells(J, cells), verify.Config()).line() == (
+    assert verify.suite_jordan_identity(_with_cells(J, cells)).line() == (
         "jordan-identity: FAIL [29 checks] witness: commutativity fails at (1, 4)"
     )
-    res = verify.suite_jordan_identity(J, verify.Config())
+    res = verify.suite_jordan_identity(J)
     # 27*26/2 basis pairs, then 27 y for each of the C(29, 3) multisets {a, b, c}
     assert res.line() == "jordan-identity: PASS [99009 checks]"

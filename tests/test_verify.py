@@ -33,7 +33,7 @@ def test_one_job_streams_the_sample(split_builds):
     g = split_builds("E7", 7)
     tracemalloc.start()
     try:
-        res = verify.suite_jacobi(g, verify.Config(sample_count=100000, jobs=1))
+        res = verify.suite_jacobi(g, verify.Config(sample_count=100000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -49,51 +49,6 @@ def test_kernel_flags_exactly_the_nonzero_residuals(kkt_builds, split_builds):
         triples = list(itertools.combinations(range(bad.dim), 3))
         want = [t if verify.jacobi_residual(bad, *t) else None for t in triples]
         view = [[tuple(cell.items()) for cell in row] for row in bad.table.cells]
-        assert [verify._jacobi_chunk((view, t)) for t in triples] == want
+        assert [verify._jacobi_chunk(view, t) for t in triples] == want
         assert any(want)
 
-
-class _FakePool:
-    """multiprocessing.Pool that records its size and chunks and maps in process."""
-
-    sizes: list = []
-    chunks: list = []
-
-    def __init__(self, size):
-        self.sizes.append(size)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        self.chunks += [chunk for _, chunk in items]
-        return list(map(fn, items))
-
-
-@pytest.mark.parametrize("cpus, want", [(3, [3]), (None, [])])
-def test_jobs_are_capped_at_the_cpu_count(cpus, want, split_builds, monkeypatch):
-    # --jobs 100000 opens no more workers than CPUs (none when the count is
-    # unknown), and prints what one job prints
-    import multiprocessing
-
-    _FakePool.sizes, _FakePool.chunks = [], []
-    monkeypatch.setattr(multiprocessing, "Pool", _FakePool)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-    g = split_builds("E7", 7)
-    res = verify.suite_jacobi(g, verify.Config(sample_count=2000, jobs=100000))
-    assert _FakePool.sizes == want
-    # the chunks cut the serial sample at whole triples
-    assert all(len(chunk) % 3 == 0 for chunk in _FakePool.chunks)
-    if want:
-        sample = itertools.chain.from_iterable(verify._sampled_triples(0, g.dim, 2000))
-        assert list(itertools.chain.from_iterable(_FakePool.chunks)) == list(sample)
-    assert res.line() == verify.suite_jacobi(g, verify.Config(sample_count=2000)).line()
-    assert res.line() == "jacobi: PASS [2000 checks] (sampled, seed 0)"
-    # a failing target: the first hit in chunk order is the serial witness
-    bad = corrupted_copy(split_builds("A", 6), 0, 47, 3, 1)
-    res = verify.suite_jacobi(bad, verify.Config(sample_count=20000, jobs=100000))
-    assert not res.passed
-    assert res.line() == verify.suite_jacobi(bad, verify.Config(sample_count=20000)).line()
