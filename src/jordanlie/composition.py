@@ -121,29 +121,10 @@ class CAElement:
         if len(self.coeffs) != self.algebra.dim:
             raise InvalidParameter("coefficient vector length != algebra dimension")
 
-    def _check(self, other: "CAElement"):
+    def __mul__(self, other: "CAElement"):
         if self.algebra is not other.algebra:
             raise AlgebraMismatch("elements belong to different composition algebras")
-
-    def __add__(self, other):
-        self._check(other)
-        return CAElement(self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return CAElement(self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return CAElement(self.algebra, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, CAElement):
-            self._check(other)
-            return CAElement(self.algebra, self.algebra.mul_coeffs(self.coeffs, other.coeffs))
-        return CAElement(self.algebra, tuple(Q(other) * a for a in self.coeffs))
-
-    def __rmul__(self, scalar):
-        return CAElement(self.algebra, tuple(Q(scalar) * a for a in self.coeffs))
+        return CAElement(self.algebra, self.algebra.mul_coeffs(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         return (
@@ -170,9 +151,6 @@ class CAElement:
         cov, d = self.algebra.trace_cov
         us, du = scale_dense(self.coeffs)
         return Q(sum(map(mul, us, cov)), du * d)
-
-    def norm(self) -> Fraction:
-        return self.algebra.norm_coeffs(self.coeffs)
 
     def __repr__(self):
         parts = [

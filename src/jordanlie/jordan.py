@@ -16,7 +16,8 @@ are formed once (r - 1 products) and the matrix whose columns they are is
 row-reduced once: its first non-pivot column m gives the minimal
 polynomial, and when m = r that is the degree-r characteristic polynomial.
 Otherwise the characteristic coefficients are interpolated along a line
-x + t*g, one power sequence and one row reduction per sample.  Their
+x + t*g, one power sequence and one row reduction per sample, and the
+Lagrange sum in ints over one denominator, divided once.  Their
 extreme coefficients are the trace and the determinant-like norm, and
 ``jordan_trace``, ``jordan_norm`` and ``jordan_inverse`` all read them from
 that one computation.  Sign convention for the quadratic family:
@@ -41,10 +42,10 @@ every element product, runs ``linalg.int_product`` on the elements' ints.
 ``mul_table``, the Fraction readout, is made on first read.  The hermitian
 table is formed from sparse matrix units multiplied through D's scaled
 table by ``linalg.table_product``, each unit held times the denominator d
-of D's trace covector, so it is read over 2 s d^2 (s that of D's table);
-``HermitianJordan.symmetrized_product``, the same product by genuine
-matrix multiplication over D, is kept as the reference the tests compare
-the table against.  The quadratic table is read off the Gram over 2 d_G,
+of D's trace covector, so it is read over 2 s d^2 (s that of D's table),
+and checked as it is read: a scalar diagonal and a hermitian result.  The
+tests compare the table against the same product by genuine matrix
+multiplication over D.  The quadratic table is read off the Gram over 2 d_G,
 and the family's form Q(v) = v^T G v is evaluated by ``linalg.gram_form``.
 """
 
@@ -161,65 +162,10 @@ class HermitianJordan(JordanAlgebra):
     def __repr__(self):
         return f"JordanAlgebra(H{self.r}({self.coeff_algebra.descriptor}))"
 
-    # -- structured <-> vector ------------------------------------------------
-
-    def matrix_of(self, vec: Vec) -> list[list[CAElement]]:
-        """Full r x r matrix over D (lower triangle by conjugation)."""
-        D = self.coeff_algebra
-        d = D.dim
-        mat = [[D.zero() for _ in range(self.r)] for _ in range(self.r)]
-        for i in range(self.r):
-            mat[i][i] = vec[i] * D.one()
-        for (i, j), off in self._pair_offset.items():
-            entry = D.element(vec[off : off + d])
-            mat[i][j] = entry
-            mat[j][i] = entry.conj()
-        return mat
-
-    def vector_of(self, mat: list[list[CAElement]]) -> Vec:
-        """Inverse of matrix_of; asserts the matrix is hermitian."""
-        D = self.coeff_algebra
-        d = D.dim
-        out = [Q(0)] * self.dim
-        for i in range(self.r):
-            entry = mat[i][i]
-            if any(entry.coeffs[1:]):
-                raise ConstructionError("diagonal entry is not scalar")
-            out[i] = entry.coeffs[0]
-        for (i, j), off in self._pair_offset.items():
-            if mat[j][i] != mat[i][j].conj():
-                raise ConstructionError("matrix is not hermitian")
-            for k, c in enumerate(mat[i][j].coeffs):
-                out[off + k] = c
-        return tuple(out)
-
-    def matrix_product(self, a, b) -> list[list[CAElement]]:
-        """Plain matrix product over D, fixed summation order."""
-        D = self.coeff_algebra
-        r = self.r
-        out = [[D.zero() for _ in range(r)] for _ in range(r)]
-        for i in range(r):
-            for k in range(r):
-                acc = D.zero()
-                for j in range(r):
-                    acc = acc + a[i][j] * b[j][k]
-                out[i][k] = acc
-        return out
-
-    def symmetrized_product(self, x: Vec, y: Vec) -> Vec:
-        """(xy + yx)/2 through genuine matrix multiplication over D."""
-        a, b = self.matrix_of(x), self.matrix_of(y)
-        ab, ba = self.matrix_product(a, b), self.matrix_product(b, a)
-        sym = [
-            [HALF * (ab[i][j] + ba[i][j]) for j in range(self.r)]
-            for i in range(self.r)
-        ]
-        return self.vector_of(sym)
-
     def _build_scaled_table(self):
         """Basis products (xy + yx)/2 of sparse matrix units, multiplied in
-        ints through the coefficient algebra's scaled table (over s), under
-        the checks of :meth:`vector_of`.  Each unit is held times d, the
+        ints through the coefficient algebra's scaled table (over s), checked
+        to be hermitian with a scalar diagonal.  Each unit is held times d, the
         denominator of the trace covector, its lower entry through
         ``conj_ints``, so a symmetrized product comes out 2 s d^2 times the
         table's, the diagonal must be scalar and d times the (j, i) entry
@@ -512,8 +458,8 @@ def _polys(x: JordanElement) -> tuple[list[JordanElement], tuple, tuple]:
     if len(min_coeffs) == r + 1:
         return powers, min_coeffs, min_coeffs
     probe = alg._generic_probe
-    nodes: list[Fraction] = []
-    samples: list[tuple[Fraction, ...]] = []
+    nodes: list[int] = []
+    samples: list[tuple[list, int]] = []  # each sample's coefficients as ints over their lcm
     t = 0
     while len(nodes) < r + 1:
         t += 1
@@ -522,13 +468,18 @@ def _polys(x: JordanElement) -> tuple[list[JordanElement], tuple, tuple]:
         dep = _min_coeffs(_powers(x + t * probe))
         if len(dep) != r + 1:
             continue
-        nodes.append(Q(t))
-        samples.append(dep)
-    # Lagrange weights of the value at t = 0
-    weights = [
-        math.prod((tj / (tj - ti) for tj in nodes if tj != ti), start=Q(1)) for ti in nodes
-    ]
-    coeffs = tuple(sum((w * s[k] for w, s in zip(weights, samples)), Q(0)) for k in range(r))
+        nodes.append(t)
+        samples.append(linalg.scale_dense(dep[:r]))
+    # the value at t = 0 is sum_i w_i s_i with the Lagrange weights
+    # w_i = prod_{j != i} t_j / (t_j - t_i): w_i s_i is ints p_i a_i over
+    # q_i = d_i prod_{j != i} (t_j - t_i), so the sum is formed in ints over
+    # the lcm of the q_i and divided once
+    terms = []
+    for ti, (a, d) in zip(nodes, samples):
+        others = [tj for tj in nodes if tj != ti]
+        terms.append((math.prod(others), d * math.prod(tj - ti for tj in others), a))
+    den = math.lcm(*(q for _, q, _ in terms))
+    coeffs = tuple(Q(sum(p * (den // q) * a[k] for p, q, a in terms), den) for k in range(r))
     return powers, min_coeffs, coeffs + (Q(1),)
 
 

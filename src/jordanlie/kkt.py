@@ -29,16 +29,19 @@ echelon, whose reduced rows, in ints over D, are the m basis.  Every
 op_commutators run and reduced against the span, which checks closure)
 and h are read off at its pivots, through one pivot index, in ints, and
 the companions are formed in ints.  The brackets go to bracket_table as
-those ints over their denominators, so no constant becomes a Fraction; h
-is divided once.  The
+ints over q, the lcm of the four denominators they are read over, so a
+Fraction is made once per distinct constant; h is divided once.  The
 distinguished sl2-triple is e = identity of J inside n, f = -(identity)
 inside nbar, h = [e, f] = -V_{e,e} = 2 L_e: no bracket is read.
 
 A LieAlgebra holds its brackets only as a table of all ordered pairs in
 linalg's {k: coeff} cells, ints scaled over den, the lcm of the constants'
-denominators, built by bracket_table from the brackets [b_i, b_j], i != j,
-each given as ints or Fractions over an int.  Every bracket and ad
-operator is read in ints from it and divided once on output;
+reduced denominators.  bracket_table builds it from the brackets
+[b_i, b_j], i != j, as vectors whose values stand for the constants: ints
+over q from build_kkt, ints from rootdata.build_split_lie, and the "p/q"
+strings of a JSON document from from_json, which reads each bracket once.
+It rewrites each vector in place into its cell.  Every bracket and ad
+operator is read in ints from the table and divided once on output;
 bracket_basis divides the cell.
 
 The Killing form is the ad-trace form rescaled so that it takes the value 1
@@ -157,27 +160,34 @@ class LieAlgebra:
         return self.killing_raw(x, y) * self.killing_scale() * self.table.den**2
 
 
-def bracket_table(dim: int, brackets) -> linalg.ScaledTable:
-    """cells[i][j] = den [b_i, b_j] in ints over den, the lcm of the reduced
-    denominators, from the ((i, j), (vec, d)) that brackets() yields, one
-    per pair i != j or none: [b_i, b_j] = vec / d, vec's values ints or
-    Fractions and d a positive int.  It is called twice, for den and for
-    the cells: c / d with c = p / q in lowest terms has reduced denominator
-    q d / gcd(p, d) (q when d = 1, as for every bracket from_json reads), and
-    its cell entry is p den / (q d).  [b_j, b_i] is the negated cell and
-    every zero bracket is one shared empty dict, so row i is den ad(b_i); no
-    cell may be written."""
-    den = math.lcm(*(
-        c.denominator if d == 1 else d // math.gcd(c.numerator, d) * c.denominator
-        for _, (vec, d) in brackets() for c in vec.values()
-    ))
+def bracket_table(dim: int, brackets: dict, value=Q) -> linalg.ScaledTable:
+    """cells[i][j] = den [b_i, b_j] in ints over den, from brackets =
+    {(i, j): vec}, one key per pair i != j or none.  vec's values are
+    hashable, and each c stands for the nonzero rational value(c): value is
+    called once per distinct c, den is the lcm of the denominators, so of
+    the reduced denominators of the constants, and each c's int over den is
+    formed once.  Each vec is rewritten in place into cell [i][j], one
+    lookup per entry, so the caller's dicts become the cells; brackets is
+    emptied as they are taken and the rows become tuples one at a time, so
+    no second copy of either is held.  [b_j, b_i] is the negated cell and every zero bracket is one shared
+    empty dict, so row i is den ad(b_i); no cell may be written."""
+    distinct = set(itertools.chain.from_iterable(map(dict.values, brackets.values())))
+    rationals = {c: value(c) for c in distinct}
+    den = math.lcm(*(x.denominator for x in rationals.values()))
+    ints = {c: x.numerator * (den // x.denominator) for c, x in rationals.items()}
     zero: SparseVec = {}
     rows = [[zero] * dim for _ in range(dim)]
-    for (i, j), (vec, d) in brackets():
-        if vec:
-            rows[i][j] = cell = {k: c.numerator * den // (d * c.denominator) for k, c in vec.items()}
-            rows[j][i] = {k: -c for k, c in cell.items()}
-    return linalg.ScaledTable(tuple(map(tuple, rows)), den)
+    while brackets:
+        (i, j), cell = brackets.popitem()
+        if cell:
+            neg = {}
+            for k, c in cell.items():
+                cell[k] = x = ints[c]
+                neg[k] = -x
+            rows[i][j], rows[j][i] = cell, neg
+    for i, row in enumerate(rows):
+        rows[i] = tuple(row)
+    return linalg.ScaledTable(tuple(rows), den)
 
 
 # ---------------------------------------------------------------------------
@@ -220,38 +230,44 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
         + tuple(f"n:{k}" for k in range(n))
     )
     grading = (-2,) * n + (0,) * m_dim + (2,) * n
-    brackets: dict = {}  # (i, j) -> (ints, their denominator)
+    # the constants are read off in ints over den^2, D, s = D de den and
+    # D^2; each goes to bracket_table over their lcm q, times q over its own
+    one = J.identity.vec
+    es, de = linalg.scale_vec(enumerate(one))
+    e, s = dict(es), d * de * den
+    q = math.lcm(den * den, s, d * d)
+    brackets: dict = {}  # (i, j) -> ints over q
 
     # [n_i, nbar_j] = V_{b_i, b_j} = 2([L_j, L_i] - L_{b_i o b_j}); over
     # b_i o b_j = sum_k c_k b_k / den its den^2 multiple is
     # 2(den^2 [L_j, L_i] - sum_k c_k den L_k), so each constant is one division
     comm_at = {pair: n + t for t, pair in enumerate(pairs)}
+    u = q // (den * den)
     for i in range(n):
         for j in range(n):
             terms = [(k, -2 * c) for k, c in cells[i][j].items()]
             if i != j:
                 terms.append((comm_at[min(i, j), max(i, j)], 2 if i > j else -2))
             vop = add_combination({}, coords, terms).items()
-            brackets[idx_n(i), idx_nbar(j)] = {idx_m(a): c for a, c in vop if c}, den * den
+            brackets[idx_n(i), idx_nbar(j)] = {idx_m(a): u * c for a, c in vop if c}
 
     # [m_a, n_k] = T_a(b_k);  [m_a, nbar_k] = -(T_a#(b_k))bar with the
     # companion T# = 2 L_{T(e)} - T, linear in T and V_{y,x} on V_{x,y}.  On
     # J.scaled, lte = C_a(es) is D de den L_{T_a(e)} (e = es / de), so
     # D de den (-T_a#) = de den C_a - 2 lte
-    one = J.identity.vec
-    es, de = linalg.scale_vec(enumerate(one))
-    e, s = dict(es), d * de * den
+    u, v = q // d, q // s
     for a, cols in enumerate(m_cols):
         lte = lmul_cols(cells, linalg.op_apply(cols, e).items())
         for k in range(n):
             neg_sharp = add_combination({r: de * den * c for r, c in cols[k].items()}, lte, [(k, -2)])
-            brackets[idx_m(a), idx_n(k)] = {idx_n(r): c for r, c in cols[k].items()}, d
-            brackets[idx_m(a), idx_nbar(k)] = {idx_nbar(r): c for r, c in neg_sharp.items() if c}, s
+            brackets[idx_m(a), idx_n(k)] = {idx_n(r): u * c for r, c in cols[k].items()}
+            brackets[idx_m(a), idx_nbar(k)] = {idx_nbar(r): v * c for r, c in neg_sharp.items() if c}
 
     # [m_a, m_b] = operator commutator.  Closure in the span is a theorem,
     # checked on every pair in ints: C = D^2 [m_a, m_b] and each row D R_i is
     # D at its pivot p_i and 0 at the others, so D C - sum_i C[p_i] D R_i = 0
     # iff C is in the span; a pair the kernel does not yield commutes
+    u = q // (d * d)
     for a, comms in enumerate(linalg.op_commutators(m_cols, n)):
         for b, comm in comms.items():
             consts = sorted((at[p], c) for p, c in comm.items() if p in at)
@@ -259,7 +275,7 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
             add_combination(rem, rows, [(i, -c) for i, c in consts])
             if any(rem.values()):
                 raise ConstructionError("operator commutator escaped the structure-operator span")
-            brackets[idx_m(a), idx_m(b)] = {idx_m(i): c for i, c in consts}, d * d
+            brackets[idx_m(a), idx_m(b)] = {idx_m(i): u * c for i, c in consts}
 
     # e = identity in n, f = -(identity) in nbar, h = [e, f] = -V_{e,e} = 2 L_e
     h = {idx_m(a): Q(2 * c, de * den) for a, c in add_combination({}, coords, es).items() if c}
@@ -267,7 +283,7 @@ def build_kkt(J: JordanAlgebra) -> LieAlgebra:
     frame = J.frame(1).vec
     triple = (embed(one, idx_nbar, -1), h, embed(one, idx_n, 1))
     norm_pair = (embed(frame, idx_nbar, -1), embed(frame, idx_n, 1))
-    table = bracket_table(len(labels), brackets.items)
+    table = bracket_table(len(labels), brackets, lambda c: Q(c, q))
     return LieAlgebra(labels, table, grading, triple, norm_pair)
 
 
@@ -353,7 +369,8 @@ def _sparse_to_json(vec: SparseVec, text=fmt) -> list:
 
 
 def _sparse_from_json(items, dim: int, value=parse) -> SparseVec:
-    """The vector of [index, "p/q"] entries; explicit zeros are dropped."""
+    """The vector of [index, value(c)] entries, c a "p/q" string; explicit
+    zeros, which value reads as 0 or None, are dropped."""
     if not isinstance(items, list):
         raise InvalidParameter(f"sparse vector must be a list, got {items!r}")
     out: SparseVec = {}
@@ -364,7 +381,7 @@ def _sparse_from_json(items, dim: int, value=parse) -> SparseVec:
         if type(k) is not int or not 0 <= k < dim or k in out:
             raise InvalidParameter(f"bad or repeated basis index {k!r} for dimension {dim}")
         out[k] = value(c)
-    return {k: c for k, c in out.items() if c}
+    return out if all(out.values()) else {k: c for k, c in out.items() if c}
 
 
 def _vectors_to_json(vecs, names: str):
@@ -399,9 +416,12 @@ def to_json(g: LieAlgebra) -> dict:
 
 
 def from_json(obj: dict) -> LieAlgebra:
-    """Inverse of :func:`to_json`; malformed input raises InvalidParameter.
-    The brackets are read twice, once for the table's denominator and once
-    for its cells, so no Fraction copy of them is held beside the table."""
+    """Inverse of :func:`to_json`; malformed input raises InvalidParameter,
+    at the first fault in document order.  One pass checks every bracket
+    and reads its vector with the constant strings as values, each distinct
+    string parsed once and explicit zeros dropped; bracket_table then
+    rewrites the vectors in place into the table's cells, so no Fraction
+    is made per entry and one set of cells is held."""
     if not (
         isinstance(obj, dict)
         and isinstance(obj.get("basis"), list)
@@ -417,24 +437,26 @@ def from_json(obj: dict) -> LieAlgebra:
         raise InvalidParameter("basis degrees must be integers or null")
     grading = None if any(d is None for d in degrees) else tuple(degrees)
     n = len(labels)
-    memo: dict = {}  # the few distinct constant strings, each parsed once
-    value = lambda c: memo[c] if type(c) is str and c in memo else memo.setdefault(c, parse(c))
+    consts: dict = {}  # each distinct constant string -> its Fraction
 
-    def brackets():
-        """The brackets, validated and read afresh on each call."""
-        seen = set()
-        for entry in obj["brackets"]:
-            if not (isinstance(entry, list) and len(entry) == 3):
-                raise InvalidParameter(f"bracket must be [i, j, vector], got {entry!r}")
-            i, j, items = entry
-            if type(i) is not int or type(j) is not int or not 0 <= i < j < n or (i, j) in seen:
-                raise InvalidParameter(f"bad or repeated bracket pair ({i!r}, {j!r})")
-            seen.add((i, j))
-            yield (i, j), (_sparse_from_json(items, n, value), 1)
+    def value(c):
+        """c itself, or None when it reads 0; each distinct c is parsed once."""
+        if type(c) is not str or c not in consts:
+            consts[c] = parse(c)
+        return c if consts[c] else None
+
+    brackets: dict = {}
+    for entry in obj["brackets"]:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise InvalidParameter(f"bracket must be [i, j, vector], got {entry!r}")
+        i, j, items = entry
+        if type(i) is not int or type(j) is not int or not 0 <= i < j < n or (i, j) in brackets:
+            raise InvalidParameter(f"bad or repeated bracket pair ({i!r}, {j!r})")
+        brackets[i, j] = _sparse_from_json(items, n, value)
 
     return LieAlgebra(
         labels=labels,
-        table=bracket_table(n, brackets),
+        table=bracket_table(n, brackets, consts.__getitem__),
         grading=grading,
         triple=_vectors_from_json(obj, "triple", "fhe", n),
         norm_pair=_vectors_from_json(obj, "norm_pair", "fe", n),

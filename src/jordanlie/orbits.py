@@ -10,8 +10,9 @@ permutations:
   are tested, not assumed).  A step runs on the element's ints and forms
   only what changes: row i of the left product, L_ik = x_ik + u x_jk, then
   the (i, i) entry L_ii + L_ij conj(u) and the rest of column i,
-  x_ki + x_kj conj(u).  It keeps the two checks of ``vector_of``: the new
-  diagonal entry is scalar, and each x_ki + x_kj conj(u) is conj(L_ik);
+  x_ki + x_kj conj(u).  It checks that the result is hermitian with a
+  scalar diagonal: the new diagonal entry is scalar, and each
+  x_ki + x_kj conj(u) is conj(L_ik);
 * quadratic family: the affine maps
   t_12(u)(a, b, v) = (a, b + a Q(u) + B(u, v), v + a u) and symmetrically
   t_21(u).

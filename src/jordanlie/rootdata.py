@@ -366,7 +366,7 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
 
     hi = rs.highest_root
     norm_pair = ({f_idx[hi]: Q(1)}, {e_idx[hi]: Q(1)})
-    table = kkt_mod.bracket_table(len(labels), lambda: ((ij, (vec, 1)) for ij, vec in brackets.items()))
+    table = kkt_mod.bracket_table(len(labels), brackets)
     return LieAlgebra(labels=labels, table=table, norm_pair=norm_pair, root_system=rs)
 
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from jordanlie import jordan, kkt, rootdata
-from jordanlie.composition import build_composition
-from jordanlie.errors import InvalidParameter
+from jordanlie.composition import CAElement, build_composition
+from jordanlie.errors import ConstructionError, InvalidParameter
 
 
 @pytest.fixture(scope="session")
@@ -41,14 +41,87 @@ def corrupted_copy(g: kkt.LieAlgebra, i: int, j: int, k: int, delta: Fraction) -
     if not (0 <= i < j < g.dim):
         raise InvalidParameter("need 0 <= i < j < dim")
     cells, den = g.table.cells, g.table.den
-    brackets = {(a, b): (dict(cells[a][b]), den) for a, b in g.upper()}
-    vec, _ = brackets.setdefault((i, j), ({}, den))
-    new = vec.get(k, 0) + den * Fraction(delta)
+    brackets = {(a, b): {r: Fraction(c, den) for r, c in cells[a][b].items()} for a, b in g.upper()}
+    vec = brackets.setdefault((i, j), {})
+    new = vec.get(k, 0) + Fraction(delta)
     if new:
         vec[k] = new
     else:
         del vec[k]
-    return replace(g, table=kkt.bracket_table(g.dim, brackets.items))
+    return replace(g, table=kkt.bracket_table(g.dim, brackets))
+
+
+def ca_add(u, v):
+    """u + v, for two elements of one composition algebra."""
+    return CAElement(u.algebra, tuple(a + b for a, b in zip(u.coeffs, v.coeffs)))
+
+
+def ca_scale(c, u):
+    """The rational c times a composition algebra element u."""
+    return CAElement(u.algebra, tuple(Fraction(c) * a for a in u.coeffs))
+
+
+def ca_norm(u):
+    """The norm N(u) = u^T G u of a composition algebra element."""
+    return u.algebra.norm_coeffs(u.coeffs)
+
+
+def matrix_of(alg, vec):
+    """The full r x r matrix over D of a hermitian algebra's coefficient
+    vector (lower triangle by conjugation)."""
+    D = alg.coeff_algebra
+    d = D.dim
+    mat = [[D.zero() for _ in range(alg.r)] for _ in range(alg.r)]
+    for i in range(alg.r):
+        mat[i][i] = ca_scale(vec[i], D.one())
+    for (i, j), off in alg._pair_offset.items():
+        entry = D.element(vec[off : off + d])
+        mat[i][j] = entry
+        mat[j][i] = entry.conj()
+    return mat
+
+
+def vector_of(alg, mat):
+    """Inverse of matrix_of; raises unless the matrix is hermitian with a
+    scalar diagonal."""
+    D = alg.coeff_algebra
+    out = [Fraction(0)] * alg.dim
+    for i in range(alg.r):
+        entry = mat[i][i]
+        if any(entry.coeffs[1:]):
+            raise ConstructionError("diagonal entry is not scalar")
+        out[i] = entry.coeffs[0]
+    for (i, j), off in alg._pair_offset.items():
+        if mat[j][i] != mat[i][j].conj():
+            raise ConstructionError("matrix is not hermitian")
+        for k, c in enumerate(mat[i][j].coeffs):
+            out[off + k] = c
+    return tuple(out)
+
+
+def matrix_product(alg, a, b):
+    """Plain matrix product over D, fixed summation order."""
+    D = alg.coeff_algebra
+    r = alg.r
+    out = [[D.zero() for _ in range(r)] for _ in range(r)]
+    for i in range(r):
+        for k in range(r):
+            acc = D.zero()
+            for j in range(r):
+                acc = ca_add(acc, a[i][j] * b[j][k])
+            out[i][k] = acc
+    return out
+
+
+def symmetrized_product(alg, x, y):
+    """(xy + yx)/2 of two coefficient vectors of a hermitian algebra, through
+    genuine matrix multiplication over D: the reference its table is checked
+    against."""
+    a, b = matrix_of(alg, x), matrix_of(alg, y)
+    ab, ba = matrix_product(alg, a, b), matrix_product(alg, b, a)
+    half = Fraction(1, 2)
+    sym = [[ca_scale(half, ca_add(ab[i][j], ba[i][j])) for j in range(alg.r)] for i in range(alg.r)]
+    return vector_of(alg, sym)
 
 
 def split_gram(dim):

@@ -16,7 +16,7 @@ from jordanlie import jordan, kkt, linalg, orbits, rootdata, verify
 from jordanlie.composition import build_composition
 from jordanlie.jordan import generic_min_poly, jordan_norm, jordan_trace, pierce
 
-from conftest import _kkt_cache, corrupted_copy, split_gram, stored_brackets
+from conftest import _kkt_cache, ca_norm, corrupted_copy, split_gram, stored_brackets
 
 # (type, rank, node, jordan-side constructor args, expected (dim n, r, d))
 INSTANCES = {
@@ -200,9 +200,9 @@ def test_ac6_norm_closed_forms(family_instances):
         x = alg.from_entries([a, b, c], {(0, 1): u, (0, 2): w.conj(), (1, 2): v})
         closed = (
             a * b * c
-            - a * v.norm()
-            - b * w.norm()
-            - c * u.norm()
+            - a * ca_norm(v)
+            - b * ca_norm(w)
+            - c * ca_norm(u)
             + ((v * w) * u).trace()
         )
         assert jordan_norm(x) == closed

@@ -278,6 +278,33 @@ def test_element_arithmetic_makes_no_fraction_arithmetic(monkeypatch, family_ins
     assert calls and {(op, name) for op, name, _ in calls} == {("__mul__", here)}
 
 
+def test_degenerate_char_coeffs_make_no_fraction_arithmetic(monkeypatch, family_instances):
+    # an element whose minimal polynomial has degree < r gets its
+    # characteristic coefficients by Lagrange interpolation along x + t g:
+    # the weights and the weighted sum are ints over one denominator, divided
+    # once, so no Fraction is added or multiplied, and the coefficients are
+    # those the Fraction interpolation gave
+    assert ("jordan", "generic_min_poly") in set(_load("spans").TRACED)
+    want = {
+        "E7": [(0, 1, -2, 1), (Fraction(32, 81), Fraction(-20, 27), Fraction(-4, 9), 1)],
+        "A5": [(0, 1, -2, 1), (Fraction(-40, 81), Fraction(52, 27), Fraction(-22, 9), 1)],
+    }
+    for name, coeffs in want.items():
+        alg = family_instances[name]
+        D, (e1, e2, _) = alg.coeff_algebra, alg.frames
+        # 2/3 e plus a rank-one element off the diagonal, over the 27ths
+        u = D.element([Fraction(1, 3) if k == 1 else -2 if k == D.dim - 1 else 0 for k in range(D.dim)])
+        y = orbits.apply_transvection(orbits.Transvection(2, 1, u), e1 * Fraction(1, 2))
+        cases = [e1 + e2, y + alg.identity * Fraction(2, 3)]
+        calls = []
+        _count_fraction_arithmetic(monkeypatch, calls)
+        polys = [jordan.generic_min_poly(x) for x in cases]
+        monkeypatch.undo()
+        assert calls == []
+        assert [len(p.min_coeffs) for p in polys] == [3, 3]
+        assert [p.char_coeffs for p in polys] == coeffs
+
+
 def test_orbit_steps_make_no_fraction_arithmetic(monkeypatch, family_instances):
     # a hermitian transvection runs on the element's ints and diagonalize
     # tests its pivots on them and forms each parameter by one division, so

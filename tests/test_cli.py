@@ -499,6 +499,11 @@ TWO_BASIS = [{"label": "a", "degree": None}, {"label": "b", "degree": None}]
         ({"basis": TWO_BASIS, "brackets": [], "norm_pair": {"f": [[0, "1"]]}}, "norm_pair must be"),
         ({"basis": TWO_BASIS, "brackets": [], "norm_pair": [[0, "1"]]}, "norm_pair must be"),
         ({"basis": TWO_BASIS, "brackets": [], "norm_pair": {"f": [[5, "1"]], "e": []}}, "basis index 5"),
+        ({"basis": TWO_BASIS, "brackets": [[0, 1, [[0, "1"]]], [0, 1, []]]}, "repeated bracket pair (0, 1)"),
+        ({"basis": TWO_BASIS, "brackets": [[0, 1, [[0, "0"], [0, "1"]]]]}, "repeated basis index 0"),
+        ({"basis": TWO_BASIS, "brackets": [[0, 1, {"0": "1"}]]}, "sparse vector must be a list"),
+        ({"basis": TWO_BASIS, "brackets": [[0, 1]]}, "bracket must be [i, j, vector], got [0, 1]"),
+        ({"basis": TWO_BASIS, "brackets": [[0, 1, [[1, "1/0"]]], [0, 1]]}, "zero denominator"),
     ],
     ids=[
         "string-indices",
@@ -509,6 +514,11 @@ TWO_BASIS = [{"label": "a", "degree": None}, {"label": "b", "degree": None}]
         "norm-pair-missing-e",
         "norm-pair-array",
         "norm-pair-index-out-of-range",
+        "repeated-pair",
+        "index-repeated-after-zero",
+        "vector-not-a-list",
+        "bracket-of-length-2",
+        "first-error-in-document-order",
     ],
 )
 def test_verify_malformed_json(tmp_path, capsys, obj, needle):
@@ -516,6 +526,16 @@ def test_verify_malformed_json(tmp_path, capsys, obj, needle):
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "verify", str(path))
     _assert_usage_error(code, out, err, needle)
+
+
+def test_verify_a_document_of_zero_constants(tmp_path, capsys):
+    # "0" is the only constant: den 1, every cell empty, and Jacobi holds
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"basis": TWO_BASIS, "brackets": [[0, 1, [[0, "0"], [1, "0/5"]]]]}))
+    g = kkt.from_json(json.loads(path.read_text()))
+    assert g.table.den == 1 and g.table.cells == (({}, {}), ({}, {}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "") and out.startswith("jacobi: PASS")
 
 
 def test_json_keeps_the_killing_normalization(tmp_path, capsys):

@@ -18,6 +18,8 @@ from jordanlie.errors import AlgebraMismatch, InvalidParameter
 from jordanlie.linalg import add_combination, det, op_from_dense, scale_table
 from jordanlie.rootdata import coordinatize, parabolic
 
+from conftest import ca_add, ca_norm, ca_scale
+
 
 def rand_element(rng, alg, span=9):
     return alg.element(
@@ -29,7 +31,7 @@ def test_dimension_one_is_the_base_field():
     k = build_composition(1, [])
     u = k.element([Q(7, 2)])
     assert (u * u).coeffs == (Q(49, 4),)
-    assert u.norm() == Q(49, 4)
+    assert ca_norm(u) == Q(49, 4)
     assert u.trace() == Q(7)
     assert u.conj() == u
 
@@ -145,7 +147,7 @@ def test_norm_composition_on_random_pairs():
         for _ in range(reps):
             u = rand_element(rng, alg)
             v = rand_element(rng, alg)
-            assert (u * v).norm() == u.norm() * v.norm()
+            assert ca_norm(u * v) == ca_norm(u) * ca_norm(v)
 
 
 def test_u_times_conj_u_is_norm(split_octonions):
@@ -153,7 +155,7 @@ def test_u_times_conj_u_is_norm(split_octonions):
     one = split_octonions.one()
     for _ in range(100):
         u = rand_element(rng, split_octonions)
-        assert u * u.conj() == u.norm() * one
+        assert u * u.conj() == ca_scale(ca_norm(u), one)
 
 
 def test_conjugation_is_linear_involutive_antimultiplicative():
@@ -165,7 +167,7 @@ def test_conjugation_is_linear_involutive_antimultiplicative():
             u = rand_element(rng, alg)
             v = rand_element(rng, alg)
             assert u.conj().conj() == u
-            assert (u + v).conj() == u.conj() + v.conj()
+            assert ca_add(u, v).conj() == ca_add(u.conj(), v.conj())
             assert (u * v).conj() == v.conj() * u.conj()
 
 
@@ -175,7 +177,7 @@ def test_gaussian_norm_expansion():
     rng = random.Random(4)
     for _ in range(50):
         a, b = Q(rng.randint(-9, 9)), Q(rng.randint(-9, 9))
-        assert alg.element([a, b]).norm() == a * a + b * b
+        assert ca_norm(alg.element([a, b])) == a * a + b * b
 
 
 def test_trace_form_nondegenerate():
@@ -193,7 +195,7 @@ def test_split_forms_have_isotropic_vectors():
         alg = build_composition(dim, [1] * (dim.bit_length() - 1))
         vals = [Q(-1), Q(0), Q(1)]
         assert any(
-            alg.element(c).norm() == 0
+            ca_norm(alg.element(c)) == 0
             for c in itertools.product(vals, repeat=dim)
             if any(c)
         )

@@ -6,6 +6,8 @@ escape.  Descriptors are spliced from the grammar's own tokens with integers
 in [-2, 4]; E7 and the 8-dimensional H3 are left out to keep the run short
 and sampled suites take at most 5 samples.  ``--jobs`` is drawn from
 [-2, 1]: it changes no output, and ``verify`` refuses a value below 1.
+Structure-constant documents may repeat a bracket pair or a basis index
+and carry zero constants, since the reader checks them in one pass.
 """
 
 import contextlib
@@ -54,6 +56,8 @@ JSON = st.recursive(
 )
 INDICES = st.integers(0, 4) | st.integers(-1, 6)
 SPARSE = st.lists(st.tuples(INDICES, NUMBERS).map(list), max_size=2)
+CONSTANTS = NUMBERS | st.sampled_from(["0", "0/3"])
+BRACKET_SPARSE = st.lists(st.tuples(INDICES, CONSTANTS).map(list), max_size=2)
 VECTORS = st.fixed_dictionaries({"f": SPARSE, "h": SPARSE, "e": SPARSE}) | JSON
 DEGREES = st.one_of(st.integers(-2, 2), st.integers(-2, 2), LEAVES)
 LIE_OBJECTS = st.fixed_dictionaries(
@@ -63,16 +67,35 @@ LIE_OBJECTS = st.fixed_dictionaries(
             min_size=1,
             max_size=5,
         ),
-        "brackets": st.lists(
-            st.tuples(INDICES, st.integers(1, 2) | INDICES, SPARSE).map(
-                lambda t: [t[0], t[0] + t[1], t[2]]
+        # the brackets are read in one pass, so order matters: a pair may
+        # come again at the end, and a constant may be zero
+        "brackets": st.tuples(
+            st.lists(
+                st.tuples(INDICES, st.integers(1, 2) | INDICES, BRACKET_SPARSE).map(
+                    lambda t: [t[0], t[0] + t[1], t[2]]
+                ),
+                max_size=3,
             ),
-            max_size=3,
-        ),
+            st.booleans(),
+        ).map(lambda t: t[0] + t[0][:1] if t[1] else t[0]),
     },
     optional={"triple": VECTORS, "norm_pair": VECTORS},
 )
-LIE_DOCS = st.one_of(JSON, LIE_OBJECTS, LIE_OBJECTS)
+# three basis vectors and in-range pairs only, so that most documents get
+# into the bracket pass: pairs come again, and zero constants are common
+IN_RANGE_OBJECTS = st.fixed_dictionaries(
+    {
+        "basis": st.just([{"label": "x"}, {"label": "y"}, {"label": "z"}]),
+        "brackets": st.lists(
+            st.tuples(
+                st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+                st.lists(st.tuples(st.integers(0, 2), CONSTANTS).map(list), max_size=3),
+            ).map(lambda t: [*t[0], t[1]]),
+            max_size=4,
+        ),
+    }
+)
+LIE_DOCS = st.one_of(JSON, LIE_OBJECTS, LIE_OBJECTS, IN_RANGE_OBJECTS)
 
 
 def hermitian_doc(algebra, r, d):

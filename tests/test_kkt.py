@@ -11,7 +11,7 @@ from fractions import Fraction as Q
 import pytest
 
 import jordanlie
-from jordanlie import cli, jordan, kkt, linalg, rootdata, verify
+from jordanlie import cli, jordan, kkt, linalg, rationals, rootdata, verify
 from jordanlie.composition import build_composition
 from jordanlie.errors import ConstructionError, InvalidParameter
 from jordanlie.kkt import (
@@ -26,6 +26,7 @@ from jordanlie.kkt import (
 )
 
 from conftest import corrupted_copy, stored_brackets
+from test_cli import GOLDEN_BUILD_SHA256
 
 CFG = verify.Config(seed=0, sample_count=400)
 
@@ -441,6 +442,49 @@ def test_json_round_trip(kkt_builds):
     for i, j, entries in obj["brackets"]:
         assert i < j
         assert entries == sorted(entries)
+
+
+@pytest.mark.parametrize("descriptor", list(GOLDEN_BUILD_SHA256))
+def test_json_round_trip_keeps_every_golden_table(descriptor):
+    # both E7 builds, H2(Q_{1/3,-5/7}), J2 with gram 1/2, 3/5 and H3(Q(sqrt(-7/4)))
+    # among them: the constants come back as the same ints over the same den
+    g = cli.target_lie_algebra(cli.resolve_target(descriptor))
+    g2 = from_json(json.loads(json.dumps(to_json(g))))
+    assert g2.table == g.table and g2.table.den == g.table.den
+    assert g2 == g
+
+
+def test_from_json_reads_the_brackets_in_one_pass(kkt_builds, monkeypatch):
+    # one iteration of obj["brackets"], and one parse per distinct constant
+    # string however often it occurs
+    class CountedList(list):
+        iterations = 0
+
+        def __iter__(self):
+            CountedList.iterations += 1
+            return super().__iter__()
+
+    parsed = []
+    monkeypatch.setattr(kkt, "parse", lambda c: parsed.append(c) or rationals.parse(c))
+    g = kkt_builds("E7")
+    obj = to_json(g)
+    strings = [c for _, _, items in obj["brackets"] for _, c in items]
+    obj["brackets"] = CountedList(obj["brackets"])
+    g2 = from_json(obj)
+    assert CountedList.iterations == 1
+    assert len(strings) > 5000 and sorted(parsed) == sorted(set(strings))
+    assert g2.table == g.table
+
+
+def test_a_document_of_zero_constants_has_an_empty_table():
+    obj = {
+        "basis": [{"label": "a"}, {"label": "b"}, {"label": "c"}],
+        "brackets": [[0, 1, [[2, "0"]]], [1, 2, [[0, "0"], [1, "0/7"]]]],
+    }
+    g = from_json(obj)
+    assert g.table.den == 1
+    assert all(cell == {} for row in g.table.cells for cell in row)
+    assert list(g.upper()) == []
 
 
 def test_explicit_zero_coefficients_are_dropped(split_builds):

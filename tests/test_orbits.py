@@ -22,6 +22,8 @@ from jordanlie.orbits import (
 )
 from jordanlie.rootdata import coordinatize, parabolic
 
+from conftest import ca_norm, ca_scale, matrix_of, matrix_product, vector_of
+
 
 def rand_element(rng, alg, span=6):
     return alg.element([Q(rng.randint(-span, span)) for _ in range(alg.dim)])
@@ -71,7 +73,7 @@ def torus_scale(i, t, x):
         if e.is_zero():
             continue
         if a == i - 1 or b == i - 1:
-            e = t * e
+            e = ca_scale(t, e)
         upper[(a, b)] = e
     return alg.from_entries(diag, upper)
 
@@ -146,9 +148,9 @@ def test_octonionic_association_identity(family_instances):
         i, j = rng.sample((1, 2, 3), 2)
         A = unipotent_matrix(alg, i, j, u)
         B = unipotent_matrix(alg, j, i, u.conj())
-        X = alg.matrix_of(x.vec)
-        left = alg.matrix_product(alg.matrix_product(A, X), B)
-        right = alg.matrix_product(A, alg.matrix_product(X, B))
+        X = matrix_of(alg, x.vec)
+        left = matrix_product(alg, matrix_product(alg, A, X), B)
+        right = matrix_product(alg, A, matrix_product(alg, X, B))
         assert all(
             left[a][b] == right[a][b] for a in range(3) for b in range(3)
         )
@@ -188,8 +190,8 @@ def test_transvection_equals_the_matrix_product(family_instances, split_builds, 
         for a, b in ((i, j), (j, i)):
             A = unipotent_matrix(alg, a, b, u)
             B = unipotent_matrix(alg, b, a, u.conj())
-            X = alg.matrix_of(x.vec)
-            want = alg.vector_of(alg.matrix_product(alg.matrix_product(A, X), B))
+            X = matrix_of(alg, x.vec)
+            want = vector_of(alg, matrix_product(alg, matrix_product(alg, A, X), B))
             assert apply_transvection(Transvection(a, b, u), x).vec == want
 
 
@@ -245,7 +247,7 @@ def test_already_diagonal(family_instances):
 def test_split_nilpotent_rank_one(split_complex):
     alg = jordan.hermitian(2, split_complex)
     u = split_complex.element([1, 1])  # norm 0, nonzero
-    assert u.norm() == 0
+    assert ca_norm(u) == 0
     x = alg.from_entries([0, 0], {(0, 1): u})
     res = diagonalize(x)
     assert res.rank == 1
@@ -380,7 +382,7 @@ def test_torus_scaling_rules(family_instances):
     assert torus_scale(3, t, alg.frame(1) + alg.frame(2)) == alg.frame(1) + alg.frame(2)
     u = alg.coeff_algebra.element([5])
     x = alg.from_entries([0, 0, 0], {(0, 1): u})
-    assert torus_scale(1, t, x) == alg.from_entries([0, 0, 0], {(0, 1): t * u})
+    assert torus_scale(1, t, x) == alg.from_entries([0, 0, 0], {(0, 1): ca_scale(t, u)})
     with pytest.raises(InvalidParameter):
         torus_scale(1, 0, alg.identity)
 
