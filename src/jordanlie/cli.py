@@ -264,10 +264,11 @@ def run_suite(name: str, target: Target, cfg: verify.Config) -> verify.SuiteResu
 
 
 def cmd_verify(args) -> int:
-    target = resolve_target(args.target)
+    # the flags first, so a bad one is refused before the target is built or read
     if args.jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {args.jobs}")
     cfg = verify.Config(seed=args.seed, sample_count=args.samples)
+    target = resolve_target(args.target)
     names = args.suites.split(",") if args.suites is not None else None
     if names is None:
         if target.kind == "jordan":
@@ -354,7 +355,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", parents=[common], help="run verification suites against a target")
     v.add_argument("target", help="algebra descriptor or structure-constant JSON file")
-    v.add_argument("--suites", help="comma-separated suite names (default: all applicable)")
+    v.add_argument(
+        "--suites",
+        help="comma-separated suite names; default on jordan: jacobi, grading, killing, jordan-identity, "
+        "pierce, and composition-law on H<r>; on root: (node= or not) jacobi, killing, q-composition, "
+        "cross-validate; on a JSON jacobi, and grading and killing if every basis vector has a degree",
+    )
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser(

@@ -301,7 +301,7 @@ def build_composition(dim: int, gammas: Sequence) -> CompositionAlgebra:
     return _checked(alg)
 
 
-def algebra_from_table(mul_table, norm_gram, labels=None) -> CompositionAlgebra:
+def algebra_from_table(mul_table, norm_gram) -> CompositionAlgebra:
     """Wrap an explicit multiplication table, dense cells of length dim, as a
     composition algebra.
 
@@ -316,12 +316,10 @@ def algebra_from_table(mul_table, norm_gram, labels=None) -> CompositionAlgebra:
         tuple({k: Q(x) for k, x in enumerate(cell) if x} for cell in row) for row in mul_table
     )
     gram = tuple(tuple(Q(x) for x in row) for row in norm_gram)
-    if labels is None:
-        labels = tuple(f"b{i}" for i in range(dim))
     alg = CompositionAlgebra(
         dim=dim,
         gammas=None,
-        basis_labels=tuple(labels),
+        basis_labels=tuple(f"b{i}" for i in range(dim)),
         mul_table=table,
         norm_gram=gram,
         descriptor=f"table:{dim}",

@@ -61,10 +61,8 @@ from typing import Optional
 from . import linalg
 from .errors import ConstructionError, InvalidParameter
 from .jordan import JordanAlgebra, lmul_cols
-from .linalg import EchelonBasis, add_combination
+from .linalg import EchelonBasis, SparseVec, add_combination
 from .rationals import HALF, Q, fmt, parse
-
-SparseVec = dict
 
 
 # ---------------------------------------------------------------------------

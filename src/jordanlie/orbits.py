@@ -40,7 +40,7 @@ from typing import Sequence, Union
 
 from .composition import CAElement
 from .errors import AlgebraMismatch, ConstructionError, InvalidParameter
-from .jordan import HermitianJordan, JordanAlgebra, JordanElement, QuadraticJordan
+from .jordan import HermitianJordan, JordanAlgebra, JordanElement, QuadraticJordan, element_to_json
 from .linalg import int_product, scale_dense
 from .rationals import Q, fmt
 
@@ -441,8 +441,6 @@ def _param_to_json(p: Param):
 
 def classify(x: JordanElement, places: Sequence = ()) -> dict:
     """Rank, diagonal, canonical representative and local class data."""
-    from .jordan import element_to_json
-
     res = diagonalize(x)
     rep = orbit_representative(res)
     alg = x.algebra

@@ -15,8 +15,6 @@ from .errors import InvalidParameter
 
 Q = Fraction
 
-ZERO = Q(0)
-ONE = Q(1)
 HALF = Q(1, 2)
 
 

@@ -1,15 +1,15 @@
 """Split Lie algebras from root data, and the road back to matrix models.
 
-This module is the independent counterpart of :mod:`jordanlie.kkt`: it
-builds the split Lie algebras of types A, B, C, D and E7 from their root
-systems alone (Chevalley basis, signs fixed by the extraspecial-pair method
-under a height-then-lexicographic order; the structure constants are Python
-ints on positive-root indices, found by one pass over the positive pairs,
-and each root sum a_i + a_j = a_c writes six brackets), cuts out a maximal
-parabolic with abelian nilradical, equips the nilradical with the Jordan
-product x o y = [x, [f, y]]/2, extracts the Pierce quadratic forms, and
-coordinatizes the result back onto a matrix model.  Agreement of
-the two roads, structure constant by structure constant, is the
+This module is the independent counterpart of :mod:`jordanlie.kkt`: it builds
+the split Lie algebras of types A, B, C, D and E7 from one table row per type
+and the simple reflections, which carry the simple roots onto all positive
+roots (Chevalley basis, extraspecial-pair signs in height-then-lexicographic
+order; the structure constants are Python ints on positive-root indices, from
+one pass over the positive pairs, and each root sum a_i + a_j = a_c writes six
+brackets), cuts out a maximal parabolic with abelian nilradical, equips the
+nilradical with the Jordan product x o y = [x, [f, y]]/2, extracts the Pierce
+quadratic forms, and coordinatizes the result back onto a matrix model.
+Agreement of the two roads, structure constant by structure constant, is the
 cross-validation entry point.
 
 Nothing is cached at module level: each :func:`build_split_lie` call returns
@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import jordan as jordan_mod
 from . import kkt as kkt_mod
@@ -36,7 +36,6 @@ from .rationals import Q
 
 Root = tuple[int, ...]
 
-SUPPORTED_TYPES = ("A", "B", "C", "D", "E7")
 MAX_DIM = 248  # dim E8: no exceptional algebra is larger
 
 
@@ -45,68 +44,36 @@ MAX_DIM = 248  # dim E8: no exceptional algebra is larger
 # ---------------------------------------------------------------------------
 
 
-def _simple_root_gram(type_label: str, rank: int) -> list[list[int]]:
-    """Inner products (alpha_i, alpha_j) of the simple roots; no algebra past MAX_DIM."""
-    if type_label == "E7" and rank != 7:
-        raise InvalidParameter("type E7 has rank 7")
-    dim = 2 * _EXPECTED_POSITIVE[type_label](rank) + rank if type_label in _EXPECTED_POSITIVE else 0
-    if rank > 0 and dim > MAX_DIM:
-        raise InvalidParameter(f"{type_label}{rank} has dimension {dim}, above {MAX_DIM}, that of E8")
-    g = [[0] * rank for _ in range(rank)]
-
-    def chain(i, j, val=-1):
-        g[i][j] = g[j][i] = val
-
-    if type_label == "A":
-        if rank < 1:
-            raise InvalidParameter("type A needs rank >= 1")
-        for i in range(rank):
-            g[i][i] = 2
-        for i in range(rank - 1):
-            chain(i, i + 1)
-    elif type_label == "B":
-        if rank < 2:
-            raise InvalidParameter("type B needs rank >= 2")
-        for i in range(rank - 1):
-            g[i][i] = 2
-        g[rank - 1][rank - 1] = 1
-        for i in range(rank - 1):
-            chain(i, i + 1)
-    elif type_label == "C":
-        if rank < 2:
-            raise InvalidParameter("type C needs rank >= 2")
-        for i in range(rank - 1):
-            g[i][i] = 2
-        g[rank - 1][rank - 1] = 4
-        for i in range(rank - 2):
-            chain(i, i + 1)
-        chain(rank - 2, rank - 1, -2)
-    elif type_label == "D":
-        if rank < 3:
-            raise InvalidParameter("type D needs rank >= 3")
-        for i in range(rank):
-            g[i][i] = 2
-        for i in range(rank - 2):
-            chain(i, i + 1)
-        chain(rank - 3, rank - 1)
-    elif type_label == "E7":
-        for i in range(7):
-            g[i][i] = 2
-        # Bourbaki numbering: chain 1-3-4-5-6-7 with 2 attached to 4
-        for i, j in ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)):
-            chain(i, j)
-    else:
-        raise InvalidParameter(f"unsupported type {type_label!r}")
-    return g
+def _middle_node(n: int) -> int:
+    if n % 2 == 0:
+        raise InvalidParameter("type A needs odd rank for the middle node")
+    return (n + 1) // 2
 
 
-_EXPECTED_POSITIVE = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E7": lambda n: 63,
+class RootType(NamedTuple):
+    """What the code knows about one root type, in Bourbaki numbering."""
+
+    least_rank: int  # an exceptional label (E7) names its rank, the only one it takes
+    positive: Callable[[int], int]  # number of positive roots at rank n
+    node: Callable[[int], int]  # 1-based simple root of the table's standard parabolic
+    gram: Callable[[int], dict]  # (alpha_i, alpha_j) by 0-based (i, j) where they differ from A_n's
+
+
+_TYPES = {
+    "A": RootType(1, lambda n: n * (n + 1) // 2, _middle_node, lambda n: {}),
+    "B": RootType(2, lambda n: n * n, lambda n: 1, lambda n: {(n - 1, n - 1): 1}),
+    "C": RootType(2, lambda n: n * n, lambda n: n, lambda n: {(n - 1, n - 1): 4, (n - 2, n - 1): -2}),
+    "D": RootType(3, lambda n: n * (n - 1), lambda n: 1, lambda n: {(n - 2, n - 1): 0, (n - 3, n - 1): -1}),
+    # the chain 1-3-4-5-6-7 with 2 attached to 4: A_7's bonds 1-2 and 2-3 move to 1-3 and 2-4
+    "E7": RootType(7, lambda n: 63, lambda n: 7, lambda n: {(0, 1): 0, (1, 2): 0, (0, 2): -1, (1, 3): -1}),
 }
+SUPPORTED_TYPES = tuple(_TYPES)
+
+
+def _root_type(type_label: str) -> RootType:
+    if type_label not in _TYPES:
+        raise InvalidParameter(f"unsupported type {type_label!r}")
+    return _TYPES[type_label]
 
 
 def _simple_roots(rank: int) -> tuple[Root, ...]:
@@ -188,38 +155,40 @@ def _order_key(root: Root) -> tuple:
 
 
 def build_root_system(type_label: str, rank: int) -> RootSystem:
-    gram = _simple_root_gram(type_label, rank)
+    """The type's root system at rank, of an algebra no larger than MAX_DIM:
+    the simple-root Gram is A_n's (2 on the diagonal, -1 on each bond i, i+1)
+    with the type's changes, and the positive roots are the closure of the
+    simple roots under the simple reflections s_i(b) = b - <b, alpha_i-dual>
+    alpha_i, taken where s_i raises b, which reaches each of them.  The type's
+    positive-root count checks the enumeration."""
+    t = _root_type(type_label)
+    if type_label[1:] and rank != t.least_rank:
+        raise InvalidParameter(f"type {type_label} has rank {t.least_rank}")
+    if rank < t.least_rank:
+        raise InvalidParameter(f"type {type_label} needs rank >= {t.least_rank}")
+    dim = 2 * t.positive(rank) + rank
+    if dim > MAX_DIM:
+        raise InvalidParameter(f"{type_label}{rank} has dimension {dim}, above {MAX_DIM}, that of E8")
+    gram = [[2 * (i == j) - (abs(i - j) == 1) for j in range(rank)] for i in range(rank)]
+    for (i, j), v in t.gram(rank).items():
+        gram[i][j] = gram[j][i] = v
     simple = _simple_roots(rank)
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for alpha in frontier:
-            for s in simple:
-                p = 0
-                cur = tuple(x - y for x, y in zip(alpha, s))
-                while any(cur) and (cur in roots or tuple(-c for c in cur) in roots):
-                    p += 1
-                    cur = tuple(x - y for x, y in zip(cur, s))
-                if p - _pairing(gram, alpha, s) >= 1:
-                    new = tuple(x + y for x, y in zip(alpha, s))
-                    if new not in roots:
-                        roots.add(new)
-                        nxt.append(new)
-        frontier = nxt
-
+    cartan = [[_pairing(gram, b, a) for b in simple] for a in simple]  # <alpha_j, alpha_i-dual>
+    roots, todo = set(simple), list(simple)
+    while todo:
+        b = todo.pop()
+        for i, row in enumerate(cartan):
+            c = sum(x * y for x, y in zip(row, b))
+            if c < 0 and (new := b[:i] + (b[i] - c,) + b[i + 1 :]) not in roots:
+                roots.add(new)
+                todo.append(new)
     ordered = tuple(sorted(roots, key=_order_key))
-    expected = _EXPECTED_POSITIVE[type_label](rank)
+    expected = t.positive(rank)
     if len(ordered) != expected:
         raise ConstructionError(
             f"{type_label}{rank}: enumerated {len(ordered)} positive roots, expected {expected}"
         )
-    return RootSystem(
-        type_label=type_label,
-        rank=rank,
-        gram=tuple(tuple(row) for row in gram),
-        positive_roots=ordered,
-    )
+    return RootSystem(type_label=type_label, rank=rank, gram=tuple(map(tuple, gram)), positive_roots=ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +341,7 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
 
 def canonical_node(type_label: str, rank: int) -> int:
     """Simple-root index (1-based) of the table's standard parabolic."""
-    if type_label == "C":
-        return rank
-    if type_label == "A":
-        if rank % 2 == 0:
-            raise InvalidParameter("type A needs odd rank for the middle node")
-        return (rank + 1) // 2
-    if type_label in ("B", "D"):
-        return 1
-    if type_label == "E7":
-        return 7
-    raise InvalidParameter(f"unsupported type {type_label!r}")
+    return _root_type(type_label).node(rank)
 
 
 # ---------------------------------------------------------------------------

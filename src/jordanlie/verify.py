@@ -188,7 +188,11 @@ def suite_killing(g: LieAlgebra) -> SuiteResult:
     # pairing to 0 raises first), so each test reads T.  Ad-invariance
     # kappa([b_i,b_j],b_k) + kappa(b_j,[b_i,b_k]) = 0 on all n^3 basis triples:
     # the two terms are entries (k, j) and (j, k) of M_i = T ad_i (column j is
-    # m[j], empty where ad_i's is), in ints: each must be antisymmetric
+    # m[j], empty where ad_i's is), in ints: each must be antisymmetric.  The
+    # last i adds no power: c(x, y, z) = kappa([x, y], z) is antisymmetric in x, y,
+    # and if c(x, y, z) = -c(x, z, y) for all x but x0, then c(x0, y, z) = -c(y, x0, z)
+    # = c(y, z, x0) = -c(z, y, x0) = c(z, x0, y) = -c(x0, z, y) (y, z != x0; else both
+    # sides are 0), so a loop one short of n certifies the same n^3 triples
     trace = g.killing_matrix()
     g.killing_scale()
     n = g.dim

@@ -485,6 +485,51 @@ def test_integer_fields_name_themselves(tmp_path, capsys, argv, needle):
     _assert_usage_error(code, out, err, needle)
 
 
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        ("root:G:2", "unsupported type 'G'"),
+        ("root:E7:99", "type E7 has rank 7"),
+        ("root:E7:6", "type E7 has rank 7"),
+        ("root:A:0", "type A needs rank >= 1"),
+        ("root:B:1", "type B needs rank >= 2"),
+        ("root:C:-1", "type C needs rank >= 2"),
+        ("root:D:2", "type D needs rank >= 3"),
+        ("root:A:15", "A15 has dimension 255, above 248, that of E8"),
+        ("root:D:12", "D12 has dimension 276, above 248, that of E8"),
+        ("root:A:4", "type A needs odd rank for the middle node"),
+    ],
+)
+def test_root_descriptor_errors(capsys, target, message):
+    # each message in full: the per-type table states every rank floor, cap and node
+    code, out, err = run(capsys, "verify", target)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "target, flag, needle",
+    [
+        ("root:E7:7", ["--samples", "0"], "sample_count must be >= 1"),
+        ("JSON", ["--jobs", "0"], "jobs must be >= 1, got 0"),
+        ("root:E7:7", ["--jobs", "0"], "jobs must be >= 1, got 0"),
+        ("JSON", ["--samples", "0"], "sample_count must be >= 1"),
+    ],
+)
+def test_verify_checks_its_flags_before_the_target(tmp_path, capsys, monkeypatch, target, flag, needle):
+    # a bad --samples or --jobs exits 2 before a root: target is built or a
+    # JSON target is parsed
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps(kkt.to_json(rootdata.build_split_lie("A", 1))))
+
+    def resolved(*args):
+        raise AssertionError("the target was resolved before the flags were checked")
+
+    monkeypatch.setattr(rootdata, "build_split_lie", resolved)
+    monkeypatch.setattr(kkt, "from_json", resolved)
+    code, out, err = run(capsys, "verify", str(path) if target == "JSON" else target, *flag)
+    _assert_usage_error(code, out, err, needle)
+
+
 TWO_BASIS = [{"label": "a", "degree": None}, {"label": "b", "degree": None}]
 
 

@@ -79,6 +79,67 @@ def test_ranks_stop_at_the_dimension_of_e8(type_label, rank, dim):
         build_root_system(type_label, rank + 1)
 
 
+def bourbaki_simple_roots(tl, n):
+    """Bourbaki's simple roots in the orthonormal basis eps_1, eps_2, ...
+    (plates I-IV and VI), coordinates doubled to stay in ints."""
+    m = {"A": n + 1, "E7": 8}.get(tl, n)
+    eps = [tuple(2 * (k == i) for k in range(m)) for i in range(m)]
+    add = lambda u, v, s=1: tuple(x + s * y for x, y in zip(u, v))
+    if tl == "E7":  # 1/2 (eps_1 + eps_8 - eps_2 - ... - eps_7), eps_1 + eps_2, eps_2 - eps_1, ...
+        first = [(1, -1, -1, -1, -1, -1, -1, 1), add(eps[0], eps[1])]
+        return first + [add(eps[k], eps[k - 1], -1) for k in range(1, 6)]
+    chain = [add(eps[i], eps[i + 1], -1) for i in range(n - 1)]
+    if tl == "A":
+        return chain + [add(eps[n - 1], eps[n], -1)]
+    if tl == "D":
+        return chain + [add(eps[n - 2], eps[n - 1])]
+    return chain + [eps[n - 1] if tl == "B" else add(eps[n - 1], eps[n - 1])]
+
+
+def string_closure(cartan):
+    """The positive roots by root strings, in (height, coordinates) order:
+    a + alpha_i is a root iff p - <a, alpha_i-dual> >= 1, p the length of the
+    alpha_i-string below a; a height is complete before the next is grown."""
+    n = len(cartan)
+    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    roots, frontier = set(simple), simple
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for i, s in enumerate(simple):
+                p, cur = 0, tuple(x - y for x, y in zip(a, s))
+                while cur in roots:
+                    p, cur = p + 1, tuple(x - y for x, y in zip(cur, s))
+                new = tuple(x + y for x, y in zip(a, s))
+                if p - sum(c * x for c, x in zip(cartan[i], a)) >= 1 and new not in roots:
+                    roots.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+
+
+CAPPED_TYPES = (
+    [("A", n) for n in range(1, 15)]
+    + [(tl, n) for tl in "BC" for n in range(2, 11)]
+    + [("D", n) for n in range(3, 12)]
+    + [("E7", 7)]
+)
+
+
+@pytest.mark.parametrize("tl, n", CAPPED_TYPES, ids=[f"{tl}_{n}" for tl, n in CAPPED_TYPES])
+def test_positive_roots_match_the_root_string_closure(tl, n):
+    # every supported type at every rank up to the MAX_DIM cap: the Gram and
+    # the Cartan matrix are Bourbaki's, read off the plates' simple roots, and the
+    # reflection closure gives the root strings' roots in the same order
+    plate = bourbaki_simple_roots(tl, n)
+    gram = tuple(tuple(sum(x * y for x, y in zip(a, b)) // 4 for b in plate) for a in plate)
+    bourbaki = tuple(tuple(2 * gram[i][j] // gram[i][i] for j in range(n)) for i in range(n))
+    rs = build_root_system(tl, n)
+    assert rs.gram == gram
+    assert cartan_matrix(rs) == bourbaki
+    assert rs.positive_roots == string_closure(bourbaki)
+
+
 @pytest.mark.parametrize(
     "tl, rk, pairs",
     [
