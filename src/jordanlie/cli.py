@@ -28,7 +28,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import composition, jordan, kkt, orbits, rootdata, verify
@@ -39,16 +38,22 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-@dataclass
 class Target:
-    """Resolved verify/build target."""
+    """Resolved verify/build target; lie and parabolic are filled on first use."""
 
-    kind: str  # "jordan" | "root" | "lie-json"
-    jordan_algebra: Optional[jordan.JordanAlgebra] = None
-    lie: Optional[kkt.LieAlgebra] = None
-    split: Optional[kkt.LieAlgebra] = None  # Chevalley build of a root: target
-    node: Optional[int] = None  # its node=, if given
-    parabolic: Optional[rootdata.ParabolicDecomposition] = None
+    __slots__ = ("kind", "jordan_algebra", "lie", "split", "node", "parabolic")
+
+    def __init__(
+        self,
+        kind: str,  # "jordan" | "root" | "lie-json"
+        jordan_algebra: Optional[jordan.JordanAlgebra] = None,
+        lie: Optional[kkt.LieAlgebra] = None,
+        split: Optional[kkt.LieAlgebra] = None,  # Chevalley build of a root: target
+        node: Optional[int] = None,  # its node=, if given
+        parabolic: Optional[rootdata.ParabolicDecomposition] = None,
+    ):
+        self.kind, self.jordan_algebra, self.lie, self.split = kind, jordan_algebra, lie, split
+        self.node, self.parabolic = node, parabolic
 
 
 def _parse_int(value: str, name: str, text: str) -> int:
@@ -185,7 +190,7 @@ def target_parabolic(t: Target) -> rootdata.ParabolicDecomposition:
             rs = t.split.root_system
             node = rootdata.canonical_node(rs.type_label, rs.rank)
         p = rootdata.parabolic(t.split, node)
-        t.parabolic = p if t.node is None else replace(p, algebra=rootdata.graded_algebra(p))
+        t.parabolic = p if t.node is None else p._replace(algebra=rootdata.graded_algebra(p))
     return t.parabolic
 
 

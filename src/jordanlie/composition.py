@@ -35,40 +35,48 @@ and the basis norms are carried over their denominators and read out once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
 from typing import Sequence
 
 from .errors import AlgebraMismatch, InvalidParameter
-from .linalg import ProductPlan, ScaledTable, add_combination, dense_product, det, gram_form
+from .linalg import ScaledTable, add_combination, dense_product, det, gram_form
 from .linalg import op_from_dense, product_plan, scale_dense, scale_table, table_product, table_readout
 from .rationals import Q, fmt, parse
 
 Coeffs = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
 class CompositionAlgebra:
-    """Immutable multiplication-table presentation of a composition algebra."""
+    """Immutable multiplication-table presentation of a composition algebra;
+    == compares the six constructor fields, not the tables derived from them."""
 
-    dim: int
-    gammas: tuple[Fraction, ...] | None
-    basis_labels: tuple[str, ...]
-    mul_table: tuple[tuple[dict, ...], ...]  # cell [i][j]: e_i e_j as {k: coeff}
-    norm_gram: tuple[Coeffs, ...]
-    descriptor: str
-    scaled: ScaledTable = field(init=False, compare=False, repr=False)
-    plan: ProductPlan = field(init=False, compare=False, repr=False)  # scaled, listed by output
-    # (c, d): the trace covector 2 G[k][0] is c[k] / d, in ints
-    trace_cov: tuple = field(init=False, compare=False, repr=False)
+    # the last three are derived from mul_table and norm_gram
+    __slots__ = ("dim", "gammas", "basis_labels", "mul_table", "norm_gram", "descriptor", "scaled", "plan", "trace_cov")
 
-    def __post_init__(self):
-        scaled = scale_table(self.mul_table)
-        cov, d = scale_dense([row[0] for row in self.norm_gram])  # G_k0 = cov[k] / d
-        object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "plan", product_plan(scaled))
-        object.__setattr__(self, "trace_cov", (tuple(2 * c for c in cov), d))
+    def __init__(
+        self,
+        dim: int,
+        gammas: tuple[Fraction, ...] | None,
+        basis_labels: tuple[str, ...],
+        mul_table: tuple[tuple[dict, ...], ...],  # cell [i][j]: e_i e_j as {k: coeff}
+        norm_gram: tuple[Coeffs, ...],
+        descriptor: str,
+    ):
+        self.dim, self.gammas, self.basis_labels, self.mul_table = dim, gammas, basis_labels, mul_table
+        self.norm_gram, self.descriptor = norm_gram, descriptor
+        self.scaled = scale_table(mul_table)
+        self.plan = product_plan(self.scaled)  # scaled, listed by output
+        cov, d = scale_dense([row[0] for row in norm_gram])  # G_k0 = cov[k] / d
+        self.trace_cov = (tuple(2 * c for c in cov), d)  # the trace covector 2 G[k][0] is c[k] / d
+
+    def _key(self) -> tuple:
+        return (self.dim, self.gammas, self.basis_labels, self.mul_table, self.norm_gram, self.descriptor)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     def __repr__(self):
         return f"CompositionAlgebra({self.descriptor})"
@@ -112,14 +120,14 @@ class CompositionAlgebra:
         return c
 
 
-@dataclass(frozen=True)
 class CAElement:
-    algebra: CompositionAlgebra
-    coeffs: Coeffs
+    __slots__ = ("algebra", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.algebra.dim:
+    def __init__(self, algebra: CompositionAlgebra, coeffs: Coeffs):
+        if len(coeffs) != algebra.dim:
             raise InvalidParameter("coefficient vector length != algebra dimension")
+        self.algebra = algebra
+        self.coeffs = coeffs
 
     def __mul__(self, other: "CAElement"):
         if self.algebra is not other.algebra:

@@ -56,7 +56,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .composition import CAElement, CompositionAlgebra
@@ -311,15 +311,15 @@ def quadratic(gram: Sequence[Sequence]) -> QuadraticJordan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class JordanElement:
     """Coefficient k is num[k] / den, with den > 0 and the fraction in lowest
     terms, so equal elements have equal fields; ``vec`` reads the
     coefficients out as Fractions."""
 
-    algebra: JordanAlgebra
-    num: tuple[int, ...]
-    den: int
+    __slots__ = ("algebra", "num", "den")
+
+    def __init__(self, algebra: JordanAlgebra, num: tuple[int, ...], den: int):
+        self.algebra, self.num, self.den = algebra, num, den
 
     @property
     def vec(self) -> Vec:
@@ -395,6 +395,7 @@ class JordanElement:
 # ---------------------------------------------------------------------------
 
 
+# a dataclass still: perfbench's tests copy one with dataclasses.replace
 @dataclass(frozen=True)
 class MinPoly:
     """Monic minimal polynomial plus degree-r characteristic coefficients.
@@ -517,8 +518,7 @@ def jordan_inverse(x: JordanElement) -> JordanElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PierceDecomposition:
+class PierceDecomposition(NamedTuple):
     """Joint eigenspace decomposition for the frame multiplication operators.
 
     components maps (i, i) 1-based to the line spanned by the i-th frame

@@ -54,9 +54,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import linalg
 from .errors import ConstructionError, InvalidParameter
@@ -70,23 +69,36 @@ from .rationals import HALF, Q, fmt, parse
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LieAlgebra:
     """Basis-indexed sparse structure constants, optionally 3-graded.
 
     table, from :func:`bracket_table`, is the only bracket store.  No cell
-    may be written, so replace() shares it.
+    may be written, so a copy made by the constructor shares it.  ==
+    compares the first five fields.
     """
 
-    labels: tuple[str, ...]
-    table: linalg.ScaledTable  # cells[i][j] = den [b_i, b_j], ints
-    grading: Optional[tuple[int, ...]] = None
-    triple: Optional[tuple[SparseVec, SparseVec, SparseVec]] = None  # (f, h, e)
-    norm_pair: Optional[tuple[SparseVec, SparseVec]] = None  # (f1, e1)
-    # rootdata.RootSystem of a Chevalley build; derived data, not compared
-    root_system: Optional[object] = field(default=None, compare=False, repr=False)
-    # memoized derived data: never passed, copied by replace() or compared
-    _gram: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("labels", "table", "grading", "triple", "norm_pair", "root_system", "_gram")
+
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        table: linalg.ScaledTable,  # cells[i][j] = den [b_i, b_j], ints
+        grading: Optional[tuple[int, ...]] = None,
+        triple: Optional[tuple[SparseVec, SparseVec, SparseVec]] = None,  # (f, h, e)
+        norm_pair: Optional[tuple[SparseVec, SparseVec]] = None,  # (f1, e1)
+        root_system=None,  # rootdata.RootSystem of a Chevalley build; derived data
+    ):
+        self.labels, self.table, self.grading, self.triple = labels, table, grading, triple
+        self.norm_pair, self.root_system = norm_pair, root_system
+        self._gram = None  # memo of killing_matrix(), never passed or copied
+
+    def _key(self) -> tuple:
+        return (self.labels, self.table, self.grading, self.triple, self.norm_pair)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     @property
     def dim(self) -> int:
@@ -335,8 +347,7 @@ def nbar_product(g: LieAlgebra, x: SparseVec, y: SparseVec) -> SparseVec:
     return {k: HALF * c for k, c in out.items()}
 
 
-@dataclass(frozen=True)
-class SpanReport:
+class SpanReport(NamedTuple):
     m_dim: int
     span_dim: int
 

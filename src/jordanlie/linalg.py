@@ -47,10 +47,9 @@ magnitude, so everything here is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 Q = Fraction
 
@@ -193,8 +192,7 @@ def gram_form(gram, xs, ys):
     return total
 
 
-@dataclass(frozen=True)
-class ScaledTable:
+class ScaledTable(NamedTuple):
     """A table of sparse cells times den, the least common denominator of its
     coefficients: the same {k: coeff} cells, holding ints."""
 
@@ -239,8 +237,7 @@ def scale_dense(x) -> tuple[list, int]:
     return [c.numerator * (d // c.denominator) for c in x], d
 
 
-@dataclass(frozen=True)
-class ProductPlan:
+class ProductPlan(NamedTuple):
     """A scaled table listed by output: terms[k] holds the constants, the
     i's and the j's of the entries table[i][j][k], as three tuples of ints."""
 

@@ -34,9 +34,8 @@ residue at 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .composition import CAElement
 from .errors import AlgebraMismatch, ConstructionError, InvalidParameter
@@ -47,21 +46,26 @@ from .rationals import Q, fmt
 Param = Union[CAElement, tuple]
 
 
-@dataclass(frozen=True)
 class Transvection:
     """Elementary norm-preserving map indexed by a frame pair (1-based)."""
 
-    i: int
-    j: int
-    param: Param
+    __slots__ = ("i", "j", "param")
 
-    def __post_init__(self):
-        if self.i == self.j:
+    def __init__(self, i: int, j: int, param: Param):
+        if i == j:
             raise InvalidParameter("transvection needs distinct frame indices")
+        self.i, self.j, self.param = i, j, param
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.i, self.j, self.param) == (other.i, other.j, other.param)
+
+    def __hash__(self):
+        return hash((self.i, self.j, self.param))
 
 
-@dataclass(frozen=True)
-class FramePermutation:
+class FramePermutation(NamedTuple):
     """Relabeling of the frame slots; perm[k] is the image of slot k (0-based)."""
 
     perm: tuple[int, ...]
@@ -150,13 +154,14 @@ def apply_permutation(p: FramePermutation, x: JordanElement) -> JordanElement:
             return x
         a, b, v = alg.parts(x.vec)
         return alg.from_parts(b, a, list(v))
-    diag = alg.diag_entries(x.vec)
+    vec = x.vec
+    diag = alg.diag_entries(vec)
     new_diag = [Q(0)] * alg.r
     upper = {}
     for i in range(alg.r):
         new_diag[perm[i]] = diag[i]
     for (i, j) in alg.pairs:
-        e = alg.upper_entry(x.vec, i, j)
+        e = alg.upper_entry(vec, i, j)
         if e.is_zero():
             continue
         a, b = perm[i], perm[j]
@@ -184,8 +189,7 @@ def replay(log: Sequence[LogStep], x: JordanElement) -> JordanElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     algebra: JordanAlgebra
     rank: int
     diagonal: tuple[Fraction, ...]
@@ -335,8 +339,7 @@ def orbit_representative(res: RankResult) -> JordanElement:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalInvariant:
+class LocalInvariant(NamedTuple):
     """Complete invariant of a nonzero rational in Q_p* / (Q_p*)^2.
 
     place "inf": class_data = (sign,).  Odd prime p: (valuation mod 2,

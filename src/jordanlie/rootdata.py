@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import jordan as jordan_mod
@@ -89,23 +89,21 @@ def _pairing(gram, a: Root, b: Root) -> int:
     return q
 
 
-@dataclass
 class RootSystem:
     """Positive roots with their Chevalley basis index: the basis runs
     f-block (one f_a per positive root, in order), Cartan, e-block.  The
-    Gram matrix, inner products, pairings and coroots are Python ints."""
+    Gram matrix, inner products, pairings and coroots are Python ints, and
+    so is the Cartan matrix, cartan[i][j] = <alpha_j, alpha_i-dual>, when
+    :func:`build_root_system` passes it."""
 
-    type_label: str
-    rank: int
-    gram: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]  # sorted by (height, coordinates)
-    f_idx: dict[Root, int] = field(init=False, repr=False)  # positive root -> f_a
-    e_idx: dict[Root, int] = field(init=False, repr=False)  # positive root -> e_a
+    __slots__ = ("type_label", "rank", "gram", "positive_roots", "cartan", "f_idx", "e_idx")
 
-    def __post_init__(self):
-        npos = len(self.positive_roots)
-        self.f_idx = {a: i for i, a in enumerate(self.positive_roots)}
-        self.e_idx = {a: npos + self.rank + i for i, a in enumerate(self.positive_roots)}
+    def __init__(self, type_label: str, rank: int, gram: tuple, positive_roots: tuple[Root, ...], cartan=None):
+        self.type_label, self.rank, self.gram, self.cartan = type_label, rank, gram, cartan
+        self.positive_roots = positive_roots  # sorted by (height, coordinates)
+        npos = len(positive_roots)
+        self.f_idx = {a: i for i, a in enumerate(positive_roots)}  # positive root -> f_a
+        self.e_idx = {a: npos + rank + i for i, a in enumerate(positive_roots)}  # positive root -> e_a
 
     def h_idx(self, i: int) -> int:
         """Basis index of the i-th (0-based) simple coroot."""
@@ -188,7 +186,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
         raise ConstructionError(
             f"{type_label}{rank}: enumerated {len(ordered)} positive roots, expected {expected}"
         )
-    return RootSystem(type_label=type_label, rank=rank, gram=tuple(map(tuple, gram)), positive_roots=ordered)
+    return RootSystem(type_label, rank, tuple(map(tuple, gram)), ordered, tuple(map(tuple, cartan)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +306,10 @@ def build_split_lie(type_label: str, rank: int) -> LieAlgebra:
     )
     brackets: dict = {}
 
-    # Cartan action
-    simple = rs.simple_roots
+    # Cartan action: <a, alpha_i-dual> is row i of the Cartan matrix on a
     for a in pos:
-        for i, s in enumerate(simple):
-            pairing = rs.pairing(a, s)
+        for i, row in enumerate(rs.cartan):
+            pairing = sum(map(mul, row, a))
             if pairing:
                 brackets[h_idx(i), e_idx[a]] = {e_idx[a]: pairing}
                 brackets[h_idx(i), f_idx[a]] = {f_idx[a]: -pairing}
@@ -349,16 +346,14 @@ def canonical_node(type_label: str, rank: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Sl2Triple:
+class Sl2Triple(NamedTuple):
     root: Root
     f: dict
     h: dict
     e: dict
 
 
-@dataclass
-class ParabolicDecomposition:
+class ParabolicDecomposition(NamedTuple):
     algebra: LieAlgebra
     node: int  # 1-based simple root index
     n_roots: tuple[Root, ...]
@@ -467,11 +462,13 @@ def graded_algebra(p: ParabolicDecomposition) -> LieAlgebra:
         d = sum(rs.pairing(a, b) for b in p.strongly_orthogonal)
         if d:
             raise ConstructionError(f"root {a} has pairing sum {d} against the chain")
-    return replace(
-        g,
+    return LieAlgebra(
+        g.labels,
+        g.table,
         grading=tuple(degree),
         triple=(p.chain_sum("f"), p.chain_sum("h"), p.chain_sum("e")),
         norm_pair=(p.triples[0].f, p.triples[0].e),
+        root_system=rs,
     )
 
 
@@ -480,7 +477,6 @@ def graded_algebra(p: ParabolicDecomposition) -> LieAlgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RootJordan:
     """Jordan product table carried by the abelian nilradical.
 
@@ -489,18 +485,13 @@ class RootJordan:
     ambient structure constants.
     """
 
-    parabolic: ParabolicDecomposition
-    basis_roots: tuple[Root, ...]
-    table: list[list[dict]]
-    dim: int
-    scaled: linalg.ScaledTable = field(init=False, compare=False, repr=False)
-    plan: linalg.ProductPlan = field(init=False, compare=False, repr=False)  # scaled, by output
-    position: dict = field(init=False, compare=False, repr=False)
+    __slots__ = ("parabolic", "basis_roots", "table", "dim", "scaled", "plan", "position")
 
-    def __post_init__(self):
-        self.scaled = linalg.scale_table(self.table)
-        self.plan = linalg.product_plan(self.scaled)
-        self.position = {a: k for k, a in enumerate(self.basis_roots)}
+    def __init__(self, parabolic: ParabolicDecomposition, basis_roots: tuple[Root, ...], table: list, dim: int):
+        self.parabolic, self.basis_roots, self.table, self.dim = parabolic, basis_roots, table, dim
+        self.scaled = linalg.scale_table(table)
+        self.plan = linalg.product_plan(self.scaled)  # scaled, by output
+        self.position = {a: k for k, a in enumerate(basis_roots)}
 
     def embed(self, roots, local) -> tuple:
         """The coordinate vector with local[k] on roots[k] and 0 elsewhere."""
@@ -561,8 +552,7 @@ def jordan_from_roots(p: ParabolicDecomposition) -> RootJordan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PierceForm:
+class PierceForm(NamedTuple):
     """Quadratic form on one off-diagonal Pierce component, in root basis."""
 
     pair: tuple[int, int]
@@ -666,8 +656,7 @@ def witt_hyperbolic_planes(gram) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Coordinatization:
+class Coordinatization(NamedTuple):
     """Linear isomorphism from the nilradical Jordan structure onto a
     matrix/quadratic model, after frame rescaling."""
 
@@ -715,7 +704,7 @@ def _rescaled_parabolic(p: ParabolicDecomposition, scales: list[Fraction]):
                 e={k: c * s for k, c in t.e.items()},
             )
         )
-    return replace(p, triples=tuple(triples))
+    return p._replace(triples=tuple(triples))
 
 
 def _invert(mat: list, name: str) -> list:
@@ -743,7 +732,7 @@ def coordinatize(p: ParabolicDecomposition) -> Coordinatization:
     forms2 = {}
     for (i, j), f in forms.items():
         s = scales[i - 1] * scales[j - 1]
-        forms2[(i, j)] = replace(f, gram=tuple(tuple(c / s for c in row) for row in f.gram))
+        forms2[(i, j)] = f._replace(gram=tuple(tuple(c / s for c in row) for row in f.gram))
     if r == 2:
         return _coordinatize_quadratic(p2, rj, forms2)
     return _coordinatize_hermitian(p2, rj, forms2, units)
@@ -855,8 +844,7 @@ def _coordinatize_hermitian(p2, rj, forms, units):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CrossValidation:
+class CrossValidation(NamedTuple):
     dim: int
     mismatches: list
 

@@ -17,8 +17,7 @@ import itertools
 import random
 import sys
 from array import array
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import jordan as jordan_mod
 from . import composition, linalg, rootdata
@@ -30,18 +29,16 @@ EXHAUSTIVE_DIM = 36
 SAMPLE_BLOCK = 4096  # triples' worth of generator words per draw
 
 
-@dataclass
 class Config:
-    seed: int = 0
-    sample_count: int = 1000
+    __slots__ = ("seed", "sample_count")
 
-    def __post_init__(self):
-        if self.sample_count < 1:
+    def __init__(self, seed: int = 0, sample_count: int = 1000):
+        if sample_count < 1:
             raise InvalidParameter("sample_count must be >= 1")
+        self.seed, self.sample_count = seed, sample_count
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     checked: int

@@ -1,10 +1,9 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from jordanlie import jordan, kkt, rootdata
-from jordanlie.composition import CAElement, build_composition
+from jordanlie.composition import CAElement, CompositionAlgebra, build_composition
 from jordanlie.errors import ConstructionError, InvalidParameter
 
 
@@ -48,7 +47,15 @@ def corrupted_copy(g: kkt.LieAlgebra, i: int, j: int, k: int, delta: Fraction) -
         vec[k] = new
     else:
         del vec[k]
-    return replace(g, table=kkt.bracket_table(g.dim, brackets))
+    return kkt.LieAlgebra(g.labels, kkt.bracket_table(g.dim, brackets), g.grading, g.triple, g.norm_pair, g.root_system)
+
+
+def composition_copy(D, mul_table=None, norm_gram=None):
+    """D with its multiplication table or norm Gram swapped, no build-time
+    check run; the constructor forms the copy's scaled tables anew."""
+    mul_table = D.mul_table if mul_table is None else mul_table
+    norm_gram = D.norm_gram if norm_gram is None else norm_gram
+    return CompositionAlgebra(D.dim, D.gammas, D.basis_labels, mul_table, norm_gram, D.descriptor)
 
 
 def ca_add(u, v):

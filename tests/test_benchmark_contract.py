@@ -13,11 +13,14 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from test_cli import GOLDEN_VERIFY_ARGS, GOLDEN_VERIFY_SHA256
 
 import jordanlie
 from jordanlie import cli, jordan, kkt, linalg, orbits, rootdata, verify
-from jordanlie.composition import algebra_from_table
+from jordanlie.composition import algebra_from_table, build_composition
+from jordanlie.errors import InvalidParameter
 from jordanlie.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -445,3 +448,65 @@ def test_jordan_tables_make_no_fraction_arithmetic(monkeypatch, split_builds):
     for J, model in models:
         assert (J.mul_table, J.scaled) == (model.mul_table, model.scaled)
     assert {(name, line) for _, name, line in calls} == {("det", "d *= lead")}
+
+
+def test_split_build_reads_the_cartan_matrix(monkeypatch):
+    # each <a, alpha_i-dual> of the Cartan action is a dot product of a with
+    # row i of the integer Cartan matrix build_root_system formed, not two
+    # Gram forms and a divmod in RootSystem.pairing; perfbench times the build
+    assert ("rootdata", "build_split_lie") in set(_load("spans").TRACED)
+    pairing, calls = rootdata.RootSystem.pairing, []
+    monkeypatch.setattr(rootdata.RootSystem, "pairing", lambda *args: calls.append(args) or pairing(*args))
+    g = rootdata.build_split_lie("E7", 7)
+    monkeypatch.undo()
+    assert calls == [] and g.dim == 133
+
+
+def test_only_min_poly_is_a_dataclass():
+    # every jordanlie command starts a fresh interpreter, and a dataclass
+    # generates and runs the code of its methods on each start; perfbench's
+    # tests copy a MinPoly with dataclasses.replace, so it alone stays one
+    found = []
+    for path in sorted(Path(jordanlie.__file__).parent.glob("*.py")):
+        mod = importlib.import_module(f"jordanlie.{path.stem}" if path.stem != "__init__" else "jordanlie")
+        for name, obj in vars(mod).items():
+            if isinstance(obj, type) and obj.__module__ == mod.__name__ and hasattr(obj, "__dataclass_fields__"):
+                found.append(f"{path.stem}.{name}")
+    assert found == ["jordan.MinPoly"]
+
+
+def test_lie_algebra_equality_ignores_derived_data():
+    # == compares labels, table, grading, triple and norm pair: not the root
+    # system a Chevalley build carries, nor the memo of its trace Gram
+    g, h = rootdata.build_split_lie("C", 3), rootdata.build_split_lie("C", 3)
+    g.killing_matrix()
+    h.root_system = None
+    assert g._gram is not None and h._gram is None
+    assert g == h
+    graded = rootdata.graded_algebra(rootdata.parabolic(g, 3))
+    assert graded.table is g.table and graded != g
+
+
+def test_composition_algebra_equality_ignores_derived_tables():
+    a, b = build_composition(4, [1, 1]), build_composition(4, [1, 1])
+    for name in ("scaled", "plan", "trace_cov"):
+        object.__setattr__(b, name, None)
+    assert a == b
+    assert a != build_composition(4, [1, -1])
+
+
+def test_records_keep_their_checks_and_hashes():
+    with pytest.raises(InvalidParameter, match="sample_count must be >= 1"):
+        verify.Config(sample_count=0)
+    D = build_composition(2, [1])
+    with pytest.raises(InvalidParameter, match="distinct frame indices"):
+        orbits.Transvection(1, 1, D.one())
+    equal = [
+        (orbits.Transvection(1, 2, D.element([1, 2])), orbits.Transvection(1, 2, D.element([1, 2]))),
+        (orbits.Transvection(2, 1, (Fraction(1, 2),)), orbits.Transvection(2, 1, (Fraction(1, 2),))),
+        (orbits.FramePermutation((1, 0, 2)), orbits.FramePermutation((1, 0, 2))),
+        (orbits.local_class(Fraction(12), 3), orbits.local_class(Fraction(3, 4), 3)),
+    ]
+    for x, y in equal:
+        assert x is not y and x == y and hash(x) == hash(y)
+    assert orbits.Transvection(1, 2, D.one()) != orbits.Transvection(2, 1, D.one())

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import math
 import random
@@ -24,7 +23,7 @@ from jordanlie.jordan import (
 )
 from jordanlie.rootdata import coordinatize, parabolic
 
-from conftest import ca_norm, symmetrized_product
+from conftest import ca_norm, composition_copy, symmetrized_product
 
 
 def rand_element(rng, alg, span=9):
@@ -76,7 +75,7 @@ def test_table_rejects_non_hermitian_products(split_complex, split_builds):
     def broken(D, i, j, cell):
         table = [list(row) for row in D.mul_table]
         table[i][j] = {k: Q(c) for k, c in enumerate(cell) if c}
-        return dataclasses.replace(D, mul_table=tuple(map(tuple, table)))
+        return composition_copy(D, mul_table=tuple(map(tuple, table)))
 
     # i*i = 1 + i: (i E_12 + conj(i) E_21)^2 has a non-scalar diagonal
     with pytest.raises(ConstructionError, match="diagonal entry is not scalar"):

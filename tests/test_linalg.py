@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -9,6 +8,8 @@ import pytest
 from jordanlie import linalg, rootdata
 from jordanlie.cli import parse_jordan_descriptor
 from jordanlie.composition import build_composition
+
+from conftest import composition_copy
 
 # tables whose common denominators are 42, 10 and 8, beside the dyadic family
 NON_DYADIC = {
@@ -141,7 +142,7 @@ def test_replace_rescales_a_corrupted_table():
     D = build_composition(4, [Q(1, 3), Q(-5, 7)])
     table = [list(row) for row in D.mul_table]
     table[1][2] = {0: Q(5, 11), 3: Q(-1)}
-    bad = dataclasses.replace(D, mul_table=tuple(map(tuple, table)))
+    bad = composition_copy(D, mul_table=tuple(map(tuple, table)))
     assert bad.scaled == linalg.scale_table(bad.mul_table) != D.scaled
     assert bad.scaled.den % 11 == 0
     e1, e2 = bad.basis_element(1).coeffs, bad.basis_element(2).coeffs

@@ -223,6 +223,21 @@ def test_permutations_preserve_norm(family_instances):
             assert jordan_norm(y) == jordan_norm(x)
 
 
+def test_permutation_reads_the_coefficients_once(monkeypatch, family_instances):
+    # the diagonal and every upper entry of a hermitian element are read from
+    # one readout of its ints; permuting back gives the element again
+    reads = []
+    vec = jordan.JordanElement.vec
+    monkeypatch.setattr(jordan.JordanElement, "vec", property(lambda x: reads.append(x) or vec.fget(x)))
+    rng = random.Random(8)
+    for name in ("E7", "A5", "C3"):
+        x = rand_element(rng, family_instances[name])
+        y = apply_permutation(FramePermutation((2, 0, 1)), x)
+        assert reads == [x]
+        assert apply_permutation(FramePermutation((1, 2, 0)), y) == x
+        reads.clear()
+
+
 # ---------------------------------------------------------------------------
 # diagonalization and rank
 # ---------------------------------------------------------------------------

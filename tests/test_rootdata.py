@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -218,7 +217,7 @@ def test_replace_recomputes_killing_from_its_own_norm_pair():
     f1, e1 = g.norm_pair
     assert g.killing(f1, e1) == 1
     f2 = {k: 2 * c for k, c in f1.items()}
-    g2 = replace(g, norm_pair=(f2, e1))
+    g2 = kkt.LieAlgebra(g.labels, g.table, g.grading, g.triple, (f2, e1), g.root_system)
     assert g2.table is g.table
     assert g2.killing(f2, e1) == 1
     assert g.killing(f2, e1) == 2
@@ -241,7 +240,7 @@ def test_graded_algebra_pairs_only_the_levi_roots(monkeypatch, split_builds):
     monkeypatch.undo()
     assert (len(calls), graded.grading.count(2), graded.grading.count(-2)) == (108, 27, 27)
     # an m root that pairs with the chain is refused
-    bad = replace(p, m_roots=p.m_roots + p.n_roots[:1])
+    bad = p._replace(m_roots=p.m_roots + p.n_roots[:1])
     with pytest.raises(ConstructionError, match=r"has pairing sum 2 against the chain"):
         graded_algebra(bad)
 
@@ -276,10 +275,11 @@ def test_killing_certificate_catches_what_jacobi_samples_miss(split_builds):
 
 def test_cartan_matrix_and_simple_roots():
     rs = build_root_system("B", 3)
-    assert cartan_matrix(rs) == ((2, -1, 0), (-1, 2, -1), (0, -2, 2))
+    assert cartan_matrix(rs) == ((2, -1, 0), (-1, 2, -1), (0, -2, 2)) == rs.cartan
     assert len(rs.simple_roots) == 3
     rs7 = build_root_system("E7", 7)
     A = cartan_matrix(rs7)
+    assert rs7.cartan == A
     assert all(A[i][i] == 2 for i in range(7))
     assert sum(A[i][j] for i in range(7) for j in range(7) if i != j) == -12
 
@@ -341,11 +341,11 @@ def test_parabolic_table(key, split_builds):
 
 def test_q_forms_pair_no_root(monkeypatch, split_builds):
     # parabolic() pairs each n root with the chain once, and the parabolics
-    # made from it by replace() carry those pairings, so q_forms pairs none
+    # made from it by _replace() carry those pairings, so q_forms pairs none
     pairing, calls = RootSystem.pairing, []
     for tl, rk, node in (("E7", 7, 7), ("D", 6, 6), ("A", 5, 3), ("C", 3, 3)):
         p = parabolic(split_builds(tl, rk), node)
-        graded = replace(p, algebra=graded_algebra(p))
+        graded = p._replace(algebra=graded_algebra(p))
         monkeypatch.setattr(RootSystem, "pairing", lambda *args: calls.append(args) or pairing(*args))
         assert q_forms(p) == q_forms(graded)
         monkeypatch.undo()
@@ -576,7 +576,7 @@ def test_q_composition_certificate_catches_a_shifted_pierce_form(split_builds, m
     # the form's first nonzero off-diagonal entry, at (0, 7) and (7, 0), shifted by 1/2
     gram[0][7] += Q(1, 2)
     gram[7][0] += Q(1, 2)
-    forms[(1, 2)] = replace(forms[(1, 2)], gram=tuple(tuple(row) for row in gram))
+    forms[(1, 2)] = forms[(1, 2)]._replace(gram=tuple(tuple(row) for row in gram))
     monkeypatch.setattr(rootdata, "q_forms", lambda _: forms)
     assert verify.suite_q_composition(p).line() == (
         "q-composition: FAIL [260 checks] witness: indices (1,2,3) a, a' = 0, 7 b, b' = 0, 7"
