@@ -12,15 +12,15 @@ Two families are supported:
 
 Every element satisfies a monic polynomial of degree <= r (r the degree of
 the algebra: r for hermitian, 2 for quadratic).  The powers e, x, ..., x^r
-are formed once (r - 1 products) and the matrix whose columns they are is
-row-reduced once: its first non-pivot column m gives the minimal
-polynomial, and when m = r that is the degree-r characteristic polynomial.
-Otherwise the characteristic coefficients are interpolated along a line
-x + t*g, one power sequence and one row reduction per sample, and the
-Lagrange sum in ints over one denominator, divided once.  Their
-extreme coefficients are the trace and the determinant-like norm, and
-``jordan_trace``, ``jordan_norm`` and ``jordan_inverse`` all read them from
-that one computation.  Sign convention for the quadratic family:
+are formed once (r - 1 products).  The generic trace T(x) = (r / dim) tr L_x
+is read off the table once per algebra, as the int covector ``trace_cov``,
+and the power sums T(x^k) give the degree-r characteristic coefficients by
+Newton's identities, in ints, each coefficient divided once.  Their extreme
+coefficients are the trace and the determinant-like norm: ``jordan_trace``
+reads the covector, and ``jordan_norm`` and ``jordan_inverse`` the
+coefficients.  Only ``generic_min_poly`` row-reduces, once, the matrix whose
+columns are the powers: its first non-pivot column m gives the minimal
+polynomial.  Sign convention for the quadratic family:
 N(a, b, v) = ab - Q(v), which is the unique constant term making
 x^2 - T(x) x + N(x) e = 0 hold with the square rule above.
 
@@ -56,6 +56,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -92,11 +93,16 @@ class JordanAlgebra:
     def _finish_init(self):
         self.scaled = self._build_scaled_table()
         self.plan = linalg.product_plan(self.scaled)
-        self.identity = self.element(self._identity_vec())
-        self.frames = [self.element(v) for v in self._frame_vecs()]
-        # fixed element with r distinct "eigenvalues"; used to steer the
-        # characteristic-coefficient interpolation off the degenerate locus
-        self._generic_probe = sum(((i + 1) * f for i, f in enumerate(self.frames)), self.zero())
+        # in both families the frames are the first r basis vectors
+        self.frames = [self.basis_element(i) for i in range(self.degree)]
+        self.identity = JordanElement(self, tuple(int(k < self.degree) for k in range(self.dim)), 1)
+        # the generic trace T(x) = (r / dim) tr L_x of a simple algebra, read
+        # off the table: tr L_{b_k} = sum_m cells[k][m][m] / den
+        den = self.dim * self.scaled.den
+        cov, d = linalg.scale_dense(
+            [Q(self.degree * sum(cell.get(m, 0) for m, cell in enumerate(row)), den) for row in self.scaled.cells]
+        )
+        self.trace_cov = (tuple(cov), d)  # T(b_k) = cov[k] / d
 
     @functools.cached_property
     def mul_table(self) -> tuple:
@@ -201,15 +207,6 @@ class HermitianJordan(JordanAlgebra):
                 table[s][t] = table[t][s] = dict(sorted(entry.items()))
         return linalg.reduced_table(table, 2 * D.scaled.den * d * d)
 
-    def _identity_vec(self) -> Vec:
-        return tuple(Q(1) if k < self.r else Q(0) for k in range(self.dim))
-
-    def _frame_vecs(self) -> list[Vec]:
-        return [
-            tuple(Q(1) if k == i else Q(0) for k in range(self.dim))
-            for i in range(self.r)
-        ]
-
     def diag_entries(self, vec: Vec) -> list[Fraction]:
         return list(vec[: self.r])
 
@@ -289,13 +286,6 @@ class QuadraticJordan(JordanAlgebra):
             for l, c in g[k].items():
                 table[2 + l][2 + k] = {0: 2 * c, 1: 2 * c}
         return linalg.reduced_table(table, 2 * dg)
-
-    def _identity_vec(self) -> Vec:
-        return (Q(1), Q(1)) + (Q(0),) * self.v_dim
-
-    def _frame_vecs(self) -> list[Vec]:
-        z = (Q(0),) * self.v_dim
-        return [(Q(1), Q(0)) + z, (Q(0), Q(1)) + z]
 
 
 def hermitian(r: int, coeff_algebra: CompositionAlgebra) -> HermitianJordan:
@@ -443,64 +433,48 @@ def _min_coeffs(powers: list[JordanElement]) -> tuple[Fraction, ...]:
     return tuple(-rows[i][m] for i in range(m)) + (Q(1),)
 
 
-def _polys(x: JordanElement) -> tuple[list[JordanElement], tuple, tuple]:
-    """The powers e..x^r, the minimal and the characteristic coefficients.
-
-    When the minimal polynomial has degree r it is the characteristic
-    polynomial.  Otherwise the element is moved along the line x + t*g
-    through a fixed generic element g; the characteristic coefficients are
-    polynomials of degree <= r in t, so r+1 generic sample points determine
-    them, and the value at t = 0 is read off by Lagrange interpolation.
-    """
-    alg = x.algebra
-    r = alg.degree
-    powers = _powers(x)
-    min_coeffs = _min_coeffs(powers)
-    if len(min_coeffs) == r + 1:
-        return powers, min_coeffs, min_coeffs
-    probe = alg._generic_probe
-    nodes: list[int] = []
-    samples: list[tuple[list, int]] = []  # each sample's coefficients as ints over their lcm
-    t = 0
-    while len(nodes) < r + 1:
-        t += 1
-        if t > 20 * (r + 1):
-            raise ConstructionError("could not find enough generic sample points")
-        dep = _min_coeffs(_powers(x + t * probe))
-        if len(dep) != r + 1:
-            continue
-        nodes.append(t)
-        samples.append(linalg.scale_dense(dep[:r]))
-    # the value at t = 0 is sum_i w_i s_i with the Lagrange weights
-    # w_i = prod_{j != i} t_j / (t_j - t_i): w_i s_i is ints p_i a_i over
-    # q_i = d_i prod_{j != i} (t_j - t_i), so the sum is formed in ints over
-    # the lcm of the q_i and divided once
-    terms = []
-    for ti, (a, d) in zip(nodes, samples):
-        others = [tj for tj in nodes if tj != ti]
-        terms.append((math.prod(others), d * math.prod(tj - ti for tj in others), a))
-    den = math.lcm(*(q for _, q, _ in terms))
-    coeffs = tuple(Q(sum(p * (den // q) * a[k] for p, q, a in terms), den) for k in range(r))
-    return powers, min_coeffs, coeffs + (Q(1),)
+def _char_coeffs(powers: list[JordanElement]) -> tuple[Fraction, ...]:
+    """Ascending characteristic coefficients from the powers e, x, ..., x^r
+    by Newton's identities: T(x^k) is the k-th power sum of the generic
+    roots, and k e_k = sum_{i<=k} (-1)^(i-1) e_{k-i} T(x^i).  With c = d_x
+    plan.den d_T, q_k = c^k T(x^k) and E_k = k! c^k e_k are ints, E_k =
+    sum_i (-1)^(i-1) (k-1)!/(k-i)! E_{k-i} q_i, and each coefficient is
+    divided once."""
+    alg = powers[1].algebra
+    cov, dt = alg.trace_cov
+    c = powers[1].den * alg.plan.den * dt
+    q, E = [0], [1]
+    for k, p in enumerate(powers[1:], 1):
+        q.append(sum(map(mul, cov, p.num)) * (c**k // (dt * p.den)))
+        acc, f = 0, 1  # f = (k-1)!/(k-i)!
+        for i in range(1, k + 1):
+            acc += (-1) ** (i - 1) * f * E[k - i] * q[i]
+            f *= k - i
+        E.append(acc)
+    r = len(powers) - 1
+    return tuple(Q((-1) ** k * E[k], math.factorial(k) * c**k) for k in range(r, 0, -1)) + (Q(1),)
 
 
 def generic_min_poly(x: JordanElement) -> MinPoly:
-    _, min_coeffs, char_coeffs = _polys(x)
-    return MinPoly(min_coeffs=min_coeffs, char_coeffs=char_coeffs)
+    powers = _powers(x)
+    return MinPoly(min_coeffs=_min_coeffs(powers), char_coeffs=_char_coeffs(powers))
 
 
 def jordan_trace(x: JordanElement) -> Fraction:
-    return generic_min_poly(x).trace
+    cov, d = x.algebra.trace_cov
+    return Q(sum(map(mul, cov, x.num)), d * x.den)
 
 
 def jordan_norm(x: JordanElement) -> Fraction:
-    return generic_min_poly(x).norm
+    c = _char_coeffs(_powers(x))
+    return c[0] if len(c) % 2 else -c[0]
 
 
 def jordan_inverse(x: JordanElement) -> JordanElement:
     """Inverse inside the (associative) subalgebra generated by x and e."""
     alg = x.algebra
-    powers, _, c = _polys(x)
+    powers = _powers(x)
+    c = _char_coeffs(powers)
     if c[0] == 0:
         raise SingularElement("element has norm 0")
     acc = alg.zero()

@@ -76,10 +76,6 @@ def _root_type(type_label: str) -> RootType:
     return _TYPES[type_label]
 
 
-def _simple_roots(rank: int) -> tuple[Root, ...]:
-    return tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
-
-
 def _pairing(gram, a: Root, b: Root) -> int:
     """<a, b-dual> = 2 (a, b) / (b, b), an integer for roots; a remainder raises."""
     ab, bb = (linalg.gram_form(gram, enumerate(x), enumerate(b)) for x in (a, b))
@@ -131,10 +127,6 @@ class RootSystem:
             cur = tuple(x - y for x, y in zip(cur, a))
         return p
 
-    @property
-    def simple_roots(self) -> tuple[Root, ...]:
-        return _simple_roots(self.rank)
-
     def coroot_coeffs(self, a: Root) -> tuple[int, ...]:
         """a-dual as an integer combination of the simple coroots."""
         aa = self.inner(a, a)
@@ -170,7 +162,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     gram = [[2 * (i == j) - (abs(i - j) == 1) for j in range(rank)] for i in range(rank)]
     for (i, j), v in t.gram(rank).items():
         gram[i][j] = gram[j][i] = v
-    simple = _simple_roots(rank)
+    simple = tuple(tuple(int(j == i) for j in range(rank)) for i in range(rank))
     cartan = [[_pairing(gram, b, a) for b in simple] for a in simple]  # <alpha_j, alpha_i-dual>
     roots, todo = set(simple), list(simple)
     while todo:
@@ -485,12 +477,11 @@ class RootJordan:
     ambient structure constants.
     """
 
-    __slots__ = ("parabolic", "basis_roots", "table", "dim", "scaled", "plan", "position")
+    __slots__ = ("parabolic", "basis_roots", "table", "dim", "scaled", "position")
 
     def __init__(self, parabolic: ParabolicDecomposition, basis_roots: tuple[Root, ...], table: list, dim: int):
         self.parabolic, self.basis_roots, self.table, self.dim = parabolic, basis_roots, table, dim
         self.scaled = linalg.scale_table(table)
-        self.plan = linalg.product_plan(self.scaled)  # scaled, by output
         self.position = {a: k for k, a in enumerate(basis_roots)}
 
     def embed(self, roots, local) -> tuple:
@@ -499,9 +490,6 @@ class RootJordan:
         for c, a in zip(local, roots):
             out[self.position[a]] = c
         return tuple(out)
-
-    def mul_vec(self, x, y):
-        return linalg.dense_product(self.plan, x, y)
 
     def frame_scale(self, i: int) -> Fraction:
         """Coefficient of the i-th frame idempotent on its root vector

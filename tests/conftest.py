@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanlie import jordan, kkt, rootdata
+from jordanlie import jordan, kkt, linalg, rootdata
 from jordanlie.composition import CAElement, CompositionAlgebra, build_composition
 from jordanlie.errors import ConstructionError, InvalidParameter
 
@@ -48,6 +48,13 @@ def corrupted_copy(g: kkt.LieAlgebra, i: int, j: int, k: int, delta: Fraction) -
     else:
         del vec[k]
     return kkt.LieAlgebra(g.labels, kkt.bracket_table(g.dim, brackets), g.grading, g.triple, g.norm_pair, g.root_system)
+
+
+def root_jordan_product(rj):
+    """x o y on Fraction coordinate vectors of a root Jordan algebra, through
+    a product plan formed from its scaled table."""
+    plan = linalg.product_plan(rj.scaled)
+    return lambda x, y: linalg.dense_product(plan, x, y)
 
 
 def composition_copy(D, mul_table=None, norm_gram=None):

@@ -16,7 +16,7 @@ from jordanlie import jordan, kkt, linalg, orbits, rootdata, verify
 from jordanlie.composition import build_composition
 from jordanlie.jordan import generic_min_poly, jordan_norm, jordan_trace, pierce
 
-from conftest import _kkt_cache, ca_norm, corrupted_copy, split_gram, stored_brackets
+from conftest import _kkt_cache, ca_norm, corrupted_copy, root_jordan_product, split_gram, stored_brackets
 
 # (type, rank, node, jordan-side constructor args, expected (dim n, r, d))
 INSTANCES = {
@@ -127,6 +127,7 @@ def test_ac4_pierce_form_suite(split_builds):
     for name in INSTANCES:
         p = root_side_parabolic(split_builds, name)
         rj = rootdata.jordan_from_roots(p)
+        mul = root_jordan_product(rj)
         forms = rootdata.q_forms(p)
         for (i, j), form in forms.items():
             pos = [rj.basis_roots.index(a) for a in form.roots]
@@ -143,7 +144,7 @@ def test_ac4_pierce_form_suite(split_builds):
                 full = [Q(0)] * rj.dim
                 for c, src in zip(loc, pos):
                     full[src] = c
-                sq = list(rj.mul_vec(tuple(full), tuple(full)))
+                sq = list(mul(tuple(full), tuple(full)))
                 want = [Q(0)] * rj.dim
                 want[ti] = want[tj] = form.value(loc)
                 assert sq == want, (name, (i, j))

@@ -105,7 +105,7 @@ def test_from_json_holds_only_the_bracket_table(kkt_builds, split_builds):
 
 def test_build_kkt_spans_m_without_the_trace_form(monkeypatch, family_instances):
     # m of H3(O) is spanned by the 27 L_k and the 351 [L_i, L_j]: n(n+1)/2
-    # inserts, and no characteristic polynomial is interpolated.  perfbench
+    # inserts, and no characteristic polynomial is formed.  perfbench
     # reports both counts as jordan.generic_min_poly.calls and
     # linalg.EchelonBasis.insert.calls.
     traced = set(_load("spans").TRACED)
@@ -283,10 +283,10 @@ def test_element_arithmetic_makes_no_fraction_arithmetic(monkeypatch, family_ins
 
 def test_degenerate_char_coeffs_make_no_fraction_arithmetic(monkeypatch, family_instances):
     # an element whose minimal polynomial has degree < r gets its
-    # characteristic coefficients by Lagrange interpolation along x + t g:
-    # the weights and the weighted sum are ints over one denominator, divided
-    # once, so no Fraction is added or multiplied, and the coefficients are
-    # those the Fraction interpolation gave
+    # characteristic coefficients by Newton's identities on the power sums
+    # T(x^k), like every element: the sums and the recurrence are ints over
+    # one denominator, each coefficient divided once, so no Fraction is added
+    # or multiplied, and the coefficients are the pinned ones
     assert ("jordan", "generic_min_poly") in set(_load("spans").TRACED)
     want = {
         "E7": [(0, 1, -2, 1), (Fraction(32, 81), Fraction(-20, 27), Fraction(-4, 9), 1)],

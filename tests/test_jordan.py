@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from jordanlie import jordan, linalg, verify
+from jordanlie.cli import parse_jordan_descriptor
 from jordanlie.composition import parse_descriptor
 from jordanlie.errors import (
     AlgebraMismatch,
@@ -23,7 +24,7 @@ from jordanlie.jordan import (
 )
 from jordanlie.rootdata import coordinatize, parabolic
 
-from conftest import ca_norm, composition_copy, symmetrized_product
+from conftest import ca_norm, composition_copy, matrix_of, symmetrized_product
 
 
 def rand_element(rng, alg, span=9):
@@ -275,7 +276,8 @@ def test_quadratic_norm_sign():
 
 
 def test_non_generic_characteristic_coefficients(family_instances):
-    # partial-rank diagonal elements exercise the interpolation path
+    # partial-rank diagonal elements: the minimal polynomial has degree < r,
+    # the characteristic coefficients come from the same power sums
     alg = family_instances["C3"]
     x = alg.from_entries([1, 1, 0], {})
     mp = generic_min_poly(x)
@@ -289,14 +291,55 @@ def test_non_generic_characteristic_coefficients(family_instances):
     assert mz.char_coeffs == (Q(0), Q(0), Q(0), Q(1))
 
 
-def test_norm_and_trace_are_polynomial_in_scaling(family_instances):
-    # N(t x) = t^r N(x) even through the non-generic fallback
+# degree 4 and 5, division coefficient algebras and a non-split form: the
+# k >= 4 terms of Newton's identities and trace covectors over a denominator
+DESCRIPTORS = (
+    "jordan:H4:field",
+    "jordan:H5:field",
+    "jordan:H4:complex:-1",
+    "jordan:H3:quaternion:1/3,-5/7",
+    "jordan:H3:octonion:-1,-1,-1",
+    "jordan:J2:dim=2:gram=1/2,3/5",
+)
+
+
+@pytest.fixture(scope="module")
+def descriptor_instances():
+    return {desc: parse_jordan_descriptor(desc) for desc in DESCRIPTORS}
+
+
+def test_norm_and_trace_are_polynomial_in_scaling(family_instances, descriptor_instances):
+    # N(t x) = t^r N(x) and T(t x) = t T(x), degenerate elements included
     rng = random.Random(6)
-    for alg in (family_instances["A5"], family_instances["B3"]):
+    algebras = [family_instances["A5"], family_instances["B3"], *descriptor_instances.values()]
+    assert {alg.degree for alg in algebras} == {2, 3, 4, 5}
+    for alg in algebras:
         r = alg.degree
-        x = rand_element(rng, alg, span=4)
-        n = jordan_norm(x)
-        assert jordan_norm(3 * x) == Q(3) ** r * n
+        for x in [rand_element(rng, alg, span=4), *_degenerate_elements(alg)]:
+            n, t = jordan_norm(x), jordan_trace(x)
+            assert jordan_norm(3 * x) == Q(3) ** r * n, (alg, x)
+            assert jordan_trace(3 * x) == 3 * t, (alg, x)
+            mp = generic_min_poly(Q(-2, 3) * x)
+            assert (mp.norm, mp.trace) == (Q(-2, 3) ** r * n, Q(-2, 3) * t), (alg, x)
+
+
+def test_char_poly_matches_the_determinant_oracle_on_rational_matrices(family_instances, descriptor_instances):
+    # on H_r(Q) the characteristic polynomial is det(t I - X): both have
+    # degree r, so they agree as polynomials once they agree at r + 1 points
+    rng = random.Random(8)
+    algebras = [family_instances["C2"], family_instances["C3"]]
+    algebras += [descriptor_instances[f"jordan:H{r}:field"] for r in (4, 5)]
+    for alg in algebras:
+        r = alg.degree
+        elements = _degenerate_elements(alg) + [
+            alg.element([Q(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(alg.dim)]) for _ in range(6)
+        ]
+        for x in elements:
+            X = [[e.coeffs[0] for e in row] for row in matrix_of(alg, x.vec)]
+            c = generic_min_poly(x).char_coeffs
+            for t in range(r + 1):
+                tX = [[t * (i == j) - X[i][j] for j in range(r)] for i in range(r)]
+                assert sum(a * t**k for k, a in enumerate(c)) == linalg.det(tX), (alg, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +459,7 @@ def test_min_and_char_poly_properties(family_instances):
 
 def test_one_row_reduction_per_power_sequence(family_instances, monkeypatch):
     # a generic E7 element: e, x, x^2, x^3 cost two products and one rref,
-    # and the inverse reuses that power sequence
+    # and the inverse, the norm and the trace read the power sums with none
     alg = family_instances["E7"]
     x = rand_element(random.Random(14), alg, span=4)
     counts = {"rref": 0, "products": 0}
@@ -437,7 +480,9 @@ def test_one_row_reduction_per_power_sequence(family_instances, monkeypatch):
     assert counts == {"rref": 1, "products": 2}
     counts.update(rref=0, products=0)
     jordan_inverse(x)
-    assert counts["rref"] == 1 and counts["products"] <= 4
+    assert counts["rref"] == 0 and counts["products"] <= 4
+    jordan_norm(x), jordan_trace(x)
+    assert counts["rref"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,9 @@ def test_dense_product_equals_fraction_oracle(tables):
 def product_callers(family_instances, split_builds):
     """name -> (Fraction table, plan held by its owner, the owner's own
     product of two Fraction vectors) for the seven element-arith Jordan
-    algebras, their coefficient algebras and the root Jordan table of E7
-    node 7."""
+    algebras and their coefficient algebras, and (table, plan formed from
+    its scaled table, dense_product on that plan) for the root Jordan table
+    of E7 node 7."""
     out = {}
     for name, alg in family_instances.items():
         out[name] = (alg.mul_table, alg.plan, lambda x, y, alg=alg: (alg.element(x) * alg.element(y)).vec)
@@ -80,7 +81,8 @@ def product_callers(family_instances, split_builds):
             D = alg.coeff_algebra
             out[f"{name}/{D.descriptor}"] = (D.mul_table, D.plan, D.mul_coeffs)
     rj = rootdata.jordan_from_roots(rootdata.parabolic(split_builds("E7", 7), 7))
-    out["root:E7:7:node=7"] = (rj.table, rj.plan, rj.mul_vec)
+    plan = linalg.product_plan(rj.scaled)
+    out["root:E7:7:node=7"] = (rj.table, plan, lambda x, y: linalg.dense_product(plan, x, y))
     return out
 
 
