@@ -23,8 +23,8 @@ cell format of every structure table in the package.  The table scaled to
 integers is held as ``scaled`` and, listed by output, as ``plan``; both are
 derived from mul_table at construction.  ``mul_coeffs`` multiplies through
 ``linalg.dense_product`` on the plan, scaling each factor once to ints and
-dividing each output once.  The norm form N(u) = u^T G u goes through
-``linalg.gram_form``; the composition-law check reads one integer Gram of
+dividing each output once.  The norm form N(u) = u^T G u is held as its
+Gram G, ``norm_gram``; the composition-law check reads one integer Gram of
 basis products, formed from ``scaled`` and G over its lcm denominator, on
 the tuples with i <= k, the law being symmetric under i <-> k.
 ``trace``, ``conj`` and ``conj_ints`` read the trace covector 2 G[k][0],
@@ -40,7 +40,7 @@ from operator import add, mul
 from typing import Sequence
 
 from .errors import AlgebraMismatch, InvalidParameter
-from .linalg import ScaledTable, add_combination, dense_product, det, gram_form
+from .linalg import ScaledTable, add_combination, dense_product, det
 from .linalg import op_from_dense, product_plan, scale_dense, scale_table, table_product, table_readout
 from .rationals import Q, fmt, parse
 
@@ -107,9 +107,6 @@ class CompositionAlgebra:
 
     def mul_coeffs(self, u: Coeffs, v: Coeffs) -> Coeffs:
         return dense_product(self.plan, u, v)
-
-    def norm_coeffs(self, u: Coeffs) -> Fraction:
-        return gram_form(self.norm_gram, enumerate(u), enumerate(u))
 
     def conj_ints(self, v) -> list:
         """d conj(v) for an int vector v, in ints, with d the denominator of

@@ -18,9 +18,11 @@ and the power sums T(x^k) give the degree-r characteristic coefficients by
 Newton's identities, in ints, each coefficient divided once.  Their extreme
 coefficients are the trace and the determinant-like norm: ``jordan_trace``
 reads the covector, and ``jordan_norm`` and ``jordan_inverse`` the
-coefficients.  Only ``generic_min_poly`` row-reduces, once, the matrix whose
-columns are the powers: its first non-pivot column m gives the minimal
-polynomial.  Sign convention for the quadratic family:
+coefficients.  Only ``generic_min_poly`` row-reduces: one ``linalg.echelon``
+of the int matrix whose columns are the powers, whose kernel vector at the
+first free column m gives the minimal polynomial; ``pierce`` reads each
+component as the int kernel of rows 2 den (L_{e_i} - lam) taken off the
+table.  Sign convention for the quadratic family:
 N(a, b, v) = ab - Q(v), which is the unique constant term making
 x^2 - T(x) x + N(x) e = 0 hold with the square rule above.
 
@@ -64,7 +66,7 @@ from .composition import CAElement, CompositionAlgebra
 from .composition import element_from_json as ca_element_from_json
 from .composition import element_to_json as ca_element_to_json
 from .errors import AlgebraMismatch, ConstructionError, InvalidParameter, SingularElement
-from .rationals import HALF, Q, fmt, parse, to_int
+from .rationals import Q, fmt, parse, to_int
 
 Vec = tuple[Fraction, ...]
 
@@ -139,12 +141,6 @@ class JordanAlgebra:
         """plan.den (x o y) for int coefficient vectors x and y: the kernel
         of every element product."""
         return linalg.int_product(self.plan, x, y)
-
-    def lmul_matrix(self, x: Vec) -> list[list[Fraction]]:
-        """Matrix of z -> x o z in the algebra basis (columns are x o b_j)."""
-        xs, dx = linalg.scale_vec(enumerate(x))
-        cols = lmul_cols(self.scaled.cells, xs)
-        return [[Q(col.get(i, 0), dx * self.scaled.den) for col in cols] for i in range(self.dim)]
 
 
 class HermitianJordan(JordanAlgebra):
@@ -419,18 +415,15 @@ def _powers(x: JordanElement) -> list[JordanElement]:
 
 def _min_coeffs(powers: list[JordanElement]) -> tuple[Fraction, ...]:
     """Ascending monic coefficients of the least m with x^m in the span of
-    e, ..., x^{m-1}, from one row reduction of the matrix whose columns are
-    the powers: m is the first non-pivot column, and its entries in the
-    pivot rows give x^m = sum_{i<m} rows[i][m] x^i.  The columns are
-    brought to one common denominator L and the int matrix L times that one
-    is reduced, which has the same reduced form."""
+    e, ..., x^{m-1}: the powers, brought to one common denominator, are the
+    int columns of one echelon, m is its first free column, and the kernel
+    vector v there gives x^m = -sum_{i<m} (v[i] / v[m]) x^i."""
     L = math.lcm(*(p.den for p in powers))
-    cols = [[n * (L // p.den) for n in p.num] for p in powers]
-    rows, pivots = linalg.rref([list(row) for row in zip(*cols)])
-    m = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
-    if m == len(powers):
+    kernel = linalg.echelon(zip(*[[n * (L // p.den) for n in p.num] for p in powers])).kernel(len(powers))
+    if not kernel:
         raise ConstructionError("element satisfies no monic polynomial of degree <= r")
-    return tuple(-rows[i][m] for i in range(m)) + (Q(1),)
+    v, m = kernel[0], max(kernel[0])
+    return tuple(Q(v.get(i, 0), v[m]) for i in range(m)) + (Q(1),)
 
 
 def _char_coeffs(powers: list[JordanElement]) -> tuple[Fraction, ...]:
@@ -514,29 +507,32 @@ class PierceDecomposition(NamedTuple):
 
 
 def pierce(alg: JordanAlgebra) -> PierceDecomposition:
-    r = alg.degree
-    ops = [alg.lmul_matrix(alg.frame(i).vec) for i in range(1, r + 1)]
-    n = alg.dim
-    comps: dict[tuple[int, int], tuple[JordanElement, ...]] = {}
+    r, n = alg.degree, alg.dim
+    cells, den = alg.scaled.cells, alg.scaled.den
 
-    def shifted(mat, lam):
-        return [
-            [mat[a][b] - (lam if a == b else 0) for b in range(n)] for a in range(n)
-        ]
+    def shifted(i, two_lam):
+        """Int rows of 2 den (L_{e_i} - lam): the frames are the first r basis
+        vectors, so den L_{e_i} b_m is the cell cells[i - 1][m]."""
+        rows = [[-two_lam * den * (a == m) for m in range(n)] for a in range(n)]
+        for m, cell in enumerate(cells[i - 1]):
+            for a, c in cell.items():
+                rows[a][m] += 2 * c
+        return rows
 
-    for i in range(1, r + 1):
-        basis = linalg.nullspace(shifted(ops[i - 1], Q(1)))
-        comps[(i, i)] = tuple(alg.element(v) for v in basis)
+    def component(rows):
+        """The kernel of the rows as elements: a primitive int vector v is
+        v / v[f] at its free column f = max(v), in lowest terms."""
+        vecs = linalg.echelon(rows).kernel(n)
+        return tuple(JordanElement(alg, tuple(v.get(k, 0) for k in range(n)), v[max(v)]) for v in vecs)
+
+    comps = {(i, i): component(shifted(i, 2)) for i in range(1, r + 1)}
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            stacked = shifted(ops[i - 1], HALF) + shifted(ops[j - 1], HALF)
-            basis = linalg.nullspace(stacked)
-            comps[(i, j)] = tuple(alg.element(v) for v in basis)
-    dec = PierceDecomposition(alg, comps)
+            comps[(i, j)] = component(shifted(i, 1) + shifted(j, 1))
     total = sum(len(v) for v in comps.values())
     if total != alg.dim or any(len(comps[(i, i)]) != 1 for i in range(1, r + 1)):
         raise ConstructionError("Pierce components do not add up to the algebra")
-    return dec
+    return PierceDecomposition(alg, comps)
 
 
 # ---------------------------------------------------------------------------

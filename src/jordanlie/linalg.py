@@ -37,11 +37,13 @@ matrix-unit products, the quadratic table), which scale to Python ints
 once, if at all: ``reduced_table`` puts an int table over its denominator
 in lowest terms, as ``scale_table`` holds it, and ``table_readout`` reads
 a scaled table back as Fractions.  There is
-one row reduction, ``EchelonBasis``, in ints with division only on readout:
-the dense helpers (``rref`` and through it ``rank``, ``nullspace``,
-``invert`` and ``solve``, and ``det``) insert their rows into one and read
-the result back as dense rows.  Pivots follow first-nonzero order, never
-magnitude, so everything here is deterministic.
+one row reduction, ``EchelonBasis``, in ints with division only on readout,
+and it is the one subspace kit: every rank, coordinate vector and kernel
+(``kernel``, an int basis of the null space) is read off its fully reduced
+rows.  ``echelon`` inserts dense rows into one; ``rank``, ``nullspace``,
+``invert`` and ``solve`` are readouts of it, and ``det`` multiplies the
+pivot entries ``insert`` returns.  Pivots follow first-nonzero order,
+never magnitude, so everything here is deterministic.
 """
 
 from __future__ import annotations
@@ -352,6 +354,20 @@ class EchelonBasis:
         zero = Q(0)
         return [vec.get(p, zero) for p in self.sorted_pivots()]
 
+    def kernel(self, ncols: int) -> list[SparseVec]:
+        """An int basis of the v with r . v = 0 for every inserted row r: one
+        primitive vector per free column f < ncols, in column order, positive
+        at f and 0 at the other free columns.  Row p is p_i at p and 0 at the
+        other pivots, so v[p] = -rows[p][f] v[f] / p_i, v[f] the lcm of the
+        p_i whose row meets f; each such p is below f, so f = max(v)."""
+        rows, out = self.rows, []
+        for f in range(ncols):
+            if f not in rows:
+                hits = [(p, r[f]) for p, r in rows.items() if f in r]
+                lcm = math.lcm(*(rows[p][p] for p, _ in hits))
+                out.append(_primitive({f: lcm, **{p: -c * (lcm // rows[p][p]) for p, c in hits}}, f))
+        return out
+
 
 # ---------------------------------------------------------------------------
 # small dense helpers (lists of lists of Fractions)
@@ -374,54 +390,30 @@ def mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fract
     return out
 
 
-def mat_vec(a: list[list[Fraction]], v: list[Fraction]) -> list[Fraction]:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Q(0)) for row in a]
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-
-
 def _sparse(row) -> SparseVec:
     return {k: c for k, c in enumerate(row) if c}
 
 
-def rref(mat: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot columns).
-
-    The rows go into one EchelonBasis, whose fully reduced basis in pivot
-    order, padded with zero rows, is the unique reduced form.
-    """
+def echelon(rows) -> EchelonBasis:
+    """One EchelonBasis holding the dense rows, inserted in order: the kit
+    every rank, kernel, inverse and solution below reads."""
     basis = EchelonBasis()
-    for row in mat:
+    for row in rows:
         basis.insert(_sparse(row))
-    ncols = len(mat[0]) if mat else 0
-    zero = Q(0)
-    rows = [[r.get(k, zero) for k in range(ncols)] for r in basis.sorted_basis()]
-    rows += [[zero] * ncols for _ in range(len(mat) - len(rows))]
-    return rows, basis.sorted_pivots()
+    return basis
 
 
 def rank(mat: list[list[Fraction]]) -> int:
-    return len(rref(mat)[1])
+    return len(echelon(mat))
 
 
 def nullspace(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace, in deterministic RREF order."""
+    """Basis of the right nullspace, one vector per free column in column
+    order, 1 at its own free column and 0 at the others."""
     if not mat:
         return []
     ncols = len(mat[0])
-    rows, pivots = rref(mat)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [Q(0)] * ncols
-        v[fc] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(v)
-    return basis
+    return [[Q(v.get(k, 0), v[max(v)]) for k in range(ncols)] for v in echelon(mat).kernel(ncols)]
 
 
 def det(mat: list[list[Fraction]]) -> Fraction:
@@ -448,26 +440,22 @@ def det(mat: list[list[Fraction]]) -> Fraction:
 
 
 def invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The inverse, read off the reduced rows of [mat | I]: mat is invertible
+    iff columns 0..n-1 are all pivots, and row i is then p_i (e_i | mat^-1 row i)."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix is not square")
-    aug = [row[:] + ident for row, ident in zip(mat, identity(n))]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    rows = echelon([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]).rows
+    if any(i not in rows for i in range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows[:n]]
+    return [[Q(rows[i].get(n + j, 0), rows[i][i]) for j in range(n)] for i in range(n)]
 
 
 def solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """One solution of mat @ x = rhs, or None if inconsistent."""
-    n = len(mat)
-    ncols = len(mat[0]) if n else 0
-    aug = [mat[i][:] + [rhs[i]] for i in range(n)]
-    rows, pivots = rref(aug)
-    if ncols in pivots:
+    """One solution of mat @ x = rhs (0 at every free column), or None if
+    inconsistent: the reduced rows of [mat | rhs] have a pivot in the last column."""
+    ncols = len(mat[0]) if mat else 0
+    rows = echelon([list(row) + [c] for row, c in zip(mat, rhs)]).rows
+    if ncols in rows:
         return None
-    x = [Q(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
-    return x
-
+    return [Q(rows[p].get(ncols, 0), rows[p][p]) if p in rows else Q(0) for p in range(ncols)]

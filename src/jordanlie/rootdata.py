@@ -625,17 +625,9 @@ def witt_hyperbolic_planes(gram) -> int:
         qm = qval(mate)
         mate = [m - qm * v for m, v in zip(mate, iso)]
         planes += 1
-        new_basis = []
-        for w in basis:
-            w2 = [
-                w[k] - bval(w, mate) * iso[k] - bval(w, iso) * mate[k]
-                for k in range(n)
-            ]
-            if any(w2):
-                new_basis.append(w2)
-        mat = [row[:] for row in new_basis]
-        reduced, pivots = linalg.rref(mat)
-        basis = [reduced[k] for k in range(len(pivots))]
+        # re-base the orthogonal complement of the plane through one echelon
+        rest = [[w[k] - bval(w, mate) * iso[k] - bval(w, iso) * mate[k] for k in range(n)] for w in basis]
+        basis = [[r.get(k, 0) for k in range(n)] for r in linalg.echelon(rest).sorted_basis()]
     return planes
 
 
@@ -652,9 +644,6 @@ class Coordinatization(NamedTuple):
     root_jordan: RootJordan
     model: jordan_mod.JordanAlgebra
     matrix: list[list[Fraction]]  # model coords = matrix @ root coords
-
-    def apply(self, root_vec: Sequence[Fraction]) -> jordan_mod.JordanElement:
-        return self.model.element(linalg.mat_vec(self.matrix, list(root_vec)))
 
 
 def _scaled_gram(form: PierceForm) -> tuple[tuple, int]:

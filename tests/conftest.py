@@ -77,7 +77,30 @@ def ca_scale(c, u):
 
 def ca_norm(u):
     """The norm N(u) = u^T G u of a composition algebra element."""
-    return u.algebra.norm_coeffs(u.coeffs)
+    return linalg.gram_form(u.algebra.norm_gram, enumerate(u.coeffs), enumerate(u.coeffs))
+
+
+def identity(n):
+    """The n x n identity as a dense Fraction matrix."""
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_vec(a, v):
+    """The dense product a @ v, as a list of Fractions."""
+    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in a]
+
+
+def lmul_matrix(alg, x):
+    """Matrix of z -> x o z in a Jordan algebra's basis (columns x o b_j), for
+    a coefficient vector x, from the scaled table."""
+    xs, dx = linalg.scale_vec(enumerate(x))
+    cols = jordan.lmul_cols(alg.scaled.cells, xs)
+    return [[Fraction(col.get(i, 0), dx * alg.scaled.den) for col in cols] for i in range(alg.dim)]
+
+
+def coordinatization_apply(co, root_vec):
+    """The model element a coordinatization sends a root coordinate vector to."""
+    return co.model.element(mat_vec(co.matrix, list(root_vec)))
 
 
 def matrix_of(alg, vec):

@@ -246,6 +246,20 @@ def test_sampled_jacobi_makes_no_fraction_arithmetic(monkeypatch, kkt_builds):
     assert calls == []
 
 
+def test_pierce_makes_no_fraction_arithmetic(monkeypatch, family_instances):
+    # the shifted rows 2 den (L_{e_i} - lam) are read off the int table and
+    # each component is an int kernel of one echelon, held as elements over
+    # one denominator, so pierce adds and multiplies no Fraction
+    for name in ("E7", "A5"):
+        alg = family_instances[name]
+        calls = []
+        _count_fraction_arithmetic(monkeypatch, calls)
+        dec = jordan.pierce(alg)
+        monkeypatch.undo()
+        assert sum(map(len, dec.components.values())) == alg.dim
+        assert calls == [], name
+
+
 def test_element_arithmetic_makes_no_fraction_arithmetic(monkeypatch, family_instances):
     # Jordan elements are ints over one denominator and their products run on
     # the int plan, so AC5's loop body on E7 (seed and bounds as in AC5) and

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,11 +6,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from jordanlie import linalg, rootdata
-from jordanlie.cli import parse_jordan_descriptor
+from jordanlie import jordan, linalg, rootdata
+from jordanlie.cli import parse_jordan_descriptor, parse_root_descriptor
 from jordanlie.composition import build_composition
 
-from conftest import composition_copy
+from conftest import composition_copy, identity, mat_vec
+from test_cli import GOLDEN_BUILD_SHA256
 
 # tables whose common denominators are 42, 10 and 8, beside the dyadic family
 NON_DYADIC = {
@@ -173,7 +175,7 @@ def operator_pairs():
     for n in (1, 2, 5, 8):
         for _ in range(6):
             yield n, random_dense(rng, n), random_dense(rng, n)
-    yield 3, [[Q(0)] * 3 for _ in range(3)], linalg.identity(3)
+    yield 3, [[Q(0)] * 3 for _ in range(3)], identity(3)
 
 
 def no_zero_entries(cols):
@@ -189,7 +191,7 @@ def test_op_from_dense_apply_and_compose_match_dense_oracles():
         assert dense_of(ab, n) == linalg.mat_mul(A, B)
         assert no_zero_entries(ab)
         v = [Q(rng.randint(-3, 3), rng.choice((1, 4))) for _ in range(n)]
-        want = linalg.mat_vec(A, v)
+        want = mat_vec(A, v)
         assert linalg.op_apply(a, {k: c for k, c in enumerate(v) if c}) == {
             k: c for k, c in enumerate(want) if c
         }
@@ -204,7 +206,7 @@ def test_op_trace_products_match_the_one_pair_traces():
     # the identity cancel entry by entry
     rng = random.Random(13)
     lists = [(n, [A, B]) for n, A, B in operator_pairs()]
-    lists.append((2, [[[Q(1), Q(1)], [Q(-1), Q(-1)]], linalg.identity(2)]))
+    lists.append((2, [[[Q(1), Q(1)], [Q(-1), Q(-1)]], identity(2)]))
     for n in (1, 3, 6):
         ms = [random_dense(rng, n) for _ in range(5)]
         ms += [emptied(M, {k for k in range(n) if rng.random() < 0.4}) for M in ms]
@@ -402,26 +404,72 @@ def test_det_reduces_each_row_once(monkeypatch):
         assert len(calls) == len(mat), mat
 
 
-def test_rref_rows_are_reduced_and_rebuild_the_input():
+def test_echelon_rows_are_reduced_and_rebuild_the_input():
     for mat in elimination_cases():
-        rows, pivots = linalg.rref(mat)
+        basis = linalg.echelon(mat)
+        rows, pivots = basis.sorted_basis(), basis.sorted_pivots()
         ncols = len(mat[0])
-        assert len(rows) == len(mat) and all(len(row) == ncols for row in rows)
-        assert len(pivots) == minor_rank(mat), mat
+        assert len(rows) == len(pivots) == minor_rank(mat), mat
         assert pivots == sorted(set(pivots))
         for k, row in enumerate(rows):
-            if k >= len(pivots):
-                assert not any(row)
-                continue
-            assert not any(row[: pivots[k]]) and row[pivots[k]] == 1
-            assert all(rows[t][pivots[k]] == 0 for t in range(len(pivots)) if t != k)
+            assert min(row) == pivots[k] and max(row) < ncols and row[pivots[k]] == 1
+            assert all(pivots[k] not in rows[t] for t in range(len(pivots)) if t != k)
         # row i of the input is the combination of the reduced rows with its
         # own entries at the pivot columns as coefficients
         for row in mat:
             rebuilt = [Q(0)] * ncols
             for k, p in enumerate(pivots):
-                rebuilt = [x + row[p] * y for x, y in zip(rebuilt, rows[k])]
+                rebuilt = [x + row[p] * rows[k].get(j, 0) for j, x in enumerate(rebuilt)]
             assert rebuilt == row, mat
+
+
+def test_kernel_is_annihilated_independent_and_one_per_free_column():
+    for mat in elimination_cases():
+        ncols = len(mat[0])
+        basis = linalg.echelon(mat)
+        free = [f for f in range(ncols) if f not in basis.rows]
+        kernel = basis.kernel(ncols)
+        assert len(kernel) == len(free) == ncols - minor_rank(mat), mat
+        dense = [[v.get(k, 0) for k in range(ncols)] for v in kernel]
+        for f, v, col in zip(free, kernel, dense):
+            assert all(type(c) is int and c for c in v.values()) and math.gcd(*v.values()) == 1
+            assert v[f] > 0 and not any(v.get(g) for g in free if g != f), mat
+            assert not any(mat_vec(mat, col)), mat
+        assert minor_rank(dense) == len(kernel), mat
+
+
+def _canon(obj):
+    """obj with every number spelled as its Fraction, so an int and an equal
+    Fraction read the same."""
+    if isinstance(obj, (list, tuple)):
+        return [_canon(x) for x in obj]
+    if isinstance(obj, dict):
+        return sorted((_canon(k), _canon(v)) for k, v in obj.items())
+    return str(Q(obj))
+
+
+def test_kit_readers_keep_their_outputs():
+    # pierce's components, seeded generic_min_poly calls and the coordinatize
+    # matrices and models over the golden descriptors, digested; the digest
+    # was taken before these readers moved onto one integer echelon
+    rng = random.Random(36)
+    h = hashlib.sha256()
+    for desc in GOLDEN_BUILD_SHA256:
+        if desc.startswith("jordan:"):
+            J = parse_jordan_descriptor(desc)
+            for key, comp in sorted(jordan.pierce(J).components.items()):
+                h.update(repr(_canon((key, [x.vec for x in comp]))).encode())
+            xs = [J.identity, J.frame(1), J.frame(1) + 2 * J.frame(2)]
+            xs += [J.element([Q(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(J.dim)]) for _ in range(3)]
+            for x in xs:
+                mp = jordan.generic_min_poly(x)
+                h.update(repr(_canon((mp.min_coeffs, mp.char_coeffs))).encode())
+        else:
+            t, r, node = parse_root_descriptor(desc)
+            node = rootdata.canonical_node(t, r) if node is None else node
+            co = rootdata.coordinatize(rootdata.parabolic(rootdata.build_split_lie(t, r), node))
+            h.update(repr((desc, _canon((co.matrix, co.model.scaled)))).encode())
+    assert h.hexdigest() == "16a8c8851db35060fd4d59003f3aa0f4b9367aa67d62216e006f20fd46cab302"
 
 
 def test_sorted_pivots_are_those_of_the_sorted_basis():
@@ -442,19 +490,19 @@ def test_invert_and_solve_against_mat_mul():
         full_rank = minor_rank(mat)
         if n == ncols:
             if full_rank == n:
-                assert linalg.mat_mul(linalg.invert(mat), mat) == linalg.identity(n)
+                assert linalg.mat_mul(linalg.invert(mat), mat) == identity(n)
             else:
                 with pytest.raises(ValueError):
                     linalg.invert(mat)
-        rhs = linalg.mat_vec(mat, [Q(j + 1, 2) for j in range(ncols)])
+        rhs = mat_vec(mat, [Q(j + 1, 2) for j in range(ncols)])
         x = linalg.solve(mat, rhs)
-        assert x is not None and linalg.mat_vec(mat, x) == rhs
+        assert x is not None and mat_vec(mat, x) == rhs
         off = rhs[:-1] + [rhs[-1] + 1]
         consistent = minor_rank([row + [c] for row, c in zip(mat, off)]) == full_rank
         x = linalg.solve(mat, off)
         assert (x is not None) == consistent, mat
         if consistent:
-            assert linalg.mat_vec(mat, x) == off
+            assert mat_vec(mat, x) == off
 
 
 def test_nullspace_is_annihilated_and_complete():
@@ -463,7 +511,7 @@ def test_nullspace_is_annihilated_and_complete():
         assert len(basis) == len(mat[0]) - minor_rank(mat), mat
         assert minor_rank(basis) == len(basis)
         for v in basis:
-            assert not any(linalg.mat_vec(mat, v))
+            assert not any(mat_vec(mat, v))
         assert linalg.rank(mat) == minor_rank(mat)
 
 
