@@ -220,18 +220,17 @@ def suite_killing(g: LieAlgebra) -> SuiteResult:
                     checked,
                     witness=f"nonzero pairing across degrees at ({g.labels[i]}, {g.labels[j]})",
                 )
-        # pairing between the +2 and -2 blocks must be nondegenerate
-        nn = g.degree_indices(2)
-        nb = g.degree_indices(-2)
-        block = [[trace[i][j] for j in nb] for i in nn]
-        checked += 1
-        if len(nn) != len(nb) or linalg.det(block) == 0:
-            return SuiteResult(
-                "killing", False, checked, witness="degenerate pairing between the graded blocks"
-            )
+    # rank T = n: g is semisimple by Cartan's criterion.  With the zeros
+    # across degrees T is block anti-diagonal over degrees -2/0/+2, so this
+    # also makes the +-2 pairing square and nondegenerate
+    checked += 1
+    radical = linalg.echelon(trace).kernel(n)
+    if radical:
+        vec = ", ".join(f"{g.labels[t]}: {c}" for t, c in sorted(radical[0].items()))
+        return SuiteResult("killing", False, checked, witness=f"degenerate form, radical vector {{{vec}}}")
     if g.norm_pair is not None:
         checked += 1  # the nonzero pairing of the norm pair, which killing_scale checked above
-    return SuiteResult("killing", True, checked)
+    return SuiteResult("killing", True, checked, note="nondegenerate")
 
 
 def _associator(cells, k: int, y: int, c: int) -> dict:

@@ -171,7 +171,7 @@ def test_killing_matrix_traces_in_one_batched_run(monkeypatch, kkt_builds, tmp_p
     runs = _count_trace_runs(monkeypatch)
     code = main(["verify", str(path), "--suites", "grading,killing"])
     assert (code, runs) == (0, [(133, 133, "killing_matrix")])
-    assert capsys.readouterr().out.endswith("killing: PASS [2361550 checks]\n")
+    assert capsys.readouterr().out.endswith("killing: PASS [2361550 checks] (nondegenerate)\n")
 
 
 def test_one_trace_gram_serves_every_root_suite(monkeypatch, capsys):

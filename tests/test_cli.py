@@ -196,7 +196,10 @@ def test_an_error_outside_the_contract_leaves_no_empty_out_file(tmp_path, capsys
 # from any of these outputs gives the earlier hash.  The verify hashes were
 # re-pinned once, when killing, jordan-identity, composition-law and
 # q-composition became exhaustive basis certificates: only check counts
-# changed, and the "(seed N)" notes of those suites were dropped
+# changed, and the "(seed N)" notes of those suites were dropped; and once
+# more when killing came to check that the trace Gram has full rank: only
+# the killing line changed, gaining the "(nondegenerate)" note and, on the
+# ungraded root: targets, one check
 GOLDEN_BUILD_SHA256 = {
     "jordan:H2:field": "73afe6c3eb34de83be03855e5cae64ecadd8466b296e898da6e368c1d8ae4b60",
     "jordan:H3:field": "5fdb2b7fc5a977c898dfe99a81f263337512b8f1201e6e83790c2dc35353ff84",
@@ -224,30 +227,30 @@ GOLDEN_BUILD_SHA256 = {
     "root:E7:7": "1305b6ee9cb96373077134feea7b53de926166c34ca27f4ba7c5d91517a1c262",
 }
 GOLDEN_VERIFY_SHA256 = {
-    "jordan:H2:field": "a19522a20e4cef98f7b6b0179204c3c800468079dbccb4b09792550d5b9d7b7d",
-    "jordan:H3:field": "bbf05d7fc776ee083f76afe5b87d0d4a005469368c9f12e3b0925cb384b503ea",
-    "jordan:H2:split-complex": "54a322854409774955de54e32ac6d8d59bb338e11c066a4539d1243dc0ac23d8",
-    "jordan:H3:split-complex": "e5e8a461e455096bc7e6769d1c9b8e701a5c7b3e7b35b6dc6a54b67aba9a640e",
-    "jordan:J2:dim=3:gram=split": "233ea37e9bf2a73d0711c8e7785ac585c1629162fcc0cdc92cdb9465a62f55b2",
-    "jordan:J2:dim=4:gram=split": "a57cf9b0db7183979bfbd4b49b8abbc4ce534dd52b74e66eef6b04cf5c7accf9",
-    "jordan:H3:octonion:split": "4c776877b31ade40b19d3286a10467cd1454936c8833e7df894842c6ad2d40ca",
-    "jordan:H2:quaternion:1/3,-5/7": "b89e0f31404d51a3b1854af047778c91a7d36067be431fc32c4427bf5f9b72af",
-    "jordan:J2:dim=2:gram=1/2,3/5": "99fba2cea44724c9be35242226292f7bb1228df59e36addf0e92c07c129783fe",
-    "jordan:H3:complex:-7/4": "e5e8a461e455096bc7e6769d1c9b8e701a5c7b3e7b35b6dc6a54b67aba9a640e",
-    "root:C:2:node=2": "e42042f5a6bfe51a87f7b230f5610aa1d973412913846d6b94364d449b7fce79",
-    "root:C:3:node=3": "7a1bd41712cb171893e8eec556e8f09967c65ffb171fbeb4f0ee7f15ab6faab1",
-    "root:A:3:node=2": "5b01402898cb8b48a351769cf754f1cd66710b6f961df3d01eb05574efb6ab8c",
-    "root:A:5:node=3": "bc317328ca86f727ce613c12e27b69944c11f318ca445f533e4e760032512985",
-    "root:B:3:node=1": "88d8006bce0cb762faa3075d59a0690926776d89f6fbf5c7ea445a385d854989",
-    "root:D:4:node=1": "af178a45f211af55996e5eb22147344db96c33d1377e278a95cd6a4324c7ca10",
-    "root:E7:7:node=7": "8caa07366db4489355c6e37486aae53118479d0d421db4b6790f256d2f20f318",
-    "root:C:2": "74cb7575d0e294616af5e7cfab87313bb8969a7ce3c1ee456f9df2b9b5786ce5",
-    "root:C:3": "6c346dc6a7e2b25b6002555d361374c60c4362506d2619d1e1d0a8efc125e9ae",
-    "root:A:3": "7815a97e58664d0df263053d35973b38bea245912d28804f2e6e4bc8347f636a",
-    "root:A:5": "af11ade7bf6c8258fc51a00d195bd7ee7e8a389c9da2f56997349a5d844554c0",
-    "root:B:3": "685b971290c249874275a2508f436814c17c918f58051e37f3e9efe1fa61ae20",
-    "root:D:4": "86739c71bd2503cdf03bdbadc7d5ca0cf12ece7c3147280d5d556f323afe9a63",
-    "root:E7:7": "914f398a2a4dccb4f556477f6b986f62ac19ddf5f360674dea502dbe1b299f82",
+    "jordan:H2:field": "98dfa0778cfbcba704f49723f779299c65d8e092760f2ec80f4b1e52b7c45a5d",
+    "jordan:H3:field": "dd2a6d3d2167b1f5bfdf04e791e556f26cb3a04be84310b81cf4659d5abdb5eb",
+    "jordan:H2:split-complex": "fad6fd94b46613cd3c5b5567da39d9a70e659f0335a6d8902cb4208570e0dd12",
+    "jordan:H3:split-complex": "d0910ff4475cfebf8a2c1c58c488e3e05d77e11414a6a540ec68753f22029e9c",
+    "jordan:J2:dim=3:gram=split": "1e631465eda1c90c1b8e35d849cc8225e9758edf6510c0feed09e5baec199c95",
+    "jordan:J2:dim=4:gram=split": "d25088c7839e2bb2727fcc1742d43fea776180ceb153d6767eb6f7ca279e4f6b",
+    "jordan:H3:octonion:split": "bc73c2e9e97c5750c0cad2dc6065b832f2157412d56bf3c4c92adce956e13632",
+    "jordan:H2:quaternion:1/3,-5/7": "8a08496301c60db85f73866f70a1ba2ab196b3b364d5cbb3dddd16a4203ceb47",
+    "jordan:J2:dim=2:gram=1/2,3/5": "946e35a23c22e445325c13f7433504904e537a97e4c1ec3b2acea4451cbb3ed7",
+    "jordan:H3:complex:-7/4": "d0910ff4475cfebf8a2c1c58c488e3e05d77e11414a6a540ec68753f22029e9c",
+    "root:C:2:node=2": "66f0ebd13bc1249c61343925b682ffa4eabf57a1edb82b320dab7f51f04ce915",
+    "root:C:3:node=3": "0ff3b41ae98e5d7edc3ad5555d6c2b447b7b2fb8097ce7d30551baa74fed5505",
+    "root:A:3:node=2": "ff070aa376a371f4790d13395db6e73940327fa7f14f393094e954f3ad31451e",
+    "root:A:5:node=3": "c58c27554ca5525227b3887846b04233cd04138e3c757638c6cfa2a2a9f2b652",
+    "root:B:3:node=1": "33b2b07f987c83201aaca08ed5d20378ab9797cad27519e439ceb8cad865d894",
+    "root:D:4:node=1": "da4da0655a42247253e923cce340b0d21823dae418f2273abf47d5898e5b85f3",
+    "root:E7:7:node=7": "57f5d70bfa3834a00b4491ccda5260135d7866fd767ddc025de440dca82760cd",
+    "root:C:2": "43d951dee03f8f88aa0ff36226df8148783c81188823e3d0c311154c8ddb09dd",
+    "root:C:3": "5255ba2fa8e7db1de47b00420cae206a193742de4b08beadc35c971b8d31ad37",
+    "root:A:3": "d6e6f00504a24638bf1cafc6b5e619a48f7c0c5bf472187f90bf1bcae115ef7f",
+    "root:A:5": "c406a1bb0cdb437fdcbf94fcdece6479a9edd245c44b09a09fdd11a904d059d5",
+    "root:B:3": "1b52f20db5ca72793126261f2512ce8da0620a5451d585125882f43f94482e06",
+    "root:D:4": "b5dbe1ddf39aae1df89eff237d6b2469e732f3b183148bbc44ec93740209bdc4",
+    "root:E7:7": "97566958a33cd41d30dfdae5b7ed9e7befdb04ed4dafbb18717e3cc0dcad4e02",
 }
 # H3(O) samples Jacobi 100 times instead of the default 1000; --samples steers
 # only the jacobi suite, which samples above dimension 36
@@ -589,7 +592,54 @@ def test_json_keeps_the_killing_normalization(tmp_path, capsys):
     capsys.readouterr()
     for target in ("jordan:H2:field", str(path)):
         code, out, _ = run(capsys, "verify", target, "--suites", "killing")
-        assert (code, out) == (0, "killing: PASS [1057 checks]\n")
+        assert (code, out) == (0, "killing: PASS [1057 checks] (nondegenerate)\n")
+
+
+def _sl2_json(copies):
+    """copies of sl2 with a shared triple and the first copy's (f, e) as norm
+    pair; gl2 = sl2 + Q z when copies is "gl2" (z central, in degree 0)."""
+    if copies == "gl2":
+        basis = [("f", -2), ("h", 0), ("z", 0), ("e", 2)]
+        brackets = [[0, 1, [[0, "2"]]], [0, 3, [[1, "-1"]]], [1, 3, [[3, "2"]]]]
+        f, h, e = [[0, "1"]], [[1, "1"]], [[3, "1"]]
+    else:
+        basis = [(f"{x}{c}", d) for c in range(1, copies + 1) for x, d in (("f", -2), ("h", 0), ("e", 2))]
+        brackets = [[3 * c + i, 3 * c + j, [[3 * c + k, v]]] for c in range(copies)
+                    for i, j, k, v in ((0, 1, 0, "2"), (0, 2, 1, "-1"), (1, 2, 2, "2"))]
+        f, h, e = ([[3 * c + k, "1"] for c in range(copies)] for k in range(3))
+    return {
+        "basis": [{"label": label, "degree": d} for label, d in basis],
+        "brackets": brackets,
+        "triple": {"f": f, "h": h, "e": e},
+        "norm_pair": {"f": f[:1], "e": e[:1]},
+    }
+
+
+def test_killing_names_the_radical_of_a_reductive_algebra(tmp_path, capsys):
+    # gl2 passes Jacobi, the grading and ad-invariance, and its +-2 blocks
+    # pair; only the rank of the trace Gram sees that z spans its radical
+    path = tmp_path / "gl2.json"
+    path.write_text(json.dumps(_sl2_json("gl2")))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (1, "")
+    assert out == (
+        "jacobi: PASS [4 checks] (exhaustive)\n"
+        "grading: PASS [10 checks]\n"
+        "killing: FAIL [75 checks] witness: degenerate form, radical vector {z: 1}\n"
+    )
+
+
+def test_killing_passes_a_semisimple_sum(tmp_path, capsys):
+    # sl2 + sl2 is semisimple though not simple: killing still passes
+    path = tmp_path / "sl2sl2.json"
+    path.write_text(json.dumps(_sl2_json(2)))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    assert out == (
+        "jacobi: PASS [20 checks] (exhaustive)\n"
+        "grading: PASS [15 checks]\n"
+        "killing: PASS [239 checks] (nondegenerate)\n"
+    )
 
 
 def test_vanishing_normalization_pair_is_refused(tmp_path, capsys):
