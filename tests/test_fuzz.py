@@ -7,18 +7,24 @@ in [-2, 4]; E7 and the 8-dimensional H3 are left out to keep the run short
 and sampled suites take at most 5 samples.  ``--jobs`` is drawn from
 [-2, 1]: it changes no output, and ``verify`` refuses a value below 1.
 Structure-constant documents may repeat a bracket pair or a basis index
-and carry zero constants, since the reader checks them in one pass.
+and carry zero constants, since the reader checks them in one pass.  So
+that documents also reach the suites, some are the graded build of
+``jordan:H2:field`` with one mutation: a dropped or repeated bracket, a
+scaled or zeroed constant, a changed degree or a zeroed triple vector.
 """
 
 import contextlib
+import copy
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from jordanlie.cli import ALL_SUITES, main
+from jordanlie import kkt
+from jordanlie.cli import ALL_SUITES, main, parse_jordan_descriptor
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -95,7 +101,37 @@ IN_RANGE_OBJECTS = st.fixed_dictionaries(
         ),
     }
 )
-LIE_DOCS = st.one_of(JSON, LIE_OBJECTS, LIE_OBJECTS, IN_RANGE_OBJECTS)
+H2_BUILD = kkt.to_json(kkt.build_kkt(parse_jordan_descriptor("jordan:H2:field")))
+
+
+def mutated_build(kind, at, value):
+    """H2_BUILD with one mutation of the given kind, placed by at."""
+    doc = copy.deepcopy(H2_BUILD)
+    brackets = doc["brackets"]
+    i, j, items = brackets[at % len(brackets)]
+    entry = items[at % len(items)]
+    if kind == "drop":
+        brackets.remove([i, j, items])
+    elif kind == "repeat":
+        brackets.append(copy.deepcopy([i, j, items]))
+    elif kind == "scale":
+        entry[1] = str(Fraction(entry[1]) * Fraction(value))
+    elif kind == "zero":
+        entry[1] = "0"
+    elif kind == "degree":
+        doc["basis"][at % len(doc["basis"])]["degree"] = value
+    else:
+        doc["triple"]["fhe"[at % 3]] = []
+    return doc
+
+
+MUTATED_BUILDS = st.builds(
+    mutated_build,
+    st.sampled_from(["drop", "repeat", "scale", "zero", "degree", "triple"]),
+    st.integers(0, 10**3),
+    st.integers(-2, 3),
+)
+LIE_DOCS = st.one_of(MUTATED_BUILDS, JSON, LIE_OBJECTS, LIE_OBJECTS, IN_RANGE_OBJECTS)
 
 
 def hermitian_doc(algebra, r, d):
