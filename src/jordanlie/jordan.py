@@ -529,8 +529,7 @@ def pierce(alg: JordanAlgebra) -> PierceDecomposition:
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
             comps[(i, j)] = component(shifted(i, 1) + shifted(j, 1))
-    total = sum(len(v) for v in comps.values())
-    if total != alg.dim or any(len(comps[(i, i)]) != 1 for i in range(1, r + 1)):
+    if sum(map(len, comps.values())) != n or any(len(comps[(i, i)]) != 1 for i in range(1, r + 1)):
         raise ConstructionError("Pierce components do not add up to the algebra")
     return PierceDecomposition(alg, comps)
 

@@ -603,18 +603,10 @@ def witt_hyperbolic_planes(gram) -> int:
 
     planes = 0
     while len(basis) >= 2:
-        iso = next((v for v in basis if qval(v) == 0 and any(v)), None)
-        if iso is None:
-            for u, v in itertools.combinations(basis, 2):
-                for cu, cv in itertools.product(range(-3, 4), repeat=2):
-                    if cu == 0 and cv == 0:
-                        continue
-                    cand = [cu * a + cv * b for a, b in zip(u, v)]
-                    if any(cand) and qval(cand) == 0:
-                        iso = cand
-                        break
-                if iso is not None:
-                    break
+        # basis vectors first, then small combinations of two
+        pairs = itertools.product(itertools.combinations(basis, 2), itertools.product(range(-3, 4), repeat=2))
+        cands = itertools.chain(basis, ([cu * a + cv * b for a, b in zip(u, v)] for (u, v), (cu, cv) in pairs))
+        iso = next((v for v in cands if any(v) and qval(v) == 0), None)
         if iso is None:
             break
         mate = next((w for w in basis if bval(iso, w) != 0), None)
