@@ -24,9 +24,10 @@ integers is held as ``scaled`` and, listed by output, as ``plan``; both are
 derived from mul_table at construction.  ``mul_coeffs`` multiplies through
 ``linalg.dense_product`` on the plan, scaling each factor once to ints and
 dividing each output once.  The norm form N(u) = u^T G u is held as its
-Gram G, ``norm_gram``; the composition-law check reads one integer Gram of
-basis products, formed from ``scaled`` and G over its lcm denominator, on
-the tuples with i <= k, the law being symmetric under i <-> k.
+Gram G, ``norm_gram``, scaled to ints once as ``int_gram``, which every
+check reads: the composition law through one integer Gram of basis
+products, formed with ``scaled``, on the tuples with i <= k (the law is
+symmetric under i <-> k), and nondegeneracy as full rank of its echelon.
 ``trace``, ``conj`` and ``conj_ints`` read the trace covector 2 G[k][0],
 held in ints as ``trace_cov``.  The doubling runs on ints too: the table
 and the basis norms are carried over their denominators and read out once.
@@ -35,12 +36,13 @@ and the basis norms are carried over their denominators and read out once.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from operator import add, mul
 from typing import Sequence
 
 from .errors import AlgebraMismatch, InvalidParameter
-from .linalg import ScaledTable, add_combination, dense_product, det
+from .linalg import ScaledTable, add_combination, dense_product, echelon
 from .linalg import op_from_dense, product_plan, scale_dense, scale_table, table_product, table_readout
 from .rationals import Q, fmt, parse
 
@@ -51,8 +53,8 @@ class CompositionAlgebra:
     """Immutable multiplication-table presentation of a composition algebra;
     == compares the six constructor fields, not the tables derived from them."""
 
-    # the last three are derived from mul_table and norm_gram
-    __slots__ = ("dim", "gammas", "basis_labels", "mul_table", "norm_gram", "descriptor", "scaled", "plan", "trace_cov")
+    __slots__ = ("dim", "gammas", "basis_labels", "mul_table", "norm_gram", "descriptor")
+    __slots__ += ("scaled", "plan", "int_gram", "trace_cov")  # derived from mul_table and norm_gram
 
     def __init__(
         self,
@@ -67,8 +69,9 @@ class CompositionAlgebra:
         self.norm_gram, self.descriptor = norm_gram, descriptor
         self.scaled = scale_table(mul_table)
         self.plan = product_plan(self.scaled)  # scaled, listed by output
-        cov, d = scale_dense([row[0] for row in norm_gram])  # G_k0 = cov[k] / d
-        self.trace_cov = (tuple(2 * c for c in cov), d)  # the trace covector 2 G[k][0] is c[k] / d
+        self.int_gram = (g,), d = scale_table((op_from_dense(norm_gram),))  # g[j][i] = d G_ij
+        h = math.gcd(d, *g[0].values())  # d / h: the lcm of the denominators of column 0
+        self.trace_cov = (tuple(2 * (g[0].get(k, 0) // h) for k in range(dim)), d // h)  # 2 G[k][0]
 
     def _key(self) -> tuple:
         return (self.dim, self.gammas, self.basis_labels, self.mul_table, self.norm_gram, self.descriptor)
@@ -217,8 +220,7 @@ def composition_law_failure(alg: CompositionAlgebra) -> tuple[int, int, int, int
     and a failure at i > k fails first at (k, j, i, l): only i <= k is read."""
     n = alg.dim
     prod, s = alg.scaled.cells, alg.scaled.den
-    gram = scale_table((op_from_dense(alg.norm_gram),))
-    g, d = gram.cells[0], gram.den  # g[k][i] = d_G G_ik
+    (g,), d = alg.int_gram  # g[k][i] = d_G G_ik
     units = [cell for row in prod for cell in row]  # s u_ij at i n + j
     g_units = [{} for _ in range(n)]  # g_units[r][b]: entry r of d_G s G u_b
     for b, u in enumerate(units):
@@ -251,8 +253,7 @@ def _verify_unit_and_conj(alg: CompositionAlgebra):
             raise InvalidParameter(f"basis element 0 is not a left unit at {j}")
         if prod[j][0] != {j: s}:
             raise InvalidParameter(f"basis element 0 is not a right unit at {j}")
-    gram = scale_table((op_from_dense(alg.norm_gram),))
-    g, d = gram.cells[0], gram.den  # g[j][i] = d_G G_ij
+    (g,), d = alg.int_gram  # g[j][i] = d_G G_ij
     for i in range(n):
         for j in range(n):
             acc = {0: -2 * s * g[j].get(i, 0)}
@@ -270,7 +271,8 @@ def _checked(alg: CompositionAlgebra) -> CompositionAlgebra:
     bad = composition_law_failure(alg)
     if bad is not None:
         raise InvalidParameter(f"norm is not multiplicative at basis tuple {bad}")
-    if det([list(row) for row in alg.norm_gram]) == 0:
+    n = alg.dim
+    if len(echelon([[col.get(i, 0) for i in range(n)] for col in alg.int_gram.cells[0]])) < n:
         raise InvalidParameter("norm form is degenerate")
     return alg
 

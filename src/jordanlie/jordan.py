@@ -241,7 +241,7 @@ class QuadraticJordan(JordanAlgebra):
             raise InvalidParameter("Gram matrix must be square and nonempty")
         if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
             raise InvalidParameter("Gram matrix must be symmetric")
-        if linalg.det(g) == 0:
+        if len(linalg.echelon(g)) < n:
             raise InvalidParameter("quadratic form must be nondegenerate")
         self.variant = "quadratic"
         self.v_dim = n
@@ -273,8 +273,7 @@ class QuadraticJordan(JordanAlgebra):
         """Basis products in ints over 2 d_G, G = g / d_G: e1 o e1 = e1,
         e2 o e2 = e2, e1 o e2 = 0, e1 o v = e2 o v = v / 2 and
         v o w = G(v, w) (e1 + e2), the polarization of the square rule."""
-        gram = linalg.scale_table((linalg.op_from_dense(self.gram),))
-        g, dg = gram.cells[0], gram.den  # g[l][k] = d_G G_kl
+        (g,), dg = linalg.scale_table((linalg.op_from_dense(self.gram),))  # g[l][k] = d_G G_kl
         table = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
         table[0][0], table[1][1] = {0: 2 * dg}, {1: 2 * dg}
         for k in range(self.v_dim):

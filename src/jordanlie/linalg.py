@@ -40,9 +40,11 @@ a scaled table back as Fractions.  There is
 one row reduction, ``EchelonBasis``, in ints with division only on readout,
 and it is the one subspace kit: every rank, coordinate vector and kernel
 (``kernel``, an int basis of the null space) is read off its fully reduced
-rows.  ``echelon`` inserts dense rows into one; ``rank``, ``nullspace``,
-``invert`` and ``solve`` are readouts of it, and ``det`` multiplies the
-pivot entries ``insert`` returns.  Pivots follow first-nonzero order,
+rows.  ``echelon`` inserts dense rows into one: ``invert`` reads the
+inverse off it as column-sparse ints over one denominator, and a Gram is
+nondegenerate when it has full rank.  ``rank``, ``nullspace``, ``solve``,
+``det`` and ``mat_mul`` have no caller outside this module; the
+benchmark's span tracer names them.  Pivots follow first-nonzero order,
 never magnitude, so everything here is deterministic.
 """
 
@@ -375,19 +377,7 @@ class EchelonBasis:
 
 
 def mat_mul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    n, m, p = len(a), len(b), len(b[0])
-    out = [[Q(0)] * p for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(m):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                for j in range(p):
-                    if bk[j]:
-                        oi[j] += c * bk[j]
-    return out
+    return [[sum((x * y for x, y in zip(row, col) if x and y), Q(0)) for col in zip(*b)] for row in a]
 
 
 def _sparse(row) -> SparseVec:
@@ -439,16 +429,18 @@ def det(mat: list[list[Fraction]]) -> Fraction:
     return -d if inversions % 2 else d
 
 
-def invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """The inverse, read off the reduced rows of [mat | I]: mat is invertible
-    iff columns 0..n-1 are all pivots, and row i is then p_i (e_i | mat^-1 row i)."""
+def invert(mat) -> tuple[tuple, int]:
+    """(cols, D), cols[k] column k of D mat^-1 in sparse ints, D > 0: the rows
+    (column k of mat | e_k) reduce to p_k (e_k | column k of mat^-1), so mat
+    is invertible iff columns 0..n-1 are all pivots."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("matrix is not square")
-    rows = echelon([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]).rows
-    if any(i not in rows for i in range(n)):
+    rows = echelon([[row[k] for row in mat] + [int(i == k) for i in range(n)] for k in range(n)]).rows
+    if any(k not in rows for k in range(n)):
         raise ValueError("matrix is singular")
-    return [[Q(rows[i].get(n + j, 0), rows[i][i]) for j in range(n)] for i in range(n)]
+    den = math.lcm(*(rows[k][k] for k in range(n)))
+    return tuple({j - n: c * (den // rows[k][k]) for j, c in rows[k].items() if j >= n} for k in range(n)), den
 
 
 def solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:

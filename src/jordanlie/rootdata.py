@@ -10,7 +10,9 @@ brackets), cuts out a maximal parabolic with abelian nilradical, equips the
 nilradical with the Jordan product x o y = [x, [f, y]]/2, extracts the Pierce
 quadratic forms, and coordinatizes the result back onto a matrix model.
 Agreement of the two roads, structure constant by structure constant, is the
-cross-validation entry point.
+cross-validation entry point.  Its three inverses (the coefficient-basis
+matrix, the coordinatization matrix and w) are ``linalg.invert``'s
+column-sparse ints over one denominator, used as they come.
 
 Nothing is cached at module level: each :func:`build_split_lie` call returns
 a fresh algebra, and the entry points past it take the
@@ -117,15 +119,6 @@ class RootSystem:
         if all(c <= 0 for c in a):
             return tuple(-c for c in a) in self.f_idx
         return False
-
-    def string_down(self, a: Root, b: Root) -> int:
-        """Largest p >= 0 with b - p*a a root."""
-        p = 0
-        cur = tuple(x - y for x, y in zip(b, a))
-        while any(cur) and self.is_root(cur):
-            p += 1
-            cur = tuple(x - y for x, y in zip(cur, a))
-        return p
 
     def coroot_coeffs(self, a: Root) -> tuple[int, ...]:
         """a-dual as an integer combination of the simple coroots."""
@@ -361,9 +354,11 @@ class ParabolicDecomposition(NamedTuple):
 
     def chain_sum(self, part: str) -> dict:
         """The sum of member part ("f", "h" or "e") of the chain's sl2 triples."""
-        vecs = [getattr(t, part) for t in self.triples]
-        acc = add_combination({}, vecs, [(k, Q(1)) for k in range(len(vecs))])
-        return {k: c for k, c in acc.items() if c}
+        items, d = linalg.scale_vec(kc for t in self.triples for kc in getattr(t, part).items())
+        acc = {}
+        for k, c in items:
+            acc[k] = acc.get(k, 0) + c
+        return {k: Q(c, d) for k, c in acc.items() if c}
 
     def pierce_roots(self, i: int, j: int) -> tuple[Root, ...]:
         """Roots spanning the (i, j) Pierce component, 1-based indices: for
@@ -745,44 +740,41 @@ def _coordinatize_hermitian(p2, rj, forms, units):
         for j in range(i + 1, r + 1):
             u[(i, j)] = dbl(u[(1, i)], u[(1, j)])
 
-    # the coefficient algebra lives on the (1,2) component
+    # the coefficient algebra lives on the (1,2) component, with a basis of
+    # int vectors: u_12 and unit vectors of the component
     d_form = forms[(1, 2)]
     d_pos = [rj.position[a] for a in d_form.roots]
     d = len(d_pos)
     span = EchelonBasis()
-    d_basis = [u[(1, 2)]]
-    span.insert(u[(1, 2)][0])
+    d_basis = [u[(1, 2)][0]]
+    span.insert(d_basis[0])
     for a in d_form.roots:
         cand = {rj.position[a]: 1}
         if span.insert(cand):
-            d_basis.append((cand, 1))
+            d_basis.append(cand)
     if len(d_basis) != d:
         raise ConstructionError("could not complete a basis of the coefficient algebra")
 
     def d_mul(x, y):
-        return dbl(dbl(x, u[(2, 3)]), dbl(y, u[(1, 3)]))
+        return dbl(dbl((x, 1), u[(2, 3)]), dbl((y, 1), u[(1, 3)]))
 
     # express products and the norm in the chosen d-basis: the inverse of the
-    # basis matrix is scaled to ints over t_den once, so each local
+    # int basis matrix is column-sparse ints over t_den, so each local
     # coordinate of a vector over dx is one division by t_den dx
-    d_mat = [[Q(xv.get(s, 0), dx) for xv, dx in d_basis] for s in d_pos]
-    inv = linalg.scale_table([[dict(enumerate(row)) for row in _invert(d_mat, "coefficient-algebra basis matrix")]])
-    to_local, t_den = inv.cells[0], inv.den
+    d_mat = [[b.get(s, 0) for b in d_basis] for s in d_pos]
+    to_local, t_den = _invert(d_mat, "coefficient-algebra basis matrix")
 
     def local_coords(x):
         xv, dx = x
-        ambient = [(b, xv[s]) for b, s in enumerate(d_pos) if s in xv]
-        return [Q(sum(row[b] * c for b, c in ambient), t_den * dx) for row in to_local]
+        acc = add_combination({}, to_local, [(k, xv[s]) for k, s in enumerate(d_pos) if s in xv])
+        return [Q(acc.get(b, 0), t_den * dx) for b in range(d)]
 
-    mul_table = [
-        [local_coords(d_mul(d_basis[i], d_basis[j])) for j in range(d)]
-        for i in range(d)
-    ]
+    mul_table = [[local_coords(d_mul(x, y)) for y in d_basis] for x in d_basis]
     # Gram of the norm in the chosen d-basis: (1/2) B(b_a, b_b) = b_a^T G b_b,
     # read in ints on the scaled Gram and divided once
     rows, dg = _scaled_gram(d_form)
-    local = [([(k, xv.get(s, 0)) for k, s in enumerate(d_pos)], dx) for xv, dx in d_basis]
-    gram = [[Q(linalg.gram_form(rows, x, y), dg * dx * dy) for y, dy in local] for x, dx in local]
+    local = [[(k, b.get(s, 0)) for k, s in enumerate(d_pos)] for b in d_basis]
+    gram = [[Q(linalg.gram_form(rows, x, y), dg) for y in local] for x in local]
     D = algebra_from_table(mul_table, gram)
     model = jordan_mod.hermitian(r, D)
 
@@ -856,30 +848,30 @@ def cross_validate(p: ParabolicDecomposition) -> CrossValidation:
     for a in g2.degree_indices(0):
         span2.insert(linalg.op_flatten(levi_op(g2, a, n_kkt), nJ))
 
-    # image vectors of every chevalley basis element inside the kkt build
-    phi = linalg.op_from_dense(coord.matrix)
-    phi_inv = linalg.op_from_dense(_invert(coord.matrix, "coordinatization matrix"))
-    w1_inv = linalg.op_from_dense(_invert(kkt_mod.w_matrix(g1), "w matrix of the graded algebra"))
+    # image vectors of every chevalley basis element inside the kkt build:
+    # phi, phi^{-1} and w1^{-1} are column-sparse ints over P, P_inv and P_w
+    (phi,), P = linalg.scale_table((linalg.op_from_dense(coord.matrix),))
+    phi_inv, P_inv = _invert(coord.matrix, "coordinatization matrix")
+    w1_inv, P_w = _invert(kkt_mod.w_matrix(g1), "w matrix of the graded algebra")
     n_idx1 = g1.degree_indices(2)
 
-    def to_n2(vec: dict) -> dict:
-        return {n_kkt[k]: c for k, c in vec.items()}
+    def to_n2(vec: dict, den: int) -> dict:
+        return {n_kkt[k]: Q(c, den) for k, c in vec.items()}
 
     images: dict[int, dict] = {}
     # +2 block: the columns of phi
     for i in n_idx1:
-        images[i] = to_n2(phi[n_map[i]])
+        images[i] = to_n2(phi[n_map[i]], P)
     # -2 block: back through w1 to the +2 block, across phi, then the kkt-side w
     for a, i in enumerate(g1.degree_indices(-2)):
         root_vec = {n_map[n_idx1[b]]: c for b, c in w1_inv[a].items()}
-        images[i] = kkt_mod.w_map(g2, to_n2(linalg.op_apply(phi, root_vec)))
+        images[i] = kkt_mod.w_map(g2, to_n2(linalg.op_apply(phi, root_vec), P * P_w))
     # 0 block: the action on the nilradical, conjugated to phi op phi^{-1}, in
-    # ints: with phi and phi^{-1} over their lcm P, P phi (den1 op) P phi^{-1}
-    # is P^2 den1 times the conjugate, so each coordinate is divided once
-    ints = linalg.scale_table((phi, phi_inv))
-    (phi_s, phi_inv_s), conj_den = ints.cells, ints.den**2 * g1.table.den
+    # ints: P phi (den1 op) P_inv phi^{-1} is P P_inv den1 times the
+    # conjugate, so each coordinate is divided once
+    conj_den = P * P_inv * g1.table.den
     for i in g1.degree_indices(0):
-        conj = linalg.op_compose(phi_s, linalg.op_compose(levi_op(g1, i, n_chev), phi_inv_s))
+        conj = linalg.op_compose(phi, linalg.op_compose(levi_op(g1, i, n_chev), phi_inv))
         coords = span2.coordinates(linalg.op_flatten(conj, nJ))
         if coords is None:
             raise ConstructionError("transported 0-part operator escaped the span")
@@ -898,9 +890,10 @@ def cross_validate(p: ParabolicDecomposition) -> CrossValidation:
             add_combination(acc, scaled, [(k, -c * rhs_scale) for k, c in g1.table.cells[i][j].items()])
             if any(acc.values()):
                 mismatches.append((g1.labels[i], g1.labels[j]))
-    # triple transport
+    # triple transport, on the scaled images: D ds phi(src) for src over ds
     for name, src, want in zip("fhe", g1.triple, g2.triple):
-        if linalg.op_apply(images, src) != want:
+        xs, ds = linalg.scale_vec(src.items())
+        if {k: Q(c, transport.den * ds) for k, c in add_combination({}, scaled, xs).items() if c} != want:
             mismatches.append((f"triple:{name}", ""))
     return CrossValidation(dim=dim, mismatches=mismatches)
 

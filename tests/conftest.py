@@ -50,6 +50,16 @@ def corrupted_copy(g: kkt.LieAlgebra, i: int, j: int, k: int, delta: Fraction) -
     return kkt.LieAlgebra(g.labels, kkt.bracket_table(g.dim, brackets), g.grading, g.triple, g.norm_pair, g.root_system)
 
 
+def root_string_down(rs, a, b):
+    """Largest p >= 0 with b - p*a a root of the root system rs."""
+    p = 0
+    cur = tuple(x - y for x, y in zip(b, a))
+    while any(cur) and rs.is_root(cur):
+        p += 1
+        cur = tuple(x - y for x, y in zip(cur, a))
+    return p
+
+
 def root_jordan_product(rj):
     """x o y on Fraction coordinate vectors of a root Jordan algebra, through
     a product plan formed from its scaled table."""
@@ -83,6 +93,13 @@ def ca_norm(u):
 def identity(n):
     """The n x n identity as a dense Fraction matrix."""
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def dense_inverse(mat):
+    """linalg.invert's column-sparse ints over one denominator, read back as
+    the dense inverse in Fraction rows."""
+    cols, den = linalg.invert(mat)
+    return [[Fraction(col.get(r, 0), den) for col in cols] for r in range(len(mat))]
 
 
 def mat_vec(a, v):

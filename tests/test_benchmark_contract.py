@@ -4,6 +4,7 @@ wraps jordanlie names: every name it lists must exist, or
 sampled when the line says so: only Jacobi may."""
 
 import argparse
+import ast
 import importlib
 import importlib.util
 import json
@@ -53,6 +54,22 @@ def test_every_traced_name_resolves():
         if not (found and callable(getattr(owner, attr))):
             missing.append(f"{mod_name}.{path}")
     assert missing == []
+
+
+def test_dense_helpers_are_called_only_inside_linalg():
+    # det, rank, solve, nullspace and mat_mul stay in linalg only because the
+    # span tracer names them: no other module calls them, by either name
+    dense = {"det", "rank", "solve", "nullspace", "mat_mul"}
+    assert {("linalg", name) for name in dense} <= set(_load("spans").TRACED)
+    found = []
+    for path in sorted(Path(jordanlie.__file__).parent.glob("*.py")):
+        if path.name != "linalg.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in dense:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 def _verify_lines(capsys, *argv):
@@ -415,9 +432,10 @@ def test_coordinatize_makes_fraction_arithmetic_only_on_readout_lines(monkeypatc
     # chain, the local coordinates and the coefficient Gram run on ints and
     # divide once per output constant, the unit, conjugation and composition
     # checks of the coefficient algebra compare ints, and so does the model's
-    # own table build, so what adds or multiplies a Fraction in coordinatize
-    # (E7 node 7) is the readout: the rescaled triples and forms of p2, and
-    # the product of pivots of the norm Gram's determinant
+    # own table build, and the basis matrix is inverted and the norm Gram
+    # tested for full rank on one int echelon each, so what adds or
+    # multiplies a Fraction in coordinatize (E7 node 7) is the readout: the
+    # rescaled triples and forms of p2
     traced = set(_load("spans").TRACED)
     names = {("rootdata", n) for n in ("coordinatize", "jordan_from_roots", "q_forms")}
     assert names | {("jordan", "hermitian")} <= traced
@@ -430,7 +448,30 @@ def test_coordinatize_makes_fraction_arithmetic_only_on_readout_lines(monkeypatc
     readout = {
         ("_rescaled_parabolic", "e={k: c * s for k, c in t.e.items()},"),
         ("coordinatize", "s = scales[i - 1] * scales[j - 1]"),
-        ("det", "d *= lead"),
+    }
+    assert {(name, line) for _, name, line in calls} <= readout
+
+
+def test_cross_validate_makes_fraction_arithmetic_only_on_readout_lines(monkeypatch, split_builds):
+    # phi, phi^-1 and w1^-1 are ints over one denominator each, the -2 block
+    # is carried across phi and the triples across the transport in ints, and
+    # the pairs are compared on the int tables, so what adds or multiplies a
+    # Fraction in cross_validate (E7 node 7) is the readout: coordinatize's,
+    # the kkt build's triple and norm pair, and w's halving
+    traced = set(_load("spans").TRACED)
+    assert {("rootdata", "cross_validate"), ("linalg", "invert"), ("kkt", "w_matrix")} <= traced
+    p = rootdata.parabolic(split_builds("E7", 7), 7)
+    calls = []
+    _count_fraction_arithmetic(monkeypatch, calls)
+    cv = rootdata.cross_validate(p)
+    monkeypatch.undo()
+    assert cv.ok and cv.dim == 133
+    readout = {
+        ("_rescaled_parabolic", "e={k: c * s for k, c in t.e.items()},"),
+        ("coordinatize", "s = scales[i - 1] * scales[j - 1]"),
+        ("build_kkt", "triple = (embed(one, idx_nbar, -1), h, embed(one, idx_n, 1))"),
+        ("build_kkt", "norm_pair = (embed(frame, idx_nbar, -1), embed(frame, idx_n, 1))"),
+        ("w_map", "return {k: HALF * c for k, c in out.items()}"),
     }
     assert {(name, line) for _, name, line in calls} <= readout
 
@@ -440,9 +481,9 @@ def test_jordan_tables_make_no_fraction_arithmetic(monkeypatch, split_builds):
     # matrix-unit products and the quadratic table run on ints and divide
     # once per table constant, so building every perfbench family, three
     # algebras with non-integral doubling parameters and the hermitian models
-    # on the coefficient tables coordinatized at A5 node 3 and E7 node 7 adds
-    # and multiplies a Fraction only in the product of pivots of a Gram's
-    # determinant; perfbench times the builds under these names
+    # on the coefficient tables coordinatized at A5 node 3 and E7 node 7, each
+    # Gram tested for full rank on an int echelon, adds and multiplies no
+    # Fraction; perfbench times the builds under these names
     traced = set(_load("spans").TRACED)
     assert {("jordan", "hermitian"), ("jordan", "quadratic"), ("composition", "build_composition")} <= traced
     descriptors = list(_load("child").FAMILIES.values())
@@ -461,7 +502,7 @@ def test_jordan_tables_make_no_fraction_arithmetic(monkeypatch, split_builds):
     assert [J.dim for J in built] == [3, 6, 4, 9, 5, 6, 27, 9, 6, 27]
     for J, model in models:
         assert (J.mul_table, J.scaled) == (model.mul_table, model.scaled)
-    assert {(name, line) for _, name, line in calls} == {("det", "d *= lead")}
+    assert calls == []
 
 
 def test_split_build_reads_the_cartan_matrix(monkeypatch):
@@ -503,7 +544,7 @@ def test_lie_algebra_equality_ignores_derived_data():
 
 def test_composition_algebra_equality_ignores_derived_tables():
     a, b = build_composition(4, [1, 1]), build_composition(4, [1, 1])
-    for name in ("scaled", "plan", "trace_cov"):
+    for name in ("scaled", "plan", "int_gram", "trace_cov"):
         object.__setattr__(b, name, None)
     assert a == b
     assert a != build_composition(4, [1, -1])

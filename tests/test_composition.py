@@ -262,6 +262,17 @@ def test_composition_law_on_a_non_dyadic_gram():
     assert composition_law_failure(bad) == (0, 0, 3, 3)
 
 
+def test_dual_numbers_are_rejected_for_their_degenerate_norm():
+    # Q[e]/(e^2) with N(a + b e) = a^2 passes the unit, conjugation and
+    # composition laws; only the rank of its norm Gram, 1 of 2, rejects it
+    table, gram = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [[1, 0], [0, 0]]
+    cells = tuple(tuple({k: Q(x) for k, x in enumerate(cell) if x} for cell in row) for row in table)
+    dual = composition_copy(build_composition(2, [1]), cells, tuple(tuple(map(Q, row)) for row in gram))
+    assert verify.suite_composition_law(dual).line() == "composition-law: PASS [20 checks]"
+    with pytest.raises(InvalidParameter, match="^norm form is degenerate$"):
+        algebra_from_table(table, gram)
+
+
 def law_failure_oracle(alg):
     """composition_law_failure as a literal loop over the basis 4-tuples in
     lexicographic order, each side formed from the scaled table and Gram."""

@@ -70,14 +70,18 @@ def test_value_error_inside_a_command_propagates(monkeypatch):
     ],
 )
 def test_singular_inverse_in_cross_validate_names_its_matrix(monkeypatch, capsys, failing_call, name):
-    # cross-validate on C3 node 3 inverts these three matrices, in this order
+    # cross-validate on C3 node 3 inverts these three matrices, in this
+    # order; the failing call hands the int invert the matrix with its first
+    # row zeroed, and the others get its ints over one positive denominator
     invert, calls = linalg.invert, []
 
     def singular_at_call(mat):
         calls.append(len(mat))
         if len(calls) == failing_call:
-            raise ValueError("matrix is singular")
-        return invert(mat)
+            mat = [[0] * len(mat)] + list(mat[1:])
+        cols, den = invert(mat)
+        assert den > 0 and all(type(c) is int for col in cols for c in col.values())
+        return cols, den
 
     monkeypatch.setattr(linalg, "invert", singular_at_call)
     code = cli.main(["verify", "root:C:3:node=3", "--suites", "cross-validate"])

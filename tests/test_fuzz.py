@@ -131,7 +131,7 @@ MUTATED_BUILDS = st.builds(
     st.integers(0, 10**3),
     st.integers(-2, 3),
 )
-LIE_DOCS = st.one_of(MUTATED_BUILDS, JSON, LIE_OBJECTS, LIE_OBJECTS, IN_RANGE_OBJECTS)
+LIE_DOCS = st.one_of(MUTATED_BUILDS, JSON, LIE_OBJECTS, IN_RANGE_OBJECTS)
 
 
 def hermitian_doc(algebra, r, d):

@@ -64,9 +64,11 @@ def test_octonionic_requires_degree_three(split_octonions):
 
 
 def test_degenerate_gram_rejected():
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match="quadratic form must be nondegenerate"):
         jordan.quadratic([[1, 0], [0, 0]])
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match="quadratic form must be nondegenerate"):
+        jordan.quadratic([[1, 2, 3], [2, 4, 6], [3, 6, 10]])  # rank 2 of 3
+    with pytest.raises(InvalidParameter, match="symmetric"):
         jordan.quadratic([[0, 1], [2, 0]])  # not symmetric
 
 

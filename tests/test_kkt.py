@@ -24,7 +24,7 @@ from jordanlie.kkt import (
     w_matrix,
 )
 
-from conftest import corrupted_copy, stored_brackets
+from conftest import corrupted_copy, dense_inverse, stored_brackets
 from test_cli import GOLDEN_BUILD_SHA256
 
 CFG = verify.Config(seed=0, sample_count=400)
@@ -400,7 +400,7 @@ def test_companion_is_the_trace_form_adjoint(family_instances, kkt_builds):
             [sum((c * tau[k] for k, c in J.mul_table[i][j].items()), Q(0)) for j in range(n)]
             for i in range(n)
         ]
-        g_op, g_inv = linalg.op_from_dense(gram), linalg.op_from_dense(linalg.invert(gram))
+        g_op, g_inv = linalg.op_from_dense(gram), linalg.op_from_dense(dense_inverse(gram))
         for a, op in zip(g.degree_indices(0), _m_operators(g)):
             dense = [[op[k].get(r, Q(0)) for k in range(n)] for r in range(n)]
             transpose = linalg.op_from_dense([list(row) for row in zip(*dense)])

@@ -10,7 +10,7 @@ from jordanlie import jordan, linalg, rootdata
 from jordanlie.cli import parse_jordan_descriptor, parse_root_descriptor
 from jordanlie.composition import build_composition
 
-from conftest import composition_copy, identity, mat_vec
+from conftest import composition_copy, dense_inverse, identity, mat_vec
 from test_cli import GOLDEN_BUILD_SHA256
 
 # tables whose common denominators are 42, 10 and 8, beside the dyadic family
@@ -490,7 +490,9 @@ def test_invert_and_solve_against_mat_mul():
         full_rank = minor_rank(mat)
         if n == ncols:
             if full_rank == n:
-                assert linalg.mat_mul(linalg.invert(mat), mat) == identity(n)
+                cols, den = linalg.invert(mat)
+                assert den > 0 and all(type(c) is int and c for col in cols for c in col.values())
+                assert linalg.mat_mul(dense_inverse(mat), mat) == identity(n)
             else:
                 with pytest.raises(ValueError):
                     linalg.invert(mat)

@@ -24,7 +24,7 @@ from jordanlie.rootdata import (
     witt_hyperbolic_planes,
 )
 
-from conftest import ca_norm, coordinatization_apply, corrupted_copy, root_jordan_product
+from conftest import ca_norm, coordinatization_apply, corrupted_copy, root_jordan_product, root_string_down
 
 CFG = verify.Config(seed=0, sample_count=400)
 
@@ -154,7 +154,7 @@ def test_positive_roots_match_the_root_string_closure(tl, n):
 def test_table_holds_a_chevalley_basis(tl, rk, pairs, split_builds):
     # for every ordered pair of signed roots a, b with a + b a root, the
     # cell [x_a, x_b] is one int term N_{a,b} x_{a+b} with |N_{a,b}| = p + 1
-    # (p from string_down) and N_{-a,-b} = -N_{a,b}; the rank caps have no
+    # (p from root_string_down) and N_{-a,-b} = -N_{a,b}; the rank caps have no
     # golden hash, so this is their only constant-level check
     g = split_builds(tl, rk)
     rs = g.root_system
@@ -173,7 +173,7 @@ def test_table_holds_a_chevalley_basis(tl, rk, pairs, split_builds):
         s = tuple(x + y for x, y in zip(a, b))
         if s in index:
             n = constant(a, b, s)
-            assert abs(n) == rs.string_down(a, b) + 1
+            assert abs(n) == root_string_down(rs, a, b) + 1
             assert constant(neg(a), neg(b), neg(s)) == -n
             checked += 1
     assert checked == pairs
